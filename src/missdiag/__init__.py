@@ -56,7 +56,6 @@ from .protocol import (
     PatternDistribution,
     RateVector,
     all_patterns,
-    apply_mask,
     divergence,
     empirical_rates,
     generate_mask_matrix,
@@ -83,7 +82,6 @@ from .simtrainer import (
     ablation_table,
     dataset_loss,
     default_metrics,
-    evaluate_under_combination,
     forward,
     gen_synthetic,
     run_experiment,

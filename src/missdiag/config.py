@@ -206,6 +206,11 @@ def _require(raw: Mapping, key: str, kind: type, where: str = "config") -> Any:
     return value
 
 
+def _check_seed(seed: Any, name: str) -> None:
+    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
+        raise ConfigError(f"{name} must be an integer in [0, 2^64), got {seed!r}")
+
+
 def _parse_metrics(entries: Any) -> tuple[PerfMetric, ...]:
     if not isinstance(entries, list) or not entries:
         raise ConfigError("'metrics' must be a non-empty list")
@@ -272,7 +277,7 @@ def resolve_config(
             )
 
     if seed_flag is not None:
-        seed = seed_flag
+        seed, source = seed_flag, "--seed"
     elif env.get(SEED_ENV_VAR):
         try:
             seed = int(env[SEED_ENV_VAR])
@@ -280,8 +285,10 @@ def resolve_config(
             raise ConfigError(
                 f"{SEED_ENV_VAR} must be an integer, got {env[SEED_ENV_VAR]!r}"
             ) from None
+        source = SEED_ENV_VAR
     else:
-        seed = _require(raw, "seed", int)
+        seed, source = _require(raw, "seed", int), "'seed'"
+    _check_seed(seed, source)
 
     n_samples = raw.get("n_samples", 1000)
     if not isinstance(n_samples, int) or isinstance(n_samples, bool) or n_samples < 1:
@@ -318,6 +325,8 @@ def resolve_config(
         for key in ("dims", "informativeness", "n_train"):
             if key not in simulation:
                 raise ConfigError(f"config: missing required field 'simulation.{key}'")
+        if "data_seed" in simulation:
+            _check_seed(simulation["data_seed"], "'simulation.data_seed'")
         if len(simulation["dims"]) != len(modalities):
             raise ConfigError(
                 f"'simulation.dims' has {len(simulation['dims'])} entries for "

@@ -366,25 +366,6 @@ def _kl(p: np.ndarray, q: np.ndarray) -> float:
     return max(0.0, total)
 
 
-def apply_mask(
-    features: Sequence[np.ndarray], pattern: MaskPattern
-) -> list[np.ndarray]:
-    """Zero-impute the features of missing modalities.
-
-    Observed modalities are returned unchanged (same objects); missing
-    ones are replaced by zero arrays of identical shape and dtype.
-    """
-    if len(features) != len(pattern):
-        raise DimensionError(
-            f"got {len(features)} feature blocks for a {len(pattern)}-modality pattern"
-        )
-    out = []
-    for feat, bit in zip(features, pattern.bits):
-        arr = np.asarray(feat)
-        out.append(arr if bit else np.zeros_like(arr))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # maskmatrix-v1 file format
 
@@ -418,10 +399,14 @@ def read_mask_matrix(path: str | Path) -> tuple[tuple[str, ...], np.ndarray]:
             if len(row) != len(header):
                 raise FileFormatError(f"{path}:{lineno}: expected {len(header)} fields")
             try:
-                int(row[0])
+                sample_id = int(row[0])
                 bits = [int(v) for v in row[1:]]
             except ValueError:
                 raise FileFormatError(f"{path}:{lineno}: non-integer field") from None
+            # Mask row i is applied to training sample i, so ids must count from 0.
+            if sample_id != len(rows):
+                raise FileFormatError(
+                    f"{path}:{lineno}: sample_id {sample_id}, expected {len(rows)}")
             if any(b not in (0, 1) for b in bits):
                 raise FileFormatError(f"{path}:{lineno}: mask values must be 0 or 1")
             rows.append(bits)

@@ -6,7 +6,10 @@ modality, outputs summed and passed through one affine fusion head
 Training is plain gradient descent with hand-written backpropagation in
 float64; every run is a pure function of its seeds. Missing modalities
 are zero-imputed at the encoder input, with per-sample masks drawn from
-a missingness protocol.
+a missingness protocol. A zero input gives encoder m the pre-activation
+0 W_m + b_m = b_m exactly, so a missing modality adds exactly relu(b_m)
+to the fused sum; evaluation runs each encoder once per batch and
+re-fuses its outputs for every observed-modality pattern.
 
 The trainer exists to emit gradient traces and ablation tables for the
 equity/learning diagnostics, not to reach competitive accuracy.
@@ -42,7 +45,6 @@ from .protocol import (
     MaskPattern,
     RateVector,
     all_patterns,
-    apply_mask,
     generate_mask_matrix,
 )
 from .report import config_hash
@@ -273,19 +275,16 @@ def init_model(
     return ToyModel(enc_W, enc_b, fus_W, fus_b, task)
 
 
-def _forward_batch(
-    model: ToyModel, features: Sequence[np.ndarray], mask: np.ndarray
-) -> tuple[np.ndarray, tuple]:
-    """Masked forward pass; returns (output, cache for backprop)."""
+def _encode(model: ToyModel, features: Sequence[np.ndarray], mask: np.ndarray | None = None):
+    """Inputs x_m (zeroed where a training `mask` is 0), u_m = x_m W_m + b_m and relu(u_m)."""
     if len(features) != model.M:
         raise DimensionError(f"got {len(features)} feature blocks for M={model.M}")
-    if mask.shape != (features[0].shape[0], model.M):
+    if mask is not None and mask.shape != (features[0].shape[0], model.M):
         raise DimensionError(
             f"mask of shape {mask.shape} does not match batch "
             f"({features[0].shape[0]}, {model.M})"
         )
-    xs, us = [], []
-    s = None
+    xs, us, hs = [], [], []
     for m in range(model.M):
         x = np.asarray(features[m], dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != model.enc_W[m].shape[0]:
@@ -293,14 +292,37 @@ def _forward_batch(
                 f"modality {m}: features of shape {x.shape} do not match encoder "
                 f"input width {model.enc_W[m].shape[0]}"
             )
-        x = x * mask[:, m : m + 1]
+        if mask is not None:
+            x = x * mask[:, m : m + 1]
         u = x @ model.enc_W[m] + model.enc_b[m]
-        h = np.maximum(u, 0.0)
-        s = h if s is None else s + h
         xs.append(x)
         us.append(u)
-    out = s @ model.fus_W + model.fus_b
+        hs.append(np.maximum(u, 0.0))
+    return xs, us, hs
+
+
+def _fuse(model: ToyModel, hs: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Sum encoder outputs in modality order, then apply the head; returns (sum, output)."""
+    s = hs[0]
+    for h in hs[1:]:
+        s = s + h
+    return s, s @ model.fus_W + model.fus_b
+
+
+def _forward_batch(
+    model: ToyModel, features: Sequence[np.ndarray], mask: np.ndarray
+) -> tuple[np.ndarray, tuple]:
+    """Masked forward pass for training; returns (output, cache for backprop)."""
+    xs, us, hs = _encode(model, features, mask)
+    s, out = _fuse(model, hs)
     return out, (xs, us, s)
+
+
+def _predict(model: ToyModel, hs: Sequence[np.ndarray], pattern: MaskPattern) -> np.ndarray:
+    """Output under `pattern` from encoder outputs `hs`; a missing modality adds relu(b_m)."""
+    hs = [h if bit else np.maximum(b, 0.0) for h, b, bit in zip(hs, model.enc_b, pattern.bits)]
+    _, out = _fuse(model, hs)
+    return out if model.task == CLASSIFICATION else out[:, 0]
 
 
 def forward(
@@ -311,13 +333,10 @@ def forward(
     Returns logits of shape (n, C) for classification, scalar
     predictions of shape (n,) for regression.
     """
-    feats = [np.atleast_2d(np.asarray(f, dtype=np.float64)) for f in features]
     if len(pattern) != model.M:
         raise DimensionError(f"pattern length {len(pattern)} != M={model.M}")
-    n = feats[0].shape[0]
-    mask = np.tile(np.asarray(pattern.bits, dtype=np.float64), (n, 1))
-    out, _ = _forward_batch(model, feats, mask)
-    return out if model.task == CLASSIFICATION else out[:, 0]
+    feats = [np.atleast_2d(np.asarray(f, dtype=np.float64)) for f in features]
+    return _predict(model, _encode(model, feats)[2], pattern)
 
 
 def _per_sample_losses(model: ToyModel, out: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -508,10 +527,8 @@ def default_metrics(task: str) -> tuple[PerfMetric, ...]:
     return tuple(PerfMetric.named(name) for name in names)
 
 
-def evaluate_under_combination(
-    model: ToyModel, split: Split, pattern: MaskPattern, metric: PerfMetric
-) -> float:
-    """Metric score on a clean split with modalities outside `pattern` zeroed."""
+def ablation_table(model: ToyModel, split: Split, metric: PerfMetric) -> AblationTable:
+    """Evaluate every nonempty modality combination on a clean split, encoding it once."""
     funs = _CLASSIFICATION_FUNS if model.task == CLASSIFICATION else _REGRESSION_FUNS
     fun = funs.get(metric.name)
     if fun is None:
@@ -519,31 +536,19 @@ def evaluate_under_combination(
             f"metric {metric.name!r} is not defined for {model.task}; "
             f"choose from {sorted(funs)}"
         )
-    masked = apply_mask(split.features, pattern)
-    out = forward(model, masked, MaskPattern.full(model.M))
-    if model.task == CLASSIFICATION:
-        predictions = out.argmax(axis=1)
-    else:
-        predictions = out
-    return fun(split.labels, predictions)
-
-
-def ablation_table(model: ToyModel, split: Split, metric: PerfMetric) -> AblationTable:
-    """Evaluate every nonempty modality combination on a clean split."""
-    full = MaskPattern.full(model.M)
-    perf_full = evaluate_under_combination(model, split, full, metric)
-    entries = {
-        pattern: evaluate_under_combination(model, split, pattern, metric)
-        for pattern in all_patterns(model.M)
-        if pattern != full
-    }
+    hs = _encode(model, split.features)[2]
+    entries = {}
+    for pattern in all_patterns(model.M):
+        out = _predict(model, hs, pattern)
+        predictions = out.argmax(axis=1) if model.task == CLASSIFICATION else out
+        entries[pattern] = fun(split.labels, predictions)
+    perf_full = entries.pop(MaskPattern.full(model.M))
     return AblationTable(M=model.M, metric=metric, perf_full=perf_full, entries=entries)
 
 
 def dataset_loss(model: ToyModel, split: Split) -> float:
     """Mean per-sample task loss on a clean, fully observed split."""
-    mask = np.ones((split.n, model.M))
-    out, _ = _forward_batch(model, split.features, mask)
+    _, out = _fuse(model, _encode(model, split.features)[2])
     return float(_per_sample_losses(model, out, split.labels).mean())
 
 

@@ -106,3 +106,21 @@ def fd_gradient(loss_fn, theta: np.ndarray, index: tuple, step: float = 1e-5) ->
 def random_rate_vector(rng: np.random.Generator, M: int, low: float = 0.0,
                        high: float = 0.95) -> tuple[float, ...]:
     return tuple(float(r) for r in rng.uniform(low, high, size=M))
+
+
+def zero_imputed_forward(model, features, bits) -> np.ndarray:
+    """Toy-model head output with each missing modality's input set to zeros.
+
+    Every encoder runs on its input, zero-filled or not, as the model is
+    defined; the package instead adds relu(b_m) for a missing modality.
+    The matrix products use numpy's `@` on the same shapes as the package,
+    so the two agree bit for bit and can be compared with `==`.
+    """
+    fused = None
+    for x, W, b, bit in zip(features, model.enc_W, model.enc_b, bits):
+        x_in = np.asarray(x, dtype=np.float64)
+        if not bit:
+            x_in = np.zeros_like(x_in)
+        h = np.maximum(x_in @ W + b, 0.0)
+        fused = h if fused is None else fused + h
+    return fused @ model.fus_W + model.fus_b

@@ -170,6 +170,39 @@ class TestSeedPrecedence:
         assert SEED_ENV_VAR in capsys.readouterr().err
 
 
+class TestSeedRange:
+    # Each row: extra argv, MISSDIAG_SEED value (None = unset), message fragment.
+    CASES = [
+        (["--seed", "-1"], None, "--seed"),
+        (["--seed", str(2**64)], None, "--seed"),
+        (["--set", "seed=-1"], None, "'seed'"),
+        (["--set", f"seed={2**64}"], None, "'seed'"),
+        (["--set", "seed=true"], None, "'seed'"),
+        ([], "-3", SEED_ENV_VAR),
+        (["--set", "simulation.data_seed=-1"], None, "'simulation.data_seed'"),
+        (["--set", "simulation.data_seed=2.5"], None, "'simulation.data_seed'"),
+        (["--set", f"simulation.data_seed={2**64}"], None, "'simulation.data_seed'"),
+    ]
+
+    @pytest.mark.parametrize("extra, env_seed, fragment", CASES,
+                             ids=[" ".join(c[0]) or f"env={c[1]}" for c in CASES])
+    def test_simulate_run_rejects_out_of_range_seed(self, tmp_path, extra, env_seed, fragment):
+        env = {k: v for k, v in os.environ.items() if k != SEED_ENV_VAR}
+        if env_seed is not None:
+            env[SEED_ENV_VAR] = env_seed
+        package_root = str(Path(missdiag.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "missdiag.cli", "simulate", "run",
+             "--config", sim_config(tmp_path), "--out", str(tmp_path / "out"), *extra],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: ") and fragment in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()
+
+
 class TestProtocolCommands:
     def test_mean_match_from_rates(self, capsys):
         assert main(["protocol", "mean-match", "--rates", "0.4,0.5,0.6"]) == 0

@@ -109,6 +109,17 @@ class TestMaskMatrixFormat:
         with pytest.raises(FileFormatError, match=":2:"):
             read_mask_matrix(path)
 
+    @pytest.mark.parametrize("body, line", [
+        ("5,1,0\n5,0,1\n2,1,1\n", ":2:"),
+        ("0,1,0\n0,0,1\n", ":3:"),
+        ("0,1,0\n2,0,1\n1,1,1\n", ":3:"),
+    ], ids=["not-from-zero", "duplicate", "out-of-order"])
+    def test_sample_ids_must_count_from_zero(self, tmp_path, body, line):
+        path = tmp_path / "masks.csv"
+        path.write_text("sample_id,a,b\n" + body)
+        with pytest.raises(FileFormatError, match=line + " sample_id"):
+            read_mask_matrix(path)
+
     def test_all_missing_row_rejected(self, tmp_path):
         path = tmp_path / "masks.csv"
         path.write_text("sample_id,a,b\n0,1,1\n1,0,0\n")

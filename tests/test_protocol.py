@@ -17,7 +17,6 @@ from missdiag import (
     MaskPattern,
     RateVector,
     all_patterns,
-    apply_mask,
     divergence,
     empirical_rates,
     generate_mask_matrix,
@@ -387,24 +386,3 @@ class TestDivergence:
     def test_unknown_kind_rejected(self):
         with pytest.raises(DimensionError):
             divergence(_rv(0.1, 0.2), _rv(0.2, 0.1), kind="tv")
-
-
-class TestApplyMask:
-    def test_zeroes_missing_blocks_only(self):
-        feats = [np.ones((4, 3)), 2.0 * np.ones((4, 2)), 3.0 * np.ones((4, 5))]
-        out = apply_mask(feats, MaskPattern((1, 0, 1)))
-        assert out[0] is feats[0]
-        np.testing.assert_array_equal(out[1], np.zeros((4, 2)))
-        assert out[2] is feats[2]
-
-    def test_idempotent(self):
-        feats = [np.arange(6.0).reshape(2, 3), np.arange(4.0).reshape(2, 2)]
-        pattern = MaskPattern((0, 1))
-        once = apply_mask(feats, pattern)
-        twice = apply_mask(once, pattern)
-        np.testing.assert_array_equal(once[0], twice[0])
-        np.testing.assert_array_equal(once[1], twice[1])
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(DimensionError):
-            apply_mask([np.ones(3)], MaskPattern((1, 0)))

@@ -20,8 +20,7 @@ from missdiag import (
     TrainConfig,
     ablation_table,
     all_patterns,
-    apply_mask,
-    evaluate_under_combination,
+    default_metrics,
     forward,
     gen_synthetic,
     run_experiment,
@@ -40,7 +39,7 @@ from missdiag.simtrainer import (
     loss_and_grads,
 )
 
-from oracles import fd_gradient
+from oracles import fd_gradient, zero_imputed_forward
 
 
 def small_spec(task: str = CLASSIFICATION, **overrides) -> SynthSpec:
@@ -167,9 +166,7 @@ class TestForward:
         data = gen_synthetic(small_spec())
         pattern = MaskPattern((1, 0))
         direct = forward(model, data.test.features, pattern)
-        imputed = forward(
-            model, apply_mask(data.test.features, pattern), MaskPattern.full(2)
-        )
+        imputed = zero_imputed_forward(model, data.test.features, pattern.bits)
         np.testing.assert_array_equal(direct, imputed)
 
     def test_zeroed_encoder_is_inert(self):
@@ -361,9 +358,7 @@ class TestEvaluation:
         model = small_model()
         data = gen_synthetic(small_spec())
         with pytest.raises(ConfigError):
-            evaluate_under_combination(
-                model, data.test, MaskPattern.full(2), PerfMetric.named("MAE")
-            )
+            ablation_table(model, data.test, PerfMetric.named("MAE"))
 
     def test_ablation_table_complete_and_consistent(self):
         model = small_model()
@@ -372,19 +367,69 @@ class TestEvaluation:
         table = ablation_table(model, data.test, metric)
         assert table.M == 2
         assert set(table.entries) == {MaskPattern((0, 1)), MaskPattern((1, 0))}
-        direct = evaluate_under_combination(
-            model, data.test, MaskPattern.full(2), metric
-        )
-        assert table.perf_full == direct
+        full = forward(model, data.test.features, MaskPattern.full(2))
+        assert table.perf_full == _wa(data.test.labels, full.argmax(axis=1))
 
     def test_evaluation_is_clean_of_training_protocol(self):
         # Ablation scores depend only on (model, split, pattern).
         model = small_model()
         data = gen_synthetic(small_spec())
         metric = PerfMetric.named("UA")
-        a = evaluate_under_combination(model, data.test, MaskPattern((0, 1)), metric)
-        b = evaluate_under_combination(model, data.test, MaskPattern((0, 1)), metric)
-        assert a == b
+        a = ablation_table(model, data.test, metric)
+        b = ablation_table(model, data.test, metric)
+        assert a.score(MaskPattern((0, 1))) == b.score(MaskPattern((0, 1)))
+
+
+METRIC_FUNS = {"UA": _ua, "WA": _wa, "F1": _f1_weighted,
+               "MAE": _mae, "Corr": _corr, "Acc-2": _acc2}
+
+
+def trained_model(task: str, M: int):
+    """A model after a few masked training steps, so its biases are nonzero."""
+    dims = (5, 4, 3, 6, 2)[:M]
+    spec = small_spec(task=task, dims=dims, informativeness=(1.0,) * M,
+                      n_train=96, n_test=64)
+    data = gen_synthetic(spec)
+    rng = np.random.default_rng(5)
+    model = init_model(dims, 6, task, spec.n_classes, rng)
+    for step in range(1, 31):
+        feats, labels = data.train.take(rng.choice(spec.n_train, 32, replace=False))
+        mask = rng.integers(0, 2, size=(32, M))
+        mask[mask.sum(axis=1) == 0, 0] = 1
+        train_step(model, feats, mask.astype(np.float64), labels, 0.05,
+                   step=step, log_grads=False)
+    return model, data
+
+
+@pytest.mark.parametrize("M", [2, 3, 5])
+@pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
+class TestZeroImputationOracle:
+    """The relu(b_m) shortcut against actually zero-filling the inputs."""
+
+    def test_biases_are_nonzero_and_mixed_in_sign(self, task, M):
+        model, _ = trained_model(task, M)
+        biases = np.concatenate(model.enc_b)
+        assert (biases > 0).any() and (biases < 0).any()
+
+    def test_forward_equals_oracle_for_every_pattern(self, task, M):
+        model, data = trained_model(task, M)
+        for pattern in all_patterns(M):
+            expected = zero_imputed_forward(model, data.test.features, pattern.bits)
+            if task == REGRESSION:
+                expected = expected[:, 0]
+            got = forward(model, data.test.features, pattern)
+            assert got.shape == expected.shape
+            assert (got == expected).all(), pattern.bitstring()
+
+    def test_ablation_scores_equal_oracle(self, task, M):
+        model, data = trained_model(task, M)
+        for metric in default_metrics(task):
+            table = ablation_table(model, data.test, metric)
+            for pattern in all_patterns(M):
+                out = zero_imputed_forward(model, data.test.features, pattern.bits)
+                predictions = out.argmax(axis=1) if task == CLASSIFICATION else out[:, 0]
+                expected = METRIC_FUNS[metric.name](data.test.labels, predictions)
+                assert table.score(pattern) == expected, (metric.name, pattern.bitstring())
 
 
 def quick_config(rates=(0.0, 0.0), **overrides) -> TrainConfig:
