@@ -37,16 +37,17 @@ from .errors import (
     InvalidPatternError,
     InvalidTraceError,
     MissdiagError,
+    TrainingDivergedError,
 )
 from .learning import (
     GradSample,
     GradTrace,
     MLIResult,
-    aggregate_G,
     assemble_trace,
     delta_series,
     mli,
     modality_loss,
+    trace_from_norms,
 )
 from .protocol import (
     JS,

@@ -214,8 +214,7 @@ def _emit_run_artifacts(run: simtrainer.RunLog, out_dir: Path) -> dict:
         record(f"abltable_valid_ep{epoch:03d}", path)
 
     trace_path = out_dir / "gradtrace.csv"
-    samples = [s for log in run.steps for s in log.grad_samples]
-    learning.write_grad_samples(samples, trace_path)
+    learning.write_grad_samples(run.grad_samples(), trace_path)
     record("gradtrace", trace_path)
 
     agg_path = out_dir / "gradagg.csv"

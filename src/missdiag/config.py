@@ -12,7 +12,7 @@ The document shape:
       "mei_mode": "balanced-is-one",
       "metrics": ["UA", "WA", "F1"],
       "output_dir": "out",
-      "simulation": { ... optional, see SIMULATION_KEYS ... }
+      "simulation": { ... optional, see SIMULATION_TYPES ... }
     }
 
 Individual fields can be overridden on the command line with
@@ -25,6 +25,7 @@ gets hashed into provenance records.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -56,25 +57,30 @@ TOP_KEYS = {
     "simulation",
 }
 PROTOCOL_KEYS = {"shared_rate", "rates"}
-SIMULATION_KEYS = {
-    "task",
-    "dims",
-    "informativeness",
-    "n_classes",
-    "label_noise",
-    "n_train",
-    "n_valid",
-    "n_test",
-    "data_seed",
-    "epochs",
-    "batch_size",
-    "learning_rate",
-    "hidden",
-    "mei_epoch_stride",
-    "grad_log_stride",
-    "resample_masks_per_epoch",
-    "paired",
+# Simulation field -> JSON type; a tuple (T,) is a list of T. Fields are
+# validated, never coerced, so a valid document resolves (and hashes)
+# exactly as written. int rejects bool and float; float takes int too but
+# not NaN or Infinity, which json.loads accepts and JSON does not define.
+SIMULATION_TYPES: dict[str, type | tuple[type]] = {
+    "task": str,
+    "dims": (int,),
+    "informativeness": (float,),
+    "n_classes": int,
+    "label_noise": float,
+    "n_train": int,
+    "n_valid": int,
+    "n_test": int,
+    "data_seed": int,
+    "epochs": int,
+    "batch_size": int,
+    "learning_rate": float,
+    "hidden": int,
+    "mei_epoch_stride": int,
+    "grad_log_stride": int,
+    "resample_masks_per_epoch": bool,
+    "paired": bool,
 }
+_TYPE_NAMES = {int: "integer", float: "number", bool: "boolean", str: "string"}
 
 _SIM_DEFAULTS = {
     "task": CLASSIFICATION,
@@ -206,6 +212,26 @@ def _require(raw: Mapping, key: str, kind: type, where: str = "config") -> Any:
     return value
 
 
+def _is_json_type(value: Any, kind: type) -> bool:
+    if isinstance(value, bool):
+        return kind is bool
+    if kind is float:
+        return isinstance(value, int) or isinstance(value, float) and math.isfinite(value)
+    return isinstance(value, kind)
+
+
+def _check_simulation_type(key: str, value: Any) -> None:
+    kind = SIMULATION_TYPES[key]
+    if isinstance(kind, tuple):
+        ok = isinstance(value, list) and all(_is_json_type(v, kind[0]) for v in value)
+        expected = f"list of {_TYPE_NAMES[kind[0]]}s"
+    else:
+        ok = _is_json_type(value, kind)
+        expected = _TYPE_NAMES[kind]
+    if not ok:
+        raise ConfigError(f"'simulation.{key}' must be a JSON {expected}, got {json.dumps(value)}")
+
+
 def _check_seed(seed: Any, name: str) -> None:
     if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
         raise ConfigError(f"{name} must be an integer in [0, 2^64), got {seed!r}")
@@ -315,9 +341,11 @@ def resolve_config(
     simulation = None
     if raw.get("simulation") is not None:
         sim_raw = _require(raw, "simulation", dict)
-        unknown = set(sim_raw) - SIMULATION_KEYS
+        unknown = set(sim_raw) - SIMULATION_TYPES.keys()
         if unknown:
             raise ConfigError(f"unknown simulation fields: {sorted(unknown)}")
+        for key, value in sim_raw.items():
+            _check_simulation_type(key, value)
         simulation = dict(_SIM_DEFAULTS)
         simulation.update(sim_raw)
         if simulation["task"] not in TASKS:

@@ -42,6 +42,10 @@ class DuplicateSampleError(MissdiagError):
     """Two gradient samples for the same (step, modality, module) disagree."""
 
 
+class TrainingDivergedError(MissdiagError):
+    """Training produced a non-finite loss, gradient norm or parameter."""
+
+
 class ConfigError(MissdiagError):
     """An experiment configuration is malformed or inconsistent."""
 

@@ -2,7 +2,12 @@
 
 A trainer logs, at every step t and for every modality m, the L2 norm
 of the gradient of the modality-m-restricted loss with respect to each
-model module. Averaging over modules gives G_m(t); the step-to-step
+of K model modules. These norms travel as one (T, M, K) float64 array
+with a (T, M) flag grid marking the logged cells; `trace_from_norms`
+reduces it to G_m(t), the mean over modules, summed in module order so
+that the same norms always give the same bits. `GradSample` rows exist
+only at the file and public-API boundary (`gradtrace-v1`), and
+`assemble_trace` scatters them into the same arrays. The step-to-step
 variation delta_m(t) = |G_m(t) - G_m(t-1)| is compared across
 modalities:
 
@@ -136,29 +141,57 @@ def modality_loss(per_sample_losses: Sequence[float] | np.ndarray,
     return float((losses * mask).sum() / total)
 
 
-def aggregate_G(samples: Iterable[GradSample], module_count: int) -> float:
-    """Mean gradient norm over modules for one (step, modality) cell.
+def trace_from_norms(
+    steps: Sequence[int], norms: np.ndarray, defined: np.ndarray
+) -> GradTrace:
+    """G_m(t) from a (T, M, K) array of per-module gradient norms.
 
-    Requires exactly one sample per module index 0..module_count-1.
+    `steps` holds the T increasing step numbers; they are re-indexed to
+    1..T (a warning records any gaps). `defined` is (T, M) and marks the
+    cells that were logged; the norms of other cells are ignored. Each
+    defined cell is the mean of its K module norms, summed one after
+    another in module order. Undefined cells take the last defined value
+    of their modality (backfilling at the start); a modality with no
+    defined cell at all is an error.
     """
-    if module_count < 1:
-        raise DimensionError(f"module count must be >= 1, got {module_count}")
-    norms: dict[int, float] = {}
-    for sample in samples:
-        if sample.module >= module_count:
-            raise InvalidTraceError(
-                f"module index {sample.module} out of range for module count {module_count}"
-            )
-        if sample.module in norms:
-            raise DuplicateSampleError(
-                f"duplicate module {sample.module} at step {sample.step}, "
-                f"modality {sample.modality}"
-            )
-        norms[sample.module] = sample.grad_l2
-    if len(norms) != module_count:
-        missing = sorted(set(range(module_count)) - set(norms))
-        raise InvalidTraceError(f"missing module entries: {missing}")
-    return float(sum(norms.values()) / module_count)
+    norms = np.asarray(norms, dtype=np.float64)
+    defined = np.asarray(defined, dtype=bool)
+    if norms.ndim != 3 or defined.shape != norms.shape[:2] or len(steps) != norms.shape[0]:
+        raise DimensionError(
+            f"{len(steps)} steps, norms of shape {norms.shape} and defined flags of "
+            f"shape {defined.shape} do not form a (T, M, K) trace"
+        )
+    T, M, K = norms.shape
+    if T < 1 or M < 1 or K < 1:
+        raise InsufficientTraceError(f"empty gradient trace of shape {norms.shape}")
+    warnings: list[str] = []
+    first, last = int(steps[0]), int(steps[-1])
+    if last - first + 1 != T:
+        warnings.append(
+            f"steps are not contiguous ({T} distinct steps spanning "
+            f"{first}..{last}); re-indexed to 1..{T}"
+        )
+
+    # Left to right, not norms.sum(-1): numpy's pairwise sum splits 8 or
+    # more terms across separate accumulators, which changes the last bits.
+    total = norms[:, :, 0].copy()
+    for k in range(1, K):
+        total += norms[:, :, k]
+
+    unlogged = ~defined.any(axis=0)
+    if unlogged.any():
+        raise InvalidTraceError(
+            f"modality {int(np.argmax(unlogged))} has no defined gradient values"
+        )
+    # Row of the last defined cell at or before t; leading gaps take the first.
+    rows = np.where(defined, np.arange(T)[:, None], -1)
+    np.maximum.accumulate(rows, axis=0, out=rows)
+    rows = np.where(rows < 0, defined.argmax(axis=0), rows)
+    values = (total / K)[rows, np.arange(M)]
+    for m, n_imputed in enumerate((~defined).sum(axis=0).tolist()):
+        if n_imputed:
+            warnings.append(f"modality {m}: imputed {n_imputed} undefined step(s)")
+    return GradTrace(values=values, defined=defined, warnings=tuple(warnings))
 
 
 def assemble_trace(
@@ -169,12 +202,11 @@ def assemble_trace(
     """Build a contiguous (T, M) grid of G_m(t) from a sample stream.
 
     Arrival order is irrelevant. Exact duplicate rows are tolerated;
-    rows that disagree on the same (step, modality, module) raise. Step
-    numbers are re-indexed to 1..T (a warning records any gaps). Cells
-    with no entries — the modality was absent from that step's batch —
-    are imputed by carrying the last defined value forward (backfilling
-    at the start); a modality with no defined cell at all is an error.
-    When M or module_count is omitted it is inferred from the stream.
+    rows that disagree on the same (step, modality, module) raise. Every
+    logged (step, modality) cell needs one row per module. Cells with no
+    rows — the modality was absent from that step's batch — are imputed
+    as `trace_from_norms` describes. When M or module_count is omitted
+    it is inferred from the stream.
     """
     by_key: dict[tuple[int, int, int], float] = {}
     for sample in samples:
@@ -195,46 +227,30 @@ def assemble_trace(
         module_count = max(k[2] for k in by_key) + 1
     if M < 1:
         raise DimensionError(f"modality count must be >= 1, got {M}")
+    if module_count < 1:
+        raise DimensionError(f"module count must be >= 1, got {module_count}")
 
     steps = sorted({k[0] for k in by_key})
-    warnings: list[str] = []
-    if steps[-1] - steps[0] + 1 != len(steps):
-        warnings.append(
-            f"steps are not contiguous ({len(steps)} distinct steps spanning "
-            f"{steps[0]}..{steps[-1]}); re-indexed to 1..{len(steps)}"
-        )
-    step_of = {s: t for t, s in enumerate(steps)}
-
-    T = len(steps)
-    values = np.zeros((T, M))
-    defined = np.zeros((T, M), dtype=bool)
-    cells: dict[tuple[int, int], dict[int, GradSample]] = {}
+    row_of = {s: t for t, s in enumerate(steps)}
+    norms = np.zeros((len(steps), M, module_count))
+    counts = np.zeros((len(steps), M), dtype=np.int64)
     for (step, modality, module), norm in by_key.items():
         if modality >= M:
             raise DimensionError(f"modality index {modality} out of range for M={M}")
-        cells.setdefault((step_of[step], modality), {})[module] = GradSample(
-            step=step, modality=modality, module=module, grad_l2=norm
+        if module >= module_count:
+            raise InvalidTraceError(
+                f"module index {module} out of range for module count {module_count}"
+            )
+        norms[row_of[step], modality, module] = norm
+        counts[row_of[step], modality] += 1
+    incomplete = np.argwhere((counts > 0) & (counts < module_count))
+    if incomplete.size:
+        t, m = incomplete[0].tolist()
+        missing = [k for k in range(module_count) if (steps[t], m, k) not in by_key]
+        raise InvalidTraceError(
+            f"missing module entries: {missing} at step {steps[t]}, modality {m}"
         )
-    for (t, m), per_module in cells.items():
-        values[t, m] = aggregate_G(per_module.values(), module_count)
-        defined[t, m] = True
-
-    for m in range(M):
-        column_defined = defined[:, m]
-        if not column_defined.any():
-            raise InvalidTraceError(f"modality {m} has no defined gradient values")
-        n_imputed = int((~column_defined).sum())
-        if n_imputed:
-            first = int(np.argmax(column_defined))
-            last_value = values[first, m]
-            for t in range(T):
-                if column_defined[t]:
-                    last_value = values[t, m]
-                else:
-                    values[t, m] = last_value
-            warnings.append(f"modality {m}: imputed {n_imputed} undefined step(s)")
-
-    return GradTrace(values=values, defined=defined, warnings=tuple(warnings))
+    return trace_from_norms(steps, norms, counts > 0)
 
 
 def delta_series(trace: GradTrace) -> tuple[np.ndarray, np.ndarray]:

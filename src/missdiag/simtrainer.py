@@ -31,14 +31,14 @@ from .equity import (
     PerfMetric,
     mei_from_table,
 )
-from .errors import ConfigError, DimensionError, EmptyDatasetError
+from .errors import ConfigError, DimensionError, EmptyDatasetError, TrainingDivergedError
 from .learning import (
     GradSample,
     GradTrace,
     MLIResult,
-    assemble_trace,
     mli,
     modality_loss,
+    trace_from_norms,
 )
 from .protocol import (
     MaskMatrix,
@@ -292,6 +292,10 @@ def _encode(model: ToyModel, features: Sequence[np.ndarray], mask: np.ndarray | 
                 f"modality {m}: features of shape {x.shape} do not match encoder "
                 f"input width {model.enc_W[m].shape[0]}"
             )
+        if xs and x.shape[0] != xs[0].shape[0]:
+            raise DimensionError(
+                f"modality {m}: {x.shape[0]} feature rows, modality 0 has {xs[0].shape[0]}"
+            )
         if mask is not None:
             x = x * mask[:, m : m + 1]
         u = x @ model.enc_W[m] + model.enc_b[m]
@@ -406,10 +410,18 @@ def module_grad_norms(model: ToyModel, grads: dict) -> list[float]:
 
 @dataclass(frozen=True)
 class StepLog:
+    """One training step's losses and, when logged, its gradient norms.
+
+    `grad_norms[m, k]` is the L2 norm of module k's gradient of L_m, a
+    read-only (M, M + 1) float64 array; row m is unused (zero) where
+    `modality_losses[m]` is None. It is None on steps that log no
+    gradients (`TrainConfig.grad_log_stride`).
+    """
+
     step: int
     task_loss: float
     modality_losses: tuple[float | None, ...]
-    grad_samples: tuple[GradSample, ...]
+    grad_norms: np.ndarray | None
 
 
 def train_step(
@@ -427,8 +439,8 @@ def train_step(
     them, the gradients of each modality-restricted loss L_m (mean loss
     over samples where m is observed) and logs one gradient norm per
     module. A modality absent from the whole batch yields L_m = None
-    and no gradient samples. The parameter update uses only the full
-    batch loss.
+    and leaves its row of norms unused. The parameter update uses only
+    the full batch loss.
     """
     B = labels.shape[0]
     if B == 0:
@@ -442,18 +454,17 @@ def train_step(
     task_loss = float(losses.mean())
 
     modality_losses: list[float | None] = []
-    samples: list[GradSample] = []
+    grad_norms = np.zeros((model.M, model.module_count)) if log_grads else None
     for m in range(model.M):
         col = mask[:, m]
         loss_m = modality_loss(losses, col)
         modality_losses.append(loss_m)
-        if loss_m is None or not log_grads:
+        if loss_m is None or grad_norms is None:
             continue
         grads_m = _backward_batch(model, cache, out, labels, col / col.sum())
-        for module, norm in enumerate(module_grad_norms(model, grads_m)):
-            samples.append(
-                GradSample(step=step, modality=m, module=module, grad_l2=norm)
-            )
+        grad_norms[m] = module_grad_norms(model, grads_m)
+    if grad_norms is not None:
+        grad_norms.setflags(write=False)
 
     for m in range(model.M):
         model.enc_W[m] -= learning_rate * full_grads["enc_W"][m]
@@ -465,7 +476,7 @@ def train_step(
         step=step,
         task_loss=task_loss,
         modality_losses=tuple(modality_losses),
-        grad_samples=tuple(samples),
+        grad_norms=grad_norms,
     )
 
 
@@ -610,6 +621,17 @@ class RunLog:
                 return result
         raise KeyError(f"no MEI result for metric {metric_name!r}, mode {mode!r}")
 
+    def grad_samples(self) -> list[GradSample]:
+        """The logged gradient norms as rows in (step, modality, module) order."""
+        return [
+            GradSample(step=log.step, modality=m, module=k, grad_l2=norm)
+            for log in self.steps
+            if log.grad_norms is not None
+            for m, row in enumerate(log.grad_norms.tolist())
+            if log.modality_losses[m] is not None
+            for k, norm in enumerate(row)
+        ]
+
 
 def describe_run(spec: SynthSpec, config: TrainConfig) -> dict:
     """JSON-ready description of a run; its hash identifies the run."""
@@ -620,12 +642,24 @@ def describe_run(spec: SynthSpec, config: TrainConfig) -> dict:
     return {"spec": asdict(spec), "train": cfg}
 
 
+def _diverged(
+    step: int, epoch: int, what: str, last_finite: tuple[int, float] | None
+) -> TrainingDivergedError:
+    last = "none" if last_finite is None else f"{last_finite[1]!r} at step {last_finite[0]}"
+    return TrainingDivergedError(
+        f"training diverged at step {step} (epoch {epoch}): {what}; "
+        f"last finite loss: {last}"
+    )
+
+
 def run_experiment(spec: SynthSpec, config: TrainConfig) -> RunLog:
     """Train, log gradients, evaluate ablations, compute both diagnostics.
 
     All randomness flows from spec.seed (data) and config.seed
     (initialisation, shuffling, masks); identical inputs give an
-    identical RunLog.
+    identical RunLog. A step whose loss or logged gradient norms are not
+    finite, or parameters that are not finite at the end of an epoch,
+    raise `TrainingDivergedError` before anything is evaluated.
     """
     if config.protocol.M != spec.M:
         raise DimensionError(
@@ -648,6 +682,7 @@ def run_experiment(spec: SynthSpec, config: TrainConfig) -> RunLog:
     steps: list[StepLog] = []
     valid_tables: list[tuple[int, tuple[AblationTable, ...]]] = []
     step = 0
+    last_finite: tuple[int, float] | None = None
     for epoch in range(1, config.epochs + 1):
         masks = matrices[epoch - 1 if config.resample_masks_per_epoch else 0].masks
         order = shuffle_rng.permutation(spec.n_train)
@@ -655,24 +690,34 @@ def run_experiment(spec: SynthSpec, config: TrainConfig) -> RunLog:
             idx = order[start : start + config.batch_size]
             feats, labels = dataset.train.take(idx)
             step += 1
-            steps.append(
-                train_step(
-                    model,
-                    feats,
-                    masks[idx].astype(np.float64),
-                    labels,
-                    config.learning_rate,
-                    step=step,
-                    log_grads=(step - 1) % config.grad_log_stride == 0,
-                )
+            log = train_step(
+                model,
+                feats,
+                masks[idx].astype(np.float64),
+                labels,
+                config.learning_rate,
+                step=step,
+                log_grads=(step - 1) % config.grad_log_stride == 0,
             )
+            if not math.isfinite(log.task_loss):
+                raise _diverged(step, epoch, f"task loss is {log.task_loss!r}", last_finite)
+            if log.grad_norms is not None and not np.isfinite(log.grad_norms).all():
+                raise _diverged(step, epoch, "gradient norms are not finite", last_finite)
+            last_finite = (step, log.task_loss)
+            steps.append(log)
+        if not all(np.isfinite(p).all() for _, p in model.parameters()):
+            raise _diverged(step, epoch, "parameters are not finite", last_finite)
         if epoch % config.mei_epoch_stride == 0 or epoch == config.epochs:
             tables = tuple(ablation_table(model, dataset.valid, m) for m in metrics)
             valid_tables.append((epoch, tables))
 
     test_tables = tuple(ablation_table(model, dataset.test, m) for m in metrics)
-    grad_samples = [s for log in steps for s in log.grad_samples]
-    trace = assemble_trace(grad_samples, M=spec.M, module_count=model.module_count)
+    logged = [log for log in steps if log.grad_norms is not None]
+    trace = trace_from_norms(
+        [log.step for log in logged],
+        np.stack([log.grad_norms for log in logged]),
+        [[loss is not None for loss in log.modality_losses] for log in logged],
+    )
     mei_results = tuple(
         (table.metric.name, mei_from_table(table, config.epsilon, mode))
         for table in test_tables

@@ -124,3 +124,37 @@ def zero_imputed_forward(model, features, bits) -> np.ndarray:
         h = np.maximum(x_in @ W + b, 0.0)
         fused = h if fused is None else fused + h
     return fused @ model.fus_W + model.fus_b
+
+
+def brute_trace_grid(samples, M: int, K: int) -> list[list[float]]:
+    """G_m(t) grid from gradient-norm rows (step, modality, module, grad_l2).
+
+    Each logged (step, modality) cell adds its K module norms one by one
+    in module order and divides by K. An unlogged cell takes the
+    modality's value at the previous logged step, or at its first logged
+    step when no earlier one exists. Rows are one per distinct step.
+    """
+    cells = {}
+    for s in samples:
+        cells.setdefault((s.step, s.modality), {})[s.module] = s.grad_l2
+    grid = []
+    for step in sorted({step for step, _ in cells}):
+        row = []
+        for m in range(M):
+            per_module = cells.get((step, m))
+            if per_module is None:
+                row.append(None)
+                continue
+            total = 0.0
+            for k in range(K):
+                total += per_module[k]
+            row.append(total / K)
+        grid.append(row)
+    for m in range(M):
+        last = next(row[m] for row in grid if row[m] is not None)
+        for row in grid:
+            if row[m] is None:
+                row[m] = last
+            else:
+                last = row[m]
+    return grid

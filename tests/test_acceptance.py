@@ -473,9 +473,7 @@ def test_criterion_9_formats_round_trip_through_the_cli(tmp_path, capsys):
         # per-module and the aggregated file formats.
         expected_mli = run.mli_result.value
         raw_path = tmp_path / "gradtrace.csv"
-        write_grad_samples(
-            [s for log in run.steps for s in log.grad_samples], raw_path
-        )
+        write_grad_samples(run.grad_samples(), raw_path)
         agg_path = tmp_path / "gradagg.csv"
         write_agg_trace(run.trace, agg_path)
         for path in (raw_path, agg_path):

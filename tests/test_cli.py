@@ -203,6 +203,61 @@ class TestSeedRange:
         assert not (tmp_path / "out").exists()
 
 
+class TestSimulationFieldTypes:
+    # Each row: simulation field, bad JSON value. Validated without coercion.
+    CASES = [
+        ("epochs", '"5"'),
+        ("epochs", "1.5"),
+        ("epochs", "true"),
+        ("n_train", "2000.5"),
+        ("n_valid", '"16"'),
+        ("batch_size", "null"),
+        ("hidden", "true"),
+        ("n_classes", "3.0"),
+        ("grad_log_stride", "[1]"),
+        ("learning_rate", '"0.1"'),
+        ("learning_rate", "false"),
+        ("learning_rate", "Infinity"),
+        ("label_noise", "null"),
+        ("dims", '[16,"a"]'),
+        ("dims", "[6,5.0]"),
+        ("dims", "16"),
+        ("informativeness", "[1.0,true]"),
+        ("informativeness", "[NaN,1.0]"),
+        ("informativeness", '"1,1"'),
+        ("task", "1"),
+        ("paired", '"no"'),
+        ("paired", "1"),
+        ("resample_masks_per_epoch", "0"),
+    ]
+
+    @pytest.mark.parametrize("field, value", CASES, ids=[f"{f}={v}" for f, v in CASES])
+    def test_bad_type_is_config_error(self, tmp_path, capsys, field, value):
+        argv = ["simulate", "run", "--config", sim_config(tmp_path),
+                "--set", f"simulation.{field}={value}"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: 'simulation.{field}' must be ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+
+class TestTrainingDivergence:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("stride", [1, 1000])
+    def test_divergence_names_step_and_epoch(self, tmp_path, capsys, stride):
+        config = sim_config(tmp_path, dims=[16, 16], n_train=2000, n_classes=8,
+                            batch_size=48)
+        argv = ["simulate", "run", "--config", config,
+                "--set", "simulation.learning_rate=10000",
+                "--set", f"simulation.grad_log_stride={stride}"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: training diverged at step ")
+        assert "(epoch 2)" in err and "last finite loss: " in err
+        assert not (tmp_path / "out").exists()
+
+
 class TestProtocolCommands:
     def test_mean_match_from_rates(self, capsys):
         assert main(["protocol", "mean-match", "--rates", "0.4,0.5,0.6"]) == 0

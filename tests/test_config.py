@@ -197,6 +197,14 @@ class TestResolveConfig:
         assert spec.dims == (8, 8, 8)
         assert spec.seed == 7  # data seed defaults to the run seed
 
+    def test_simulation_types_checked_without_coercion(self):
+        config = resolve_config(sim_raw(learning_rate=1, informativeness=[1, 2, 0.5]))
+        sim = config.resolved["simulation"]
+        assert type(sim["learning_rate"]) is int
+        assert sim["informativeness"] == [1, 2, 0.5]
+        with pytest.raises(ConfigError, match="'simulation.epochs' must be a JSON integer"):
+            resolve_config(sim_raw(epochs=2.0))
+
     def test_simulation_data_seed_override(self):
         config = resolve_config(sim_raw(data_seed=1234), env={})
         assert config.synth_spec().seed == 1234

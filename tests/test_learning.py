@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -14,14 +15,14 @@ from missdiag import (
     GradTrace,
     InsufficientTraceError,
     InvalidTraceError,
-    aggregate_G,
     assemble_trace,
     delta_series,
     mli,
     modality_loss,
+    trace_from_norms,
 )
 
-from oracles import brute_mli
+from oracles import brute_mli, brute_trace_grid
 
 
 def samples_from_grid(grid: np.ndarray, modules: int = 1) -> list[GradSample]:
@@ -97,46 +98,6 @@ class TestGradTrace:
             GradTrace(values=np.ones((2, 2)), defined=np.ones((3, 2), dtype=bool))
 
 
-class TestAggregateG:
-    def test_mean_over_modules(self):
-        samples = [
-            GradSample(step=1, modality=0, module=0, grad_l2=1.0),
-            GradSample(step=1, modality=0, module=1, grad_l2=2.0),
-        ]
-        assert aggregate_G(samples, module_count=2) == 1.5
-
-    def test_missing_module_rejected(self):
-        samples = [GradSample(step=1, modality=0, module=0, grad_l2=1.0)]
-        with pytest.raises(InvalidTraceError, match="missing module"):
-            aggregate_G(samples, module_count=2)
-
-    def test_duplicate_module_rejected(self):
-        samples = [
-            GradSample(step=1, modality=0, module=0, grad_l2=1.0),
-            GradSample(step=1, modality=0, module=0, grad_l2=1.0),
-        ]
-        with pytest.raises(DuplicateSampleError):
-            aggregate_G(samples, module_count=1)
-
-    def test_out_of_range_module_rejected(self):
-        samples = [GradSample(step=1, modality=0, module=3, grad_l2=1.0)]
-        with pytest.raises(InvalidTraceError):
-            aggregate_G(samples, module_count=2)
-
-    def test_matches_independent_mean(self):
-        rng = np.random.default_rng(71)
-        for _ in range(20):
-            k = int(rng.integers(1, 6))
-            norms = rng.uniform(0.0, 5.0, size=k)
-            samples = [
-                GradSample(step=3, modality=1, module=i, grad_l2=float(v))
-                for i, v in enumerate(norms)
-            ]
-            assert aggregate_G(samples, k) == pytest.approx(
-                sum(norms.tolist()) / k, abs=1e-15
-            )
-
-
 class TestAssembleTrace:
     def test_grid_reconstruction(self):
         grid = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
@@ -153,6 +114,50 @@ class TestAssembleTrace:
         a = assemble_trace(samples)
         b = assemble_trace(shuffled)
         np.testing.assert_array_equal(a.values, b.values)
+
+    def test_mean_over_modules(self):
+        samples = [
+            GradSample(step=1, modality=0, module=0, grad_l2=1.0),
+            GradSample(step=1, modality=0, module=1, grad_l2=2.0),
+        ]
+        assert assemble_trace(samples).values.tolist() == [[1.5]]
+
+    def test_module_mean_ignores_arrival_order(self):
+        # Summed in arrival order, 0.1 + 0.2 + 0.3 and 0.3 + 0.2 + 0.1
+        # differ in the last bit; the module-order sum gives one value.
+        rows = [
+            GradSample(step=1, modality=0, module=k, grad_l2=v)
+            for k, v in enumerate((0.1, 0.2, 0.3))
+        ]
+        values = {
+            float(assemble_trace(list(order)).values[0, 0])
+            for order in itertools.permutations(rows)
+        }
+        assert values == {(0.1 + 0.2 + 0.3) / 3}
+
+    def test_matches_module_order_oracle(self):
+        rng = np.random.default_rng(71)
+        for _ in range(20):
+            k = int(rng.integers(1, 12))
+            samples = [
+                GradSample(step=t, modality=m, module=i, grad_l2=float(v))
+                for t in (3, 4)
+                for m in range(2)
+                for i, v in enumerate(rng.uniform(0.0, 5.0, size=k))
+            ]
+            shuffled = [samples[i] for i in rng.permutation(len(samples))]
+            trace = assemble_trace(shuffled, M=2, module_count=k)
+            assert trace.values.tolist() == brute_trace_grid(samples, 2, k)
+
+    def test_out_of_range_module_rejected(self):
+        samples = [GradSample(step=1, modality=0, module=3, grad_l2=1.0)]
+        with pytest.raises(InvalidTraceError, match="out of range"):
+            assemble_trace(samples, module_count=2)
+
+    def test_out_of_range_modality_rejected(self):
+        samples = [GradSample(step=1, modality=2, module=0, grad_l2=1.0)]
+        with pytest.raises(DimensionError):
+            assemble_trace(samples, M=2)
 
     def test_step_gaps_reindexed_with_warning(self):
         samples = [
@@ -218,6 +223,43 @@ class TestAssembleTrace:
     def test_empty_stream_rejected(self):
         with pytest.raises(InsufficientTraceError):
             assemble_trace([])
+
+
+class TestTraceFromNorms:
+    def test_module_mean_and_carry_forward(self):
+        norms = np.zeros((3, 2, 2))
+        norms[:, 0] = [[1.0, 3.0], [2.0, 4.0], [5.0, 7.0]]
+        norms[1, 1] = [8.0, 10.0]
+        defined = np.array([[True, False], [True, True], [True, False]])
+        trace = trace_from_norms([1, 2, 3], norms, defined)
+        assert trace.values.tolist() == [[2.0, 9.0], [3.0, 9.0], [6.0, 9.0]]
+        np.testing.assert_array_equal(trace.defined, defined)
+        assert trace.warnings == ("modality 1: imputed 2 undefined step(s)",)
+
+    def test_gapped_steps_warn(self):
+        trace = trace_from_norms([1, 4], np.ones((2, 2, 1)), np.ones((2, 2), dtype=bool))
+        assert trace.warnings == (
+            "steps are not contiguous (2 distinct steps spanning 1..4); "
+            "re-indexed to 1..2",
+        )
+
+    @pytest.mark.parametrize("steps, shape, defined_shape", [
+        ([1, 2], (2, 2), (2, 2)),
+        ([1, 2], (2, 2, 3), (2, 3)),
+        ([1], (2, 2, 3), (2, 2)),
+    ])
+    def test_shapes_checked(self, steps, shape, defined_shape):
+        with pytest.raises(DimensionError):
+            trace_from_norms(steps, np.ones(shape), np.ones(defined_shape, dtype=bool))
+
+    def test_empty_trace_rejected(self):
+        with pytest.raises(InsufficientTraceError):
+            trace_from_norms([], np.ones((0, 2, 3)), np.ones((0, 2), dtype=bool))
+
+    def test_modality_never_logged_rejected(self):
+        defined = np.array([[True, False], [True, False]])
+        with pytest.raises(InvalidTraceError, match="modality 1"):
+            trace_from_norms([1, 2], np.ones((2, 2, 3)), defined)
 
 
 class TestDeltaSeries:

@@ -14,6 +14,7 @@ from missdiag import (
     DimensionError,
     EmptyDatasetError,
     MaskPattern,
+    TrainingDivergedError,
     PerfMetric,
     RateVector,
     SynthSpec,
@@ -23,6 +24,7 @@ from missdiag import (
     default_metrics,
     forward,
     gen_synthetic,
+    assemble_trace,
     run_experiment,
     train_step,
 )
@@ -39,7 +41,7 @@ from missdiag.simtrainer import (
     loss_and_grads,
 )
 
-from oracles import fd_gradient, zero_imputed_forward
+from oracles import brute_trace_grid, fd_gradient, zero_imputed_forward
 
 
 def small_spec(task: str = CLASSIFICATION, **overrides) -> SynthSpec:
@@ -179,6 +181,13 @@ class TestForward:
         without = forward(model, data.test.features, MaskPattern((1, 0)))
         np.testing.assert_allclose(full, without, atol=1e-15)
 
+    def test_ragged_feature_blocks_rejected(self):
+        model = small_model()
+        data = gen_synthetic(small_spec())
+        feats = [data.test.features[0][:3], data.test.features[1][:4]]
+        with pytest.raises(DimensionError, match="rows"):
+            forward(model, feats, MaskPattern.full(2))
+
     def test_pattern_width_validated(self):
         model = small_model()
         data = gen_synthetic(small_spec())
@@ -230,9 +239,10 @@ class TestTrainStep:
         mask[:, 1] = 0.0
         log = train_step(model, feats, mask, labels, learning_rate=0.01)
         assert log.modality_losses[1] is None
-        assert all(s.modality != 1 for s in log.grad_samples)
-        # modality 0 contributes one sample per module
-        assert sum(s.modality == 0 for s in log.grad_samples) == 3
+        # one norm per module for modality 0; modality 1's row is unused
+        assert log.grad_norms.shape == (2, 3)
+        assert (log.grad_norms[0, [0, 2]] > 0).all()
+        assert (log.grad_norms[1] == 0).all()
 
     def test_modality_loss_restricted_to_observed_rows(self):
         model = small_model()
@@ -248,7 +258,7 @@ class TestTrainStep:
         feats, labels = self._batch()
         log = train_step(model, feats, np.ones((8, 2)), labels,
                          learning_rate=0.01, log_grads=False)
-        assert log.grad_samples == ()
+        assert log.grad_norms is None
         assert log.modality_losses[0] is not None
 
     def test_empty_batch_rejected(self):
@@ -434,7 +444,7 @@ class TestZeroImputationOracle:
 
 def quick_config(rates=(0.0, 0.0), **overrides) -> TrainConfig:
     base = dict(
-        protocol=RateVector(("m0", "m1"), rates),
+        protocol=RateVector(tuple(f"m{i}" for i in range(len(rates))), rates),
         epochs=4,
         batch_size=16,
         learning_rate=0.05,
@@ -485,13 +495,15 @@ class TestRunExperiment:
         spec = small_spec()
         config = quick_config(rates=(0.3, 0.6), batch_size=4)
         run = run_experiment(spec, config)
+        samples = run.grad_samples()
         for log in run.steps:
+            assert log.grad_norms.shape == (2, 3)
+            assert not log.grad_norms.flags.writeable
             for m, loss in enumerate(log.modality_losses):
-                samples = [s for s in log.grad_samples if s.modality == m]
-                if loss is None:
-                    assert samples == []
-                else:
-                    assert sorted(s.module for s in samples) == [0, 1, 2]
+                modules = [s.module for s in samples
+                           if s.step == log.step and s.modality == m]
+                assert modules == ([] if loss is None else [0, 1, 2])
+        assert any(loss is None for log in run.steps for loss in log.modality_losses)
 
     def test_mask_matrix_fixed_across_epochs_by_default(self):
         run = run_experiment(small_spec(), quick_config(rates=(0.3, 0.3)))
@@ -515,7 +527,7 @@ class TestRunExperiment:
         spec = small_spec(n_train=64)
         config = quick_config(grad_log_stride=2)
         run = run_experiment(spec, config)
-        logged = {s.step for s in run.steps if s.grad_samples}
+        logged = {s.step for s in run.steps if s.grad_norms is not None}
         assert logged == set(range(1, 17, 2))
 
     def test_uninformative_modality_scores_at_chance(self):
@@ -578,6 +590,58 @@ class TestRunExperiment:
             feats, labels = data.train.take(np.arange(128))
             train_step(model, feats, np.ones((128, 2)), labels, learning_rate=0.2)
         assert dataset_loss(model, data.train) < before
+
+
+class TestGradTraceOracle:
+    """The trainer's trace equals a plain-loop reduction of its own norms."""
+
+    @pytest.mark.parametrize("M", [2, 3, 8])
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_trace_equals_brute_grid(self, M, stride):
+        spec = small_spec(dims=(3,) * M, informativeness=(1.0,) * M)
+        rates = tuple(np.linspace(0.5, 0.9, M).tolist())
+        config = quick_config(rates=rates, batch_size=2, epochs=2,
+                              grad_log_stride=stride)
+        run = run_experiment(spec, config)
+        assert not run.trace.defined.all()  # some modality absent from a batch
+        samples = run.grad_samples()
+        assert run.trace.values.tolist() == brute_trace_grid(samples, M, M + 1)
+        assembled = assemble_trace(samples, M=M, module_count=M + 1)
+        assert assembled.values.tolist() == run.trace.values.tolist()
+        np.testing.assert_array_equal(assembled.defined, run.trace.defined)
+        assert assembled.warnings == run.trace.warnings
+        assert any("not contiguous" in w for w in run.trace.warnings) == (stride > 1)
+
+    def test_samples_come_in_file_order(self):
+        run = run_experiment(small_spec(), quick_config(rates=(0.3, 0.6), batch_size=4))
+        keys = [(s.step, s.modality, s.module) for s in run.grad_samples()]
+        assert keys == sorted(keys)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestDivergenceGuard:
+    def test_non_finite_loss_names_step_and_epoch(self):
+        spec = small_spec(task=REGRESSION, label_noise=1e154)
+        with pytest.raises(TrainingDivergedError,
+                           match=r"at step 1 \(epoch 1\): task loss is inf; "
+                                 r"last finite loss: none"):
+            run_experiment(spec, quick_config())
+
+    def test_non_finite_grad_norms(self, monkeypatch):
+        def norms(model, grads):
+            return [math.inf] * model.module_count
+        monkeypatch.setattr("missdiag.simtrainer.module_grad_norms", norms)
+        with pytest.raises(TrainingDivergedError, match="gradient norms"):
+            run_experiment(small_spec(), quick_config(grad_log_stride=3))
+
+    def test_non_finite_parameters_after_last_step(self):
+        # One step whose loss is finite but whose update overflows.
+        spec = small_spec(task=REGRESSION, label_noise=1e10)
+        config = quick_config(epochs=1, batch_size=spec.n_train, learning_rate=1e300)
+        with pytest.raises(TrainingDivergedError,
+                           match=r"at step 1 \(epoch 1\): parameters are not finite; "
+                                 r"last finite loss: \S+ at step 1"):
+            run_experiment(spec, config)
 
 
 class TestTrainConfig:
