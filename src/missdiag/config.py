@@ -220,8 +220,7 @@ def _is_json_type(value: Any, kind: type) -> bool:
     return isinstance(value, kind)
 
 
-def _check_simulation_type(key: str, value: Any) -> None:
-    kind = SIMULATION_TYPES[key]
+def _check_type(field: str, kind: type | tuple[type], value: Any) -> None:
     if isinstance(kind, tuple):
         ok = isinstance(value, list) and all(_is_json_type(v, kind[0]) for v in value)
         expected = f"list of {_TYPE_NAMES[kind[0]]}s"
@@ -229,7 +228,7 @@ def _check_simulation_type(key: str, value: Any) -> None:
         ok = _is_json_type(value, kind)
         expected = _TYPE_NAMES[kind]
     if not ok:
-        raise ConfigError(f"'simulation.{key}' must be a JSON {expected}, got {json.dumps(value)}")
+        raise ConfigError(f"'{field}' must be a JSON {expected}, got {json.dumps(value)}")
 
 
 def _check_seed(seed: Any, name: str) -> None:
@@ -317,7 +316,8 @@ def resolve_config(
     _check_seed(seed, source)
 
     n_samples = raw.get("n_samples", 1000)
-    if not isinstance(n_samples, int) or isinstance(n_samples, bool) or n_samples < 1:
+    _check_type("n_samples", int, n_samples)
+    if n_samples < 1:
         raise ConfigError(f"'n_samples' must be a positive integer, got {n_samples!r}")
 
     kind = raw.get("divergence", JS)
@@ -325,7 +325,8 @@ def resolve_config(
         raise ConfigError(f"'divergence' must be one of {DIVERGENCE_KINDS}, got {kind!r}")
 
     epsilon = raw.get("epsilon", 1e-8)
-    if not isinstance(epsilon, (int, float)) or isinstance(epsilon, bool) or not epsilon > 0:
+    _check_type("epsilon", float, epsilon)
+    if not epsilon > 0:
         raise ConfigError(f"'epsilon' must be a positive number, got {epsilon!r}")
 
     mei_mode = raw.get("mei_mode", BALANCED_IS_ONE)
@@ -345,7 +346,7 @@ def resolve_config(
         if unknown:
             raise ConfigError(f"unknown simulation fields: {sorted(unknown)}")
         for key, value in sim_raw.items():
-            _check_simulation_type(key, value)
+            _check_type(f"simulation.{key}", SIMULATION_TYPES[key], value)
         simulation = dict(_SIM_DEFAULTS)
         simulation.update(sim_raw)
         if simulation["task"] not in TASKS:

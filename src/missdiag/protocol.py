@@ -260,31 +260,95 @@ class MaskMatrix:
         return MaskPattern(tuple(int(b) for b in self.masks[i]))
 
 
-def _row_generator(seed: int, row: int) -> np.random.Generator:
-    # Counter-based stream: row i owns Philox counter block [i * 2^64, (i+1) * 2^64),
-    # so each row is a pure function of (seed, i) regardless of generation order.
-    return np.random.Generator(np.random.Philox(key=seed, counter=row << 64))
+# Philox4x64-10 (Salmon et al., "Parallel Random Numbers: As Easy as 1, 2, 3",
+# SC'11): round multipliers and Weyl key increments of the Random123 family,
+# as used by numpy's Philox bit generator.
+_PHILOX_MULTIPLIERS = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_WEYL = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+_U64 = (1 << 64) - 1
+_LO32 = 0xFFFFFFFF
+# Rows sampled per array step. It bounds the uint64 temporaries to a few
+# MiB whatever the row count.
+_ROW_CHUNK = 1 << 14
+
+
+def _mulhilo(a: np.ndarray, multiplier: int) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of the 128-bit products a * multiplier."""
+    m_lo, m_hi = np.uint64(multiplier & _LO32), np.uint64(multiplier >> 32)
+    a_lo, a_hi = a & _LO32, a >> 32
+    ll, lh, hl = a_lo * m_lo, a_lo * m_hi, a_hi * m_lo
+    carry = ((ll >> 32) + (lh & _LO32) + (hl & _LO32)) >> 32
+    return a_hi * m_hi + (lh >> 32) + (hl >> 32) + carry, a * np.uint64(multiplier)
+
+
+def _philox_words(seed: int, rows: np.ndarray, first: int, count: int) -> np.ndarray:
+    """Raw words of blocks first..first+count-1 of each row's stream.
+
+    Row i's stream is numpy's `Philox(key=seed, counter=i << 64)`. numpy
+    bumps counter word 0 before each 4-word block, so block k is
+    Philox4x64-10 of the counter (k + 1, i, 0, 0) under the key
+    (seed mod 2^64, seed >> 64). Returns a (len(rows), 4 * count) uint64
+    array, the words in stream order.
+    """
+    shape = (rows.size, count)
+    c0 = np.broadcast_to(np.arange(first + 1, first + count + 1, dtype=np.uint64), shape)
+    c1 = np.broadcast_to(rows[:, None], shape)
+    c2 = c3 = np.zeros(shape, dtype=np.uint64)
+    # Round keys stay Python ints: numpy warns when a uint64 scalar sum wraps.
+    k0, k1 = seed & _U64, seed >> 64
+    for _ in range(_PHILOX_ROUNDS):
+        hi0, lo0 = _mulhilo(c0, _PHILOX_MULTIPLIERS[0])
+        hi1, lo1 = _mulhilo(c2, _PHILOX_MULTIPLIERS[1])
+        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ np.uint64(k1), lo0
+        k0, k1 = (k0 + _PHILOX_WEYL[0]) & _U64, (k1 + _PHILOX_WEYL[1]) & _U64
+    return np.stack((c0, c1, c2, c3), axis=-1).reshape(rows.size, 4 * count)
+
+
+def _sample_rows(r: np.ndarray, rows: np.ndarray, seed: int) -> np.ndarray:
+    """Rejection-sample one mask row per stream in `rows`: (len(rows), M) bool.
+
+    A row's j-th attempt reads uniforms j*M .. j*M+M-1 of its stream, each
+    `(word >> 11) * 2^-53` as in numpy's `Generator.random`. All rows
+    make the first attempt together; later attempts run only for the rows
+    still rejected.
+    """
+    M = r.size
+    bits = np.empty((rows.size, M), dtype=bool)
+    pending = np.arange(rows.size)
+    attempt = 0
+    while pending.size:
+        word = attempt * M
+        block = word // 4
+        count = (word + M - 1) // 4 - block + 1
+        words = _philox_words(seed, rows[pending], block, count)
+        skip = word - 4 * block
+        draw = (words[:, skip : skip + M] >> 11) * 2.0**-53 >= r
+        ok = draw.any(axis=1)
+        bits[pending[ok]] = draw[ok]
+        pending = pending[~ok]
+        attempt += 1
+    return bits
 
 
 def _generate_rows(rates: RateVector, start: int, stop: int, seed: int) -> np.ndarray:
     r = rates.as_array()
     out = np.empty((stop - start, rates.M), dtype=np.int8)
-    for i in range(start, stop):
-        rng = _row_generator(seed, i)
-        while True:
-            bits = rng.random(rates.M) >= r
-            if bits.any():
-                break
-        out[i - start] = bits
+    for lo in range(start, stop, _ROW_CHUNK):
+        hi = min(lo + _ROW_CHUNK, stop)
+        out[lo - start : hi - start] = _sample_rows(r, np.arange(lo, hi, dtype=np.uint64), seed)
     return out
 
 
 def generate_mask_matrix(rates: RateVector, n: int, seed: int) -> MaskMatrix:
     """Generate n mask rows; row i depends only on (rates, seed, i).
 
-    Rows are sampled by per-row rejection from independent counter-based
-    streams, so generation is order-independent, parallelisable, and
-    reproducible across platforms.
+    Rows are sampled by per-row rejection from a counter-based stream:
+    row i reads the Philox4x64-10 stream of numpy's
+    `Philox(key=seed, counter=i << 64)`, computed for many rows at once
+    in vectorised array steps. Generation is therefore order-independent
+    and reproducible across platforms, and a row's bits do not depend on
+    how many rows are generated.
     """
     if n < 1:
         raise EmptyDatasetError(f"sample count must be >= 1, got {n}")
@@ -374,9 +438,15 @@ def write_mask_matrix(matrix: MaskMatrix, path: str | Path) -> None:
     """Write a `maskmatrix-v1` CSV: sample_id column then one 0/1 column per modality."""
     from .report import atomic_write_text
 
+    # Everything after a row's sample_id is M ",b" pairs: build them for all
+    # rows as one byte block, decode it once and slice it per row.
+    width = 2 * matrix.M
+    pairs = np.empty((matrix.N, width), dtype=np.uint8)
+    pairs[:, 0::2] = ord(",")
+    pairs[:, 1::2] = matrix.masks + ord("0")
+    cells = pairs.tobytes().decode("ascii")
     lines = ["sample_id," + ",".join(matrix.rates.modality_names)]
-    for i in range(matrix.N):
-        lines.append(f"{i}," + ",".join(str(int(b)) for b in matrix.masks[i]))
+    lines += [f"{i}{cells[i * width : (i + 1) * width]}" for i in range(matrix.N)]
     atomic_write_text(Path(path), "\n".join(lines) + "\n")
 
 

@@ -690,15 +690,18 @@ def run_experiment(spec: SynthSpec, config: TrainConfig) -> RunLog:
             idx = order[start : start + config.batch_size]
             feats, labels = dataset.train.take(idx)
             step += 1
-            log = train_step(
-                model,
-                feats,
-                masks[idx].astype(np.float64),
-                labels,
-                config.learning_rate,
-                step=step,
-                log_grads=(step - 1) % config.grad_log_stride == 0,
-            )
+            # A diverging step overflows to inf/nan; the checks below report
+            # it with its step and epoch, so numpy's warnings add only noise.
+            with np.errstate(over="ignore", invalid="ignore"):
+                log = train_step(
+                    model,
+                    feats,
+                    masks[idx].astype(np.float64),
+                    labels,
+                    config.learning_rate,
+                    step=step,
+                    log_grads=(step - 1) % config.grad_log_stride == 0,
+                )
             if not math.isfinite(log.task_loss):
                 raise _diverged(step, epoch, f"task loss is {log.task_loss!r}", last_finite)
             if log.grad_norms is not None and not np.isfinite(log.grad_norms).all():

@@ -158,3 +158,30 @@ def brute_trace_grid(samples, M: int, K: int) -> list[list[float]]:
             else:
                 last = row[m]
     return grid
+
+
+def philox_mask_rows(rates, start: int, stop: int, seed: int) -> np.ndarray:
+    """Mask rows start..stop-1 drawn one row at a time from numpy's own Philox.
+
+    Row i gets a fresh `Generator(Philox(key=seed, counter=i << 64))` and
+    redraws `random(M) >= rates` until some modality is observed. Returns
+    an (stop - start, M) int8 array.
+    """
+    r = np.asarray(rates, dtype=np.float64)
+    out = np.empty((stop - start, r.size), dtype=np.int8)
+    for i in range(start, stop):
+        rng = np.random.Generator(np.random.Philox(key=seed, counter=i << 64))
+        while True:
+            bits = rng.random(r.size) >= r
+            if bits.any():
+                break
+        out[i - start] = bits
+    return out
+
+
+def plain_mask_csv(names, masks) -> bytes:
+    """`maskmatrix-v1` file bytes written with one f-string per row."""
+    lines = ["sample_id," + ",".join(names)]
+    for i, row in enumerate(masks.tolist()):
+        lines.append(f"{i}," + ",".join(str(b) for b in row))
+    return ("\n".join(lines) + "\n").encode("utf-8")

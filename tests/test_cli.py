@@ -63,6 +63,19 @@ def sim_config(tmp_path, *, paired=False, **sim_overrides):
     return write_config(tmp_path, raw)
 
 
+def run_cli_process(argv, env_seed=None):
+    """Run the CLI in a fresh interpreter; stderr is the real stream."""
+    env = {k: v for k, v in os.environ.items() if k != SEED_ENV_VAR}
+    if env_seed is not None:
+        env[SEED_ENV_VAR] = env_seed
+    package_root = str(Path(missdiag.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "missdiag.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
 @pytest.fixture(autouse=True)
 def clean_seed_env(monkeypatch):
     monkeypatch.delenv(SEED_ENV_VAR, raising=False)
@@ -187,15 +200,10 @@ class TestSeedRange:
     @pytest.mark.parametrize("extra, env_seed, fragment", CASES,
                              ids=[" ".join(c[0]) or f"env={c[1]}" for c in CASES])
     def test_simulate_run_rejects_out_of_range_seed(self, tmp_path, extra, env_seed, fragment):
-        env = {k: v for k, v in os.environ.items() if k != SEED_ENV_VAR}
-        if env_seed is not None:
-            env[SEED_ENV_VAR] = env_seed
-        package_root = str(Path(missdiag.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "missdiag.cli", "simulate", "run",
-             "--config", sim_config(tmp_path), "--out", str(tmp_path / "out"), *extra],
-            capture_output=True, text=True, env=env, timeout=120,
+        proc = run_cli_process(
+            ["simulate", "run", "--config", sim_config(tmp_path),
+             "--out", str(tmp_path / "out"), *extra],
+            env_seed,
         )
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("error: ") and fragment in proc.stderr
@@ -242,20 +250,59 @@ class TestSimulationFieldTypes:
         assert not (tmp_path / "out").exists()
 
 
+class TestTopLevelFieldTypes:
+    # Each row: top-level numeric field, bad JSON value.
+    CASES = [
+        ("epsilon", "Infinity"),
+        ("epsilon", "-Infinity"),
+        ("epsilon", "NaN"),
+        ("epsilon", '"1e-8"'),
+        ("epsilon", "true"),
+        ("epsilon", "null"),
+        ("epsilon", "[1e-8]"),
+        ("n_samples", "Infinity"),
+        ("n_samples", "NaN"),
+        ("n_samples", "100.0"),
+        ("n_samples", '"100"'),
+        ("n_samples", "false"),
+        ("n_samples", "null"),
+    ]
+
+    @pytest.mark.parametrize("field, value", CASES, ids=[f"{f}={v}" for f, v in CASES])
+    def test_bad_type_is_config_error(self, tmp_path, capsys, field, value):
+        argv = ["simulate", "run", "--config", sim_config(tmp_path),
+                "--set", f"{field}={value}"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: '{field}' must be ")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+
 class TestTrainingDivergence:
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("stride", [1, 1000])
-    def test_divergence_names_step_and_epoch(self, tmp_path, capsys, stride):
+    @staticmethod
+    def _argv(tmp_path, stride):
         config = sim_config(tmp_path, dims=[16, 16], n_train=2000, n_classes=8,
                             batch_size=48)
-        argv = ["simulate", "run", "--config", config,
+        return ["simulate", "run", "--config", config,
                 "--set", "simulation.learning_rate=10000",
                 "--set", f"simulation.grad_log_stride={stride}"]
-        assert main(argv) == 2
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("stride", [1, 1000])
+    def test_divergence_names_step_and_epoch(self, tmp_path, capsys, stride):
+        assert main(self._argv(tmp_path, stride)) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: training diverged at step ")
         assert "(epoch 2)" in err and "last finite loss: " in err
         assert not (tmp_path / "out").exists()
+
+    def test_stderr_holds_only_the_error_line(self, tmp_path):
+        proc = run_cli_process(self._argv(tmp_path, 1))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: training diverged at step ")
+        assert proc.stderr.count("\n") == 1
+        assert "RuntimeWarning" not in proc.stderr
 
 
 class TestProtocolCommands:

@@ -32,7 +32,7 @@ from missdiag.learning import (
     write_agg_trace,
     write_grad_samples,
 )
-from missdiag.protocol import read_mask_matrix, write_mask_matrix
+from missdiag.protocol import generate_mask_matrix, read_mask_matrix, write_mask_matrix
 from missdiag.report import (
     DiagnosticsReport,
     atomic_write_text,
@@ -44,6 +44,8 @@ from missdiag.report import (
     sha256_hex,
     write_report,
 )
+
+from oracles import plain_mask_csv
 
 AWKWARD = 0.1 + 0.2  # 0.30000000000000004: only repr round-trips it
 
@@ -81,6 +83,15 @@ class TestMaskMatrixFormat:
         path = tmp_path / "masks.csv"
         write_mask_matrix(mask_matrix(), path)
         assert path.read_bytes() == self.GOLDEN.encode()
+
+    @pytest.mark.parametrize("M", [2, 3, 12])
+    @pytest.mark.parametrize("N", [1, 1000])
+    def test_bytes_equal_plain_row_writer(self, tmp_path, M, N):
+        rates = RateVector(tuple(f"m{m}" for m in range(M)), (0.5,) * M)
+        matrix = generate_mask_matrix(rates, N, seed=M)
+        path = tmp_path / "masks.csv"
+        write_mask_matrix(matrix, path)
+        assert path.read_bytes() == plain_mask_csv(rates.modality_names, matrix.masks)
 
     def test_round_trip(self, tmp_path):
         path = tmp_path / "masks.csv"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -28,9 +29,9 @@ from missdiag import (
     sample_pattern,
     sample_patterns,
 )
-from missdiag.protocol import _generate_rows, pattern_index
+from missdiag.protocol import _ROW_CHUNK, _generate_rows, pattern_index
 
-from oracles import enum_marginal, enum_pattern_probs, random_rate_vector
+from oracles import enum_marginal, enum_pattern_probs, philox_mask_rows, random_rate_vector
 
 
 def _rv(*rates: float) -> RateVector:
@@ -261,6 +262,43 @@ class TestGenerateMaskMatrix:
         matrix = generate_mask_matrix(_rv(0.1, 0.2), 10, seed=0)
         with pytest.raises(ValueError):
             matrix.masks[0, 0] = 0
+
+
+class TestSamplerOracle:
+    # Near-1 rates reject most first attempts, so later attempts read words
+    # that straddle the stream's 4-word blocks for every M here.
+    @pytest.mark.parametrize("M", [2, 3, 5, 7, 12])
+    @pytest.mark.parametrize("seed", [0, 1, 2**63 + 5, 2**64 - 1])
+    @pytest.mark.parametrize("start", [0, _ROW_CHUNK - 100, 10**6, 2**40])
+    @pytest.mark.parametrize("near_one", [False, True])
+    def test_rows_equal_numpy_philox(self, M, seed, start, near_one):
+        rng = np.random.default_rng([M, seed % 1000, start % 1000, near_one])
+        low, high = (0.9, 0.99) if near_one else (0.0, 0.95)
+        rates = random_rate_vector(rng, M, low, high)
+        rows = _generate_rows(_rv(*rates), start, start + 200, seed)
+        assert rows.dtype == np.int8
+        assert (rows == philox_mask_rows(rates, start, start + 200, seed)).all()
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_ties_with_the_rate_count_as_observed(self, seed):
+        # Rate m is uniform m of row m's stream, so rows 0..M-1 each meet one
+        # exact tie. `>=` keeps that modality, and the tie pins every bit of
+        # the uniform, down to the lowest.
+        M = 4
+        rates = tuple(
+            float(np.random.Generator(np.random.Philox(key=seed, counter=m << 64)).random(M)[m])
+            for m in range(M)
+        )
+        rows = _generate_rows(_rv(*rates), 0, M, seed)
+        assert rows.diagonal().all()
+        assert (rows == philox_mask_rows(rates, 0, M, seed)).all()
+
+    def test_no_runtime_warnings(self):
+        # The largest key makes every round-key addition wrap around 2^64.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            generate_mask_matrix(_rv(*[0.95] * 12), 3_000, seed=2**64 - 1)
+            generate_mask_matrix(_rv(0.1, 0.2, 0.6), 3_000, seed=0)
 
 
 class TestMarginals:
