@@ -2,8 +2,9 @@
 
 Submodules:
 
-- `protocol`: shared/imbalanced missing-rate distributions, mask
-  sampling, truncated marginals, divergences, mean-matching.
+- `protocol`: shared/imbalanced missing-rate distributions, the
+  canonical pattern order, mask sampling, truncated marginals,
+  divergences, mean-matching.
 - `equity`: the ablation-based modality equity index.
 - `learning`: the gradient-trace modality learning index.
 - `simtrainer`: a deterministic toy multimodal trainer that emits the
@@ -63,10 +64,8 @@ from .protocol import (
     marginal_missing_rate,
     marginal_missing_rates,
     mean_match_shared,
+    pattern_bits,
     pattern_distribution,
-    pattern_probability,
-    sample_pattern,
-    sample_patterns,
 )
 from .simtrainer import (
     CLASSIFICATION,

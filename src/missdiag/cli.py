@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 from typing import Sequence
@@ -58,19 +59,28 @@ def _json_float(x: float) -> float | str:
     return x if math.isfinite(x) else repr(x)
 
 
+@contextmanager
+def _writing_out(args: argparse.Namespace):
+    """Name the --out option in an OS error raised while writing under it (exit 3)."""
+    try:
+        yield
+    except OSError as exc:
+        if not args.out:
+            raise
+        raise OSError(f"--out {args.out}: {exc}") from exc
+
+
 def _print_pattern_table(masks: np.ndarray, probabilities=None) -> None:
     M = masks.shape[1]
     if M > protocol.MAX_ENUMERATED_MODALITIES:
         print(f"(pattern table omitted: M={M} exceeds the enumeration cap)")
         return
-    codes = masks.astype(np.int64) @ (1 << np.arange(M - 1, -1, -1))
-    counts = np.bincount(codes, minlength=1 << M)
+    counts = protocol.pattern_counts(masks).tolist()
     print("pattern,count,frequency" + (",probability" if probabilities is not None else ""))
-    for idx in range(1, 1 << M):
-        bits = format(idx, f"0{M}b")
-        line = f"{bits},{counts[idx]},{counts[idx] / masks.shape[0]:.6f}"
+    for i, combo in enumerate(protocol.pattern_bitstrings(M)):
+        line = f"{combo},{counts[i]},{counts[i] / masks.shape[0]:.6f}"
         if probabilities is not None:
-            line += f",{probabilities[idx - 1]:.6f}"
+            line += f",{probabilities[i]:.6f}"
         print(line)
 
 
@@ -83,7 +93,8 @@ def _cmd_mask_generate(args: argparse.Namespace) -> int:
     rates = config.rate_vector()
     matrix = protocol.generate_mask_matrix(rates, config.n_samples, config.seed)
     out = Path(args.out) if args.out else Path(config.output_dir) / "masks.csv"
-    protocol.write_mask_matrix(matrix, out)
+    with _writing_out(args):
+        protocol.write_mask_matrix(matrix, out)
     print(f"wrote maskmatrix-v1: {out} (N={matrix.N}, M={matrix.M}, seed={config.seed})")
     empirical = protocol.empirical_rates(matrix)
     print("modality,rate,exact_marginal,empirical_rate")
@@ -255,8 +266,14 @@ def _run_payload(run: simtrainer.RunLog, divergence_kind: str, artifacts: dict) 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _load_config(args)
+    with _writing_out(args):
+        _simulate(config, Path(args.out) if args.out else Path(config.output_dir))
+    return 0
+
+
+def _simulate(config: cfg.ExperimentConfig, out_dir: Path) -> None:
+    """Train one run, or the paired IMR and SMR arms, and write every artifact."""
     spec = config.synth_spec()
-    out_dir = Path(args.out) if args.out else Path(config.output_dir)
     rates = config.rate_vector()
 
     if config.paired:
@@ -318,12 +335,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     )
     print(f"wrote report: {report_path}")
     print(f"wrote manifest: {out_dir / 'manifest.json'}")
-    return 0
 
 
 def _cmd_report_merge(args: argparse.Namespace) -> int:
     merged = report.merge_reports(args.inputs)
-    report.write_report(merged, args.out)
+    with _writing_out(args):
+        report.write_report(merged, args.out)
     print(f"wrote merged report: {args.out} ({len(args.inputs)} inputs)")
     return 0
 

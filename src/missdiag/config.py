@@ -288,8 +288,8 @@ def resolve_config(
         raise ConfigError("protocol must set exactly one of 'shared_rate' or 'rates'")
     shared_rate = protocol.get("shared_rate")
     rates = protocol.get("rates")
-    if shared_rate is not None and not isinstance(shared_rate, (int, float)):
-        raise ConfigError("'protocol.shared_rate' must be a number")
+    if "shared_rate" in protocol:
+        _check_type("protocol.shared_rate", float, shared_rate)
     if rates is not None:
         if not isinstance(rates, list) or not all(
             isinstance(r, (int, float)) and not isinstance(r, bool) for r in rates

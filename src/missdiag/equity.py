@@ -30,7 +30,7 @@ from .errors import (
     FileFormatError,
     IncompleteTableError,
 )
-from .protocol import MaskPattern, all_patterns, pattern_index
+from .protocol import MaskPattern, pattern_bits, pattern_bitstrings, pattern_index
 
 DEFAULT_EPSILON = 1e-8
 
@@ -84,60 +84,54 @@ class PerfMetric:
         return cls(name, table.get(name, HIGHER_BETTER))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AblationTable:
     """Metric scores for the full configuration and every strict nonempty subset.
 
-    `entries` maps each of the 2^M - 2 strict subsets (as MaskPatterns)
-    to its score; the all-ones score lives in `perf_full`. Completeness
-    is enforced at construction.
+    `scores` is a read-only float64 vector of the 2^M - 1 scores in
+    canonical pattern order (`protocol.pattern_bits`): the score of the
+    pattern with code c is `scores[c - 1]`, and the all-ones score is last.
     """
 
     M: int
     metric: PerfMetric
-    perf_full: float
-    entries: Mapping[MaskPattern, float]
+    scores: np.ndarray
 
     def __post_init__(self) -> None:
         if self.M < 2:
             raise DimensionError(f"at least 2 modalities are required, got M={self.M}")
-        object.__setattr__(self, "perf_full", float(self.perf_full))
-        object.__setattr__(
-            self, "entries", {p: float(v) for p, v in self.entries.items()}
-        )
-        full = MaskPattern.full(self.M)
-        required = {p for p in all_patterns(self.M) if p != full}
-        given = set(self.entries)
-        missing = required - given
-        if missing:
-            names = ", ".join(sorted(p.bitstring() for p in missing))
-            raise IncompleteTableError(
-                f"ablation table for {self.metric.name!r} is missing combinations: {names}"
+        scores = np.array(self.scores, dtype=np.float64)
+        if scores.shape != ((1 << self.M) - 1,):
+            raise DimensionError(
+                f"ablation table for {self.metric.name!r} needs 2^{self.M}-1 scores "
+                f"in canonical order, got an array of shape {scores.shape}"
             )
-        extra = given - required
-        if extra:
-            names = ", ".join(sorted(p.bitstring() for p in extra))
-            raise IncompleteTableError(
-                f"ablation table for {self.metric.name!r} has unexpected combinations: {names}"
+        bad = np.flatnonzero(~np.isfinite(scores))
+        if bad.size:
+            raise DimensionError(
+                f"score for combination {pattern_bitstrings(self.M)[bad[0]]} must be "
+                f"finite, got {scores[bad[0]]}"
             )
-        for pattern, score in self.entries.items():
-            if not math.isfinite(float(score)):
-                raise DimensionError(
-                    f"score for combination {pattern.bitstring()} must be finite, got {score}"
-                )
-        if not math.isfinite(self.perf_full):
-            raise DimensionError(f"perf_full must be finite, got {self.perf_full}")
+        scores.setflags(write=False)
+        object.__setattr__(self, "scores", scores)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, AblationTable):
+            return NotImplemented
+        same_shape = (self.M, self.metric) == (other.M, other.metric)
+        return same_shape and bool((self.scores == other.scores).all())
+
+    @property
+    def perf_full(self) -> float:
+        return float(self.scores[-1])
 
     def score(self, pattern: MaskPattern) -> float:
-        if pattern == MaskPattern.full(self.M):
-            return self.perf_full
-        try:
-            return float(self.entries[pattern])
-        except KeyError:
+        if len(pattern) != self.M:
             raise DimensionError(
                 f"no score for combination {pattern.bitstring()} in a "
                 f"{self.M}-modality table"
-            ) from None
+            )
+        return float(self.scores[pattern_index(pattern) - 1])
 
 
 @dataclass(frozen=True)
@@ -173,17 +167,21 @@ class MEIResult:
     profile: ContributionProfile
 
 
+def _excluding(M: int, m: int) -> np.ndarray:
+    """Rows of `pattern_bits(M)` with modality m missing, as a bool selector."""
+    if not 0 <= m < M:
+        raise DimensionError(f"modality index {m} out of range for M={M}")
+    return ~pattern_bits(M)[:, m]
+
+
 def combos_excluding(M: int, m: int) -> tuple[MaskPattern, ...]:
     """All 2^(M-1) - 1 patterns with modality m missing, canonical order.
 
     Canonical order sorts patterns as binary integers with modality 0
     as the most significant bit.
     """
-    if M < 2:
-        raise DimensionError(f"at least 2 modalities are required, got M={M}")
-    if not 0 <= m < M:
-        raise DimensionError(f"modality index {m} out of range for M={M}")
-    return tuple(p for p in all_patterns(M) if p.bits[m] == 0)
+    rows = pattern_bits(M)[_excluding(M, m)]
+    return tuple(MaskPattern(tuple(bits)) for bits in rows.tolist())
 
 
 def perf_drops(table: AblationTable, m: int) -> np.ndarray:
@@ -193,20 +191,10 @@ def perf_drops(table: AblationTable, m: int) -> np.ndarray:
     perf_full - score, lower-better metrics use score - perf_full.
     Entries follow the canonical combination order.
     """
-    combos = combos_excluding(table.M, m)
-    drops = np.empty(len(combos))
-    for i, pattern in enumerate(combos):
-        try:
-            score = table.entries[pattern]
-        except KeyError:
-            raise IncompleteTableError(
-                f"ablation table is missing combination {pattern.bitstring()}"
-            ) from None
-        if table.metric.higher_is_better:
-            drops[i] = table.perf_full - score
-        else:
-            drops[i] = score - table.perf_full
-    return drops
+    scores = table.scores[_excluding(table.M, m)]
+    if table.metric.higher_is_better:
+        return table.perf_full - scores
+    return scores - table.perf_full
 
 
 def contribution(s_m: Sequence[float] | np.ndarray, epsilon: float = DEFAULT_EPSILON) -> tuple[float, float, float]:
@@ -289,12 +277,8 @@ def mei_from_table(
 
 
 def _table_rows(table: AblationTable) -> list[str]:
-    rows = []
-    full = MaskPattern.full(table.M)
-    for pattern in all_patterns(table.M):
-        score = table.perf_full if pattern == full else table.entries[pattern]
-        rows.append(f"{pattern.bitstring()},{table.metric.name},{score!r}")
-    return rows
+    rows = zip(pattern_bitstrings(table.M), table.scores.tolist())
+    return [f"{combo},{table.metric.name},{score!r}" for combo, score in rows]
 
 
 def write_ablation_tables(tables: Sequence[AblationTable], path: str | Path) -> None:
@@ -340,7 +324,8 @@ def read_ablation_tables(
         if header != ["combination", "metric", "value"]:
             raise FileFormatError(f"{path}: expected header 'combination,metric,value'")
         M: int | None = None
-        scores: dict[str, dict[MaskPattern, float]] = {}
+        # metric -> (score vector, seen mask), both indexed by code - 1
+        scores: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -351,6 +336,7 @@ def read_ablation_tables(
                 raise FileFormatError(f"{path}:{lineno}: bad combination {combo!r}")
             if M is None:
                 M = len(combo)
+                n_patterns = len(pattern_bits(M))
             elif len(combo) != M:
                 raise FileFormatError(
                     f"{path}:{lineno}: combination length {len(combo)} != {M}"
@@ -363,29 +349,33 @@ def read_ablation_tables(
                 raise FileFormatError(f"{path}:{lineno}: bad value {value_text!r}") from None
             if not math.isfinite(value):
                 raise FileFormatError(f"{path}:{lineno}: non-finite value {value_text!r}")
-            pattern = MaskPattern.from_bitstring(combo)
-            per_metric = scores.setdefault(metric_name, {})
-            if pattern in per_metric:
+            if metric_name not in scores:
+                scores[metric_name] = (np.empty(n_patterns), np.zeros(n_patterns, dtype=bool))
+            values, seen = scores[metric_name]
+            index = int(combo, 2) - 1
+            if seen[index]:
                 raise FileFormatError(
                     f"{path}:{lineno}: duplicate combination {combo} for {metric_name!r}"
                 )
-            per_metric[pattern] = value
+            values[index] = value
+            seen[index] = True
     if M is None or not scores:
         raise FileFormatError(f"{path}: no table rows")
     tables = {}
-    full = MaskPattern.full(M)
-    for metric_name, per_metric in scores.items():
-        if full not in per_metric:
+    combos = pattern_bitstrings(M)
+    for metric_name, (values, seen) in scores.items():
+        if not seen[-1]:
             raise IncompleteTableError(
                 f"{path}: table for {metric_name!r} is missing the all-ones "
-                f"combination {full.bitstring()}"
+                f"combination {combos[-1]}"
             )
-        perf_full = per_metric.pop(full)
+        if not seen.all():
+            names = ", ".join(c for c, ok in zip(combos, seen.tolist()) if not ok)
+            raise IncompleteTableError(
+                f"ablation table for {metric_name!r} is missing combinations: {names}"
+            )
         tables[metric_name] = AblationTable(
-            M=M,
-            metric=PerfMetric.named(metric_name, orientations),
-            perf_full=perf_full,
-            entries=per_metric,
+            M=M, metric=PerfMetric.named(metric_name, orientations), scores=values
         )
     return tables
 

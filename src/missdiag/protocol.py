@@ -17,6 +17,7 @@ import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
 
@@ -120,16 +121,23 @@ class MaskPattern:
         return tuple(m for m, b in enumerate(self.bits) if b)
 
 
-def pattern_index(pattern: MaskPattern) -> int:
-    """Canonical integer encoding: modality 0 is the most significant bit."""
-    idx = 0
-    for b in pattern.bits:
-        idx = (idx << 1) | b
-    return idx
+def _code_weights(M: int) -> np.ndarray:
+    """The canonical encoding: bit m of a pattern is worth 2^(M-1-m).
+
+    Modality 0 is the most significant bit, the codes of the valid
+    patterns run 1 .. 2^M - 1, and a pattern's index in canonical order
+    is its code - 1.
+    """
+    return 1 << np.arange(M - 1, -1, -1, dtype=np.int64)
 
 
-def all_patterns(M: int) -> tuple[MaskPattern, ...]:
-    """All 2^M - 1 non-all-missing patterns in canonical (integer) order."""
+@lru_cache(maxsize=8)
+def pattern_bits(M: int) -> np.ndarray:
+    """All 2^M - 1 valid patterns as a read-only (2^M - 1, M) bool matrix.
+
+    Row i holds the bits of code i + 1, so rows are in canonical order
+    and the all-ones pattern is last.
+    """
     if M < 2:
         raise DimensionError(f"at least 2 modalities are required, got {M}")
     if M > MAX_ENUMERATED_MODALITIES:
@@ -137,28 +145,33 @@ def all_patterns(M: int) -> tuple[MaskPattern, ...]:
             f"support of 2^{M}-1 patterns exceeds the enumeration cap "
             f"(M <= {MAX_ENUMERATED_MODALITIES})"
         )
-    out = []
-    for idx in range(1, 1 << M):
-        bits = tuple((idx >> (M - 1 - j)) & 1 for j in range(M))
-        out.append(MaskPattern(bits))
-    return tuple(out)
+    bits = (np.arange(1, 1 << M, dtype=np.int64)[:, None] & _code_weights(M)) != 0
+    bits.setflags(write=False)
+    return bits
 
 
-def pattern_probability(rates: RateVector, pattern: MaskPattern) -> float:
-    """Probability of one mask pattern under the truncated product measure.
+def pattern_bitstrings(M: int) -> list[str]:
+    """Bitstrings of the 2^M - 1 valid patterns in canonical order."""
+    return ["".join(row) for row in np.where(pattern_bits(M), "1", "0").tolist()]
 
-    Equals prod_m (1-r_m)^e[m] r_m^(1-e[m]) / (1 - prod_m r_m); the
-    denominator removes the excluded all-missing pattern. Summing over
-    the full support yields 1 to within 1e-12.
+
+def pattern_counts(masks: np.ndarray) -> np.ndarray:
+    """Occurrences of each valid pattern among the rows of an (N, M) 0/1 array.
+
+    Counts are in canonical order; all-missing rows are not counted.
     """
-    if len(pattern) != rates.M:
-        raise DimensionError(f"pattern length {len(pattern)} != modality count {rates.M}")
-    num = 1.0
-    all_missing = 1.0
-    for r, e in zip(rates.rates, pattern.bits):
-        num *= (1.0 - r) if e else r
-        all_missing *= r
-    return num / (1.0 - all_missing)
+    codes = np.asarray(masks, dtype=np.int64) @ _code_weights(masks.shape[1])
+    return np.bincount(codes, minlength=len(pattern_bits(masks.shape[1])) + 1)[1:]
+
+
+def pattern_index(pattern: MaskPattern) -> int:
+    """Canonical code of a pattern: its bitstring read as a binary number."""
+    return int(pattern.bitstring(), 2)
+
+
+def all_patterns(M: int) -> tuple[MaskPattern, ...]:
+    """All 2^M - 1 non-all-missing patterns in canonical (integer) order."""
+    return tuple(MaskPattern(tuple(row)) for row in pattern_bits(M).tolist())
 
 
 @dataclass(frozen=True)
@@ -166,7 +179,6 @@ class PatternDistribution:
     """Exact distribution over the 2^M - 1 valid patterns, canonical order."""
 
     rates: RateVector
-    patterns: tuple[MaskPattern, ...]
     probabilities: np.ndarray
 
     def __post_init__(self) -> None:
@@ -178,47 +190,27 @@ class PatternDistribution:
             raise InvalidPatternError(f"pattern probabilities sum to {total}, not 1")
 
     def probability_of(self, pattern: MaskPattern) -> float:
+        """Probability of one pattern under the truncated product measure."""
+        if len(pattern) != self.rates.M:
+            raise DimensionError(
+                f"pattern length {len(pattern)} != modality count {self.rates.M}"
+            )
         return float(self.probabilities[pattern_index(pattern) - 1])
 
 
 def pattern_distribution(rates: RateVector) -> PatternDistribution:
-    patterns = all_patterns(rates.M)
-    probs = np.array([pattern_probability(rates, p) for p in patterns])
-    return PatternDistribution(rates=rates, patterns=patterns, probabilities=probs)
+    """p(e) = prod_m (1-r_m)^e[m] r_m^(1-e[m]) / (1 - prod_m r_m) over the support.
 
-
-def sample_pattern(rates: RateVector, rng: np.random.Generator) -> MaskPattern:
-    """Draw one pattern by rejection of the all-missing outcome.
-
-    Each modality is retained with probability 1 - r_m; an all-missing
-    draw is rejected and redrawn, which realises the truncated
-    distribution exactly. Terminates almost surely since every r_m < 1.
+    The product runs in modality order for every pattern at once, so each
+    probability has the bits of the scalar product taken in that order.
     """
-    r = rates.as_array()
-    while True:
-        bits = rng.random(rates.M) >= r
-        if bits.any():
-            return MaskPattern(tuple(int(b) for b in bits))
-
-
-def sample_patterns(rates: RateVector, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Vectorised batch of `sample_pattern` draws from one sequential stream.
-
-    Returns an (n, M) int8 array. Distributionally identical to n calls
-    of `sample_pattern`; use `generate_mask_matrix` when per-row
-    reproducibility is required.
-    """
-    if n < 1:
-        raise EmptyDatasetError(f"sample count must be >= 1, got {n}")
-    r = rates.as_array()
-    out = np.empty((n, rates.M), dtype=np.int8)
-    pending = np.arange(n)
-    while pending.size:
-        draw = rng.random((pending.size, rates.M)) >= r
-        ok = draw.any(axis=1)
-        out[pending[ok]] = draw[ok]
-        pending = pending[~ok]
-    return out
+    bits = pattern_bits(rates.M)
+    num = np.ones(bits.shape[0])
+    all_missing = 1.0
+    for m, r in enumerate(rates.rates):
+        num *= np.where(bits[:, m], 1.0 - r, r)
+        all_missing *= r
+    return PatternDistribution(rates=rates, probabilities=num / (1.0 - all_missing))
 
 
 @dataclass(frozen=True)

@@ -44,8 +44,8 @@ from .protocol import (
     MaskMatrix,
     MaskPattern,
     RateVector,
-    all_patterns,
     generate_mask_matrix,
+    pattern_bits,
 )
 from .report import config_hash
 
@@ -322,9 +322,9 @@ def _forward_batch(
     return out, (xs, us, s)
 
 
-def _predict(model: ToyModel, hs: Sequence[np.ndarray], pattern: MaskPattern) -> np.ndarray:
-    """Output under `pattern` from encoder outputs `hs`; a missing modality adds relu(b_m)."""
-    hs = [h if bit else np.maximum(b, 0.0) for h, b, bit in zip(hs, model.enc_b, pattern.bits)]
+def _predict(model: ToyModel, hs: Sequence[np.ndarray], bits: Sequence) -> np.ndarray:
+    """Output under one bit row from encoder outputs `hs`; a missing modality adds relu(b_m)."""
+    hs = [h if bit else np.maximum(b, 0.0) for h, b, bit in zip(hs, model.enc_b, bits)]
     _, out = _fuse(model, hs)
     return out if model.task == CLASSIFICATION else out[:, 0]
 
@@ -340,7 +340,7 @@ def forward(
     if len(pattern) != model.M:
         raise DimensionError(f"pattern length {len(pattern)} != M={model.M}")
     feats = [np.atleast_2d(np.asarray(f, dtype=np.float64)) for f in features]
-    return _predict(model, _encode(model, feats)[2], pattern)
+    return _predict(model, _encode(model, feats)[2], pattern.bits)
 
 
 def _per_sample_losses(model: ToyModel, out: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -548,13 +548,12 @@ def ablation_table(model: ToyModel, split: Split, metric: PerfMetric) -> Ablatio
             f"choose from {sorted(funs)}"
         )
     hs = _encode(model, split.features)[2]
-    entries = {}
-    for pattern in all_patterns(model.M):
-        out = _predict(model, hs, pattern)
+    scores = []
+    for bits in pattern_bits(model.M):
+        out = _predict(model, hs, bits)
         predictions = out.argmax(axis=1) if model.task == CLASSIFICATION else out
-        entries[pattern] = fun(split.labels, predictions)
-    perf_full = entries.pop(MaskPattern.full(model.M))
-    return AblationTable(M=model.M, metric=metric, perf_full=perf_full, entries=entries)
+        scores.append(fun(split.labels, predictions))
+    return AblationTable(M=model.M, metric=metric, scores=scores)
 
 
 def dataset_loss(model: ToyModel, split: Split) -> float:

@@ -36,12 +36,45 @@ def enum_pattern_probs(rates) -> dict[tuple[int, ...], Fraction]:
     return probs
 
 
+def scalar_pattern_probability(rates, bits) -> float:
+    """One pattern's probability in float64, multiplied out one modality at a time.
+
+    prod_m (1 - r_m)^e[m] r_m^(1 - e[m]) / (1 - prod_m r_m), with both
+    products taken in modality order: the reference for `==` checks.
+    """
+    num = 1.0
+    all_missing = 1.0
+    for r, e in zip(rates, bits):
+        num *= (1.0 - r) if e else r
+        all_missing *= r
+    return num / (1.0 - all_missing)
+
+
 def enum_marginal(rates, m: int) -> float:
     """Exact P(bit m = 0) as the correctly rounded rational sum."""
     total = sum(
         p for bits, p in enum_pattern_probs(rates).items() if bits[m] == 0
     )
     return float(total)
+
+
+def plain_drops(scores: dict[tuple[int, ...], float], higher_better: bool,
+                m: int) -> list[float]:
+    """Drops from the all-ones score over the patterns without modality m.
+
+    `scores` maps every non-all-zero bit tuple to its metric value. The
+    patterns come in ascending binary order, and a positive drop always
+    means the score got worse.
+    """
+    M = len(next(iter(scores)))
+    full = scores[tuple([1] * M)]
+    drops = []
+    for bits in bit_tuples(M):
+        if bits[m] == 1:
+            continue
+        s = scores[bits]
+        drops.append(full - s if higher_better else s - full)
+    return drops
 
 
 def brute_mei(
@@ -56,15 +89,9 @@ def brute_mei(
     its metric value. `mode` is 'balanced' or 'dominance'.
     """
     M = len(next(iter(scores)))
-    full = scores[tuple([1] * M)]
     zetas = []
     for m in range(M):
-        drops = []
-        for bits in bit_tuples(M):
-            if bits[m] == 1:
-                continue
-            s = scores[bits]
-            drops.append(full - s if higher_better else s - full)
+        drops = plain_drops(scores, higher_better, m)
         mu = sum(drops) / len(drops)
         var = sum((d - mu) ** 2 for d in drops) / len(drops)
         zetas.append(mu / (math.sqrt(var) + eps))

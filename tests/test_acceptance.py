@@ -23,7 +23,6 @@ from missdiag import (
     GradSample,
     GradTrace,
     MaskMatrix,
-    MaskPattern,
     PerfMetric,
     RateVector,
     SynthSpec,
@@ -38,7 +37,6 @@ from missdiag import (
     mli,
     pattern_distribution,
     run_experiment,
-    sample_patterns,
 )
 from missdiag.cli import main as cli_main
 from missdiag.equity import write_ablation_table
@@ -109,7 +107,7 @@ def test_criterion_1_pattern_distribution_sums_and_sampling():
         assert len(eligible) >= 10
         for k, (rv, dist) in enumerate(eligible[:10]):
             M = rv.M
-            draws = sample_patterns(rv, n, np.random.default_rng(9_000 + k))
+            draws = generate_mask_matrix(rv, n, seed=9_000 + k).masks
             codes = draws.astype(np.int64) @ (1 << np.arange(M - 1, -1, -1))
             counts = np.bincount(codes, minlength=2**M)
             assert counts[0] == 0  # the all-missing pattern never occurs
@@ -177,14 +175,8 @@ def test_criterion_4_mei_oracle_equivalence_and_fixture():
             scores = {bits: float(rng.uniform(0.0, 1.0)) for bits in bit_tuples(M)}
             higher_better = i % 2 == 0
             metric = PerfMetric.named("UA" if higher_better else "MAE")
-            full = (1,) * M
             table = AblationTable(
-                M=M,
-                metric=metric,
-                perf_full=scores[full],
-                entries={
-                    MaskPattern(b): v for b, v in scores.items() if b != full
-                },
+                M=M, metric=metric, scores=[scores[b] for b in bit_tuples(M)]
             )
             balanced = mei_from_table(table, mode=BALANCED_IS_ONE)
             dominance = mei_from_table(table, mode=DOMINANCE_IS_ONE)
@@ -507,12 +499,8 @@ def test_criterion_9_formats_round_trip_through_the_cli(tmp_path, capsys):
         )
         table_path = tmp_path / "golden_table.csv"
         write_ablation_table(
-            AblationTable(
-                M=2,
-                metric=PerfMetric.named("UA"),
-                perf_full=0.9,
-                entries={MaskPattern((0, 1)): 0.5, MaskPattern((1, 0)): awkward},
-            ),
+            # Scores of 01, 10 and 11, in canonical order.
+            AblationTable(M=2, metric=PerfMetric.named("UA"), scores=[0.5, awkward, 0.9]),
             table_path,
         )
         assert table_path.read_bytes() == golden_table.encode()

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import missdiag
-from missdiag import GradSample, GradTrace, MaskPattern, PerfMetric, AblationTable
+from missdiag import GradSample, GradTrace, PerfMetric, AblationTable
 from missdiag.cli import main
 from missdiag.config import SEED_ENV_VAR
 from missdiag.equity import write_ablation_table
@@ -278,6 +278,46 @@ class TestTopLevelFieldTypes:
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
+    # protocol.shared_rate is a number like epsilon: booleans, strings and
+    # non-finite values are type errors, never rates.
+    SHARED_RATES = ["false", "true", "null", '"0.3"', "NaN", "Infinity", "[0.3]"]
+
+    @pytest.mark.parametrize("command", ["mask", "simulate"])
+    @pytest.mark.parametrize("value", SHARED_RATES)
+    def test_bad_shared_rate_is_config_error(self, tmp_path, capsys, command, value):
+        config = mask_config(tmp_path) if command == "mask" else sim_config(tmp_path)
+        argv = [command, "generate" if command == "mask" else "run", "--config", config,
+                "--set", 'protocol={"shared_rate": 0.3}',
+                "--set", f"protocol.shared_rate={value}"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: 'protocol.shared_rate' must be a JSON number, got {value}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_integer_shared_rate_accepted(self, tmp_path, capsys):
+        config = mask_config(tmp_path, protocol={"shared_rate": 0})
+        assert main(["mask", "generate", "--config", config]) == 0
+        assert "\naudio,0.0,0.000000,0.000000\n" in capsys.readouterr().out
+
+
+class TestOutUnderAFile:
+    # An --out path whose parent is a file names the option, not only the OS error.
+    @pytest.mark.parametrize("command", ["mask", "simulate"])
+    @pytest.mark.parametrize("under", ["", "/x"])
+    def test_names_the_option(self, tmp_path, capsys, command, under):
+        afile = tmp_path / "afile"
+        afile.write_text("taken\n")
+        out = f"{afile}{under}"
+        if command == "mask":
+            argv = ["mask", "generate", "--config", mask_config(tmp_path), "--out", out + "/m.csv"]
+        else:
+            argv = ["simulate", "run", "--config", sim_config(tmp_path), "--out", out]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --out {out}") and err.count("\n") == 1
+        assert "Errno" in err
+        assert afile.read_text() == "taken\n"
+
 
 class TestTrainingDivergence:
     @staticmethod
@@ -345,12 +385,8 @@ class TestProtocolCommands:
 
 
 def asym_table() -> AblationTable:
-    return AblationTable(
-        M=2,
-        metric=PerfMetric.named("UA"),
-        perf_full=0.9,
-        entries={MaskPattern((0, 1)): 0.5, MaskPattern((1, 0)): 0.85},
-    )
+    # Scores of 01, 10 and 11, in canonical order.
+    return AblationTable(M=2, metric=PerfMetric.named("UA"), scores=[0.5, 0.85, 0.9])
 
 
 class TestMetricsMei:
@@ -397,8 +433,7 @@ class TestMetricsMei:
         table = AblationTable(
             M=2,
             metric=PerfMetric.named("Loss", {"Loss": "lower-better"}),
-            perf_full=0.1,
-            entries={MaskPattern((0, 1)): 0.8, MaskPattern((1, 0)): 0.2},
+            scores=[0.8, 0.2, 0.1],
         )
         path = tmp_path / "table.csv"
         write_ablation_table(table, path)

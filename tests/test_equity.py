@@ -13,7 +13,6 @@ from missdiag import (
     AblationTable,
     DegenerateContributionError,
     DimensionError,
-    IncompleteTableError,
     MaskPattern,
     PerfMetric,
     combos_excluding,
@@ -25,7 +24,7 @@ from missdiag import (
 from missdiag.equity import DEFAULT_EPSILON
 from missdiag.protocol import pattern_index
 
-from oracles import bit_tuples, brute_mei
+from oracles import bit_tuples, brute_mei, plain_drops
 
 UA = PerfMetric.named("UA")
 MAE = PerfMetric.named("MAE")
@@ -34,14 +33,7 @@ MAE = PerfMetric.named("MAE")
 def make_table(M: int, scores: dict[tuple[int, ...], float],
                metric: PerfMetric = UA) -> AblationTable:
     """Build a table from a bits -> score map that includes all-ones."""
-    full_bits = tuple([1] * M)
-    entries = {
-        MaskPattern(bits): value
-        for bits, value in scores.items()
-        if bits != full_bits
-    }
-    return AblationTable(M=M, metric=metric, perf_full=scores[full_bits],
-                         entries=entries)
+    return AblationTable(M=M, metric=metric, scores=[scores[b] for b in bit_tuples(M)])
 
 
 def random_table(rng: np.random.Generator, M: int,
@@ -51,9 +43,7 @@ def random_table(rng: np.random.Generator, M: int,
 
 
 def table_scores(table: AblationTable) -> dict[tuple[int, ...], float]:
-    scores = {p.bits: v for p, v in table.entries.items()}
-    scores[tuple([1] * table.M)] = table.perf_full
-    return scores
+    return dict(zip(bit_tuples(table.M), table.scores.tolist()))
 
 
 class TestPerfMetric:
@@ -82,33 +72,47 @@ class TestAblationTable:
         assert table.score(MaskPattern((1, 0))) == 0.7
         assert table.score(MaskPattern((0, 1))) == 0.5
 
-    def test_missing_combination_named_in_error(self):
-        with pytest.raises(IncompleteTableError, match="01"):
-            AblationTable(M=2, metric=UA, perf_full=0.9,
-                          entries={MaskPattern((1, 0)): 0.7})
+    def test_scores_in_canonical_order_with_full_last(self):
+        table = AblationTable(M=2, metric=UA, scores=[0.5, 0.7, 0.9])
+        assert table.perf_full == 0.9
+        assert table.score(MaskPattern((0, 1))) == 0.5
+        assert table.scores.dtype == np.float64
+        with pytest.raises(ValueError):
+            table.scores[0] = 0.0
 
-    def test_extra_combination_rejected(self):
-        entries = {
-            MaskPattern((1, 0)): 0.7,
-            MaskPattern((0, 1)): 0.5,
-            MaskPattern((1, 1)): 0.9,
-        }
-        with pytest.raises(IncompleteTableError, match="11"):
-            AblationTable(M=2, metric=UA, perf_full=0.9, entries=entries)
+    def test_equality_compares_scores(self):
+        table = AblationTable(M=2, metric=UA, scores=[0.5, 0.7, 0.9])
+        assert table == AblationTable(M=2, metric=UA, scores=np.array([0.5, 0.7, 0.9]))
+        assert table != AblationTable(M=2, metric=UA, scores=[0.5, 0.7, 0.8])
+        assert table != AblationTable(M=2, metric=MAE, scores=[0.5, 0.7, 0.9])
+        assert table != AblationTable(M=3, metric=UA, scores=[0.5] * 7)
+        assert table != [0.5, 0.7, 0.9]
 
-    def test_wrong_pattern_width_rejected(self):
-        entries = {MaskPattern((1, 0, 1)): 0.7, MaskPattern((0, 1)): 0.5}
-        with pytest.raises((IncompleteTableError, DimensionError)):
-            AblationTable(M=2, metric=UA, perf_full=0.9, entries=entries)
+    def test_scores_are_copied(self):
+        given = np.array([0.5, 0.7, 0.9])
+        table = AblationTable(M=2, metric=UA, scores=given)
+        given[0] = 0.0
+        assert table.scores[0] == 0.5
 
-    def test_non_finite_score_rejected(self):
+    @pytest.mark.parametrize("scores", [[0.5, 0.9], [0.1] * 4, [[0.5, 0.7, 0.9]], []])
+    def test_wrong_score_count_rejected(self, scores):
+        with pytest.raises(DimensionError, match="2\\^2-1 scores"):
+            AblationTable(M=2, metric=UA, scores=scores)
+
+    def test_single_modality_rejected(self):
         with pytest.raises(DimensionError):
-            make_table(2, {(1, 1): 0.9, (1, 0): math.nan, (0, 1): 0.5})
+            AblationTable(M=1, metric=UA, scores=[0.5])
 
-    def test_unknown_pattern_lookup_rejected(self):
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_score_rejected(self, bad):
+        with pytest.raises(DimensionError, match="combination 10 "):
+            make_table(2, {(1, 1): 0.9, (1, 0): bad, (0, 1): 0.5})
+
+    @pytest.mark.parametrize("bits", [(1, 0, 1), (0, 0, 1), (1,) * 8])
+    def test_unknown_pattern_lookup_rejected(self, bits):
         table = make_table(2, {(1, 1): 0.9, (1, 0): 0.7, (0, 1): 0.5})
-        with pytest.raises(DimensionError):
-            table.score(MaskPattern((1, 0, 1)))
+        with pytest.raises(DimensionError, match="2-modality table"):
+            table.score(MaskPattern(bits))
 
 
 class TestCombosExcluding:
@@ -146,6 +150,26 @@ class TestPerfDrops:
                            metric=MAE)
         np.testing.assert_allclose(perf_drops(table, 1), [0.5 - 0.2])
         np.testing.assert_allclose(perf_drops(table, 0), [0.3 - 0.2])
+
+    @pytest.mark.parametrize("M", [2, 3, 6, 10])
+    @pytest.mark.parametrize("metric", [UA, MAE], ids=["higher", "lower"])
+    def test_equals_plain_loop(self, M, metric):
+        table = random_table(np.random.default_rng(M), M, metric)
+        for m in range(M):
+            got = perf_drops(table, m)
+            assert got.tolist() == plain_drops(table_scores(table),
+                                               metric.higher_is_better, m)
+
+    def test_equal_scores_give_positive_zero_drops(self):
+        for metric in (UA, MAE):
+            drops = perf_drops(make_table(2, dict.fromkeys(bit_tuples(2), 0.5), metric), 0)
+            assert math.copysign(1.0, drops[0]) == 1.0
+
+    def test_index_validated(self):
+        table = make_table(2, {(1, 1): 0.9, (1, 0): 0.7, (0, 1): 0.5})
+        for m in (-1, 2):
+            with pytest.raises(DimensionError):
+                perf_drops(table, m)
 
     def test_canonical_order_m3(self):
         scores = {bits: float(pattern_index(MaskPattern(bits))) / 10.0

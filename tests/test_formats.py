@@ -59,21 +59,12 @@ def mask_matrix() -> MaskMatrix:
 
 
 def ua_table() -> AblationTable:
-    return AblationTable(
-        M=2,
-        metric=PerfMetric.named("UA"),
-        perf_full=0.9,
-        entries={MaskPattern((0, 1)): 0.5, MaskPattern((1, 0)): AWKWARD},
-    )
+    # Scores of 01, 10 and 11, in canonical order.
+    return AblationTable(M=2, metric=PerfMetric.named("UA"), scores=[0.5, AWKWARD, 0.9])
 
 
 def mae_table() -> AblationTable:
-    return AblationTable(
-        M=2,
-        metric=PerfMetric.named("MAE"),
-        perf_full=0.25,
-        entries={MaskPattern((0, 1)): 1.5, MaskPattern((1, 0)): 0.75},
-    )
+    return AblationTable(M=2, metric=PerfMetric.named("MAE"), scores=[1.5, 0.75, 0.25])
 
 
 class TestMaskMatrixFormat:
@@ -144,6 +135,37 @@ class TestMaskMatrixFormat:
             read_mask_matrix(path)
 
 
+class TestMaskMatrixGoldenHashes:
+    """sha256 of whole `maskmatrix-v1` files at fixed (rates, seed, N).
+
+    Mask bits come from integer Philox words and IEEE compares, with no
+    BLAS call on the way, so these bytes are the same on every platform.
+    20000 rows cross the sampler's row chunk; the M=5 and M=12 rates
+    reject often enough that redraws cross the stream's 4-word blocks.
+    """
+
+    RATES = {
+        3: (0.1, 0.2, 0.6),
+        5: (0.85,) * 5,
+        12: (0.9, 0.95, 0.97, 0.8, 0.99, 0.85, 0.9, 0.99, 0.6, 0.92, 0.85, 0.95),
+    }
+    SHA256 = {
+        (3, 0): "77497bef7d1eae182c8e54f3d884cf5374d8c6c92d9cb5680ece94073a6d374d",
+        (3, 2**64 - 1): "1fdcc6d440175bb7d181ac873bcacc581f105939e12aaf4666028009708b3de8",
+        (5, 0): "d069be3e516719e76e9f39bea9d6f717b18f9d6d6bb0016cdce7683191dda932",
+        (5, 2**64 - 1): "4d6f9f3008922d77829770a3c1d57048c7a06ae4d21855baf0cea59291d21ab7",
+        (12, 0): "d6e69e1810ac07d4fe80302464381b41cc1fb46abaee49f02ac7f143d7d6c124",
+        (12, 2**64 - 1): "aed9752467c328b36633ec45740b0853d3dba36f3689262078439abdfa6caf92",
+    }
+
+    @pytest.mark.parametrize("M, seed", list(SHA256), ids=[f"M{m}-seed{s}" for m, s in SHA256])
+    def test_file_sha256(self, tmp_path, M, seed):
+        rates = RateVector(tuple(f"m{m}" for m in range(M)), self.RATES[M])
+        path = tmp_path / "masks.csv"
+        write_mask_matrix(generate_mask_matrix(rates, 20_000, seed), path)
+        assert file_sha256(path) == self.SHA256[M, seed]
+
+
 class TestAblationTableFormat:
     GOLDEN = (
         "combination,metric,value\n"
@@ -185,6 +207,17 @@ class TestAblationTableFormat:
         reread = read_ablation_tables(second)
         write_ablation_tables(sorted_tables(reread), first)
         assert first.read_bytes() == second.read_bytes()
+
+    def test_row_order_does_not_matter(self, tmp_path):
+        rng = np.random.default_rng(5)
+        scores = rng.uniform(size=31)
+        path = tmp_path / "table.csv"
+        table = AblationTable(M=5, metric=PerfMetric.named("UA"), scores=scores)
+        write_ablation_table(table, path)
+        header, *rows = path.read_text().splitlines()
+        shuffled = tmp_path / "shuffled.csv"
+        shuffled.write_text("\n".join([header, *rng.permutation(rows)]) + "\n")
+        assert read_ablation_tables(shuffled)["UA"].scores.tolist() == scores.tolist()
 
     def test_orientation_override(self, tmp_path):
         path = tmp_path / "table.csv"
@@ -237,19 +270,7 @@ class TestAblationTableFormat:
             read_ablation_tables(path)
 
     def test_mixed_m_in_one_file_rejected(self, tmp_path):
-        three = AblationTable(
-            M=3,
-            metric=PerfMetric.named("WA"),
-            perf_full=0.9,
-            entries={
-                p: 0.5
-                for p in (
-                    MaskPattern((0, 0, 1)), MaskPattern((0, 1, 0)),
-                    MaskPattern((0, 1, 1)), MaskPattern((1, 0, 0)),
-                    MaskPattern((1, 0, 1)), MaskPattern((1, 1, 0)),
-                )
-            },
-        )
+        three = AblationTable(M=3, metric=PerfMetric.named("WA"), scores=[0.5] * 6 + [0.9])
         with pytest.raises(Exception):
             write_ablation_tables([ua_table(), three], tmp_path / "t.csv")
 

@@ -24,14 +24,25 @@ from missdiag import (
     marginal_missing_rate,
     marginal_missing_rates,
     mean_match_shared,
+    pattern_bits,
     pattern_distribution,
-    pattern_probability,
-    sample_pattern,
-    sample_patterns,
 )
-from missdiag.protocol import _ROW_CHUNK, _generate_rows, pattern_index
+from missdiag.protocol import (
+    _ROW_CHUNK,
+    _generate_rows,
+    pattern_bitstrings,
+    pattern_counts,
+    pattern_index,
+)
 
-from oracles import enum_marginal, enum_pattern_probs, philox_mask_rows, random_rate_vector
+from oracles import (
+    bit_tuples,
+    enum_marginal,
+    enum_pattern_probs,
+    philox_mask_rows,
+    random_rate_vector,
+    scalar_pattern_probability,
+)
 
 
 def _rv(*rates: float) -> RateVector:
@@ -117,21 +128,52 @@ class TestMaskPattern:
             all_patterns(21)
 
 
+class TestPatternBits:
+    @pytest.mark.parametrize("M", [2, 3, 5, 9])
+    def test_rows_are_the_canonical_order(self, M):
+        bits = pattern_bits(M)
+        assert bits.shape == (2**M - 1, M) and bits.dtype == bool
+        assert [tuple(int(b) for b in row) for row in bits.tolist()] == bit_tuples(M)
+        assert [p.bits for p in all_patterns(M)] == bit_tuples(M)
+        assert pattern_bitstrings(M) == ["".join(map(str, b)) for b in bit_tuples(M)]
+
+    def test_row_index_is_code_minus_one(self):
+        for i, pattern in enumerate(all_patterns(4)):
+            assert pattern_index(pattern) == i + 1
+
+    def test_read_only(self):
+        with pytest.raises(ValueError):
+            pattern_bits(3)[0, 0] = True
+
+    @pytest.mark.parametrize("M", [1, 21])
+    def test_modality_count_validated(self, M):
+        with pytest.raises(DimensionError):
+            pattern_bits(M)
+
+    def test_counts_follow_the_canonical_order(self):
+        masks = np.array([[0, 0, 1], [1, 1, 1], [0, 0, 1], [1, 0, 0], [0, 0, 0]], dtype=np.int8)
+        assert pattern_counts(masks).tolist() == [2, 0, 0, 1, 0, 0, 1]
+
+
 class TestPatternProbability:
     def test_deterministic_rates_give_certain_full_pattern(self):
-        rv = _rv(0.0, 0.0, 0.0)
-        assert pattern_probability(rv, MaskPattern.full(3)) == 1.0
-        assert pattern_probability(rv, MaskPattern((1, 0, 1))) == 0.0
+        dist = pattern_distribution(_rv(0.0, 0.0, 0.0))
+        assert dist.probability_of(MaskPattern.full(3)) == 1.0
+        assert dist.probability_of(MaskPattern((1, 0, 1))) == 0.0
 
     def test_full_pattern_mass_frozen_value(self):
         # prod(1 - r) / (1 - prod r) = 0.12 / 0.88 for rates (0.4, 0.5, 0.6)
-        p = pattern_probability(_rv(0.4, 0.5, 0.6), MaskPattern.full(3))
+        p = pattern_distribution(_rv(0.4, 0.5, 0.6)).probability_of(MaskPattern.full(3))
         assert p == 0.13636363636363635
         assert p == 0.12 / 0.88
 
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(DimensionError):
-            pattern_probability(_rv(0.4, 0.5), MaskPattern((1, 0, 1)))
+    @pytest.mark.parametrize("bits", [(0, 0, 1), (1, 0, 1), (1,) * 3, (1,) * 8])
+    def test_length_mismatch_rejected(self, bits):
+        # A longer pattern once read another pattern's probability or ran
+        # off the end of the vector with an IndexError.
+        dist = pattern_distribution(_rv(0.4, 0.5))
+        with pytest.raises(DimensionError, match="pattern length"):
+            dist.probability_of(MaskPattern(bits))
 
     def test_distribution_sums_to_one(self):
         rng = np.random.default_rng(11)
@@ -148,50 +190,31 @@ class TestPatternProbability:
             M = int(rng.integers(2, 6))
             rv = _rv(*random_rate_vector(rng, M))
             exact = enum_pattern_probs(rv.rates)
-            for pattern in all_patterns(M):
-                got = pattern_probability(rv, pattern)
-                assert got == pytest.approx(float(exact[pattern.bits]), abs=1e-14)
+            got = pattern_distribution(rv).probabilities.tolist()
+            for p, bits in zip(got, bit_tuples(M)):
+                assert p == pytest.approx(float(exact[bits]), abs=1e-14)
+
+    @pytest.mark.parametrize("M", range(2, 15))
+    @pytest.mark.parametrize("kind", ["uniform", "zeros", "near_one"])
+    def test_equals_scalar_loop(self, M, kind):
+        rng = np.random.default_rng([M, len(kind)])
+        if kind == "near_one":
+            rates = random_rate_vector(rng, M, 0.97, 0.999999)
+        else:
+            rates = list(random_rate_vector(rng, M))
+            if kind == "zeros":
+                for m in rng.choice(M, size=max(1, M // 3), replace=False):
+                    rates[m] = 0.0
+        got = pattern_distribution(_rv(*rates)).probabilities.tolist()
+        want = [scalar_pattern_probability(rates, bits) for bits in bit_tuples(M)]
+        assert got == want
 
     def test_probability_of_lookup(self):
         rv = _rv(0.2, 0.7)
         dist = pattern_distribution(rv)
         for pattern in all_patterns(2):
-            assert dist.probability_of(pattern) == pattern_probability(rv, pattern)
-
-
-class TestSampling:
-    def test_zero_rates_always_full(self):
-        rng = np.random.default_rng(0)
-        rv = _rv(0.0, 0.0)
-        for _ in range(20):
-            assert sample_pattern(rv, rng) == MaskPattern.full(2)
-
-    def test_no_all_missing_rows_under_extreme_rates(self):
-        rng = np.random.default_rng(1)
-        rv = _rv(0.9, 0.9, 0.9)
-        draws = sample_patterns(rv, 20_000, rng)
-        assert draws.any(axis=1).all()
-
-    def test_scalar_sampler_respects_truncation(self):
-        rng = np.random.default_rng(2)
-        rv = _rv(0.85, 0.85)
-        for _ in range(2_000):
-            assert any(sample_pattern(rv, rng).bits)
-
-    def test_batch_frequencies_track_distribution(self):
-        rng = np.random.default_rng(3)
-        rv = _rv(0.4, 0.5, 0.6)
-        n = 100_000
-        draws = sample_patterns(rv, n, rng)
-        dist = pattern_distribution(rv)
-        for pattern, prob in zip(dist.patterns, dist.probabilities.tolist()):
-            observed = int((draws == np.array(pattern.bits)).all(axis=1).sum())
-            sigma = math.sqrt(n * prob * (1.0 - prob))
-            assert abs(observed - n * prob) < 4.5 * sigma
-
-    def test_zero_draw_count_rejected(self):
-        with pytest.raises(EmptyDatasetError):
-            sample_patterns(_rv(0.1, 0.2), 0, np.random.default_rng(0))
+            assert dist.probability_of(pattern) == scalar_pattern_probability(
+                rv.rates, pattern.bits)
 
 
 class TestGenerateMaskMatrix:
@@ -228,6 +251,18 @@ class TestGenerateMaskMatrix:
     def test_no_all_missing_rows(self):
         matrix = generate_mask_matrix(_rv(0.9, 0.9), 5_000, seed=5)
         assert matrix.masks.any(axis=1).all()
+
+    def test_zero_rates_always_full(self):
+        matrix = generate_mask_matrix(_rv(0.0, 0.0), 20, seed=0)
+        assert (matrix.masks == 1).all()
+
+    def test_pattern_frequencies_track_distribution(self):
+        rv = _rv(0.4, 0.5, 0.6)
+        n = 100_000
+        counts = pattern_counts(generate_mask_matrix(rv, n, seed=3).masks)
+        for observed, prob in zip(counts.tolist(), pattern_distribution(rv).probabilities):
+            sigma = math.sqrt(n * prob * (1.0 - prob))
+            assert abs(observed - n * prob) < 4.5 * sigma
 
     def test_empirical_rates_near_exact_marginals(self):
         rv = _rv(0.1, 0.2, 0.6)

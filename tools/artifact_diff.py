@@ -1,0 +1,202 @@
+"""Compare what two missdiag source trees write for one fixed set of commands.
+
+    python3 tools/artifact_diff.py PARENT_SRC CHANGE_SRC
+
+Each argument is a directory that holds the `missdiag` package, such as
+the `src/` of a checkout. Every command runs in a fresh interpreter whose
+PYTHONPATH is that directory alone, inside its own scratch directory and
+with the same relative paths on both sides, so console output compares
+as it is. The commands are the README paired simulation at seeds 1 and
+2, a 5-modality paired regression with per-epoch mask resampling, an
+8-modality paired run logging every third step, `mask generate` at
+M = 3, 5 and 12 (seed 2^64 - 1 among the seeds), `metrics mei` on an
+M = 10 table and `protocol mean-match` at M = 14 with JS and with KL.
+
+One line per artifact: `same`, or `differs` with the first line where the
+two sides part. The artifacts are every file a command writes and its
+console (exit status, stdout, stderr); `report.json` is compared without
+its `generated_at` timestamp. Exits 0 when every artifact is the same,
+1 when any differs, 2 on bad arguments.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import random
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+README_CONFIG = {
+    "modalities": ["audio", "video", "text"],
+    "protocol": {"rates": [0.1, 0.2, 0.6]},
+    "seed": 1,
+    "output_dir": "out",
+    "simulation": {
+        "dims": [16, 16, 16], "informativeness": [1.0, 1.0, 1.0],
+        "n_train": 2000, "n_valid": 300, "n_test": 6000, "n_classes": 8,
+        "epochs": 20, "batch_size": 48, "learning_rate": 0.015,
+        "mei_epoch_stride": 20, "paired": True,
+    },
+}
+RESAMPLE_CONFIG = {
+    "modalities": ["m0", "m1", "m2", "m3", "m4"],
+    "protocol": {"rates": [0.1, 0.3, 0.5, 0.2, 0.6]},
+    "seed": 1,
+    "simulation": {
+        "task": "regression", "dims": [8, 6, 5, 7, 4],
+        "informativeness": [1.0, 0.5, 1.0, 0.25, 1.0],
+        "n_train": 600, "n_valid": 100, "n_test": 500, "epochs": 6,
+        "batch_size": 32, "learning_rate": 0.01, "mei_epoch_stride": 3,
+        "resample_masks_per_epoch": True, "paired": True,
+    },
+}
+STRIDE_CONFIG = {
+    "modalities": [f"m{m}" for m in range(8)],
+    "protocol": {"rates": [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8]},
+    "seed": 2,
+    "simulation": {
+        "dims": [4] * 8, "informativeness": [1.0] * 8, "n_train": 400,
+        "n_valid": 100, "n_test": 400, "n_classes": 4, "epochs": 4,
+        "batch_size": 32, "mei_epoch_stride": 2, "grad_log_stride": 3,
+        "paired": True,
+    },
+}
+MASK_RATES = {
+    3: [0.1, 0.2, 0.6],
+    5: [0.85] * 5,
+    12: [0.9, 0.95, 0.97, 0.8, 0.99, 0.85, 0.9, 0.99, 0.6, 0.92, 0.85, 0.95],
+}
+U64_MAX = str(2**64 - 1)
+MEAN_MATCH_RATES = ",".join(repr(round(0.05 + 0.065 * m, 3)) for m in range(14))
+
+
+def _json(doc: dict) -> str:
+    return json.dumps(doc, indent=1) + "\n"
+
+
+def _mask_config(M: int) -> str:
+    names = [f"m{m}" for m in range(M)]
+    return _json({"modalities": names, "protocol": {"rates": MASK_RATES[M]},
+                  "seed": 0, "n_samples": 20_000})
+
+
+def _ablation_table(M: int) -> str:
+    rng = random.Random(M)
+    rows = ["combination,metric,value"]
+    for metric in ("UA", "MAE"):
+        rows += [f"{code:0{M}b},{metric},{rng.random()!r}" for code in range(1, 2**M)]
+    return "\n".join(rows) + "\n"
+
+
+def _simulate(config: dict, *extra: str) -> tuple[dict, list[str]]:
+    return ({"config.json": _json(config)},
+            ["simulate", "run", "--config", "config.json", "--out", "out", *extra])
+
+
+def _mask(M: int, seed: str) -> tuple[dict, list[str]]:
+    return ({"config.json": _mask_config(M)},
+            ["mask", "generate", "--config", "config.json", "--seed", seed,
+             "--out", "out/masks.csv"])
+
+
+# Case name -> (input files by name, missdiag argv run in the case directory).
+CASES: dict[str, tuple[dict, list[str]]] = {
+    "readme-seed1": _simulate(README_CONFIG, "--seed", "1"),
+    "readme-seed2": _simulate(README_CONFIG, "--seed", "2"),
+    "resample-m5": _simulate(RESAMPLE_CONFIG),
+    "stride3-m8": _simulate(STRIDE_CONFIG),
+    "mask-m3-seed0": _mask(3, "0"),
+    "mask-m3-seedmax": _mask(3, U64_MAX),
+    "mask-m5-seed1": _mask(5, "1"),
+    "mask-m12-seedmax": _mask(12, U64_MAX),
+    "mei-m10": ({"table.csv": _ablation_table(10)},
+                ["metrics", "mei", "--table", "table.csv"]),
+    "js-m14": ({}, ["protocol", "mean-match", "--rates", MEAN_MATCH_RATES, "--kind", "js"]),
+    "kl-m14": ({}, ["protocol", "mean-match", "--rates", MEAN_MATCH_RATES, "--kind", "kl"]),
+}
+
+
+def _start(src: Path, workdir: Path, inputs: dict, argv: list[str]) -> subprocess.Popen:
+    workdir.mkdir(parents=True)
+    for name, text in inputs.items():
+        (workdir / name).write_text(text, encoding="utf-8")
+    env = {k: v for k, v in os.environ.items() if k != "MISSDIAG_SEED"}
+    env.update(PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.Popen([sys.executable, "-m", "missdiag.cli", *argv], cwd=workdir,
+                            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True)
+
+
+def _outputs(workdir: Path, inputs: dict, proc: subprocess.Popen) -> dict[str, str]:
+    """Artifact name -> comparable text: the console, then every written file."""
+    stdout, stderr = proc.communicate()
+    outputs = {"console": f"exit {proc.returncode}\n[stdout]\n{stdout}[stderr]\n{stderr}"}
+    for path in sorted(workdir.rglob("*")):
+        name = path.relative_to(workdir).as_posix()
+        if not path.is_file() or name in inputs:
+            continue
+        text = path.read_text(encoding="utf-8", errors="replace")
+        if path.name == "report.json":
+            try:
+                doc = json.loads(text)
+                doc.pop("generated_at", None)
+                text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
+            except ValueError:
+                pass
+        outputs[name] = text
+    return outputs
+
+
+def _first_difference(parent: str, change: str) -> str:
+    a, b = parent.splitlines(), change.splitlines()
+    for i, (x, y) in enumerate(zip(a, b), start=1):
+        if x != y:
+            return f"line {i}: parent {x[:100]!r} change {y[:100]!r}"
+    i = min(len(a), len(b)) + 1
+    if len(a) != len(b):
+        side = "parent" if len(a) > len(b) else "change"
+        return f"line {i}: only the {side} has it: {(a if len(a) > len(b) else b)[i - 1][:100]!r}"
+    return "line endings differ"
+
+
+def compare(parent_src: Path, change_src: Path, cases: dict = CASES) -> int:
+    """Run every case on both trees, print one line per artifact; 1 if any differs."""
+    differs = False
+    with tempfile.TemporaryDirectory(prefix="artifact_diff.") as tmp:
+        for case, (inputs, argv) in cases.items():
+            dirs = [Path(tmp) / side / case for side in ("parent", "change")]
+            procs = [_start(src, d, inputs, argv)
+                     for src, d in zip((parent_src, change_src), dirs)]
+            parent, change = (_outputs(d, inputs, p) for d, p in zip(dirs, procs))
+            for name in sorted(parent.keys() | change.keys(), key=lambda n: (n != "console", n)):
+                label = f"{case}/{name}"
+                if name not in change or name not in parent:
+                    side = "parent" if name in parent else "change"
+                    print(f"differs {label}: written by the {side} only")
+                elif parent[name] != change[name]:
+                    print(f"differs {label}: {_first_difference(parent[name], change[name])}")
+                else:
+                    print(f"same    {label}")
+                    continue
+                differs = True
+    return 1 if differs else 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 2:
+        print("usage: python3 tools/artifact_diff.py PARENT_SRC CHANGE_SRC", file=sys.stderr)
+        return 2
+    trees = [Path(a).resolve() for a in args]
+    for tree in trees:
+        if not (tree / "missdiag" / "__init__.py").is_file():
+            print(f"error: {tree} holds no missdiag package", file=sys.stderr)
+            return 2
+    return compare(*trees)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
