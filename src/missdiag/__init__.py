@@ -41,13 +41,17 @@ from .errors import (
     TrainingDivergedError,
 )
 from .learning import (
+    GRAD_SAMPLE_DTYPE,
     GradSample,
     GradTrace,
     MLIResult,
     assemble_trace,
     delta_series,
+    grad_sample_array,
+    grad_sample_list,
     mli,
     modality_loss,
+    samples_from_norms,
     trace_from_norms,
 )
 from .protocol import (

@@ -60,14 +60,16 @@ def _json_float(x: float) -> float | str:
 
 
 @contextmanager
-def _writing_out(args: argparse.Namespace):
-    """Name the --out option in an OS error raised while writing under it (exit 3)."""
+def _writing_out(args: argparse.Namespace, config: cfg.ExperimentConfig | None = None):
+    """Name --out, else the config's output_dir, in an OS error raised while writing (exit 3)."""
     try:
         yield
     except OSError as exc:
-        if not args.out:
+        if args.out:
+            raise OSError(f"--out {args.out}: {exc}") from exc
+        if config is None:
             raise
-        raise OSError(f"--out {args.out}: {exc}") from exc
+        raise OSError(f"config output_dir {config.output_dir}: {exc}") from exc
 
 
 def _print_pattern_table(masks: np.ndarray, probabilities=None) -> None:
@@ -93,7 +95,7 @@ def _cmd_mask_generate(args: argparse.Namespace) -> int:
     rates = config.rate_vector()
     matrix = protocol.generate_mask_matrix(rates, config.n_samples, config.seed)
     out = Path(args.out) if args.out else Path(config.output_dir) / "masks.csv"
-    with _writing_out(args):
+    with _writing_out(args, config):
         protocol.write_mask_matrix(matrix, out)
     print(f"wrote maskmatrix-v1: {out} (N={matrix.N}, M={matrix.M}, seed={config.seed})")
     empirical = protocol.empirical_rates(matrix)
@@ -266,7 +268,7 @@ def _run_payload(run: simtrainer.RunLog, divergence_kind: str, artifacts: dict) 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    with _writing_out(args):
+    with _writing_out(args, config):
         _simulate(config, Path(args.out) if args.out else Path(config.output_dir))
     return 0
 

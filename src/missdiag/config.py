@@ -290,11 +290,11 @@ def resolve_config(
     rates = protocol.get("rates")
     if "shared_rate" in protocol:
         _check_type("protocol.shared_rate", float, shared_rate)
-    if rates is not None:
-        if not isinstance(rates, list) or not all(
-            isinstance(r, (int, float)) and not isinstance(r, bool) for r in rates
-        ):
+    if "rates" in protocol:
+        if not isinstance(rates, list):
             raise ConfigError("'protocol.rates' must be a list of numbers")
+        for i, rate in enumerate(rates):
+            _check_type(f"protocol.rates[{i}]", float, rate)
         if len(rates) != len(modalities):
             raise ConfigError(
                 f"'protocol.rates' has {len(rates)} entries for "

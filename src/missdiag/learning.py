@@ -5,9 +5,12 @@ of the gradient of the modality-m-restricted loss with respect to each
 of K model modules. These norms travel as one (T, M, K) float64 array
 with a (T, M) flag grid marking the logged cells; `trace_from_norms`
 reduces it to G_m(t), the mean over modules, summed in module order so
-that the same norms always give the same bits. `GradSample` rows exist
-only at the file and public-API boundary (`gradtrace-v1`), and
-`assemble_trace` scatters them into the same arrays. The step-to-step
+that the same norms always give the same bits. Logged norms travel as
+rows too, in one columnar form: a structured array of `GRAD_SAMPLE_DTYPE`
+(fields step, modality, module, grad_l2). The `gradtrace-v1` reader and
+writer, `RunLog.grad_samples()` and `assemble_trace`, which scatters the
+rows back into the (T, M, K) array, all use it; `GradSample` objects are
+built only on request, by `grad_sample_list`. The step-to-step
 variation delta_m(t) = |G_m(t) - G_m(t-1)| is compared across
 modalities:
 
@@ -21,7 +24,6 @@ higher values indicate asynchronous, unstable per-modality updates.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -29,6 +31,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import textformat
 from .errors import (
     DimensionError,
     DuplicateSampleError,
@@ -59,6 +62,44 @@ class GradSample:
             )
         if not math.isfinite(self.grad_l2) or self.grad_l2 < 0:
             raise InvalidTraceError(f"grad_l2 must be finite and >= 0, got {self.grad_l2}")
+
+
+# The columnar form of gradient-norm rows: one record per GradSample.
+GRAD_SAMPLE_DTYPE = np.dtype(
+    [("step", np.int64), ("modality", np.int64), ("module", np.int64), ("grad_l2", np.float64)]
+)
+
+
+def grad_sample_array(samples: Iterable[GradSample] | np.ndarray) -> np.ndarray:
+    """Rows as a `GRAD_SAMPLE_DTYPE` array; an array is cast, GradSample objects are read."""
+    if isinstance(samples, np.ndarray):
+        return samples.astype(GRAD_SAMPLE_DTYPE, copy=False)
+    return np.array(
+        [(s.step, s.modality, s.module, s.grad_l2) for s in samples], dtype=GRAD_SAMPLE_DTYPE
+    )
+
+
+def grad_sample_list(samples: np.ndarray) -> list[GradSample]:
+    """The rows of a `GRAD_SAMPLE_DTYPE` array as validated GradSample objects."""
+    return [GradSample(*row) for row in samples.tolist()]
+
+
+def samples_from_norms(
+    steps: Sequence[int], norms: np.ndarray, defined: np.ndarray
+) -> np.ndarray:
+    """Rows of the defined cells of a (T, M, K) norm array, in (step, modality, module) order.
+
+    The inverse of `assemble_trace`'s scatter; undefined cells give no rows.
+    """
+    norms = np.asarray(norms, dtype=np.float64)
+    K = norms.shape[2]
+    t, m = np.nonzero(defined)
+    out = np.empty(t.size * K, dtype=GRAD_SAMPLE_DTYPE)
+    out["step"] = np.repeat(np.asarray(steps, dtype=np.int64)[t], K)
+    out["modality"] = np.repeat(m, K)
+    out["module"] = np.tile(np.arange(K), t.size)
+    out["grad_l2"] = norms[t, m].reshape(-1)
+    return out
 
 
 @dataclass(frozen=True)
@@ -97,6 +138,15 @@ class GradTrace:
         defined.setflags(write=False)
         object.__setattr__(self, "defined", defined)
         object.__setattr__(self, "warnings", tuple(self.warnings))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, GradTrace):
+            return NotImplemented
+        return (
+            np.array_equal(self.values, other.values)
+            and np.array_equal(self.defined, other.defined)
+            and self.warnings == other.warnings
+        )
 
     @property
     def T(self) -> int:
@@ -195,60 +245,74 @@ def trace_from_norms(
 
 
 def assemble_trace(
-    samples: Iterable[GradSample],
+    samples: np.ndarray | Iterable[GradSample],
     M: int | None = None,
     module_count: int | None = None,
 ) -> GradTrace:
-    """Build a contiguous (T, M) grid of G_m(t) from a sample stream.
+    """Build a contiguous (T, M) grid of G_m(t) from gradient-norm rows.
 
-    Arrival order is irrelevant. Exact duplicate rows are tolerated;
-    rows that disagree on the same (step, modality, module) raise. Every
-    logged (step, modality) cell needs one row per module. Cells with no
-    rows — the modality was absent from that step's batch — are imputed
-    as `trace_from_norms` describes. When M or module_count is omitted
-    it is inferred from the stream.
+    `samples` is a `GRAD_SAMPLE_DTYPE` array, or GradSample objects that
+    are converted to one. Arrival order is irrelevant. Exact duplicate
+    rows are tolerated; rows that disagree on the same (step, modality,
+    module) raise. Every logged (step, modality) cell needs one row per
+    module. Cells with no rows — the modality was absent from that step's
+    batch — are imputed as `trace_from_norms` describes. When M or
+    module_count is omitted it is inferred from the rows. Errors name the
+    first offending row in arrival order.
     """
-    by_key: dict[tuple[int, int, int], float] = {}
-    for sample in samples:
-        key = (sample.step, sample.modality, sample.module)
-        prev = by_key.get(key)
-        if prev is None:
-            by_key[key] = sample.grad_l2
-        elif prev != sample.grad_l2:
-            raise DuplicateSampleError(
-                f"conflicting grad_l2 at step {key[0]}, modality {key[1]}, "
-                f"module {key[2]}: {prev} vs {sample.grad_l2}"
-            )
-    if not by_key:
+    rows = grad_sample_array(samples)
+    step, modality, module, value = (rows[name] for name in GRAD_SAMPLE_DTYPE.names)
+    bad = (step < 0) | (modality < 0) | (module < 0) | ~np.isfinite(value) | (value < 0)
+    if bad.any():
+        GradSample(*rows[np.argmax(bad)].tolist())  # raises with the row's reason
+
+    # A stable sort groups equal keys in arrival order; the first row of a
+    # group holds the value that later rows of the group must repeat.
+    order = np.lexsort((module, modality, step))
+    keys = np.stack((step[order], modality[order], module[order]))
+    starts = np.ones(order.size, dtype=bool)
+    starts[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
+    first = order[np.maximum.accumulate(np.where(starts, np.arange(order.size), 0))]
+    clash = value[order] != value[first]
+    if clash.any():
+        j = int(order[clash].min())
+        i = int(first[order == j][0])
+        s, m, k = rows[j].tolist()[:3]
+        raise DuplicateSampleError(
+            f"conflicting grad_l2 at step {s}, modality {m}, module {k}: "
+            f"{value[i].tolist()} vs {value[j].tolist()}"
+        )
+    if not rows.size:
         raise InsufficientTraceError("empty gradient sample stream")
-    if M is None:
-        M = max(k[1] for k in by_key) + 1
-    if module_count is None:
-        module_count = max(k[2] for k in by_key) + 1
+    M = int(modality.max()) + 1 if M is None else M
+    module_count = int(module.max()) + 1 if module_count is None else module_count
     if M < 1:
         raise DimensionError(f"modality count must be >= 1, got {M}")
     if module_count < 1:
         raise DimensionError(f"module count must be >= 1, got {module_count}")
+    out_of_range = (modality >= M) | (module >= module_count)
+    if out_of_range.any():
+        s, m, k, _ = rows[np.argmax(out_of_range)].tolist()
+        if m >= M:
+            raise DimensionError(f"modality index {m} out of range for M={M}")
+        raise InvalidTraceError(
+            f"module index {k} out of range for module count {module_count}"
+        )
 
-    steps = sorted({k[0] for k in by_key})
-    row_of = {s: t for t, s in enumerate(steps)}
-    norms = np.zeros((len(steps), M, module_count))
-    counts = np.zeros((len(steps), M), dtype=np.int64)
-    for (step, modality, module), norm in by_key.items():
-        if modality >= M:
-            raise DimensionError(f"modality index {modality} out of range for M={M}")
-        if module >= module_count:
-            raise InvalidTraceError(
-                f"module index {module} out of range for module count {module_count}"
-            )
-        norms[row_of[step], modality, module] = norm
-        counts[row_of[step], modality] += 1
+    unique = order[starts]
+    steps, t = np.unique(step[unique], return_inverse=True)
+    cell = (t, modality[unique], module[unique])
+    norms = np.zeros((steps.size, M, module_count))
+    norms[cell] = value[unique]
+    seen = np.zeros(norms.shape, dtype=bool)
+    seen[cell] = True
+    counts = seen.sum(axis=2)
     incomplete = np.argwhere((counts > 0) & (counts < module_count))
     if incomplete.size:
         t, m = incomplete[0].tolist()
-        missing = [k for k in range(module_count) if (steps[t], m, k) not in by_key]
         raise InvalidTraceError(
-            f"missing module entries: {missing} at step {steps[t]}, modality {m}"
+            f"missing module entries: {np.flatnonzero(~seen[t, m]).tolist()} "
+            f"at step {steps[t]}, modality {m}"
         )
     return trace_from_norms(steps, norms, counts > 0)
 
@@ -309,28 +373,28 @@ def mli(trace: GradTrace, stride: int = 1) -> MLIResult:
 # gradtrace-v1 / gradagg-v1 file formats
 
 
-def write_grad_samples(samples: Sequence[GradSample], path: str | Path) -> None:
+def write_grad_samples(samples: np.ndarray | Iterable[GradSample], path: str | Path) -> None:
     """Write a `gradtrace-v1` CSV, rows sorted by (step, modality, module)."""
     from .report import atomic_write_text
 
+    rows = grad_sample_array(samples)
+    rows = rows[np.lexsort((rows["module"], rows["modality"], rows["step"]))]
     lines = ["step,modality,module,grad_l2"]
-    for s in sorted(samples, key=lambda s: (s.step, s.modality, s.module)):
-        lines.append(f"{s.step},{s.modality},{s.module},{s.grad_l2!r}")
+    lines += [f"{t},{m},{k},{g!r}" for t, m, k, g in rows.tolist()]
     atomic_write_text(Path(path), "\n".join(lines) + "\n")
 
 
-def read_grad_samples(path: str | Path) -> list[GradSample]:
-    """Read a `gradtrace-v1` CSV; malformed rows raise with their line number."""
-    rows = _read_numeric_csv(path, ("step", "modality", "module", "grad_l2"))
-    samples = []
-    for lineno, (step, modality, module, grad_l2) in rows:
-        try:
-            samples.append(
-                GradSample(step=step, modality=modality, module=module, grad_l2=grad_l2)
-            )
-        except InvalidTraceError as exc:
-            raise FileFormatError(f"{path}:{lineno}: {exc}") from None
-    return samples
+_TRACE_FIELDS = (textformat.INT, textformat.INT, textformat.INT, textformat.FLOAT)
+_AGG_FIELDS = (textformat.INT, textformat.INT, textformat.FLOAT)
+_AGG_DTYPE = np.dtype([("step", np.int64), ("modality", np.int64), ("G", np.float64)])
+
+
+def read_grad_samples(path: str | Path) -> np.ndarray:
+    """Read a `gradtrace-v1` CSV into a `GRAD_SAMPLE_DTYPE` array.
+
+    The first malformed row raises `FileFormatError` with its line number.
+    """
+    return _read_trace_rows(path, _TRACE_FIELDS, GRAD_SAMPLE_DTYPE)
 
 
 def write_agg_trace(trace: GradTrace, path: str | Path) -> None:
@@ -346,15 +410,11 @@ def write_agg_trace(trace: GradTrace, path: str | Path) -> None:
 
 def read_agg_trace(path: str | Path) -> GradTrace:
     """Read a `gradagg-v1` CSV into a trace (one module per cell implied)."""
-    rows = _read_numeric_csv(path, ("step", "modality", "G"))
-    samples = []
-    for lineno, (step, modality, g) in rows:
-        try:
-            samples.append(GradSample(step=step, modality=modality, module=0, grad_l2=g))
-        except InvalidTraceError as exc:
-            raise FileFormatError(f"{path}:{lineno}: {exc}") from None
+    cells = _read_trace_rows(path, _AGG_FIELDS, _AGG_DTYPE)
+    rows = np.zeros(cells.size, dtype=GRAD_SAMPLE_DTYPE)
+    rows["step"], rows["modality"], rows["grad_l2"] = cells["step"], cells["modality"], cells["G"]
     try:
-        return assemble_trace(samples, module_count=1)
+        return assemble_trace(rows, module_count=1)
     except InsufficientTraceError:
         raise FileFormatError(f"{path}: no trace rows") from None
 
@@ -362,8 +422,8 @@ def read_agg_trace(path: str | Path) -> GradTrace:
 def sniff_trace_format(path: str | Path) -> str:
     """Return 'gradtrace-v1' or 'gradagg-v1' from a file's header line."""
     path = Path(path)
-    with path.open("r", encoding="utf-8", newline="") as f:
-        header = f.readline().strip()
+    with path.open("rb") as f:
+        header = ",".join(textformat.read_header(path, f.readline()))
     if header == "step,modality,module,grad_l2":
         return "gradtrace-v1"
     if header == "step,modality,G":
@@ -371,34 +431,26 @@ def sniff_trace_format(path: str | Path) -> str:
     raise FileFormatError(f"{path}: unrecognised trace header {header!r}")
 
 
-def _read_numeric_csv(
-    path: str | Path, expected_header: tuple[str, ...]
-) -> list[tuple[int, tuple]]:
-    """(line number, parsed row) pairs; leading columns int, last float."""
-    path = Path(path)
-    n_int = len(expected_header) - 1
-    out: list[tuple[int, tuple]] = []
-    with path.open("r", encoding="utf-8", newline="") as f:
-        reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise FileFormatError(f"{path}: empty file") from None
-        if tuple(header) != expected_header:
-            raise FileFormatError(
-                f"{path}: expected header {','.join(expected_header)!r}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(expected_header):
-                raise FileFormatError(
-                    f"{path}:{lineno}: expected {len(expected_header)} fields"
-                )
-            try:
-                ints = [int(v) for v in row[:n_int]]
-                value = float(row[-1])
-            except ValueError:
-                raise FileFormatError(f"{path}:{lineno}: non-numeric field") from None
-            out.append((lineno, tuple([*ints, value])))
-    return out
+def _read_trace_rows(path: str | Path, fields: tuple[str, ...], dtype: np.dtype) -> np.ndarray:
+    """Rows of a trace file whose header is `dtype`'s field names."""
+    header, body = textformat.read_text(path)
+    if tuple(header) != dtype.names:
+        raise FileFormatError(f"{path}: expected header {','.join(dtype.names)!r}")
+    rows = textformat.parse_rows(body, fields, dtype)
+    if rows is None or not np.isfinite(rows[dtype.names[-1]]).all():
+        raise textformat.first_bad_line(path, body, dtype.names, fields, _trace_row_error)
+    return rows
+
+
+def _trace_row_error(k: int, cells: list[str]) -> str | None:
+    """The reason a row's cells do not form a GradSample (module 0 when absent), if any."""
+    try:
+        ints = [int(v) for v in cells[:-1]]
+        value = float(cells[-1])
+    except ValueError:
+        return "non-numeric field"
+    try:
+        GradSample(ints[0], ints[1], ints[2] if len(ints) > 2 else 0, value)
+    except InvalidTraceError as exc:
+        return str(exc)
+    return None

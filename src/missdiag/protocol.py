@@ -13,7 +13,6 @@ the imbalanced regime (IMR) allows arbitrary per-modality rates.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,6 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import textformat
 from .errors import (
     DimensionError,
     EmptyDatasetError,
@@ -240,6 +240,14 @@ class MaskMatrix:
         masks.setflags(write=False)
         object.__setattr__(self, "masks", masks)
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, MaskMatrix):
+            return NotImplemented
+        return (
+            (self.rates, self.seed) == (other.rates, other.seed)
+            and np.array_equal(self.masks, other.masks)
+        )
+
     @property
     def N(self) -> int:
         return int(self.masks.shape[0])
@@ -443,38 +451,35 @@ def write_mask_matrix(matrix: MaskMatrix, path: str | Path) -> None:
 
 
 def read_mask_matrix(path: str | Path) -> tuple[tuple[str, ...], np.ndarray]:
-    """Read a `maskmatrix-v1` CSV; returns (modality names, (N, M) int8 array)."""
-    path = Path(path)
-    with path.open("r", encoding="utf-8", newline="") as f:
-        reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise FileFormatError(f"{path}: empty file") from None
-        if len(header) < 3 or header[0] != "sample_id":
-            raise FileFormatError(f"{path}: expected header 'sample_id,<modalities...>'")
-        names = tuple(header[1:])
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise FileFormatError(f"{path}:{lineno}: expected {len(header)} fields")
-            try:
-                sample_id = int(row[0])
-                bits = [int(v) for v in row[1:]]
-            except ValueError:
-                raise FileFormatError(f"{path}:{lineno}: non-integer field") from None
-            # Mask row i is applied to training sample i, so ids must count from 0.
-            if sample_id != len(rows):
-                raise FileFormatError(
-                    f"{path}:{lineno}: sample_id {sample_id}, expected {len(rows)}")
-            if any(b not in (0, 1) for b in bits):
-                raise FileFormatError(f"{path}:{lineno}: mask values must be 0 or 1")
-            rows.append(bits)
-    if not rows:
+    """Read a `maskmatrix-v1` CSV; returns (modality names, (N, M) int8 array).
+
+    The first malformed row raises `FileFormatError` with its line number.
+    """
+    header, body = textformat.read_text(path)
+    if len(header) < 3 or header[0] != "sample_id":
+        raise FileFormatError(f"{path}: expected header 'sample_id,<modalities...>'")
+    fields = (textformat.INT,) + (textformat.BIT,) * (len(header) - 1)
+    rows = textformat.parse_rows(body, fields, np.dtype(np.int64))
+    # Mask row i is applied to training sample i, so ids must count from 0.
+    if rows is None or not np.array_equal(rows[:, 0], np.arange(rows.shape[0])):
+        raise textformat.first_bad_line(path, body, header, fields, _mask_row_error)
+    if not rows.shape[0]:
         raise FileFormatError(f"{path}: no mask rows")
-    masks = np.array(rows, dtype=np.int8)
+    masks = rows[:, 1:].astype(np.int8)
     if not masks.any(axis=1).all():
         raise FileFormatError(f"{path}: contains an all-missing row")
-    return names, masks
+    return tuple(header[1:]), masks
+
+
+def _mask_row_error(k: int, cells: list[str]) -> str | None:
+    """The reason data row k is not a mask row with sample_id k, if any."""
+    try:
+        sample_id = int(cells[0])
+        bits = [int(v) for v in cells[1:]]
+    except ValueError:
+        return "non-integer field"
+    if sample_id != k:
+        return f"sample_id {sample_id}, expected {k}"
+    if any(b not in (0, 1) for b in bits):
+        return "mask values must be 0 or 1"
+    return None

@@ -33,11 +33,11 @@ from .equity import (
 )
 from .errors import ConfigError, DimensionError, EmptyDatasetError, TrainingDivergedError
 from .learning import (
-    GradSample,
     GradTrace,
     MLIResult,
     mli,
     modality_loss,
+    samples_from_norms,
     trace_from_norms,
 )
 from .protocol import (
@@ -423,6 +423,17 @@ class StepLog:
     modality_losses: tuple[float | None, ...]
     grad_norms: np.ndarray | None
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, StepLog):
+            return NotImplemented
+        mine, theirs = self.grad_norms, other.grad_norms
+        return (
+            (self.step, self.task_loss, self.modality_losses)
+            == (other.step, other.task_loss, other.modality_losses)
+            and (mine is None) == (theirs is None)
+            and (mine is None or np.array_equal(mine, theirs))
+        )
+
 
 def train_step(
     model: ToyModel,
@@ -620,16 +631,19 @@ class RunLog:
                 return result
         raise KeyError(f"no MEI result for metric {metric_name!r}, mode {mode!r}")
 
-    def grad_samples(self) -> list[GradSample]:
-        """The logged gradient norms as rows in (step, modality, module) order."""
-        return [
-            GradSample(step=log.step, modality=m, module=k, grad_l2=norm)
-            for log in self.steps
-            if log.grad_norms is not None
-            for m, row in enumerate(log.grad_norms.tolist())
-            if log.modality_losses[m] is not None
-            for k, norm in enumerate(row)
-        ]
+    def grad_samples(self) -> np.ndarray:
+        """The logged norms as `GRAD_SAMPLE_DTYPE` rows in (step, modality, module) order."""
+        return samples_from_norms(*_logged_norms(self.steps))
+
+
+def _logged_norms(steps: Sequence[StepLog]) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Step numbers, (T, M, K) norms and (T, M) defined flags of the steps that logged norms."""
+    logged = [log for log in steps if log.grad_norms is not None]
+    return (
+        [log.step for log in logged],
+        np.stack([log.grad_norms for log in logged]),
+        np.array([[loss is not None for loss in log.modality_losses] for log in logged]),
+    )
 
 
 def describe_run(spec: SynthSpec, config: TrainConfig) -> dict:
@@ -714,12 +728,7 @@ def run_experiment(spec: SynthSpec, config: TrainConfig) -> RunLog:
             valid_tables.append((epoch, tables))
 
     test_tables = tuple(ablation_table(model, dataset.test, m) for m in metrics)
-    logged = [log for log in steps if log.grad_norms is not None]
-    trace = trace_from_norms(
-        [log.step for log in logged],
-        np.stack([log.grad_norms for log in logged]),
-        [[loss is not None for loss in log.modality_losses] for log in logged],
-    )
+    trace = trace_from_norms(*_logged_norms(steps))
     mei_results = tuple(
         (table.metric.name, mei_from_table(table, config.epsilon, mode))
         for table in test_tables

@@ -1,0 +1,139 @@
+"""Strict line-grammar readers shared by the numeric CSV formats.
+
+`maskmatrix-v1`, `gradtrace-v1` and `gradagg-v1` files are a header line
+and a body of comma-separated rows, every line ended by LF (the last
+one too). Each body column has a grammar:
+
+- `INT`: a canonical decimal integer, `0` or `[1-9][0-9]*`;
+- `BIT`: `0` or `1`;
+- `FLOAT`: a nonnegative float as `repr` writes it: `0.5`, `2.0`,
+  `1e-05`, `1.5e+16`.
+
+`parse_rows` checks every body line against the line grammar with one
+regex substitution and converts the body with numpy's `loadtxt` in one
+step. Only when that fails does `first_bad_line` walk the lines in
+Python to name the first bad one as `path:line: reason`.
+"""
+
+from __future__ import annotations
+
+import codecs
+import csv
+import io
+import re
+from functools import lru_cache
+from pathlib import Path
+from typing import Callable
+
+import numpy as np
+
+from .errors import FileFormatError
+
+INT = r"0|[1-9][0-9]*"
+BIT = r"[01]"
+FLOAT = r"(?:0|[1-9][0-9]*)\.[0-9]+|[1-9](?:\.[0-9]+)?e[+-](?:0[1-9]|[1-9][0-9]{1,2})"
+
+_DESCRIPTIONS = {
+    INT: "a canonical decimal integer",
+    BIT: "0 or 1",
+    FLOAT: "a nonnegative float in repr form",
+}
+_INT64_MAX = np.iinfo(np.int64).max
+
+
+@lru_cache(maxsize=32)
+def _line_re(fields: tuple[str, ...]) -> re.Pattern:
+    return re.compile(",".join(f"(?:{f})" for f in fields) + "\n")
+
+
+def read_header(path: str | Path, line: bytes) -> list[str]:
+    """Fields of a file's first line, given its bytes up to and including the LF."""
+    if not line:
+        raise FileFormatError(f"{path}: empty file")
+    if line.startswith(codecs.BOM_UTF8):
+        raise FileFormatError(f"{path}:1: byte-order mark before the header")
+    try:
+        text = line.decode("utf-8")
+    except UnicodeDecodeError:
+        raise FileFormatError(f"{path}:1: not UTF-8 text") from None
+    if not text.endswith("\n"):
+        raise FileFormatError(f"{path}:1: no newline at end of file")
+    if text.endswith("\r\n"):
+        raise FileFormatError(f"{path}:1: CRLF line ending, expected LF")
+    return next(csv.reader([text[:-1]]), [])
+
+
+def read_text(path: str | Path) -> tuple[list[str], str]:
+    """(header fields, body text) of a file; the body starts at line 2."""
+    data = Path(path).read_bytes()
+    end = data.find(b"\n") + 1
+    header = read_header(path, data[:end] if end else data)
+    try:
+        return header, data[end:].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = 2 + data.count(b"\n", end, end + exc.start)
+        raise FileFormatError(f"{path}:{line}: not UTF-8 text") from None
+
+
+def parse_rows(body: str, fields: tuple[str, ...], dtype: np.dtype) -> np.ndarray | None:
+    """The body as an array, or None when a line breaks the grammar or a number overflows.
+
+    A structured `dtype` gives one record per line; a plain one an
+    (N, len(fields)) array.
+    """
+    # `sub` matches one line at a time: a single `(?:line)*` match would keep
+    # a backtracking frame per line, and possessive repeats need Python 3.11.
+    if _line_re(fields).sub("", body):
+        return None
+    if not body:
+        return np.empty(0 if dtype.names else (0, len(fields)), dtype=dtype)
+    try:
+        return np.loadtxt(io.StringIO(body), delimiter=",", dtype=dtype,
+                          ndmin=1 if dtype.names else 2)
+    except ValueError:  # an integer beyond int64
+        return None
+
+
+def first_bad_line(
+    path: str | Path,
+    body: str,
+    names: tuple[str, ...] | list[str],
+    fields: tuple[str, ...],
+    check: Callable[[int, list[str]], str | None],
+) -> FileFormatError:
+    """The error for the first line, in file order, that does not read.
+
+    Per line: the LF ending, the field count, then `check(k, cells)` (the
+    format's own value checks on data row k, counted from 0), then each
+    cell's grammar and the int64 range.
+    """
+    lines = body.split("\n")
+    for k, line in enumerate(lines):
+        last = k == len(lines) - 1
+        if last and not line:
+            break
+        reason = _line_error(k, line, names, fields, check)
+        if reason is None and last:
+            reason = "no newline at end of file"
+        if reason is not None:
+            return FileFormatError(f"{path}:{k + 2}: {reason}")
+    return FileFormatError(f"{path}: unreadable rows")
+
+
+def _line_error(k, line, names, fields, check) -> str | None:
+    if line.endswith("\r"):
+        return "CRLF line ending, expected LF"
+    if not line:
+        return "blank line"
+    cells = line.split(",")
+    if len(cells) != len(fields):
+        return f"expected {len(fields)} fields"
+    reason = check(k, cells)
+    if reason is not None:
+        return reason
+    for name, field, cell in zip(names, fields, cells):
+        if not re.fullmatch(field, cell):
+            return f"{name} {cell!r} is not {_DESCRIPTIONS[field]}"
+        if field == INT and int(cell) > _INT64_MAX:
+            return f"{name} {cell} does not fit in a signed 64-bit integer"
+    return None

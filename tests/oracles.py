@@ -7,8 +7,10 @@ with the package internals.
 
 from __future__ import annotations
 
+import csv
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -153,8 +155,8 @@ def zero_imputed_forward(model, features, bits) -> np.ndarray:
     return fused @ model.fus_W + model.fus_b
 
 
-def brute_trace_grid(samples, M: int, K: int) -> list[list[float]]:
-    """G_m(t) grid from gradient-norm rows (step, modality, module, grad_l2).
+def brute_trace_grid(rows, M: int, K: int) -> list[list[float]]:
+    """G_m(t) grid from gradient-norm rows, (step, modality, module, grad_l2) tuples.
 
     Each logged (step, modality) cell adds its K module norms one by one
     in module order and divides by K. An unlogged cell takes the
@@ -162,8 +164,8 @@ def brute_trace_grid(samples, M: int, K: int) -> list[list[float]]:
     step when no earlier one exists. Rows are one per distinct step.
     """
     cells = {}
-    for s in samples:
-        cells.setdefault((s.step, s.modality), {})[s.module] = s.grad_l2
+    for step, modality, module, grad_l2 in rows:
+        cells.setdefault((step, modality), {})[module] = grad_l2
     grid = []
     for step in sorted({step for step, _ in cells}):
         row = []
@@ -212,3 +214,96 @@ def plain_mask_csv(names, masks) -> bytes:
     for i, row in enumerate(masks.tolist()):
         lines.append(f"{i}," + ",".join(str(b) for b in row))
     return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+# The csv readers the package used before its strict-grammar readers:
+# `csv` splits each row, `int()`/`float()` convert each cell, blank rows
+# are skipped, and CRLF reads like LF. On every file the package writes,
+# the package readers must give exactly what these give.
+
+
+def csv_read_mask_matrix(path) -> tuple[tuple[str, ...], np.ndarray]:
+    """(modality names, (N, M) int8 array) of a `maskmatrix-v1` file, row by row."""
+    with Path(path).open("r", encoding="utf-8", newline="") as f:
+        reader = csv.reader(f)
+        header = next(reader)
+        assert header[0] == "sample_id" and len(header) >= 3, header
+        rows = []
+        for row in reader:
+            if not row:
+                continue
+            assert len(row) == len(header), row
+            assert int(row[0]) == len(rows), row
+            bits = [int(v) for v in row[1:]]
+            assert all(b in (0, 1) for b in bits) and any(bits), row
+            rows.append(bits)
+    return tuple(header[1:]), np.array(rows, dtype=np.int8)
+
+
+def csv_read_numeric_rows(path, header: tuple[str, ...]) -> list[tuple]:
+    """Rows of a trace file as tuples: every column an int except the last, a float."""
+    with Path(path).open("r", encoding="utf-8", newline="") as f:
+        reader = csv.reader(f)
+        assert tuple(next(reader)) == header
+        out = []
+        for row in reader:
+            if not row:
+                continue
+            assert len(row) == len(header), row
+            out.append(tuple([int(v) for v in row[:-1]] + [float(row[-1])]))
+    return out
+
+
+def csv_read_grad_samples(path) -> list[tuple[int, int, int, float]]:
+    """(step, modality, module, grad_l2) rows of a `gradtrace-v1` file."""
+    return csv_read_numeric_rows(path, ("step", "modality", "module", "grad_l2"))
+
+
+def csv_read_agg_grid(path) -> list[list[float]]:
+    """The G grid of a `gradagg-v1` file, one row per step in step order."""
+    cells = {(t, m): g for t, m, g in csv_read_numeric_rows(path, ("step", "modality", "G"))}
+    steps = sorted({t for t, _ in cells})
+    M = max(m for _, m in cells) + 1
+    return [[cells[(t, m)] for m in range(M)] for t in steps]
+
+
+def dict_assemble_error(rows, M=None, K=None) -> tuple[str, str] | None:
+    """(error class name, message) of the first fault a dict-based trace assembly meets.
+
+    `rows` are (step, modality, module, grad_l2) tuples in arrival order.
+    The first value seen for a key is kept; a later different value is a
+    conflict. Range faults are looked for in first-arrival key order,
+    incomplete cells in (step, modality) order. None when nothing is wrong.
+    """
+    by_key = {}
+    for step, modality, module, value in rows:
+        key = (step, modality, module)
+        if key not in by_key:
+            by_key[key] = value
+        elif by_key[key] != value:
+            return ("DuplicateSampleError",
+                    f"conflicting grad_l2 at step {step}, modality {modality}, "
+                    f"module {module}: {by_key[key]} vs {value}")
+    if not by_key:
+        return "InsufficientTraceError", "empty gradient sample stream"
+    M = max(k[1] for k in by_key) + 1 if M is None else M
+    K = max(k[2] for k in by_key) + 1 if K is None else K
+    if M < 1:
+        return "DimensionError", f"modality count must be >= 1, got {M}"
+    if K < 1:
+        return "DimensionError", f"module count must be >= 1, got {K}"
+    modules = {}
+    for step, modality, module in by_key:
+        if modality >= M:
+            return "DimensionError", f"modality index {modality} out of range for M={M}"
+        if module >= K:
+            return ("InvalidTraceError",
+                    f"module index {module} out of range for module count {K}")
+        modules.setdefault((step, modality), set()).add(module)
+    for step, modality in sorted(modules):
+        present = modules[(step, modality)]
+        if len(present) < K:
+            missing = [k for k in range(K) if k not in present]
+            return ("InvalidTraceError",
+                    f"missing module entries: {missing} at step {step}, modality {modality}")
+    return None

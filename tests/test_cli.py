@@ -294,6 +294,32 @@ class TestTopLevelFieldTypes:
         assert err == f"error: 'protocol.shared_rate' must be a JSON number, got {value}\n"
         assert not (tmp_path / "out").exists()
 
+    # Each element of protocol.rates is a number in the same sense.
+    RATE_ELEMENTS = [(0, "NaN"), (1, "Infinity"), (2, "-Infinity"), (0, "true"),
+                     (1, "false"), (2, "null"), (0, '"0.1"'), (1, "[0.2]")]
+
+    @pytest.mark.parametrize("command", ["mask", "simulate"])
+    @pytest.mark.parametrize("index, value", RATE_ELEMENTS,
+                             ids=[f"{i}={v}" for i, v in RATE_ELEMENTS])
+    def test_bad_rate_element_is_config_error(self, tmp_path, capsys, command, index, value):
+        M = 3 if command == "mask" else 2
+        rates = ["0.1", "0.2", "0.3"][:M]
+        rates[index % M] = value
+        config = mask_config(tmp_path) if command == "mask" else sim_config(tmp_path)
+        argv = [command, "generate" if command == "mask" else "run", "--config", config,
+                "--set", f'protocol={{"rates": [{",".join(rates)}]}}']
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: 'protocol.rates[{index % M}]' must be a JSON number, "
+                       f"got {value}\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_rates_must_be_a_list(self, tmp_path, capsys):
+        argv = ["mask", "generate", "--config", mask_config(tmp_path),
+                "--set", 'protocol={"rates": null}']
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: 'protocol.rates' must be a list of numbers\n"
+
     def test_integer_shared_rate_accepted(self, tmp_path, capsys):
         config = mask_config(tmp_path, protocol={"shared_rate": 0})
         assert main(["mask", "generate", "--config", config]) == 0
@@ -316,6 +342,21 @@ class TestOutUnderAFile:
         err = capsys.readouterr().err
         assert err.startswith(f"error: --out {out}") and err.count("\n") == 1
         assert "Errno" in err
+        assert afile.read_text() == "taken\n"
+
+    @pytest.mark.parametrize("command", ["mask", "simulate"])
+    @pytest.mark.parametrize("under", ["", "/sub"])
+    def test_names_the_config_output_dir(self, tmp_path, capsys, command, under):
+        afile = tmp_path / "afile"
+        afile.write_text("taken\n")
+        out = f"{afile}{under}"
+        config = mask_config(tmp_path) if command == "mask" else sim_config(tmp_path)
+        argv = [command, "generate" if command == "mask" else "run", "--config", config,
+                "--set", f"output_dir={json.dumps(out)}"]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config output_dir {out}: [Errno ")
+        assert err.count("\n") == 1 and "Traceback" not in err
         assert afile.read_text() == "taken\n"
 
 

@@ -1,0 +1,267 @@
+"""Strict line grammars of the numeric CSV formats, against the csv-era readers.
+
+Every file the package writes must read exactly as the former `csv`
+readers (`tests/oracles.py`) read it. Every spelling outside the
+grammar must end in exit 3 with the offending `path:line:` and no
+traceback.
+"""
+
+from __future__ import annotations
+
+import json
+
+import numpy as np
+import pytest
+
+from missdiag import assemble_trace
+from missdiag.cli import main
+from missdiag.errors import FileFormatError
+from missdiag.learning import (
+    GRAD_SAMPLE_DTYPE,
+    read_agg_trace,
+    read_grad_samples,
+    write_agg_trace,
+    write_grad_samples,
+)
+from missdiag.protocol import read_mask_matrix
+
+import oracles
+
+U64_MAX = 2**64 - 1
+
+
+def _mask_config(tmp_path, M: int) -> str:
+    path = tmp_path / f"mask{M}.json"
+    path.write_text(json.dumps({
+        "modalities": [f"m{m}" for m in range(M)],
+        "protocol": {"rates": np.linspace(0.1, 0.8, M).tolist()},
+        "seed": 0,
+        "n_samples": 3000,
+    }))
+    return str(path)
+
+
+def _sim_config(tmp_path, M: int, stride: int) -> str:
+    path = tmp_path / f"sim{M}.json"
+    path.write_text(json.dumps({
+        "modalities": [f"m{m}" for m in range(M)],
+        "protocol": {"rates": np.linspace(0.3, 0.8, M).tolist()},
+        "seed": 3,
+        "simulation": {
+            "dims": [3] * M, "informativeness": [1.0] * M, "n_train": 48,
+            "n_valid": 8, "n_test": 200, "epochs": 2, "batch_size": 2,
+            "n_classes": 3, "grad_log_stride": stride,
+        },
+    }))
+    return str(path)
+
+
+class TestWrittenFilesReadLikeCsv:
+    @pytest.mark.parametrize("M", [3, 5, 12])
+    @pytest.mark.parametrize("seed", [0, U64_MAX])
+    def test_mask_generate(self, tmp_path, capsys, M, seed):
+        path = tmp_path / "masks.csv"
+        argv = ["mask", "generate", "--config", _mask_config(tmp_path, M),
+                "--seed", str(seed), "--out", str(path)]
+        assert main(argv) == 0
+        names, masks = read_mask_matrix(path)
+        want_names, want = oracles.csv_read_mask_matrix(path)
+        assert names == want_names
+        assert masks.dtype == want.dtype == np.int8
+        assert np.array_equal(masks, want)
+
+    @pytest.mark.parametrize("M", [2, 3, 8])
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_simulate_run_traces(self, tmp_path, capsys, M, stride):
+        out = tmp_path / "out"
+        assert main(["simulate", "run", "--config", _sim_config(tmp_path, M, stride),
+                     "--out", str(out)]) == 0
+        rows = read_grad_samples(out / "gradtrace.csv")
+        want = oracles.csv_read_grad_samples(out / "gradtrace.csv")
+        assert rows.dtype == GRAD_SAMPLE_DTYPE
+        assert rows.tolist() == want
+        assembled = assemble_trace(rows)
+        assert assembled.values.tolist() == oracles.brute_trace_grid(want, M, M + 1)
+        assert not assembled.defined.all()  # the trace has absent cells
+        agg = read_agg_trace(out / "gradagg.csv")
+        assert agg.values.tolist() == oracles.csv_read_agg_grid(out / "gradagg.csv")
+        assert agg.values.tolist() == assembled.values.tolist()
+
+    def test_analyze_style_trace_with_absent_cells(self, tmp_path):
+        rng = np.random.default_rng(17)
+        T, M, K = 300, 4, 5
+        norms = 1.5 * np.exp(np.cumsum(rng.normal(0.0, 0.05, size=(T, M, K)), axis=0))
+        absent = rng.random((T, M)) < 0.05
+        absent[absent.all(axis=1), 0] = False
+        cells = [(t, m) for t in range(T) for m in range(M) if not absent[t, m]]
+        rows = np.array([(t + 1, m, k, norms[t, m, k]) for t, m in cells for k in range(K)],
+                        dtype=GRAD_SAMPLE_DTYPE)
+        path = tmp_path / "gradtrace.csv"
+        write_grad_samples(rows[rng.permutation(rows.size)], path)
+        got = read_grad_samples(path)
+        want = oracles.csv_read_grad_samples(path)
+        assert got.tolist() == want == rows.tolist()
+        trace = assemble_trace(got)
+        assert trace.values.tolist() == oracles.brute_trace_grid(want, M, K)
+        agg_path = tmp_path / "gradagg.csv"
+        write_agg_trace(trace, agg_path)
+        assert read_agg_trace(agg_path).values.tolist() == oracles.csv_read_agg_grid(agg_path)
+
+    def test_every_repr_float_form_reads_back(self, tmp_path):
+        rng = np.random.default_rng(5)
+        values = np.concatenate([
+            [0.0, 5e-324, 2.2250738585072014e-308, 1e-5, 9.999999999999999e-05, 1e-4,
+             0.1 + 0.2, 1.0, 123.0, 9999999999999998.0, 1e16, 1.7976931348623157e308],
+            10.0 ** rng.uniform(-320, 308, size=400),
+        ])
+        rows = np.zeros(values.size, dtype=GRAD_SAMPLE_DTYPE)
+        rows["step"] = np.arange(1, values.size + 1)
+        rows["grad_l2"] = values
+        path = tmp_path / "trace.csv"
+        write_grad_samples(rows, path)
+        assert read_grad_samples(path)["grad_l2"].tolist() == values.tolist()
+
+
+MASK_HEADER = "sample_id,a,b\n"
+TRACE_HEADER = "step,modality,module,grad_l2\n"
+AGG_HEADER = "step,modality,G\n"
+
+# (case id, file text, line named in the error). Each file is read by the
+# command that takes it: `mask stats` or `metrics mli`.
+MASK_CASES = [
+    ("underscore-bit", MASK_HEADER + "0,0_1,1\n", 2),
+    ("spaced-and-signed", MASK_HEADER + "0,1,0\n1, 1,+0\n", 3),
+    ("leading-zero-id", MASK_HEADER + "0,1,1\n01,1,0\n", 3),
+    ("crlf-body", MASK_HEADER + "0,1,0\r\n1,0,1\r\n", 2),
+    ("crlf-header", "sample_id,a,b\r\n0,1,0\r\n", 1),
+    ("blank-line", MASK_HEADER + "0,1,0\n\n1,0,1\n", 3),
+    ("trailing-blank-line", MASK_HEADER + "0,1,0\n\n", 3),
+    ("bom", "\ufeff" + MASK_HEADER + "0,1,0\n", 1),
+    ("truncated-last-row", MASK_HEADER + "0,1,0\n1,0", 3),
+    ("no-final-newline", MASK_HEADER + "0,1,0\n1,0,1", 3),
+    ("id-beyond-int64", MASK_HEADER + "0,1,0\n99999999999999999999,1,0\n", 3),
+    ("non-utf8", (MASK_HEADER + "0,1,0\n").encode() + b"1,\xff,0\n", 3),
+]
+TRACE_CASES = [
+    ("underscore-float", TRACE_HEADER + "1,0,0,0.5\n1,1,0,1_0.5\n", 3),
+    ("short-exponent", TRACE_HEADER + "1,0,0,0.5\n1,1,0,5e-1\n", 3),
+    ("negative", TRACE_HEADER + "1,0,0,0.5\n1,1,0,-0.5\n", 3),
+    ("nan", TRACE_HEADER + "1,0,0,0.5\n1,1,0,nan\n", 3),
+    ("overflow-float", TRACE_HEADER + "1,0,0,0.5\n1,1,0,1e400\n", 3),
+    ("overflow-float-repr-form", TRACE_HEADER + "1,0,0,0.5\n1,1,0,1e+400\n", 3),
+    ("crlf-body", TRACE_HEADER + "1,0,0,0.5\r\n", 2),
+    ("crlf-header", "step,modality,module,grad_l2\r\n1,0,0,0.5\r\n", 1),
+    ("blank-line", TRACE_HEADER + "1,0,0,0.5\n\n1,1,0,0.5\n", 3),
+    ("bom", "\ufeff" + TRACE_HEADER + "1,0,0,0.5\n", 1),
+    ("truncated-last-row", TRACE_HEADER + "1,0,0,0.5\n1,1,", 3),
+    ("no-final-newline", TRACE_HEADER + "1,0,0,0.5\n1,1,0,0.5", 3),
+    ("step-beyond-int64", TRACE_HEADER + "1,0,0,0.5\n9223372036854775808,1,0,0.5\n", 3),
+    ("leading-zero-step", TRACE_HEADER + "1,0,0,0.5\n02,0,0,0.5\n", 3),
+    ("agg-underscore-float", AGG_HEADER + "1,0,0.5\n1,1,1_0.5\n", 3),
+    ("agg-short-exponent", AGG_HEADER + "1,0,0.5\n1,1,5e-1\n", 3),
+    ("agg-negative", AGG_HEADER + "1,0,0.5\n1,1,-0.5\n", 3),
+    ("agg-nan", AGG_HEADER + "1,0,0.5\n1,1,nan\n", 3),
+    ("agg-overflow-float", AGG_HEADER + "1,0,0.5\n1,1,1e400\n", 3),
+    ("agg-crlf-body", AGG_HEADER + "1,0,0.5\r\n", 2),
+    ("agg-blank-line", AGG_HEADER + "1,0,0.5\n\n", 3),
+    ("agg-truncated-last-row", AGG_HEADER + "1,0,0.5\n1,1", 3),
+    ("agg-step-beyond-int64", AGG_HEADER + "1,0,0.5\n18446744073709551616,1,0.5\n", 3),
+]
+
+
+def _write_case(tmp_path, text: str | bytes):
+    path = tmp_path / "case.csv"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
+    return path
+
+
+class TestMalformedCorpus:
+    @pytest.mark.parametrize("text, line", [c[1:] for c in MASK_CASES],
+                             ids=[c[0] for c in MASK_CASES])
+    def test_mask_stats(self, tmp_path, capsys, text, line):
+        path = _write_case(tmp_path, text)
+        assert main(["mask", "stats", "--file", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:{line}: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text, line", [c[1:] for c in TRACE_CASES],
+                             ids=[c[0] for c in TRACE_CASES])
+    def test_metrics_mli(self, tmp_path, capsys, text, line):
+        path = _write_case(tmp_path, text)
+        assert main(["metrics", "mli", "--trace", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:{line}: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
+class TestMessages:
+    """Rows the csv readers rejected keep their messages; new rejections say why."""
+
+    @pytest.mark.parametrize("cell, reason", [
+        ("x", "non-numeric field"),
+        ("-0.5", "grad_l2 must be finite and >= 0, got -0.5"),
+        ("nan", "grad_l2 must be finite and >= 0, got nan"),
+        ("1e400", "grad_l2 must be finite and >= 0, got inf"),
+        ("1e+400", "grad_l2 must be finite and >= 0, got inf"),
+        ("1_0.5", "grad_l2 '1_0.5' is not a nonnegative float in repr form"),
+        ("5e-1", "grad_l2 '5e-1' is not a nonnegative float in repr form"),
+        ("-0.0", "grad_l2 '-0.0' is not a nonnegative float in repr form"),
+    ])
+    def test_trace_cell(self, tmp_path, cell, reason):
+        path = _write_case(tmp_path, TRACE_HEADER + "1,0,0,0.5\n2,0,0," + cell + "\n")
+        with pytest.raises(FileFormatError) as info:
+            read_grad_samples(path)
+        assert str(info.value) == f"{path}:3: {reason}"
+
+    @pytest.mark.parametrize("row, reason", [
+        ("1,0", "expected 3 fields"),
+        ("1,0,x", "non-integer field"),
+        ("2,0,1", "sample_id 2, expected 1"),
+        ("1,2,0", "mask values must be 0 or 1"),
+        ("+1,0,1", "sample_id '+1' is not a canonical decimal integer"),
+        ("1,0,0_1", "b '0_1' is not 0 or 1"),
+    ])
+    def test_mask_row(self, tmp_path, row, reason):
+        path = _write_case(tmp_path, MASK_HEADER + "0,1,0\n" + row + "\n")
+        with pytest.raises(FileFormatError) as info:
+            read_mask_matrix(path)
+        assert str(info.value) == f"{path}:3: {reason}"
+
+    def test_first_bad_row_in_file_order_wins(self, tmp_path):
+        # Line 3 breaks only the grammar, line 4 a csv-era check too.
+        path = _write_case(tmp_path, TRACE_HEADER + "1,0,0,0.5\n1,1,0,5e-1\n1,2,0,-1.0\n")
+        with pytest.raises(FileFormatError, match=r":3: grad_l2 '5e-1'"):
+            read_grad_samples(path)
+
+    def test_step_beyond_int64(self, tmp_path):
+        path = _write_case(tmp_path, TRACE_HEADER + "9223372036854775808,0,0,0.5\n")
+        with pytest.raises(FileFormatError) as info:
+            read_grad_samples(path)
+        assert str(info.value) == (
+            f"{path}:2: step 9223372036854775808 does not fit in a signed 64-bit integer")
+
+    def test_largest_int64_step_reads(self, tmp_path):
+        path = _write_case(tmp_path, TRACE_HEADER + "9223372036854775807,0,0,0.5\n")
+        assert read_grad_samples(path)["step"].tolist() == [2**63 - 1]
+
+
+class TestFinalNewline:
+    """Every line ends with LF, the last one included; a file cut short is rejected."""
+
+    def test_last_row_without_newline_rejected(self, tmp_path):
+        path = _write_case(tmp_path, MASK_HEADER + "0,1,0\n1,0,1")
+        with pytest.raises(FileFormatError) as info:
+            read_mask_matrix(path)
+        assert str(info.value) == f"{path}:3: no newline at end of file"
+
+    def test_header_without_newline_rejected(self, tmp_path):
+        path = _write_case(tmp_path, "step,modality,G")
+        with pytest.raises(FileFormatError, match=":1: no newline at end of file"):
+            read_agg_trace(path)
+
+    def test_header_only_file_has_no_rows(self, tmp_path):
+        path = _write_case(tmp_path, MASK_HEADER)
+        with pytest.raises(FileFormatError, match="no mask rows"):
+            read_mask_matrix(path)
+        assert read_grad_samples(_write_case(tmp_path, TRACE_HEADER)).size == 0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -26,6 +27,8 @@ from missdiag.equity import (
     write_ablation_tables,
 )
 from missdiag.learning import (
+    GRAD_SAMPLE_DTYPE,
+    grad_sample_list,
     read_agg_trace,
     read_grad_samples,
     sniff_trace_format,
@@ -314,7 +317,10 @@ class TestGradTraceFormat:
     def test_round_trip_full_precision(self, tmp_path):
         path = tmp_path / "trace.csv"
         write_grad_samples(grad_samples(), path)
-        assert read_grad_samples(path) == grad_samples()
+        rows = read_grad_samples(path)
+        assert rows.dtype == GRAD_SAMPLE_DTYPE
+        assert rows.tolist() == [astuple(s) for s in grad_samples()]
+        assert grad_sample_list(rows) == grad_samples()
 
     def test_sniffer(self, tmp_path):
         path = tmp_path / "trace.csv"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from missdiag import (
     GradTrace,
     InsufficientTraceError,
     InvalidTraceError,
+    MissdiagError,
     assemble_trace,
     delta_series,
     mli,
@@ -22,7 +24,14 @@ from missdiag import (
     trace_from_norms,
 )
 
-from oracles import brute_mli, brute_trace_grid
+from missdiag.learning import (
+    GRAD_SAMPLE_DTYPE,
+    grad_sample_array,
+    grad_sample_list,
+    samples_from_norms,
+)
+
+from oracles import brute_mli, brute_trace_grid, dict_assemble_error
 
 
 def samples_from_grid(grid: np.ndarray, modules: int = 1) -> list[GradSample]:
@@ -147,7 +156,7 @@ class TestAssembleTrace:
             ]
             shuffled = [samples[i] for i in rng.permutation(len(samples))]
             trace = assemble_trace(shuffled, M=2, module_count=k)
-            assert trace.values.tolist() == brute_trace_grid(samples, 2, k)
+            assert trace.values.tolist() == brute_trace_grid(map(astuple, samples), 2, k)
 
     def test_out_of_range_module_rejected(self):
         samples = [GradSample(step=1, modality=0, module=3, grad_l2=1.0)]
@@ -223,6 +232,93 @@ class TestAssembleTrace:
     def test_empty_stream_rejected(self):
         with pytest.raises(InsufficientTraceError):
             assemble_trace([])
+
+
+class TestAssembleTraceColumns:
+    """The array path keeps the dict-based assembly's results and first errors."""
+
+    @staticmethod
+    def _random_rows(rng):
+        T, M, K = (int(v) for v in rng.integers(1, 5, size=3))
+        rows = [(int(t), m, k, float(rng.choice([0.5, 1.0, 0.1 + 0.2, 2.0])))
+                for t in rng.choice(np.arange(1, 12), size=T, replace=False)
+                for m in range(M) for k in range(K) if rng.random() > 0.1]
+        for _ in range(int(rng.integers(0, 3))):  # repeats and clashes
+            step, m, k, value = rows[int(rng.integers(len(rows)))]
+            rows.append((step, m, k, value if rng.random() < 0.5 else value + 1.0))
+        if rng.random() < 0.2:
+            rows.append((1, M + int(rng.integers(0, 2)), K + int(rng.integers(0, 2)), 1.0))
+        order = rng.permutation(len(rows))
+        return [rows[i] for i in order]
+
+    def test_first_error_and_grid_match_dict_assembly(self):
+        rng = np.random.default_rng(23)
+        outcomes = set()
+        for _ in range(400):
+            rows = self._random_rows(rng)
+            M = None if rng.random() < 0.5 else int(rng.integers(0, 5))
+            K = None if rng.random() < 0.5 else int(rng.integers(0, 5))
+            want = dict_assemble_error(rows, M, K)
+            array = np.array(rows, dtype=GRAD_SAMPLE_DTYPE)
+            try:
+                trace = assemble_trace(array, M=M, module_count=K)
+            except MissdiagError as exc:
+                got = (type(exc).__name__, str(exc))
+                if want is None:  # a modality with no logged cell at all
+                    assert got[1].endswith("has no defined gradient values")
+                else:
+                    assert got == want
+                outcomes.add(got[0])
+                continue
+            assert want is None
+            assert trace == assemble_trace(grad_sample_list(array), M=M, module_count=K)
+            width = array["modality"].max() + 1 if M is None else M
+            modules = array["module"].max() + 1 if K is None else K
+            assert trace.values.tolist() == brute_trace_grid(rows, width, modules)
+            outcomes.add("ok")
+        assert outcomes == {"ok", "DuplicateSampleError", "DimensionError",
+                            "InvalidTraceError", "InsufficientTraceError"}
+
+    def test_invalid_values_raise_like_grad_sample(self):
+        for row in [(-1, 0, 0, 1.0), (1, 0, -2, 1.0), (1, 0, 0, -0.5), (1, 0, 0, math.inf)]:
+            array = np.array([(1, 0, 0, 1.0), row], dtype=GRAD_SAMPLE_DTYPE)
+            with pytest.raises(InvalidTraceError) as info:
+                assemble_trace(array)
+            with pytest.raises(InvalidTraceError) as direct:
+                GradSample(*row)
+            assert str(info.value) == str(direct.value)
+
+    def test_samples_from_norms_inverts_the_scatter(self):
+        rng = np.random.default_rng(4)
+        norms = rng.uniform(0.1, 2.0, size=(5, 3, 4))
+        defined = rng.random((5, 3)) < 0.7
+        defined[0] = True
+        rows = samples_from_norms([2, 3, 5, 8, 9], norms, defined)
+        assert rows.dtype == GRAD_SAMPLE_DTYPE
+        assert rows.tolist() == sorted(rows.tolist())
+        assert rows.size == defined.sum() * 4
+        assert assemble_trace(rows, M=3, module_count=4) == trace_from_norms(
+            [2, 3, 5, 8, 9], norms, defined)
+
+    def test_grad_sample_list_round_trip(self):
+        samples = samples_from_grid(np.array([[1.0, 2.0], [0.1 + 0.2, 4.0]]), modules=2)
+        array = grad_sample_array(samples)
+        assert array.dtype == GRAD_SAMPLE_DTYPE
+        assert grad_sample_list(array) == samples
+        assert grad_sample_array(array) is array
+
+
+class TestGradTraceEquality:
+    def test_value_equality(self):
+        values = np.array([[1.0, 2.0], [3.0, 4.0]])
+        defined = np.array([[True, False], [True, True]])
+        trace = GradTrace(values=values, defined=defined, warnings=("w",))
+        assert trace == GradTrace(values=values.copy(), defined=defined.copy(), warnings=("w",))
+        assert trace != GradTrace(values=values + 1.0, defined=defined, warnings=("w",))
+        assert trace != GradTrace(values=values, warnings=("w",))
+        assert trace != GradTrace(values=values, defined=defined)
+        assert trace != GradTrace(values=values[:1], defined=defined[:1], warnings=("w",))
+        assert trace != "trace"
 
 
 class TestTraceFromNorms:

@@ -293,6 +293,19 @@ class TestGenerateMaskMatrix:
         with pytest.raises(DimensionError):
             MaskMatrix(rates=rv, seed=0, masks=np.ones((4, 3), dtype=np.int8))
 
+    def test_value_equality(self):
+        rv = _rv(0.3, 0.4, 0.5)
+        matrix = generate_mask_matrix(rv, 50, seed=0)
+        assert matrix == generate_mask_matrix(rv, 50, seed=0)
+        assert matrix != generate_mask_matrix(rv, 50, seed=1)  # other masks, other seed
+        assert matrix != generate_mask_matrix(rv, 49, seed=0)
+        flipped = matrix.masks.copy()
+        flipped[0] = [0, 1, 1] if matrix.masks[0].tolist() == [1, 1, 1] else [1, 1, 1]
+        assert matrix != MaskMatrix(rates=rv, seed=0, masks=flipped)  # one row differs
+        assert matrix != MaskMatrix(rates=rv, seed=1, masks=matrix.masks)
+        assert matrix != MaskMatrix(rates=_rv(0.3, 0.4, 0.6), seed=0, masks=matrix.masks)
+        assert matrix != matrix.masks.tolist()
+
     def test_masks_are_read_only(self):
         matrix = generate_mask_matrix(_rv(0.1, 0.2), 10, seed=0)
         with pytest.raises(ValueError):

@@ -17,6 +17,7 @@ from missdiag import (
     TrainingDivergedError,
     PerfMetric,
     RateVector,
+    StepLog,
     SynthSpec,
     TrainConfig,
     ablation_table,
@@ -510,10 +511,31 @@ class TestRunExperiment:
             assert log.grad_norms.shape == (2, 3)
             assert not log.grad_norms.flags.writeable
             for m, loss in enumerate(log.modality_losses):
-                modules = [s.module for s in samples
-                           if s.step == log.step and s.modality == m]
+                cell = (samples["step"] == log.step) & (samples["modality"] == m)
+                modules = samples["module"][cell].tolist()
                 assert modules == ([] if loss is None else [0, 1, 2])
         assert any(loss is None for log in run.steps for loss in log.modality_losses)
+
+    def test_value_equality(self):
+        spec, config = small_spec(), quick_config(rates=(0.3, 0.6), batch_size=4)
+        run = run_experiment(spec, config)
+        again = run_experiment(spec, config)
+        assert run == again
+        assert run.steps == again.steps and run.trace == again.trace
+        other = run_experiment(spec, quick_config(rates=(0.3, 0.6), batch_size=4, seed=10))
+        assert run != other
+        assert run.steps != other.steps and run.trace != other.trace
+        assert run.mask_matrices != other.mask_matrices
+
+    def test_step_log_equality(self):
+        norms = np.ones((2, 3))
+        log = StepLog(step=1, task_loss=0.5, modality_losses=(0.5, None), grad_norms=norms)
+        assert log == StepLog(1, 0.5, (0.5, None), norms.copy())
+        assert log != StepLog(1, 0.5, (0.5, None), norms * 2.0)
+        assert log != StepLog(1, 0.5, (0.5, None), None)
+        assert StepLog(1, 0.5, (0.5, None), None) == StepLog(1, 0.5, (0.5, None), None)
+        assert log != StepLog(2, 0.5, (0.5, None), norms)
+        assert log != StepLog(1, 0.5, (0.5, 0.5), norms)
 
     def test_mask_matrix_fixed_across_epochs_by_default(self):
         run = run_experiment(small_spec(), quick_config(rates=(0.3, 0.3)))
@@ -615,7 +637,7 @@ class TestGradTraceOracle:
         run = run_experiment(spec, config)
         assert not run.trace.defined.all()  # some modality absent from a batch
         samples = run.grad_samples()
-        assert run.trace.values.tolist() == brute_trace_grid(samples, M, M + 1)
+        assert run.trace.values.tolist() == brute_trace_grid(samples.tolist(), M, M + 1)
         assembled = assemble_trace(samples, M=M, module_count=M + 1)
         assert assembled.values.tolist() == run.trace.values.tolist()
         np.testing.assert_array_equal(assembled.defined, run.trace.defined)
@@ -624,7 +646,7 @@ class TestGradTraceOracle:
 
     def test_samples_come_in_file_order(self):
         run = run_experiment(small_spec(), quick_config(rates=(0.3, 0.6), batch_size=4))
-        keys = [(s.step, s.modality, s.module) for s in run.grad_samples()]
+        keys = [row[:3] for row in run.grad_samples().tolist()]
         assert keys == sorted(keys)
 
 
