@@ -166,7 +166,10 @@ class ExperimentConfig:
 
 def load_raw_config(path: str | Path) -> dict:
     """Parse the JSON document (structure validated later by resolve_config)."""
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}: not UTF-8 text") from None
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -16,8 +16,8 @@ provided; they sum to 1.
 
 from __future__ import annotations
 
-import csv
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -31,6 +31,7 @@ from .errors import (
     IncompleteTableError,
 )
 from .protocol import MaskPattern, pattern_bits, pattern_bitstrings, pattern_index
+from .textformat import FLOAT, read_text
 
 DEFAULT_EPSILON = 1e-8
 
@@ -306,60 +307,92 @@ def write_ablation_table(table: AblationTable, path: str | Path) -> None:
     write_ablation_tables([table], path)
 
 
+_COMBINATION = re.compile(r"[01]+")
+_VALUE = re.compile(f"-?(?:{FLOAT})")
+_ROW = re.compile(f'([01]+),([^,"\r\n]+),(-?(?:{FLOAT}))')
+
+
+def _combination_error(combo: str, M: int | None) -> str | None:
+    if M is not None and len(combo) != M:
+        return f"combination length {len(combo)} != {M}"
+    if "1" not in combo:
+        return "all-missing combination"
+    return None
+
+
+def _row_error(line: str, M: int | None) -> str:
+    """Why a line outside the row grammar does not read; the csv-era checks come first."""
+    if line.endswith("\r"):
+        return "CRLF line ending, expected LF"
+    if not line:
+        return "blank line"
+    cells = line.split(",")
+    if len(cells) != 3:
+        return f"expected 3 fields, got {len(cells)}"
+    combo, metric_name, value_text = cells
+    if not _COMBINATION.fullmatch(combo):
+        return f"bad combination {combo!r}"
+    reason = _combination_error(combo, M)
+    if reason is not None:
+        return reason
+    if not _VALUE.fullmatch(value_text):
+        try:
+            value = float(value_text)
+        except ValueError:
+            return f"bad value {value_text!r}"
+        if not math.isfinite(value):
+            return f"non-finite value {value_text!r}"
+        return f"value {value_text!r} is not a float in repr form"
+    return f"bad metric name {metric_name!r}"
+
+
 def read_ablation_tables(
     path: str | Path, orientations: Mapping[str, str] | None = None
 ) -> dict[str, AblationTable]:
     """Read an `abltable-v1` CSV into one AblationTable per metric.
 
-    Metric orientations are looked up by name (MAE is lower-better by
-    default, unknown names higher-better) unless overridden.
+    Every body line is `combination,metric,value`: a 0/1 bitstring, a
+    metric name without commas or double quotes, and a float as `repr`
+    writes it, with an optional minus sign. A line outside that grammar,
+    or a bad row, raises `FileFormatError` naming its line. Metric
+    orientations are looked up by name (MAE is lower-better by default,
+    unknown names higher-better) unless overridden.
     """
-    path = Path(path)
-    with path.open("r", encoding="utf-8", newline="") as f:
-        reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise FileFormatError(f"{path}: empty file") from None
-        if header != ["combination", "metric", "value"]:
-            raise FileFormatError(f"{path}: expected header 'combination,metric,value'")
-        M: int | None = None
-        # metric -> (score vector, seen mask), both indexed by code - 1
-        scores: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise FileFormatError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
-            combo, metric_name, value_text = row
-            if not combo or any(c not in "01" for c in combo):
-                raise FileFormatError(f"{path}:{lineno}: bad combination {combo!r}")
-            if M is None:
-                M = len(combo)
-                n_patterns = len(pattern_bits(M))
-            elif len(combo) != M:
-                raise FileFormatError(
-                    f"{path}:{lineno}: combination length {len(combo)} != {M}"
-                )
-            if "1" not in combo:
-                raise FileFormatError(f"{path}:{lineno}: all-missing combination")
-            try:
-                value = float(value_text)
-            except ValueError:
-                raise FileFormatError(f"{path}:{lineno}: bad value {value_text!r}") from None
-            if not math.isfinite(value):
-                raise FileFormatError(f"{path}:{lineno}: non-finite value {value_text!r}")
-            if metric_name not in scores:
-                scores[metric_name] = (np.empty(n_patterns), np.zeros(n_patterns, dtype=bool))
-            values, seen = scores[metric_name]
-            index = int(combo, 2) - 1
-            if seen[index]:
-                raise FileFormatError(
-                    f"{path}:{lineno}: duplicate combination {combo} for {metric_name!r}"
-                )
-            values[index] = value
-            seen[index] = True
-    if M is None or not scores:
+    header, body = read_text(path)
+    if header != ["combination", "metric", "value"]:
+        raise FileFormatError(f"{path}: expected header 'combination,metric,value'")
+    lines = body.split("\n")
+    M: int | None = None
+    # metric -> (scores, seen flags), both indexed by code - 1
+    scores: dict[str, tuple[list[float], list[bool]]] = {}
+    for k, line in enumerate(lines if lines[-1] else lines[:-1]):
+        row = _ROW.fullmatch(line)
+        if row is None:
+            reason = _row_error(line, M)
+        else:
+            combo, metric_name, value_text = row.groups()
+            value = float(value_text)
+            reason = _combination_error(combo, M)
+            if reason is None and not math.isfinite(value):
+                reason = f"non-finite value {value_text!r}"
+            elif reason is None and k == len(lines) - 1:
+                reason = "no newline at end of file"
+        if reason is not None:
+            raise FileFormatError(f"{path}:{k + 2}: {reason}")
+        if M is None:
+            M = len(combo)
+            n_patterns = len(pattern_bits(M))
+        if metric_name not in scores:
+            scores[metric_name] = ([0.0] * n_patterns, [False] * n_patterns)
+        values, seen = scores[metric_name]
+        index = int(combo, 2) - 1
+        if seen[index]:
+            raise FileFormatError(
+                f"{path}:{k + 2}: duplicate combination {combo} for {metric_name!r}"
+            )
+        values[index] = value
+        seen[index] = True
+    if M is None:
         raise FileFormatError(f"{path}: no table rows")
     tables = {}
     combos = pattern_bitstrings(M)
@@ -369,8 +402,8 @@ def read_ablation_tables(
                 f"{path}: table for {metric_name!r} is missing the all-ones "
                 f"combination {combos[-1]}"
             )
-        if not seen.all():
-            names = ", ".join(c for c, ok in zip(combos, seen.tolist()) if not ok)
+        if not all(seen):
+            names = ", ".join(c for c, ok in zip(combos, seen) if not ok)
             raise IncompleteTableError(
                 f"ablation table for {metric_name!r} is missing combinations: {names}"
             )

@@ -97,6 +97,8 @@ def read_report(path: str | Path) -> DiagnosticsReport:
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError:
+        raise FileFormatError(f"{path}: not UTF-8 text") from None
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(doc, dict) or not {"payload", "payload_sha256"} <= set(doc):

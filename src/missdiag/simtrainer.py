@@ -351,35 +351,45 @@ def _per_sample_losses(model: ToyModel, out: np.ndarray, labels: np.ndarray) -> 
     return (out[:, 0] - labels) ** 2
 
 
-def _backward_batch(
+def _backward(
     model: ToyModel,
     cache: tuple,
     out: np.ndarray,
     labels: np.ndarray,
     weights: np.ndarray,
 ) -> dict:
-    """Gradients of the weighted loss sum_i w_i * loss_i via backprop."""
+    """Gradients of R weighted losses sum_i weights[r, i] * loss_i, stacked on axis 0.
+
+    Gradients are linear in the sample weights, so the residual
+    d loss_i / d out is formed once and scaled by each row of the (R, B)
+    `weights`; each module then gets the gradients of all R rows from one
+    stacked matmul and one sum.
+    """
     xs, us, s = cache
     if model.task == CLASSIFICATION:
         shifted = out - out.max(axis=1, keepdims=True)
         expd = np.exp(shifted)
-        probs = expd / expd.sum(axis=1, keepdims=True)
-        dout = probs.copy()
-        dout[np.arange(out.shape[0]), labels] -= 1.0
-        dout *= weights[:, None]
+        resid = expd / expd.sum(axis=1, keepdims=True)
+        resid[np.arange(out.shape[0]), labels] -= 1.0
+        dout = weights[:, :, None] * resid
+        fus_b = dout.sum(axis=1)
     else:
-        dout = (2.0 * (out[:, 0] - labels) * weights)[:, None]
+        # fus_b sums each (R, B) row over its contiguous last axis, in the
+        # order of the (B, 1) column sum of a single weighting.
+        scaled = 2.0 * (out[:, 0] - labels) * weights
+        dout = scaled[:, :, None]
+        fus_b = scaled.sum(axis=-1)[:, None]
     grads = {
-        "fus_W": s.T @ dout,
-        "fus_b": dout.sum(axis=0),
+        "fus_W": np.matmul(s.T, dout),
+        "fus_b": fus_b,
         "enc_W": [],
         "enc_b": [],
     }
-    ds = dout @ model.fus_W.T
+    ds = np.matmul(dout, model.fus_W.T)
     for m in range(model.M):
         du = ds * (us[m] > 0.0)
-        grads["enc_W"].append(xs[m].T @ du)
-        grads["enc_b"].append(du.sum(axis=0))
+        grads["enc_W"].append(np.matmul(xs[m].T, du))
+        grads["enc_b"].append(du.sum(axis=1))
     return grads
 
 
@@ -393,19 +403,27 @@ def loss_and_grads(
     """Weighted loss sum_i w_i * loss_i and its parameter gradients."""
     out, cache = _forward_batch(model, features, mask)
     losses = _per_sample_losses(model, out, labels)
-    grads = _backward_batch(model, cache, out, labels, sample_weights)
-    return float((losses * sample_weights).sum()), grads
+    grads = _backward(model, cache, out, labels, np.asarray(sample_weights)[None, :])
+    return float((losses * sample_weights).sum()), _row(grads, 0)
 
 
-def module_grad_norms(model: ToyModel, grads: dict) -> list[float]:
-    """L2 norm of each module's stacked gradient (M encoders, then fusion)."""
-    norms = []
-    for m in range(model.M):
-        sq = float((grads["enc_W"][m] ** 2).sum() + (grads["enc_b"][m] ** 2).sum())
-        norms.append(math.sqrt(sq))
-    sq = float((grads["fus_W"] ** 2).sum() + (grads["fus_b"] ** 2).sum())
-    norms.append(math.sqrt(sq))
-    return norms
+def _row(grads: dict, r: int) -> dict:
+    """Gradients of weighting r from stacked `_backward` output."""
+    return {
+        "fus_W": grads["fus_W"][r],
+        "fus_b": grads["fus_b"][r],
+        "enc_W": [g[r] for g in grads["enc_W"]],
+        "enc_b": [g[r] for g in grads["enc_b"]],
+    }
+
+
+def _squared_norms(grads: dict) -> np.ndarray:
+    """(R, M + 1) squared L2 norm of each module's gradient (M encoders, then fusion)."""
+    pairs = list(zip(grads["enc_W"], grads["enc_b"])) + [(grads["fus_W"], grads["fus_b"])]
+    sq = np.empty((grads["fus_b"].shape[0], len(pairs)))
+    for k, (w, b) in enumerate(pairs):
+        sq[:, k] = (w**2).sum(axis=(1, 2)) + (b**2).sum(axis=1)
+    return sq
 
 
 @dataclass(frozen=True)
@@ -450,8 +468,9 @@ def train_step(
     them, the gradients of each modality-restricted loss L_m (mean loss
     over samples where m is observed) and logs one gradient norm per
     module. A modality absent from the whole batch yields L_m = None
-    and leaves its row of norms unused. The parameter update uses only
-    the full batch loss.
+    and a zero row of weights, so its row of norms stays zero. The M
+    restricted losses and the full batch loss share one backward pass;
+    the parameter update uses only the full batch loss (the last row).
     """
     B = labels.shape[0]
     if B == 0:
@@ -459,24 +478,21 @@ def train_step(
     mask = np.asarray(mask, dtype=np.float64)
     out, cache = _forward_batch(model, features, mask)
     losses = _per_sample_losses(model, out, labels)
-
-    full_weights = np.full(B, 1.0 / B)
-    full_grads = _backward_batch(model, cache, out, labels, full_weights)
     task_loss = float(losses.mean())
+    modality_losses = tuple(modality_loss(losses, mask[:, m]) for m in range(model.M))
 
-    modality_losses: list[float | None] = []
-    grad_norms = np.zeros((model.M, model.module_count)) if log_grads else None
-    for m in range(model.M):
-        col = mask[:, m]
-        loss_m = modality_loss(losses, col)
-        modality_losses.append(loss_m)
-        if loss_m is None or grad_norms is None:
-            continue
-        grads_m = _backward_batch(model, cache, out, labels, col / col.sum())
-        grad_norms[m] = module_grad_norms(model, grads_m)
-    if grad_norms is not None:
+    weights = np.full((model.M + 1 if log_grads else 1, B), 1.0 / B)
+    if log_grads:
+        for m, loss_m in enumerate(modality_losses):
+            col = mask[:, m]
+            weights[m] = 0.0 if loss_m is None else col / col.sum()
+    grads = _backward(model, cache, out, labels, weights)
+    grad_norms = None
+    if log_grads:
+        grad_norms = np.sqrt(_squared_norms(grads)[:-1])
         grad_norms.setflags(write=False)
 
+    full_grads = _row(grads, -1)
     for m in range(model.M):
         model.enc_W[m] -= learning_rate * full_grads["enc_W"][m]
         model.enc_b[m] -= learning_rate * full_grads["enc_b"][m]
@@ -486,7 +502,7 @@ def train_step(
     return StepLog(
         step=step,
         task_loss=task_loss,
-        modality_losses=tuple(modality_losses),
+        modality_losses=modality_losses,
         grad_norms=grad_norms,
     )
 

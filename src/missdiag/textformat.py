@@ -13,6 +13,9 @@ one too). Each body column has a grammar:
 regex substitution and converts the body with numpy's `loadtxt` in one
 step. Only when that fails does `first_bad_line` walk the lines in
 Python to name the first bad one as `path:line: reason`.
+
+`abltable-v1` (`equity.read_ablation_tables`) shares `read_text` and
+`FLOAT`; its metric column is text, so it matches its rows one by one.
 """
 
 from __future__ import annotations

@@ -240,6 +240,27 @@ def csv_read_mask_matrix(path) -> tuple[tuple[str, ...], np.ndarray]:
     return tuple(header[1:]), np.array(rows, dtype=np.int8)
 
 
+def csv_read_ablation_scores(path) -> dict[str, list[float]]:
+    """Scores per metric of an `abltable-v1` file, indexed by code - 1, row by row with `csv`."""
+    with Path(path).open("r", encoding="utf-8", newline="") as f:
+        reader = csv.reader(f)
+        assert next(reader) == ["combination", "metric", "value"]
+        scores = {}
+        for row in reader:
+            if not row:
+                continue
+            combo, metric_name, value_text = row
+            assert combo and set(combo) <= {"0", "1"} and "1" in combo, row
+            value = float(value_text)
+            assert math.isfinite(value), row
+            table = scores.setdefault(metric_name, [None] * (2 ** len(combo) - 1))
+            assert len(table) == 2 ** len(combo) - 1, row
+            assert table[int(combo, 2) - 1] is None, row
+            table[int(combo, 2) - 1] = value
+    assert scores and all(None not in table for table in scores.values())
+    return scores
+
+
 def csv_read_numeric_rows(path, header: tuple[str, ...]) -> list[tuple]:
     """Rows of a trace file as tuples: every column an int except the last, a float."""
     with Path(path).open("r", encoding="utf-8", newline="") as f:
@@ -307,3 +328,75 @@ def dict_assemble_error(rows, M=None, K=None) -> tuple[str, str] | None:
             return ("InvalidTraceError",
                     f"missing module entries: {missing} at step {step}, modality {modality}")
     return None
+
+
+def masked_forward_cache(model, features, mask):
+    """Toy-model head output and backprop cache (xs, us, fused sum) under a per-sample mask.
+
+    The same numpy operations, in the same order, as the trainer's
+    forward pass, so gradients built on it compare with `==`.
+    """
+    xs, us, s = [], [], None
+    for m, (W, b) in enumerate(zip(model.enc_W, model.enc_b)):
+        x = np.asarray(features[m], dtype=np.float64) * mask[:, m : m + 1]
+        u = x @ W + b
+        h = np.maximum(u, 0.0)
+        xs.append(x)
+        us.append(u)
+        s = h if s is None else s + h
+    return s @ model.fus_W + model.fus_b, (xs, us, s)
+
+
+def backward_batch(model, cache, out, labels, weights) -> dict:
+    """Gradients of the weighted loss sum_i w_i * loss_i via backprop, one weighting."""
+    xs, us, s = cache
+    if model.task == "classification":
+        shifted = out - out.max(axis=1, keepdims=True)
+        expd = np.exp(shifted)
+        probs = expd / expd.sum(axis=1, keepdims=True)
+        dout = probs.copy()
+        dout[np.arange(out.shape[0]), labels] -= 1.0
+        dout *= weights[:, None]
+    else:
+        dout = (2.0 * (out[:, 0] - labels) * weights)[:, None]
+    grads = {
+        "fus_W": s.T @ dout,
+        "fus_b": dout.sum(axis=0),
+        "enc_W": [],
+        "enc_b": [],
+    }
+    ds = dout @ model.fus_W.T
+    for m in range(len(model.enc_W)):
+        du = ds * (us[m] > 0.0)
+        grads["enc_W"].append(xs[m].T @ du)
+        grads["enc_b"].append(du.sum(axis=0))
+    return grads
+
+
+def module_grad_norms(grads: dict) -> list[float]:
+    """L2 norm of each module's stacked gradient (M encoders, then fusion)."""
+    norms = []
+    for W, b in zip(grads["enc_W"], grads["enc_b"]):
+        sq = float((W**2).sum() + (b**2).sum())
+        norms.append(math.sqrt(sq))
+    sq = float((grads["fus_W"] ** 2).sum() + (grads["fus_b"] ** 2).sum())
+    norms.append(math.sqrt(sq))
+    return norms
+
+
+def per_weighting_grad_norms(model, features, mask, labels) -> np.ndarray:
+    """(M, M + 1) module gradient norms of each L_m, one backward pass per modality.
+
+    Row m weights the samples where modality m is observed by
+    1 / (their count); a modality absent from the batch keeps a zero row.
+    """
+    mask = np.asarray(mask, dtype=np.float64)
+    out, cache = masked_forward_cache(model, features, mask)
+    M = len(model.enc_W)
+    norms = np.zeros((M, M + 1))
+    for m in range(M):
+        col = mask[:, m]
+        if col.sum() == 0:
+            continue
+        norms[m] = module_grad_norms(backward_batch(model, cache, out, labels, col / col.sum()))
+    return norms

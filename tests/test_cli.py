@@ -386,6 +386,44 @@ class TestTrainingDivergence:
         assert "RuntimeWarning" not in proc.stderr
 
 
+class TestNonUtf8Input:
+    """A file that is not UTF-8 is one `error:` line and its exit code, not a traceback."""
+
+    @staticmethod
+    def _config(tmp_path):
+        path = tmp_path / "config.json"
+        path.write_bytes(b'{"seed": 1, "modalities": ["\xff"]}')
+        return path
+
+    @staticmethod
+    def _report(tmp_path):
+        path = tmp_path / "report.json"
+        path.write_bytes(b'{"payload": "\xff"}')
+        return path
+
+    def _assert_one_error(self, err, path):
+        assert err == f"error: {path}: not UTF-8 text\n"
+
+    def test_config_is_exit_2(self, tmp_path, capsys):
+        path = self._config(tmp_path)
+        assert main(["mask", "generate", "--config", str(path)]) == 2
+        self._assert_one_error(capsys.readouterr().err, path)
+
+    def test_report_is_exit_3(self, tmp_path, capsys):
+        path = self._report(tmp_path)
+        code = main(["report", "merge", str(path), str(path),
+                     "--out", str(tmp_path / "merged.json")])
+        assert code == 3
+        self._assert_one_error(capsys.readouterr().err, path)
+        assert not (tmp_path / "merged.json").exists()
+
+    def test_config_in_fresh_interpreter(self, tmp_path):
+        path = self._config(tmp_path)
+        proc = run_cli_process(["simulate", "run", "--config", str(path)])
+        assert proc.returncode == 2
+        self._assert_one_error(proc.stderr, path)
+
+
 class TestProtocolCommands:
     def test_mean_match_from_rates(self, capsys):
         assert main(["protocol", "mean-match", "--rates", "0.4,0.5,0.6"]) == 0

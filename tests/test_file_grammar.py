@@ -1,4 +1,4 @@
-"""Strict line grammars of the numeric CSV formats, against the csv-era readers.
+"""Strict line grammars of the CSV formats, against the csv-era readers.
 
 Every file the package writes must read exactly as the former `csv`
 readers (`tests/oracles.py`) read it. Every spelling outside the
@@ -15,6 +15,7 @@ import pytest
 
 from missdiag import assemble_trace
 from missdiag.cli import main
+from missdiag.equity import read_ablation_tables
 from missdiag.errors import FileFormatError
 from missdiag.learning import (
     GRAD_SAMPLE_DTYPE,
@@ -41,7 +42,7 @@ def _mask_config(tmp_path, M: int) -> str:
     return str(path)
 
 
-def _sim_config(tmp_path, M: int, stride: int) -> str:
+def _sim_config(tmp_path, M: int, stride: int, **simulation) -> str:
     path = tmp_path / f"sim{M}.json"
     path.write_text(json.dumps({
         "modalities": [f"m{m}" for m in range(M)],
@@ -50,7 +51,7 @@ def _sim_config(tmp_path, M: int, stride: int) -> str:
         "simulation": {
             "dims": [3] * M, "informativeness": [1.0] * M, "n_train": 48,
             "n_valid": 8, "n_test": 200, "epochs": 2, "batch_size": 2,
-            "n_classes": 3, "grad_log_stride": stride,
+            "n_classes": 3, "grad_log_stride": stride, **simulation,
         },
     }))
     return str(path)
@@ -69,6 +70,21 @@ class TestWrittenFilesReadLikeCsv:
         assert names == want_names
         assert masks.dtype == want.dtype == np.int8
         assert np.array_equal(masks, want)
+
+    @pytest.mark.parametrize("task", ["classification", "regression"])
+    @pytest.mark.parametrize("M", [2, 3, 8])
+    def test_simulate_run_tables(self, tmp_path, capsys, task, M):
+        out = tmp_path / "out"
+        config = _sim_config(tmp_path, M, 1, task=task, paired=True, mei_epoch_stride=1)
+        assert main(["simulate", "run", "--config", config, "--out", str(out)]) == 0
+        paths = sorted(out.rglob("abltable_*.csv"))
+        assert len(paths) == 2 * 3  # per arm: two validation epochs and test
+        for path in paths:
+            want = oracles.csv_read_ablation_scores(path)
+            tables = read_ablation_tables(path)
+            assert list(tables) == list(want)
+            for name, table in tables.items():
+                assert table.M == M and table.scores.tolist() == want[name]
 
     @pytest.mark.parametrize("M", [2, 3, 8])
     @pytest.mark.parametrize("stride", [1, 3])
@@ -168,6 +184,27 @@ TRACE_CASES = [
     ("agg-step-beyond-int64", AGG_HEADER + "1,0,0.5\n18446744073709551616,1,0.5\n", 3),
 ]
 
+# A valid two-modality table, less the row given in each case.
+TABLE_HEADER = "combination,metric,value\n"
+TABLE_ROWS = "01,UA,0.25\n10,UA,0.5\n11,UA,0.75\n"
+TABLE_CASES = [
+    ("underscore-float", TABLE_HEADER + "01,UA,0.25\n10,UA,1_0.5\n11,UA,0.75\n", 3),
+    ("spaced-value", TABLE_HEADER + "01,UA,0.25\n10,UA, 0.5\n11,UA,0.75\n", 3),
+    ("plus-sign", TABLE_HEADER + "01,UA,0.25\n10,UA,+0.5\n11,UA,0.75\n", 3),
+    ("short-exponent", TABLE_HEADER + "01,UA,0.25\n10,UA,5e-1\n11,UA,0.75\n", 3),
+    ("bare-fraction", TABLE_HEADER + "01,UA,0.25\n10,UA,.5\n11,UA,0.75\n", 3),
+    ("quoted-metric", TABLE_HEADER + '01,UA,0.25\n10,"UA",0.5\n11,UA,0.75\n', 3),
+    ("empty-metric", TABLE_HEADER + "01,UA,0.25\n10,,0.5\n11,UA,0.75\n", 3),
+    ("crlf-body", TABLE_HEADER + TABLE_ROWS.replace("\n", "\r\n"), 2),
+    ("crlf-header", (TABLE_HEADER + TABLE_ROWS).replace("\n", "\r\n"), 1),
+    ("blank-line", TABLE_HEADER + "01,UA,0.25\n\n10,UA,0.5\n11,UA,0.75\n", 3),
+    ("trailing-blank-line", TABLE_HEADER + TABLE_ROWS + "\n", 5),
+    ("bom", "\ufeff" + TABLE_HEADER + TABLE_ROWS, 1),
+    ("no-final-newline", TABLE_HEADER + TABLE_ROWS[:-1], 4),
+    ("truncated-last-row", TABLE_HEADER + TABLE_ROWS + "01,WA", 5),
+    ("non-utf8", (TABLE_HEADER + "01,UA,0.25\n").encode() + b"10,\xff,0.5\n", 3),
+]
+
 
 def _write_case(tmp_path, text: str | bytes):
     path = tmp_path / "case.csv"
@@ -190,6 +227,15 @@ class TestMalformedCorpus:
     def test_metrics_mli(self, tmp_path, capsys, text, line):
         path = _write_case(tmp_path, text)
         assert main(["metrics", "mli", "--trace", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:{line}: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text, line", [c[1:] for c in TABLE_CASES],
+                             ids=[c[0] for c in TABLE_CASES])
+    def test_metrics_mei(self, tmp_path, capsys, text, line):
+        path = _write_case(tmp_path, text)
+        assert main(["metrics", "mei", "--table", str(path)]) == 3
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}:{line}: ") and err.count("\n") == 1
         assert "Traceback" not in err
@@ -227,6 +273,34 @@ class TestMessages:
         with pytest.raises(FileFormatError) as info:
             read_mask_matrix(path)
         assert str(info.value) == f"{path}:3: {reason}"
+
+    @pytest.mark.parametrize("row, reason", [
+        ("10,UA", "expected 3 fields, got 2"),
+        ("1x,UA,0.5", "bad combination '1x'"),
+        (",UA,0.5", "bad combination ''"),
+        ("100,UA,0.5", "combination length 3 != 2"),
+        ("00,UA,0.5", "all-missing combination"),
+        ("10,UA,abc", "bad value 'abc'"),
+        ("10,UA,nan", "non-finite value 'nan'"),
+        ("10,UA,1e+400", "non-finite value '1e+400'"),
+        ("01,UA,0.5", "duplicate combination 01 for 'UA'"),
+        ("10,UA,1_0.5", "value '1_0.5' is not a float in repr form"),
+        ("10,UA,-5e-1", "value '-5e-1' is not a float in repr form"),
+        ('10,"UA",0.5', "bad metric name '\"UA\"'"),
+        ("10,,0.5", "bad metric name ''"),
+    ])
+    def test_table_row(self, tmp_path, row, reason):
+        path = _write_case(tmp_path, TABLE_HEADER + "01,UA,0.25\n" + row + "\n")
+        with pytest.raises(FileFormatError) as info:
+            read_ablation_tables(path)
+        assert str(info.value) == f"{path}:3: {reason}"
+
+    def test_signed_table_values_read(self, tmp_path):
+        path = _write_case(tmp_path, TABLE_HEADER + "01,Corr,-0.25\n10,Corr,-0.0\n"
+                           "11,Corr,1.5e-05\n01,Corr 2,-1e-07\n10,Corr 2,0.0\n11,Corr 2,2.0\n")
+        tables = read_ablation_tables(path)
+        assert tables["Corr"].scores.tolist() == [-0.25, -0.0, 1.5e-05]
+        assert tables["Corr 2"].scores.tolist() == [-1e-07, 0.0, 2.0]
 
     def test_first_bad_row_in_file_order_wins(self, tmp_path):
         # Line 3 breaks only the grammar, line 4 a csv-era check too.

@@ -29,6 +29,7 @@ from missdiag import (
     run_experiment,
     train_step,
 )
+from missdiag import simtrainer
 from missdiag.simtrainer import (
     _acc2,
     _corr,
@@ -42,7 +43,14 @@ from missdiag.simtrainer import (
     loss_and_grads,
 )
 
-from oracles import brute_trace_grid, fd_gradient, zero_imputed_forward
+from oracles import (
+    backward_batch,
+    brute_trace_grid,
+    fd_gradient,
+    masked_forward_cache,
+    per_weighting_grad_norms,
+    zero_imputed_forward,
+)
 
 
 def small_spec(task: str = CLASSIFICATION, **overrides) -> SynthSpec:
@@ -325,6 +333,107 @@ class TestGradients:
 
     def test_regression_backprop_matches_finite_differences(self):
         self._check_model(REGRESSION, seed=8)
+
+
+def _oracle_batch(task: str, M: int, B: int, seed: int, absent: int | None = None):
+    """A model whose biases take both signs, one batch, and a mask with no empty row."""
+    rng = np.random.default_rng(seed)
+    dims = tuple(int(d) for d in rng.integers(1, 9, size=M))
+    model = init_model(dims, 6, task, 4, rng)
+    for b in model.enc_b:
+        b[:] = rng.normal(0.0, 0.3, size=b.shape)
+    feats = [rng.standard_normal((B, d)) for d in dims]
+    if task == CLASSIFICATION:
+        labels = rng.integers(0, 4, size=B)
+    else:
+        labels = rng.standard_normal(B)
+    mask = (rng.random((B, M)) < 0.6).astype(np.float64)
+    if absent is not None:
+        mask[:, absent] = 0.0
+    mask[mask.sum(axis=1) == 0, 0 if absent == M - 1 else M - 1] = 1.0
+    return model, feats, labels, mask
+
+
+def _descend(model, grads, learning_rate: float) -> None:
+    for m in range(model.M):
+        model.enc_W[m] -= learning_rate * grads["enc_W"][m]
+        model.enc_b[m] -= learning_rate * grads["enc_b"][m]
+    model.fus_W -= learning_rate * grads["fus_W"]
+    model.fus_b -= learning_rate * grads["fus_b"]
+
+
+def _assert_same_parameters(model, reference) -> None:
+    for (name, mine), (_, theirs) in zip(model.parameters(), reference.parameters()):
+        assert np.array_equal(mine, theirs), name
+
+
+class TestOneBackward:
+    """One stacked backward pass equals one backward pass per weighting, bit for bit."""
+
+    LR = 0.005
+
+    @pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
+    @pytest.mark.parametrize("M", [2, 3, 8])
+    @pytest.mark.parametrize("B", [1, 7, 48])
+    def test_norms_and_update_equal_per_weighting_oracle(self, task, M, B):
+        model, feats, labels, mask = _oracle_batch(task, M, B, seed=10 * M + B)
+        reference = model.clone()
+        for step in range(3):
+            expected = per_weighting_grad_norms(reference, feats, mask, labels)
+            out, cache = masked_forward_cache(reference, feats, mask)
+            full = backward_batch(reference, cache, out, labels, np.full(B, 1.0 / B))
+            log = train_step(model, feats, mask, labels, self.LR, step=step + 1)
+            assert np.isfinite(log.grad_norms).all()
+            assert np.array_equal(log.grad_norms, expected)
+            _descend(reference, full, self.LR)
+            _assert_same_parameters(model, reference)
+
+    @pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
+    @pytest.mark.parametrize("M", [2, 3, 8])
+    @pytest.mark.parametrize("B", [1, 7, 48])
+    @pytest.mark.parametrize("log_grads", [True, False])
+    def test_update_equals_loss_and_grads(self, task, M, B, log_grads):
+        model, feats, labels, mask = _oracle_batch(task, M, B, seed=10 * M + B + 1)
+        reference = model.clone()
+        _, grads = loss_and_grads(reference, feats, mask, labels, np.full(B, 1.0 / B))
+        log = train_step(model, feats, mask, labels, self.LR, log_grads=log_grads)
+        assert (log.grad_norms is None) == (not log_grads)
+        _descend(reference, grads, self.LR)
+        _assert_same_parameters(model, reference)
+
+    @pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
+    @pytest.mark.parametrize("M", [2, 3, 8])
+    def test_absent_modality_keeps_zero_row(self, task, M):
+        absent = 1
+        model, feats, labels, mask = _oracle_batch(task, M, 7, seed=M, absent=absent)
+        expected = per_weighting_grad_norms(model, feats, mask, labels)
+        log = train_step(model, feats, mask, labels, self.LR)
+        assert log.modality_losses[absent] is None
+        assert all(loss is not None for m, loss in enumerate(log.modality_losses)
+                   if m != absent)
+        assert (log.grad_norms[absent] == 0.0).all()
+        assert np.array_equal(log.grad_norms, expected)
+
+    @pytest.mark.parametrize("B", [1, 7, 48])
+    @pytest.mark.parametrize("C", [1, 4])
+    def test_stacked_matmul_equals_per_slice(self, B, C):
+        # The stacked backward relies on np.matmul giving each slice of a
+        # stack the bits of the 2-D product, for the shapes it uses; the
+        # (R, B, 1) stack is a stride-0 view, as in regression.
+        rng = np.random.default_rng(B * 10 + C)
+        R, H, d = 4, 6, 5
+        s, x, fus_W = (rng.standard_normal(shape) for shape in ((B, H), (B, d), (H, C)))
+        dout = rng.standard_normal((R, B))[:, :, None]
+        if C > 1:
+            dout = dout * rng.standard_normal((B, C))
+        du = rng.standard_normal((R, B, H))
+        for stacked, single in (
+            (np.matmul(s.T, dout), lambda r: s.T @ dout[r]),
+            (np.matmul(dout, fus_W.T), lambda r: dout[r] @ fus_W.T),
+            (np.matmul(x.T, du), lambda r: x.T @ du[r]),
+        ):
+            for r in range(R):
+                assert np.array_equal(stacked[r], single(r))
 
 
 class TestMetrics:
@@ -660,9 +769,13 @@ class TestDivergenceGuard:
             run_experiment(spec, quick_config())
 
     def test_non_finite_grad_norms(self, monkeypatch):
-        def norms(model, grads):
-            return [math.inf] * model.module_count
-        monkeypatch.setattr("missdiag.simtrainer.module_grad_norms", norms)
+        backward = simtrainer._backward
+
+        def poisoned(model, cache, out, labels, weights):
+            grads = backward(model, cache, out, labels, weights)
+            grads["fus_b"][:-1] = math.inf  # the L_m rows; the update row stays finite
+            return grads
+        monkeypatch.setattr("missdiag.simtrainer._backward", poisoned)
         with pytest.raises(TrainingDivergedError, match="gradient norms"):
             run_experiment(small_spec(), quick_config(grad_log_stride=3))
 
