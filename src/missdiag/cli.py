@@ -11,8 +11,9 @@ Subcommands:
     simulate run         train the toy model and emit all artifacts
     report merge         combine several report JSONs into one
 
-Exit codes: 0 success; 2 configuration/validation error; 3 I/O or file
-format error; 4 degenerate metric (e.g. no measurable contribution).
+Exit codes: 0 success; 2 configuration/validation error (out of memory
+included); 3 I/O or file format error; 4 degenerate metric (e.g. no
+measurable contribution).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 
 from . import config as cfg
 from . import equity, learning, protocol, report, simtrainer
-from .errors import ConfigError, MissdiagError
+from .errors import ConfigError, FileFormatError, MissdiagError
 
 
 def _parse_rate_list(text: str) -> tuple[float, ...]:
@@ -72,11 +73,13 @@ def _writing_out(args: argparse.Namespace, config: cfg.ExperimentConfig | None =
         raise OSError(f"config output_dir {config.output_dir}: {exc}") from exc
 
 
-def _print_pattern_table(masks: np.ndarray, probabilities=None) -> None:
+def _print_pattern_table(masks: np.ndarray, rates: protocol.RateVector | None = None) -> None:
+    """Count and frequency per pattern, plus its probability when the rates are known."""
     M = masks.shape[1]
     if M > protocol.MAX_ENUMERATED_MODALITIES:
         print(f"(pattern table omitted: M={M} exceeds the enumeration cap)")
         return
+    probabilities = None if rates is None else protocol.pattern_distribution(rates).probabilities
     counts = protocol.pattern_counts(masks).tolist()
     print("pattern,count,frequency" + (",probability" if probabilities is not None else ""))
     for i, combo in enumerate(protocol.pattern_bitstrings(M)):
@@ -103,8 +106,7 @@ def _cmd_mask_generate(args: argparse.Namespace) -> int:
     for m, name in enumerate(rates.modality_names):
         marginal = protocol.marginal_missing_rate(rates, m)
         print(f"{name},{rates.rates[m]},{marginal:.6f},{empirical[m]:.6f}")
-    dist = protocol.pattern_distribution(rates)
-    _print_pattern_table(matrix.masks, dist.probabilities)
+    _print_pattern_table(matrix.masks, rates)
     return 0
 
 
@@ -176,6 +178,8 @@ def _cmd_mli(args: argparse.Namespace) -> int:
     fmt = learning.sniff_trace_format(args.trace)
     if fmt == "gradtrace-v1":
         samples = learning.read_grad_samples(args.trace)
+        if not samples.size:
+            raise FileFormatError(f"{args.trace}: no trace rows")
         trace = learning.assemble_trace(samples)
     else:
         trace = learning.read_agg_trace(args.trace)
@@ -444,6 +448,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        print(f"error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -12,8 +12,14 @@ The document shape:
       "mei_mode": "balanced-is-one",
       "metrics": ["UA", "WA", "F1"],
       "output_dir": "out",
-      "simulation": { ... optional, see SIMULATION_TYPES ... }
+      "simulation": { ... optional, see SCHEMA ... }
     }
+
+`SCHEMA` states every field's JSON type, default and, for fields only
+the config knows, its range or choices. `resolve_config` walks the
+document against it, applies the cross-field rules, and builds the
+library types (`RateVector`, `SynthSpec`, `TrainConfig`) whose checks
+hold the other ranges, so a bad field fails before any command's work.
 
 Individual fields can be overridden on the command line with
 `--set dotted.path=value` (values parsed as JSON, falling back to a
@@ -29,74 +35,150 @@ import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Mapping, NamedTuple
 
 from .equity import BALANCED_IS_ONE, HIGHER_BETTER, LOWER_BETTER, MEI_MODES, PerfMetric
 from .errors import ConfigError
 from .protocol import DIVERGENCE_KINDS, JS, RateVector
-from .simtrainer import (
-    CLASSIFICATION,
-    TASKS,
-    SynthSpec,
-    TrainConfig,
-    default_metrics,
-)
+from .simtrainer import CLASSIFICATION, MAX_SIZE, SynthSpec, TrainConfig, default_metrics
 
 SEED_ENV_VAR = "MISSDIAG_SEED"
 
-TOP_KEYS = {
-    "modalities",
-    "protocol",
-    "seed",
-    "n_samples",
-    "divergence",
-    "epsilon",
-    "mei_mode",
-    "metrics",
-    "output_dir",
-    "simulation",
-}
-PROTOCOL_KEYS = {"shared_rate", "rates"}
-# Simulation field -> JSON type; a tuple (T,) is a list of T. Fields are
-# validated, never coerced, so a valid document resolves (and hashes)
-# exactly as written. int rejects bool and float; float takes int too but
-# not NaN or Infinity, which json.loads accepts and JSON does not define.
-SIMULATION_TYPES: dict[str, type | tuple[type]] = {
-    "task": str,
-    "dims": (int,),
-    "informativeness": (float,),
-    "n_classes": int,
-    "label_noise": float,
-    "n_train": int,
-    "n_valid": int,
-    "n_test": int,
-    "data_seed": int,
-    "epochs": int,
-    "batch_size": int,
-    "learning_rate": float,
-    "hidden": int,
-    "mei_epoch_stride": int,
-    "grad_log_stride": int,
-    "resample_masks_per_epoch": bool,
-    "paired": bool,
-}
-_TYPE_NAMES = {int: "integer", float: "number", bool: "boolean", str: "string"}
 
-_SIM_DEFAULTS = {
-    "task": CLASSIFICATION,
-    "n_classes": 8,
-    "label_noise": 0.25,
-    "n_valid": 1000,
-    "n_test": 1000,
-    "epochs": 20,
-    "batch_size": 48,
-    "learning_rate": 0.015,
-    "hidden": 16,
-    "mei_epoch_stride": 5,
-    "grad_log_stride": 1,
-    "resample_masks_per_epoch": False,
-    "paired": False,
+# SCHEMA defaults that are not JSON values.
+REQUIRED = object()  # the field must be present
+OMITTED = object()  # no default: an absent field stays absent
+
+
+@dataclass(frozen=True)
+class Interval:
+    """The numbers from lo to hi; an open end excludes its bound."""
+
+    lo: float
+    hi: float
+    open_lo: bool = False
+    open_hi: bool = False
+
+    def __contains__(self, x: float) -> bool:
+        above = self.lo < x if self.open_lo else self.lo <= x
+        return above and (x < self.hi if self.open_hi else x <= self.hi)
+
+    def __str__(self) -> str:
+        def bound(x: float) -> str:
+            if x == math.inf:
+                return "inf"
+            power = int(x).bit_length() - 1
+            return f"2^{power}" if x >= 1024 and x == 2**power else str(x)
+
+        return (f"{'(' if self.open_lo else '['}{bound(self.lo)}, "
+                f"{bound(self.hi)}{')' if self.open_hi else ']'}")
+
+
+class Field(NamedTuple):
+    """One SCHEMA row: JSON type, default, and the range or choices the config checks."""
+
+    type: str
+    default: Any = OMITTED
+    range: Interval | tuple[str, ...] | None = None
+
+
+SEED_RANGE = Interval(0, 2**64, open_hi=True)
+
+# Dotted path -> field. Values are validated, never coerced, so a valid
+# document resolves (and hashes) exactly as written. Simulation ranges
+# live in SynthSpec and TrainConfig, which resolve_config builds.
+SCHEMA: dict[str, Field] = {
+    "modalities": Field("list of strings", REQUIRED),
+    "protocol": Field("object", REQUIRED),
+    "protocol.shared_rate": Field("number"),
+    "protocol.rates": Field("list of numbers"),
+    "seed": Field("integer", range=SEED_RANGE),
+    "n_samples": Field("integer", 1000, Interval(1, MAX_SIZE)),
+    "divergence": Field("string", JS, DIVERGENCE_KINDS),
+    "epsilon": Field("number", 1e-8, Interval(0, math.inf, open_lo=True, open_hi=True)),
+    "mei_mode": Field("string", BALANCED_IS_ONE, MEI_MODES),
+    "metrics": Field("list", None),
+    "output_dir": Field("string", "out"),
+    "simulation": Field("object", None),
+    "simulation.task": Field("string", CLASSIFICATION),
+    "simulation.dims": Field("list of integers", REQUIRED),
+    "simulation.informativeness": Field("list of numbers", REQUIRED),
+    "simulation.n_classes": Field("integer", 8),
+    "simulation.label_noise": Field("number", 0.25),
+    "simulation.n_train": Field("integer", REQUIRED),
+    "simulation.n_valid": Field("integer", 1000),
+    "simulation.n_test": Field("integer", 1000),
+    "simulation.data_seed": Field("integer", range=SEED_RANGE),
+    "simulation.epochs": Field("integer", 20),
+    "simulation.batch_size": Field("integer", 48),
+    "simulation.learning_rate": Field("number", 0.015),
+    "simulation.hidden": Field("integer", 16),
+    "simulation.mei_epoch_stride": Field("integer", 5),
+    "simulation.grad_log_stride": Field("integer", 1),
+    "simulation.resample_masks_per_epoch": Field("boolean", False),
+    "simulation.paired": Field("boolean", False),
 }
+
+
+def _is_integer(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# A number takes an integer too, but not NaN or Infinity, which json.loads
+# accepts and JSON does not define.
+_IS_TYPE = {
+    "integer": _is_integer,
+    "number": lambda v: _is_integer(v) or isinstance(v, float) and math.isfinite(v),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "object": lambda v: isinstance(v, dict),
+    "list": lambda v: isinstance(v, list),
+}
+
+
+def _check_type(path: str, kind: str, value: Any) -> None:
+    """Raise unless `value` has JSON type `kind`; a list's elements are named by index."""
+    base, _, elements = kind.partition(" of ")
+    if not _IS_TYPE[base](value):
+        raise ConfigError(f"'{path}' must be a JSON {kind}, got {json.dumps(value)}")
+    for i, item in enumerate(value if elements else ()):
+        _check_type(f"{path}[{i}]", elements[:-1], item)
+
+
+def _check_range(name: str, allowed: Interval | tuple[str, ...], value: Any) -> None:
+    if value not in allowed:
+        what = (f"in {allowed}" if isinstance(allowed, Interval)
+                else "one of " + ", ".join(json.dumps(c) for c in allowed))
+        raise ConfigError(f"{name} must be {what}, got {json.dumps(value)}")
+
+
+def _walk(prefix: str, obj: dict) -> dict:
+    """`obj`, the JSON object at `prefix`, checked against SCHEMA with defaults filled.
+
+    A field whose default is null also takes an explicit null.
+    """
+    fields = {path.rpartition(".")[2]: (path, field) for path, field in SCHEMA.items()
+              if path.rpartition(".")[0] == prefix}
+    unknown = set(obj) - fields.keys()
+    if unknown:
+        raise ConfigError(f"unknown {prefix or 'config'} fields: {sorted(unknown)}")
+    out = {}
+    for key, (path, field) in fields.items():
+        if key not in obj:
+            if field.default is REQUIRED:
+                raise ConfigError(f"config: missing required field '{path}'")
+            if field.default is not OMITTED:
+                out[key] = field.default
+            continue
+        value = obj[key]
+        if value is not None or field.default is not None:
+            _check_type(path, field.type, value)
+            if field.range is not None:
+                _check_range(f"'{path}'", field.range, value)
+            if field.type == "object":
+                value = _walk(path, value)
+        out[key] = value
+    return out
 
 
 @dataclass(frozen=True)
@@ -154,9 +236,7 @@ class ExperimentConfig:
 
     @property
     def paired(self) -> bool:
-        if self.simulation is None:
-            return False
-        return bool(self.simulation.get("paired", False))
+        return self.simulation is not None and self.simulation["paired"]
 
     def _simulation(self) -> dict:
         if self.simulation is None:
@@ -204,43 +284,8 @@ def apply_overrides(raw: dict, assignments: list[str]) -> dict:
     return out
 
 
-def _require(raw: Mapping, key: str, kind: type, where: str = "config") -> Any:
-    if key not in raw:
-        raise ConfigError(f"{where}: missing required field {key!r}")
-    value = raw[key]
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
-        raise ConfigError(f"{where}: field {key!r} must be {kind.__name__}")
-    return value
-
-
-def _is_json_type(value: Any, kind: type) -> bool:
-    if isinstance(value, bool):
-        return kind is bool
-    if kind is float:
-        return isinstance(value, int) or isinstance(value, float) and math.isfinite(value)
-    return isinstance(value, kind)
-
-
-def _check_type(field: str, kind: type | tuple[type], value: Any) -> None:
-    if isinstance(kind, tuple):
-        ok = isinstance(value, list) and all(_is_json_type(v, kind[0]) for v in value)
-        expected = f"list of {_TYPE_NAMES[kind[0]]}s"
-    else:
-        ok = _is_json_type(value, kind)
-        expected = _TYPE_NAMES[kind]
-    if not ok:
-        raise ConfigError(f"'{field}' must be a JSON {expected}, got {json.dumps(value)}")
-
-
-def _check_seed(seed: Any, name: str) -> None:
-    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
-        raise ConfigError(f"{name} must be an integer in [0, 2^64), got {seed!r}")
-
-
 def _parse_metrics(entries: Any) -> tuple[PerfMetric, ...]:
-    if not isinstance(entries, list) or not entries:
+    if not entries:
         raise ConfigError("'metrics' must be a non-empty list")
     metrics = []
     for entry in entries:
@@ -264,6 +309,26 @@ def _parse_metrics(entries: Any) -> tuple[PerfMetric, ...]:
     return tuple(metrics)
 
 
+def _resolve_seed(doc: dict, seed_flag: int | None, env: Mapping[str, str]) -> int:
+    """--seed, else MISSDIAG_SEED, else the document's seed (range-checked by the walk)."""
+    if seed_flag is not None:
+        seed, source = seed_flag, "--seed"
+    elif env.get(SEED_ENV_VAR):
+        try:
+            seed = int(env[SEED_ENV_VAR])
+        except ValueError:
+            raise ConfigError(
+                f"{SEED_ENV_VAR} must be an integer, got {env[SEED_ENV_VAR]!r}"
+            ) from None
+        source = SEED_ENV_VAR
+    elif "seed" in doc:
+        return doc["seed"]
+    else:
+        raise ConfigError("config: missing required field 'seed'")
+    _check_range(source, SEED_RANGE, seed)
+    return seed
+
+
 def resolve_config(
     raw: Mapping,
     seed_flag: int | None = None,
@@ -275,125 +340,41 @@ def resolve_config(
     MISSDIAG_SEED environment variable, then the document.
     """
     env = os.environ if env is None else env
-    unknown = set(raw) - TOP_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-
-    modalities = _require(raw, "modalities", list)
-    if not all(isinstance(m, str) for m in modalities):
-        raise ConfigError("'modalities' must be a list of strings")
-
-    protocol = _require(raw, "protocol", dict)
-    unknown = set(protocol) - PROTOCOL_KEYS
-    if unknown:
-        raise ConfigError(f"unknown protocol fields: {sorted(unknown)}")
+    doc = _walk("", raw)
+    modalities, protocol, simulation = doc["modalities"], doc["protocol"], doc["simulation"]
     if ("shared_rate" in protocol) == ("rates" in protocol):
         raise ConfigError("protocol must set exactly one of 'shared_rate' or 'rates'")
-    shared_rate = protocol.get("shared_rate")
-    rates = protocol.get("rates")
-    if "shared_rate" in protocol:
-        _check_type("protocol.shared_rate", float, shared_rate)
-    if "rates" in protocol:
-        if not isinstance(rates, list):
-            raise ConfigError("'protocol.rates' must be a list of numbers")
-        for i, rate in enumerate(rates):
-            _check_type(f"protocol.rates[{i}]", float, rate)
-        if len(rates) != len(modalities):
+    for path, values in (("protocol.rates", protocol.get("rates")),
+                         ("simulation.dims", simulation and simulation["dims"])):
+        if values is not None and len(values) != len(modalities):
             raise ConfigError(
-                f"'protocol.rates' has {len(rates)} entries for "
-                f"{len(modalities)} modalities"
+                f"'{path}' has {len(values)} entries for {len(modalities)} modalities"
             )
+    doc["seed"] = _resolve_seed(doc, seed_flag, env)
+    metrics = _parse_metrics(doc["metrics"]) if doc["metrics"] is not None else None
+    doc["metrics"] = (
+        [{"name": m.name, "orientation": m.orientation} for m in metrics] if metrics else None
+    )
+    doc["epsilon"] = float(doc["epsilon"])
 
-    if seed_flag is not None:
-        seed, source = seed_flag, "--seed"
-    elif env.get(SEED_ENV_VAR):
-        try:
-            seed = int(env[SEED_ENV_VAR])
-        except ValueError:
-            raise ConfigError(
-                f"{SEED_ENV_VAR} must be an integer, got {env[SEED_ENV_VAR]!r}"
-            ) from None
-        source = SEED_ENV_VAR
-    else:
-        seed, source = _require(raw, "seed", int), "'seed'"
-    _check_seed(seed, source)
-
-    n_samples = raw.get("n_samples", 1000)
-    _check_type("n_samples", int, n_samples)
-    if n_samples < 1:
-        raise ConfigError(f"'n_samples' must be a positive integer, got {n_samples!r}")
-
-    kind = raw.get("divergence", JS)
-    if kind not in DIVERGENCE_KINDS:
-        raise ConfigError(f"'divergence' must be one of {DIVERGENCE_KINDS}, got {kind!r}")
-
-    epsilon = raw.get("epsilon", 1e-8)
-    _check_type("epsilon", float, epsilon)
-    if not epsilon > 0:
-        raise ConfigError(f"'epsilon' must be a positive number, got {epsilon!r}")
-
-    mei_mode = raw.get("mei_mode", BALANCED_IS_ONE)
-    if mei_mode not in MEI_MODES:
-        raise ConfigError(f"'mei_mode' must be one of {MEI_MODES}, got {mei_mode!r}")
-
-    metrics = _parse_metrics(raw["metrics"]) if "metrics" in raw else None
-
-    output_dir = raw.get("output_dir", "out")
-    if not isinstance(output_dir, str):
-        raise ConfigError("'output_dir' must be a string")
-
-    simulation = None
-    if raw.get("simulation") is not None:
-        sim_raw = _require(raw, "simulation", dict)
-        unknown = set(sim_raw) - SIMULATION_TYPES.keys()
-        if unknown:
-            raise ConfigError(f"unknown simulation fields: {sorted(unknown)}")
-        for key, value in sim_raw.items():
-            _check_type(f"simulation.{key}", SIMULATION_TYPES[key], value)
-        simulation = dict(_SIM_DEFAULTS)
-        simulation.update(sim_raw)
-        if simulation["task"] not in TASKS:
-            raise ConfigError(f"'simulation.task' must be one of {TASKS}")
-        for key in ("dims", "informativeness", "n_train"):
-            if key not in simulation:
-                raise ConfigError(f"config: missing required field 'simulation.{key}'")
-        if "data_seed" in simulation:
-            _check_seed(simulation["data_seed"], "'simulation.data_seed'")
-        if len(simulation["dims"]) != len(modalities):
-            raise ConfigError(
-                f"'simulation.dims' has {len(simulation['dims'])} entries for "
-                f"{len(modalities)} modalities"
-            )
-
-    resolved = {
-        "modalities": list(modalities),
-        "protocol": dict(protocol),
-        "seed": seed,
-        "n_samples": n_samples,
-        "divergence": kind,
-        "epsilon": float(epsilon),
-        "mei_mode": mei_mode,
-        "metrics": [
-            {"name": m.name, "orientation": m.orientation} for m in metrics
-        ]
-        if metrics
-        else None,
-        "output_dir": output_dir,
-        "simulation": simulation,
-    }
+    shared_rate, rates = protocol.get("shared_rate"), protocol.get("rates")
     config = ExperimentConfig(
         modalities=tuple(modalities),
         shared_rate=float(shared_rate) if shared_rate is not None else None,
         rates=tuple(float(r) for r in rates) if rates is not None else None,
-        seed=seed,
-        n_samples=n_samples,
-        divergence_kind=kind,
-        epsilon=float(epsilon),
-        mei_mode=mei_mode,
+        seed=doc["seed"],
+        n_samples=doc["n_samples"],
+        divergence_kind=doc["divergence"],
+        epsilon=doc["epsilon"],
+        mei_mode=doc["mei_mode"],
         metrics=metrics,
-        output_dir=output_dir,
+        output_dir=doc["output_dir"],
         simulation=simulation,
-        resolved=resolved,
+        resolved=doc,
     )
-    config.rate_vector()  # validates rates/modality consistency eagerly
+    # The library types hold the remaining checks; build them now, before any work.
+    config.rate_vector()
+    if simulation is not None:
+        config.synth_spec()
+        config.train_config()
     return config

@@ -30,8 +30,14 @@ from .errors import (
     FileFormatError,
     IncompleteTableError,
 )
-from .protocol import MaskPattern, pattern_bits, pattern_bitstrings, pattern_index
-from .textformat import FLOAT, read_text
+from .protocol import (
+    MAX_ENUMERATED_MODALITIES,
+    MaskPattern,
+    pattern_bits,
+    pattern_bitstrings,
+    pattern_index,
+)
+from .textformat import FLOAT, NAME, read_text
 
 DEFAULT_EPSILON = 1e-8
 
@@ -309,12 +315,15 @@ def write_ablation_table(table: AblationTable, path: str | Path) -> None:
 
 _COMBINATION = re.compile(r"[01]+")
 _VALUE = re.compile(f"-?(?:{FLOAT})")
-_ROW = re.compile(f'([01]+),([^,"\r\n]+),(-?(?:{FLOAT}))')
+_ROW = re.compile(f"([01]+),({NAME}),(-?(?:{FLOAT}))")
 
 
 def _combination_error(combo: str, M: int | None) -> str | None:
     if M is not None and len(combo) != M:
         return f"combination length {len(combo)} != {M}"
+    if not 2 <= len(combo) <= MAX_ENUMERATED_MODALITIES:
+        return (f"combination length {len(combo)}: a table covers 2 to "
+                f"{MAX_ENUMERATED_MODALITIES} modalities")
     if "1" not in combo:
         return "all-missing combination"
     return None

@@ -14,6 +14,7 @@ the imbalanced regime (IMR) allows arbitrary per-modality rates.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -24,6 +25,7 @@ import numpy as np
 
 from . import textformat
 from .errors import (
+    ConfigError,
     DimensionError,
     EmptyDatasetError,
     FileFormatError,
@@ -61,6 +63,12 @@ class RateVector:
             raise DimensionError("at least 2 modalities are required")
         if len(set(self.modality_names)) != len(self.modality_names):
             raise DimensionError(f"modality names must be unique: {self.modality_names}")
+        for name in self.modality_names:
+            if not re.fullmatch(textformat.NAME, name):
+                raise ConfigError(
+                    f"modality name {name!r} must be nonempty, without commas, "
+                    "double quotes or line breaks"
+                )
         for name, r in zip(self.modality_names, self.rates):
             if not math.isfinite(r) or not 0.0 <= r < 1.0:
                 raise DimensionError(f"rate for {name!r} must lie in [0, 1), got {r}")

@@ -56,6 +56,16 @@ TASKS = (CLASSIFICATION, REGRESSION)
 CLASSIFICATION_METRICS = ("UA", "WA", "F1")
 REGRESSION_METRICS = ("MAE", "Corr", "Acc-2")
 
+# Every size (samples, feature and hidden widths, classes, epochs, batch) is
+# at most 2^24, far above the largest benchmark dataset (MOSEI, ~23k
+# samples), so no array a run allocates can overflow numpy's byte count.
+MAX_SIZE = 2**24
+
+
+def _check_size(name: str, value: int, low: int = 1) -> None:
+    if not low <= value <= MAX_SIZE:
+        raise ConfigError(f"{name} must be in [{low}, 2^24], got {value}")
+
 
 @dataclass(frozen=True)
 class SynthSpec:
@@ -93,17 +103,16 @@ class SynthSpec:
                 f"{len(self.informativeness)} informativeness weights for "
                 f"{len(self.dims)} modalities"
             )
-        if any(d < 1 for d in self.dims):
-            raise ConfigError(f"feature dims must be >= 1, got {self.dims}")
+        for m, d in enumerate(self.dims):
+            _check_size(f"dims[{m}]", d)
         if any(a < 0 for a in self.informativeness) or not any(self.informativeness):
             raise ConfigError(
                 "informativeness weights must be nonnegative with at least one positive"
             )
         for name in ("n_train", "n_valid", "n_test"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
-        if self.task == CLASSIFICATION and self.n_classes < 2:
-            raise ConfigError(f"n_classes must be >= 2, got {self.n_classes}")
+            _check_size(name, getattr(self, name))
+        if self.task == CLASSIFICATION:
+            _check_size("n_classes", self.n_classes, low=2)
         if self.label_noise < 0 or not math.isfinite(self.label_noise):
             raise ConfigError(f"label_noise must be finite and >= 0, got {self.label_noise}")
 
@@ -565,15 +574,19 @@ def default_metrics(task: str) -> tuple[PerfMetric, ...]:
     return tuple(PerfMetric.named(name) for name in names)
 
 
-def ablation_table(model: ToyModel, split: Split, metric: PerfMetric) -> AblationTable:
-    """Evaluate every nonempty modality combination on a clean split, encoding it once."""
-    funs = _CLASSIFICATION_FUNS if model.task == CLASSIFICATION else _REGRESSION_FUNS
+def _metric_function(task: str, metric: PerfMetric):
+    funs = _CLASSIFICATION_FUNS if task == CLASSIFICATION else _REGRESSION_FUNS
     fun = funs.get(metric.name)
     if fun is None:
         raise ConfigError(
-            f"metric {metric.name!r} is not defined for {model.task}; "
-            f"choose from {sorted(funs)}"
+            f"metric {metric.name!r} is not defined for {task}; choose from {sorted(funs)}"
         )
+    return fun
+
+
+def ablation_table(model: ToyModel, split: Split, metric: PerfMetric) -> AblationTable:
+    """Evaluate every nonempty modality combination on a clean split, encoding it once."""
+    fun = _metric_function(model.task, metric)
     hs = _encode(model, split.features)[2]
     scores = []
     for bits in pattern_bits(model.M):
@@ -615,7 +628,9 @@ class TrainConfig:
     metrics: tuple[PerfMetric, ...] | None = None
 
     def __post_init__(self) -> None:
-        for name in ("epochs", "batch_size", "hidden", "mei_epoch_stride", "grad_log_stride"):
+        for name in ("epochs", "batch_size", "hidden"):
+            _check_size(name, getattr(self, name))
+        for name in ("mei_epoch_stride", "grad_log_stride"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
         if not self.learning_rate > 0 or not math.isfinite(self.learning_rate):
@@ -694,8 +709,12 @@ def run_experiment(spec: SynthSpec, config: TrainConfig) -> RunLog:
         raise DimensionError(
             f"protocol has {config.protocol.M} modalities, data has {spec.M}"
         )
-    dataset = gen_synthetic(spec)
+    # What would only fail at evaluation fails here, before the first step.
+    pattern_bits(spec.M)
     metrics = config.metrics or default_metrics(spec.task)
+    for metric in metrics:
+        _metric_function(spec.task, metric)
+    dataset = gen_synthetic(spec)
 
     init_ss, shuffle_ss, mask_ss = np.random.SeedSequence(config.seed).spawn(3)
     model = init_model(

@@ -9,6 +9,9 @@ one too). Each body column has a grammar:
 - `FLOAT`: a nonnegative float as `repr` writes it: `0.5`, `2.0`,
   `1e-05`, `1.5e+16`.
 
+Header fields are `NAME`s, split on commas with no csv quoting; modality
+names (`RateVector`) and abltable metric names share that grammar.
+
 `parse_rows` checks every body line against the line grammar with one
 regex substitution and converts the body with numpy's `loadtxt` in one
 step. Only when that fails does `first_bad_line` walk the lines in
@@ -21,7 +24,6 @@ Python to name the first bad one as `path:line: reason`.
 from __future__ import annotations
 
 import codecs
-import csv
 import io
 import re
 from functools import lru_cache
@@ -32,6 +34,9 @@ import numpy as np
 
 from .errors import FileFormatError
 
+# A header field, modality name or metric name: nonempty, and free of the
+# comma, double quote and line breaks that would change how a line splits.
+NAME = r'[^,"\r\n]+'
 INT = r"0|[1-9][0-9]*"
 BIT = r"[01]"
 FLOAT = r"(?:0|[1-9][0-9]*)\.[0-9]+|[1-9](?:\.[0-9]+)?e[+-](?:0[1-9]|[1-9][0-9]{1,2})"
@@ -63,7 +68,14 @@ def read_header(path: str | Path, line: bytes) -> list[str]:
         raise FileFormatError(f"{path}:1: no newline at end of file")
     if text.endswith("\r\n"):
         raise FileFormatError(f"{path}:1: CRLF line ending, expected LF")
-    return next(csv.reader([text[:-1]]), [])
+    fields = text[:-1].split(",")
+    for i, field in enumerate(fields, 1):
+        if not re.fullmatch(NAME, field):
+            raise FileFormatError(
+                f"{path}:1: header field {i} {field!r} is not a name "
+                "(nonempty, without double quotes or line breaks)"
+            )
+    return fields
 
 
 def read_text(path: str | Path) -> tuple[list[str], str]:

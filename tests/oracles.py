@@ -400,3 +400,112 @@ def per_weighting_grad_norms(model, features, mask, labels) -> np.ndarray:
             continue
         norms[m] = module_grad_norms(backward_batch(model, cache, out, labels, col / col.sum()))
     return norms
+
+
+# The config resolver as it was before the schema table: four key sets, two
+# default sources and inline checks. Valid documents must resolve to the same
+# document (hence the same config_hash) under `missdiag.config.resolve_config`.
+_V1_TOP_KEYS = {"modalities", "protocol", "seed", "n_samples", "divergence", "epsilon",
+                "mei_mode", "metrics", "output_dir", "simulation"}
+_V1_SIMULATION_TYPES = {
+    "task": str, "dims": (int,), "informativeness": (float,), "n_classes": int,
+    "label_noise": float, "n_train": int, "n_valid": int, "n_test": int,
+    "data_seed": int, "epochs": int, "batch_size": int, "learning_rate": float,
+    "hidden": int, "mei_epoch_stride": int, "grad_log_stride": int,
+    "resample_masks_per_epoch": bool, "paired": bool,
+}
+_V1_SIM_DEFAULTS = {
+    "task": "classification", "n_classes": 8, "label_noise": 0.25, "n_valid": 1000,
+    "n_test": 1000, "epochs": 20, "batch_size": 48, "learning_rate": 0.015, "hidden": 16,
+    "mei_epoch_stride": 5, "grad_log_stride": 1, "resample_masks_per_epoch": False,
+    "paired": False,
+}
+
+
+def _v1_is(value, kind) -> bool:
+    if isinstance(value, bool):
+        return kind is bool
+    if kind is float:
+        return isinstance(value, int) or isinstance(value, float) and math.isfinite(value)
+    return isinstance(value, kind)
+
+
+def resolve_config_v1(raw, seed_flag=None, env=None) -> dict:
+    """The resolved document of a valid config; ValueError for an invalid one."""
+    from missdiag import PerfMetric, RateVector
+
+    def fail(what):
+        raise ValueError(what)
+
+    env = {} if env is None else env
+    if set(raw) - _V1_TOP_KEYS or not isinstance(raw.get("modalities"), list):
+        fail("top level")
+    modalities = raw["modalities"]
+    protocol = raw.get("protocol")
+    if not isinstance(protocol, dict) or set(protocol) - {"shared_rate", "rates"}:
+        fail("protocol")
+    if ("shared_rate" in protocol) == ("rates" in protocol):
+        fail("protocol form")
+    if "rates" in protocol:
+        rates = protocol["rates"]
+        if not isinstance(rates, list) or len(rates) != len(modalities):
+            fail("rates")
+        if not all(_v1_is(r, float) for r in rates):
+            fail("rate type")
+        RateVector(tuple(modalities), tuple(rates))
+    elif not _v1_is(protocol["shared_rate"], float):
+        fail("shared_rate")
+    else:
+        RateVector.shared(tuple(modalities), protocol["shared_rate"])
+    if seed_flag is not None:
+        seed = seed_flag
+    elif env.get("MISSDIAG_SEED"):
+        seed = int(env["MISSDIAG_SEED"])
+    else:
+        seed = raw.get("seed")
+        if not isinstance(seed, int) or isinstance(seed, bool):
+            fail("seed")
+    if not 0 <= seed < 2**64:
+        fail("seed range")
+    n_samples = raw.get("n_samples", 1000)
+    epsilon = raw.get("epsilon", 1e-8)
+    if not _v1_is(n_samples, int) or n_samples < 1 or not _v1_is(epsilon, float) \
+            or not epsilon > 0:
+        fail("n_samples or epsilon")
+    metrics = None
+    if "metrics" in raw:
+        metrics = []
+        for entry in raw["metrics"]:
+            if isinstance(entry, str):
+                metrics.append(PerfMetric.named(entry))
+            elif entry.get("orientation") is None:
+                metrics.append(PerfMetric.named(entry["name"]))
+            else:
+                metrics.append(PerfMetric(entry["name"], entry["orientation"]))
+    simulation = None
+    if raw.get("simulation") is not None:
+        sim_raw = raw["simulation"]
+        for key, value in sim_raw.items():
+            kind = _V1_SIMULATION_TYPES[key]
+            if isinstance(kind, tuple):
+                if not isinstance(value, list) or not all(_v1_is(v, kind[0]) for v in value):
+                    fail(key)
+            elif not _v1_is(value, kind):
+                fail(key)
+        simulation = dict(_V1_SIM_DEFAULTS)
+        simulation.update(sim_raw)
+        if len(simulation["dims"]) != len(modalities):
+            fail("dims")
+    return {
+        "modalities": list(modalities),
+        "protocol": dict(protocol),
+        "seed": seed,
+        "n_samples": n_samples,
+        "divergence": raw.get("divergence", "js"),
+        "epsilon": float(epsilon),
+        "mei_mode": raw.get("mei_mode", "balanced-is-one"),
+        "metrics": [{"name": m.name, "orientation": m.orientation} for m in metrics]
+        if metrics else None,
+        "output_dir": raw.get("output_dir", "out"),
+        "simulation": simulation,
+    }

@@ -239,13 +239,26 @@ class TestSimulationFieldTypes:
         ("resample_masks_per_epoch", "0"),
     ]
 
+    # A bad list element is named by its index; these rows pin the whole message.
+    ELEMENT_ERRORS = {
+        ("dims", '[16,"a"]'): "'simulation.dims[1]' must be a JSON integer, got \"a\"",
+        ("dims", "[6,5.0]"): "'simulation.dims[1]' must be a JSON integer, got 5.0",
+        ("informativeness", "[1.0,true]"):
+            "'simulation.informativeness[1]' must be a JSON number, got true",
+        ("informativeness", "[NaN,1.0]"):
+            "'simulation.informativeness[0]' must be a JSON number, got NaN",
+    }
+
     @pytest.mark.parametrize("field, value", CASES, ids=[f"{f}={v}" for f, v in CASES])
     def test_bad_type_is_config_error(self, tmp_path, capsys, field, value):
         argv = ["simulate", "run", "--config", sim_config(tmp_path),
                 "--set", f"simulation.{field}={value}"]
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: 'simulation.{field}' must be ")
+        if (field, value) in self.ELEMENT_ERRORS:
+            assert err == f"error: {self.ELEMENT_ERRORS[field, value]}\n"
+        else:
+            assert err.startswith(f"error: 'simulation.{field}' must be ")
         assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
@@ -318,7 +331,8 @@ class TestTopLevelFieldTypes:
         argv = ["mask", "generate", "--config", mask_config(tmp_path),
                 "--set", 'protocol={"rates": null}']
         assert main(argv) == 2
-        assert capsys.readouterr().err == "error: 'protocol.rates' must be a list of numbers\n"
+        assert capsys.readouterr().err == (
+            "error: 'protocol.rates' must be a JSON list of numbers, got null\n")
 
     def test_integer_shared_rate_accepted(self, tmp_path, capsys):
         config = mask_config(tmp_path, protocol={"shared_rate": 0})

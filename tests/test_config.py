@@ -2,17 +2,29 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
+import random
+from pathlib import Path
 
+import oracles
 import pytest
 
 from missdiag import ConfigError
 from missdiag.config import (
+    OMITTED,
+    REQUIRED,
+    SCHEMA,
     SEED_ENV_VAR,
+    Interval,
     apply_overrides,
     load_raw_config,
     resolve_config,
 )
+from missdiag.report import config_hash
+from missdiag.simtrainer import TASKS
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def base_raw(**overrides) -> dict:
@@ -248,3 +260,181 @@ class TestResolveConfig:
         config = resolve_config(sim_raw(), env={})
         text = json.dumps(config.resolved, sort_keys=True)
         assert json.loads(text) == config.resolved
+
+
+class TestSchemaWalk:
+    def test_non_object_named_with_its_value(self):
+        with pytest.raises(ConfigError) as info:
+            resolve_config(base_raw(protocol=[1]), env={})
+        assert str(info.value) == "'protocol' must be a JSON object, got [1]"
+
+    def test_range_message(self):
+        with pytest.raises(ConfigError) as info:
+            resolve_config(base_raw(n_samples=2**24 + 1), env={})
+        assert str(info.value) == "'n_samples' must be in [1, 2^24], got 16777217"
+        with pytest.raises(ConfigError) as info:
+            resolve_config(base_raw(divergence="tv"), env={})
+        assert str(info.value) == "'divergence' must be one of \"kl\", \"js\", got \"tv\""
+
+    def test_null_where_the_default_is_null(self):
+        config = resolve_config(base_raw(metrics=None, simulation=None), env={})
+        assert config.resolved == resolve_config(base_raw(), env={}).resolved
+        with pytest.raises(ConfigError, match="'seed' must be a JSON integer, got null"):
+            resolve_config(base_raw(seed=None), env={})
+
+
+def _readme_config() -> dict:
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    return json.loads(text.split("```json\n", 1)[1].split("```", 1)[0])
+
+
+def _load(path: Path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _known_configs(tmp_path) -> list[dict]:
+    """README's config and every config the tests, the benchmark and artifact_diff use."""
+    import test_cli
+    import test_exit_contract
+
+    workloads = _load(ROOT / "perfbench" / "workloads.py")
+    artifact_diff = _load(ROOT / "tools" / "artifact_diff.py")
+    toy = json.loads(json.dumps(workloads.PAIRED_CONFIG))
+    toy["simulation"].update(workloads.TOY_SIMULATION)
+    configs = [
+        _readme_config(), workloads.PAIRED_CONFIG, toy,
+        artifact_diff.README_CONFIG, artifact_diff.RESAMPLE_CONFIG,
+        artifact_diff.STRIDE_CONFIG, test_exit_contract.BASE,
+    ]
+    configs += [{"modalities": list(names), "protocol": {"rates": list(rates)}, "seed": 0,
+                 "n_samples": rows} for _, names, rates, rows, _ in workloads.MASK_PROTOCOLS]
+    configs += [json.loads(artifact_diff._mask_config(M)) for M in artifact_diff.MASK_RATES]
+    configs += [
+        base_raw(), base_raw(protocol={"shared_rate": 0.3}), base_raw(n_samples=500),
+        base_raw(metrics=["UA", {"name": "RMSE", "orientation": "lower-better"}]),
+        sim_raw(), sim_raw(data_seed=1234), sim_raw(paired=True),
+        sim_raw(learning_rate=1, informativeness=[1, 2, 0.5]),
+        base_raw(protocol={"shared_rate": 0}),
+        # tests/test_acceptance.py, criterion 8
+        {"modalities": ["audio", "video"], "protocol": {"rates": [0.2, 0.5]}, "seed": 11,
+         "n_samples": 200, "simulation": {"dims": [6, 5], "informativeness": [1.0, 1.0],
+                                          "n_train": 64, "n_valid": 16, "n_test": 16,
+                                          "epochs": 2, "batch_size": 16, "n_classes": 3}},
+    ]
+    for paired in (False, True):
+        path = test_cli.sim_config(tmp_path, paired=paired)
+        configs.append(json.loads(Path(path).read_text()))
+    configs.append(json.loads(Path(test_cli.mask_config(tmp_path)).read_text()))
+    return configs
+
+
+_NAMES = ["audio", "video", "text", "α", "a b", " pad ", "x-y", "'q'", "tab\there", "1"]
+_METRICS = ["UA", "WA", "F1", "MAE", "Corr", "Acc-2", "RMSE"]
+
+
+def _random_value(rng: random.Random, path: str, M: int):
+    """A valid value for `path`, drawn from its SCHEMA type and the library ranges."""
+    field = SCHEMA[path]
+    if path == "modalities":
+        return rng.sample(_NAMES, M)
+    if path in ("protocol.rates", "protocol.shared_rate"):
+        rate = lambda: rng.choice([0, 0.1, 0.5, 0.95, rng.random() * 0.99])  # noqa: E731
+        return [rate() for _ in range(M)] if path.endswith("rates") else rate()
+    if path == "metrics":
+        names = rng.sample(_METRICS, rng.randint(1, 3))
+        return [rng.choice([n, {"name": n}, {"name": n, "orientation": "lower-better"}])
+                for n in names]
+    if path == "simulation.task":
+        return rng.choice(TASKS)
+    if path == "simulation.dims":
+        return [rng.randint(1, 40) for _ in range(M)]
+    if path == "simulation.informativeness":
+        return [rng.choice([1, 0.5, 2.0, 0]) for _ in range(M - 1)] + [1.0]
+    if isinstance(field.range, tuple):
+        return rng.choice(field.range)
+    if isinstance(field.range, Interval):
+        if field.type == "integer":
+            hi = field.range.hi - 1 if field.range.open_hi else field.range.hi
+            return rng.choice([field.range.lo, hi, rng.randint(field.range.lo, hi)])
+        return rng.choice([1e-12, 1e-8, 0.5, 3])
+    if field.type == "integer":
+        return rng.randint(2, 64)
+    if field.type == "number":
+        return rng.choice([1, 0.015, 0.25, 1.5])
+    if field.type == "boolean":
+        return rng.random() < 0.5
+    return f"dir{rng.randint(0, 99)}"
+
+
+def _random_document(rng: random.Random) -> dict:
+    M = rng.randint(2, 6)
+    doc: dict = {}
+    with_sim = rng.random() < 0.6
+    form = rng.choice(["protocol.rates", "protocol.shared_rate"])
+    for path, field in SCHEMA.items():
+        parent, _, key = path.rpartition(".")
+        if parent and parent not in doc or path.startswith("protocol.") and path != form:
+            continue
+        if field.type == "object":
+            if field.default is REQUIRED or parent == "" and with_sim:
+                doc[path] = {}
+            continue
+        if field.default is REQUIRED or path in (form, "seed") or rng.random() < 0.5:
+            (doc[parent] if parent else doc)[key] = _random_value(rng, path, M)
+    return doc
+
+
+class TestResolveMatchesOracle:
+    """Valid documents resolve, and hash, exactly as before the schema table."""
+
+    @staticmethod
+    def _assert_same(raw, seed_flag=None, env=None):
+        env = {} if env is None else env
+        want = oracles.resolve_config_v1(raw, seed_flag, env)
+        got = resolve_config(raw, seed_flag=seed_flag, env=env).resolved
+        assert got == want
+        assert config_hash(got) == config_hash(want)
+
+    def test_known_configs(self, tmp_path):
+        configs = _known_configs(tmp_path)
+        assert len(configs) >= 20
+        for raw in configs:
+            self._assert_same(raw)
+            self._assert_same(raw, seed_flag=2**64 - 1)
+            self._assert_same(raw, env={SEED_ENV_VAR: "55"})
+
+    def test_random_valid_documents(self):
+        rng = random.Random(909)
+        for _ in range(250):
+            raw = _random_document(rng)
+            seed_flag = rng.choice([None, None, rng.randrange(2**64)])
+            self._assert_same(json.loads(json.dumps(raw)), seed_flag)
+
+
+class TestReadmeConfigTable:
+    @staticmethod
+    def _cell(value) -> str:
+        if value is REQUIRED:
+            return "required"
+        if value is OMITTED:
+            return "—"
+        return f"`{json.dumps(value)}`"
+
+    def test_rows_equal_schema(self):
+        text = (ROOT / "README.md").read_text(encoding="utf-8")
+        section = text.split("## Config fields\n", 1)[1].split("\n## ", 1)[0]
+        rows = [line for line in section.splitlines() if line.startswith("| `")]
+        want = []
+        for path, field in SCHEMA.items():
+            if field.range is None:
+                allowed = ""
+            elif isinstance(field.range, Interval):
+                allowed = f"`{field.range}`"
+            else:
+                allowed = ", ".join(f"`{json.dumps(c)}`" for c in field.range)
+            want.append(f"| `{path}` | {field.type} | {self._cell(field.default)} | "
+                        f"{allowed} |".replace("|  |", "| |"))
+        assert rows == want

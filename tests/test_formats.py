@@ -96,6 +96,20 @@ class TestMaskMatrixFormat:
         np.testing.assert_array_equal(masks, matrix.masks)
         assert masks.dtype == np.int8
 
+    # Names outside the csv-special characters, as any user might pick them.
+    ACCEPTED_NAMES = ["audio", "a b", " padded ", "α-β", "'single'", "tab\there",
+                      "semi;colon", "0", "émoji 🎧", "back\\slash"]
+
+    def test_accepted_names_round_trip(self, tmp_path):
+        path = tmp_path / "masks.csv"
+        for i in range(0, len(self.ACCEPTED_NAMES), 2):
+            names = tuple(self.ACCEPTED_NAMES[i : i + 2]) + ("last",)
+            matrix = generate_mask_matrix(RateVector(names, (0.3, 0.3, 0.3)), 20, seed=i)
+            write_mask_matrix(matrix, path)
+            got_names, masks = read_mask_matrix(path)
+            assert got_names == names
+            np.testing.assert_array_equal(masks, matrix.masks)
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "masks.csv"
         path.write_text("id,audio,video\n0,1,0\n")

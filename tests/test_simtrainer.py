@@ -14,6 +14,7 @@ from missdiag import (
     DimensionError,
     EmptyDatasetError,
     MaskPattern,
+    MissdiagError,
     TrainingDivergedError,
     PerfMetric,
     RateVector,
@@ -582,6 +583,34 @@ class TestRunExperiment:
         config = quick_config(protocol=RateVector(("a", "b", "c"), (0.1, 0.1, 0.1)))
         with pytest.raises(DimensionError):
             run_experiment(spec, config)
+
+    @pytest.mark.parametrize("spec, config, message", [
+        (small_spec(), quick_config(metrics=(PerfMetric.named("MAE"),)),
+         "metric 'MAE' is not defined for classification"),
+        (small_spec(dims=(2,) * 21, informativeness=(1.0,) * 21),
+         quick_config(rates=(0.1,) * 21), "exceeds the enumeration cap"),
+    ], ids=["metric-for-another-task", "M=21"])
+    def test_rejected_before_the_first_step(self, monkeypatch, spec, config, message):
+        def no_step(*args, **kwargs):
+            raise AssertionError("a training step ran")
+
+        monkeypatch.setattr(simtrainer, "train_step", no_step)
+        monkeypatch.setattr(simtrainer, "gen_synthetic", no_step)
+        with pytest.raises(MissdiagError, match=message):
+            run_experiment(spec, config)
+
+    def test_sizes_have_an_upper_bound(self):
+        for name in ("n_train", "n_valid", "n_test"):
+            with pytest.raises(ConfigError, match=rf"^{name} must be in \[1, 2\^24\]"):
+                small_spec(**{name: simtrainer.MAX_SIZE + 1})
+        with pytest.raises(ConfigError, match=r"^dims\[1\] must be in \[1, 2\^24\]"):
+            small_spec(dims=(5, 2**63 - 1))
+        with pytest.raises(ConfigError, match=r"^n_classes must be in \[2, 2\^24\]"):
+            small_spec(n_classes=simtrainer.MAX_SIZE + 1)
+        for name in ("epochs", "batch_size", "hidden"):
+            with pytest.raises(ConfigError, match=rf"^{name} must be in \[1, 2\^24\]"):
+                quick_config(**{name: simtrainer.MAX_SIZE + 1})
+        small_spec(n_train=simtrainer.MAX_SIZE, dims=(simtrainer.MAX_SIZE, 1))
 
     def test_deterministic_replay(self):
         spec = small_spec()
