@@ -88,6 +88,7 @@ from .simtrainer import (
     default_metrics,
     forward,
     gen_synthetic,
+    run_arms,
     run_experiment,
     train_step,
 )

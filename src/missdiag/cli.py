@@ -19,7 +19,9 @@ measurable contribution).
 from __future__ import annotations
 
 import argparse
+import errno
 import math
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict
@@ -272,9 +274,22 @@ def _run_payload(run: simtrainer.RunLog, divergence_kind: str, artifacts: dict) 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     config = _load_config(args)
+    out_dir = Path(args.out) if args.out else Path(config.output_dir)
     with _writing_out(args, config):
-        _simulate(config, Path(args.out) if args.out else Path(config.output_dir))
+        _check_out_dir(out_dir)
+        _simulate(config, out_dir)
     return 0
+
+
+def _check_out_dir(path: Path) -> None:
+    """Fail before any training when `path` or its nearest existing ancestor is not a directory."""
+    for candidate in (path, *path.parents):
+        if candidate.exists():
+            if not candidate.is_dir():
+                raise NotADirectoryError(
+                    errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(candidate)
+                )
+            return
 
 
 def _simulate(config: cfg.ExperimentConfig, out_dir: Path) -> None:
@@ -284,11 +299,11 @@ def _simulate(config: cfg.ExperimentConfig, out_dir: Path) -> None:
 
     if config.paired:
         arms = {"imr": rates, "smr": rates.mean_matched()}
+        trained = simtrainer.run_arms(spec, [config.train_config(r) for r in arms.values()])
+        runs = dict(zip(arms, trained))
         payloads = {}
         artifact_index = {}
-        runs = {}
-        for arm, arm_rates in arms.items():
-            run = simtrainer.run_experiment(spec, config.train_config(arm_rates))
+        for arm, run in runs.items():
             artifacts = _emit_run_artifacts(run, out_dir / arm)
             for name, entry in artifacts.items():
                 artifact_index[f"{arm}/{name}"] = {
@@ -296,7 +311,6 @@ def _simulate(config: cfg.ExperimentConfig, out_dir: Path) -> None:
                     "sha256": entry["sha256"],
                 }
             payloads[arm] = _run_payload(run, config.divergence_kind, artifacts)
-            runs[arm] = run
         deltas = {
             "mli": runs["imr"].mli_result.value - runs["smr"].mli_result.value,
             "mei": {

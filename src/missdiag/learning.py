@@ -230,9 +230,7 @@ def trace_from_norms(
 
     unlogged = ~defined.any(axis=0)
     if unlogged.any():
-        raise InvalidTraceError(
-            f"modality {int(np.argmax(unlogged))} has no defined gradient values"
-        )
+        raise _unlogged(int(np.argmax(unlogged)))
     # Row of the last defined cell at or before t; leading gaps take the first.
     rows = np.where(defined, np.arange(T)[:, None], -1)
     np.maximum.accumulate(rows, axis=0, out=rows)
@@ -273,7 +271,8 @@ def assemble_trace(
     starts = np.ones(order.size, dtype=bool)
     starts[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
     first = order[np.maximum.accumulate(np.where(starts, np.arange(order.size), 0))]
-    clash = value[order] != value[first]
+    ordered = value[order]
+    clash = ordered != value[first]
     if clash.any():
         j = int(order[clash].min())
         i = int(first[order == j][0])
@@ -299,22 +298,53 @@ def assemble_trace(
             f"module index {k} out of range for module count {module_count}"
         )
 
-    unique = order[starts]
-    steps, t = np.unique(step[unique], return_inverse=True)
-    cell = (t, modality[unique], module[unique])
-    norms = np.zeros((steps.size, M, module_count))
-    norms[cell] = value[unique]
-    seen = np.zeros(norms.shape, dtype=bool)
-    seen[cell] = True
-    counts = seen.sum(axis=2)
-    incomplete = np.argwhere((counts > 0) & (counts < module_count))
+    # Completeness and unlogged modalities are checked on the rows, before
+    # the (T, M, K) grid exists, so that a huge index fails with its
+    # message rather than with the allocation. Cells are the runs of equal
+    # (step, modality) among the sorted unique keys.
+    keys = [column[starts] for column in keys]
+    step, modality, module = keys
+    value = ordered[starts]
+    step_starts = np.ones(step.size, dtype=bool)
+    step_starts[1:] = step[1:] != step[:-1]
+    cell_starts = step_starts.copy()
+    cell_starts[1:] |= modality[1:] != modality[:-1]
+    bounds = np.append(np.flatnonzero(cell_starts), step.size)
+    incomplete = np.flatnonzero(np.diff(bounds) < module_count)
     if incomplete.size:
-        t, m = incomplete[0].tolist()
+        lo, hi = bounds[incomplete[0]], bounds[incomplete[0] + 1]
         raise InvalidTraceError(
-            f"missing module entries: {np.flatnonzero(~seen[t, m]).tolist()} "
-            f"at step {steps[t]}, modality {m}"
+            f"missing module entries: {_absent(module[lo:hi], module_count)} "
+            f"at step {step[lo]}, modality {modality[lo]}"
         )
-    return trace_from_norms(steps, norms, counts > 0)
+    # n cells leave a gap among modalities 0..n whenever M > n, so flags for
+    # the first min(M, n + 1) modalities find the first unlogged one.
+    cell_modality = modality[bounds[:-1]]
+    logged = np.zeros(min(M, cell_modality.size + 1), dtype=bool)
+    logged[cell_modality[cell_modality < logged.size]] = True
+    if not logged.all():
+        raise _unlogged(int(np.argmin(logged)))
+
+    steps, t = step[step_starts], np.cumsum(step_starts) - 1
+    norms = np.zeros((steps.size, M, module_count))
+    norms[t, modality, module] = value
+    defined = np.zeros((steps.size, M), dtype=bool)
+    defined[t, modality] = True
+    return trace_from_norms(steps, norms, defined)
+
+
+def _absent(present: np.ndarray, count: int, limit: int = 20) -> str:
+    """The indices below `count` missing from the sorted `present`, listed up to `limit`."""
+    candidates = np.arange(min(count, limit + present.size + 1))
+    missing = np.setdiff1d(candidates, present, assume_unique=True)[:limit].tolist()
+    total = count - present.size
+    if total <= limit:
+        return str(missing)
+    return f"[{', '.join(map(str, missing))}, ...] ({total} in all)"
+
+
+def _unlogged(m: int) -> InvalidTraceError:
+    return InvalidTraceError(f"modality {m} has no defined gradient values")
 
 
 def delta_series(trace: GradTrace) -> tuple[np.ndarray, np.ndarray]:

@@ -466,6 +466,10 @@ def read_mask_matrix(path: str | Path) -> tuple[tuple[str, ...], np.ndarray]:
     header, body = textformat.read_text(path)
     if len(header) < 3 or header[0] != "sample_id":
         raise FileFormatError(f"{path}: expected header 'sample_id,<modalities...>'")
+    names = header[1:]
+    repeated = next((name for i, name in enumerate(names) if name in names[:i]), None)
+    if repeated is not None:
+        raise FileFormatError(f"{path}:1: duplicate modality name {repeated!r}")
     fields = (textformat.INT,) + (textformat.BIT,) * (len(header) - 1)
     rows = textformat.parse_rows(body, fields, np.dtype(np.int64))
     # Mask row i is applied to training sample i, so ids must count from 0.
@@ -476,7 +480,7 @@ def read_mask_matrix(path: str | Path) -> tuple[tuple[str, ...], np.ndarray]:
     masks = rows[:, 1:].astype(np.int8)
     if not masks.any(axis=1).all():
         raise FileFormatError(f"{path}: contains an all-missing row")
-    return tuple(header[1:]), masks
+    return tuple(names), masks
 
 
 def _mask_row_error(k: int, cells: list[str]) -> str | None:

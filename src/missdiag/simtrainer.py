@@ -9,7 +9,9 @@ are zero-imputed at the encoder input, with per-sample masks drawn from
 a missingness protocol. A zero input gives encoder m the pre-activation
 0 W_m + b_m = b_m exactly, so a missing modality adds exactly relu(b_m)
 to the fused sum; evaluation runs each encoder once per batch and
-re-fuses its outputs for every observed-modality pattern.
+re-fuses its outputs for every observed-modality pattern. The arms of a
+paired run differ only in their masks, so `run_arms` trains them in
+lockstep: one model with a leading arm axis, one step per shared batch.
 
 The trainer exists to emit gradient traces and ablation tables for the
 equity/learning diagnostics, not to reach competitive accuracy.
@@ -18,7 +20,7 @@ equity/learning diagnostics, not to reach competitive accuracy.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -36,7 +38,6 @@ from .learning import (
     GradTrace,
     MLIResult,
     mli,
-    modality_loss,
     samples_from_norms,
     trace_from_norms,
 )
@@ -208,6 +209,12 @@ class ToyModel:
 
     Parameter modules for gradient logging: module m (< M) is encoder m
     (weights and bias), module M is the fusion head.
+
+    Every array may carry one leading arm axis of length A: encoder
+    weights (A, d_m, H), biases (A, H), head weight (A, H, C) and bias
+    (A, C). Such a model holds A models that `train_step` trains in
+    lockstep on one shared batch; `arm(a)` is arm a as a plain model of
+    views, for evaluation.
     """
 
     def __init__(
@@ -223,15 +230,18 @@ class ToyModel:
         self.fus_W = np.asarray(fus_W, dtype=np.float64)
         self.fus_b = np.asarray(fus_b, dtype=np.float64)
         self.task = task
-        hidden = self.fus_W.shape[0]
         if task not in TASKS:
             raise ConfigError(f"task must be one of {TASKS}, got {task!r}")
         if len(self.enc_W) != len(self.enc_b) or len(self.enc_W) < 2:
             raise DimensionError("need one (W, b) pair per modality, at least 2")
+        if self.fus_W.ndim not in (2, 3):
+            raise DimensionError("the fusion weight must be (H, C), or (A, H, C) with an arm axis")
+        lead, hidden = self.fus_W.shape[:-2], self.fus_W.shape[-2]
         for w, b in zip(self.enc_W, self.enc_b):
-            if w.ndim != 2 or b.shape != (w.shape[1],) or w.shape[1] != hidden:
+            if (w.ndim != self.fus_W.ndim or w.shape[:-2] != lead or w.shape[-1] != hidden
+                    or b.shape != lead + (hidden,)):
                 raise DimensionError("encoder shapes are inconsistent with the fusion head")
-        if self.fus_b.shape != (self.fus_W.shape[1],):
+        if self.fus_b.shape != lead + self.fus_W.shape[-1:]:
             raise DimensionError("fusion bias does not match the fusion weight")
 
     @property
@@ -244,7 +254,22 @@ class ToyModel:
 
     @property
     def dims(self) -> tuple[int, ...]:
-        return tuple(w.shape[0] for w in self.enc_W)
+        return tuple(w.shape[-2] for w in self.enc_W)
+
+    @property
+    def arms(self) -> int | None:
+        """The length A of the arm axis, or None for a plain model."""
+        return self.fus_W.shape[0] if self.fus_W.ndim == 3 else None
+
+    def arm(self, a: int) -> "ToyModel":
+        """Arm a of a model with an arm axis, as a plain model of views into its arrays."""
+        return ToyModel(
+            [w[a] for w in self.enc_W],
+            [b[a] for b in self.enc_b],
+            self.fus_W[a],
+            self.fus_b[a],
+            self.task,
+        )
 
     def parameters(self) -> list[tuple[str, np.ndarray]]:
         """Named parameter arrays, mutated in place by updates."""
@@ -266,6 +291,21 @@ class ToyModel:
         )
 
 
+def _lockstep(model: ToyModel, arms: int | None = None) -> ToyModel:
+    """A plain `model` with an arm axis: one arm of views into it, or `arms` copies."""
+
+    def lift(p: np.ndarray) -> np.ndarray:
+        return p[None] if arms is None else np.repeat(p[None], arms, axis=0)
+
+    return ToyModel(
+        [lift(w) for w in model.enc_W],
+        [lift(b) for b in model.enc_b],
+        lift(model.fus_W),
+        lift(model.fus_b),
+        model.task,
+    )
+
+
 def init_model(
     dims: Sequence[int],
     hidden: int,
@@ -284,30 +324,33 @@ def init_model(
     return ToyModel(enc_W, enc_b, fus_W, fus_b, task)
 
 
-def _encode(model: ToyModel, features: Sequence[np.ndarray], mask: np.ndarray | None = None):
-    """Inputs x_m (zeroed where a training `mask` is 0), u_m = x_m W_m + b_m and relu(u_m)."""
+def _encode(model: ToyModel, features: Sequence[np.ndarray], present: np.ndarray | None = None):
+    """Inputs x_m, u_m = x_m W_m + b_m and relu(u_m).
+
+    Evaluation passes a plain model and no `present`. Training passes a
+    model with an arm axis and the (A, M, B) observed flags `present`,
+    which zero each arm's missing inputs; the features are shared.
+    """
     if len(features) != model.M:
         raise DimensionError(f"got {len(features)} feature blocks for M={model.M}")
-    if mask is not None and mask.shape != (features[0].shape[0], model.M):
-        raise DimensionError(
-            f"mask of shape {mask.shape} does not match batch "
-            f"({features[0].shape[0]}, {model.M})"
-        )
+    if present is None and model.arms is not None:
+        raise DimensionError("evaluate a model with an arm axis one arm at a time")
     xs, us, hs = [], [], []
     for m in range(model.M):
         x = np.asarray(features[m], dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != model.enc_W[m].shape[0]:
+        width = model.enc_W[m].shape[-2]
+        if x.ndim != 2 or x.shape[1] != width:
             raise DimensionError(
                 f"modality {m}: features of shape {x.shape} do not match encoder "
-                f"input width {model.enc_W[m].shape[0]}"
+                f"input width {width}"
             )
-        if xs and x.shape[0] != xs[0].shape[0]:
+        if xs and x.shape[0] != xs[0].shape[-2]:
             raise DimensionError(
-                f"modality {m}: {x.shape[0]} feature rows, modality 0 has {xs[0].shape[0]}"
+                f"modality {m}: {x.shape[0]} feature rows, modality 0 has {xs[0].shape[-2]}"
             )
-        if mask is not None:
-            x = x * mask[:, m : m + 1]
-        u = x @ model.enc_W[m] + model.enc_b[m]
+        if present is not None:
+            x = x * present[:, m, :, None]
+        u = np.matmul(x, model.enc_W[m]) + model.enc_b[m][..., None, :]
         xs.append(x)
         us.append(u)
         hs.append(np.maximum(u, 0.0))
@@ -319,14 +362,14 @@ def _fuse(model: ToyModel, hs: Sequence[np.ndarray]) -> tuple[np.ndarray, np.nda
     s = hs[0]
     for h in hs[1:]:
         s = s + h
-    return s, s @ model.fus_W + model.fus_b
+    return s, np.matmul(s, model.fus_W) + model.fus_b[..., None, :]
 
 
 def _forward_batch(
-    model: ToyModel, features: Sequence[np.ndarray], mask: np.ndarray
+    model: ToyModel, features: Sequence[np.ndarray], present: np.ndarray
 ) -> tuple[np.ndarray, tuple]:
     """Masked forward pass for training; returns (output, cache for backprop)."""
-    xs, us, hs = _encode(model, features, mask)
+    xs, us, hs = _encode(model, features, present)
     s, out = _fuse(model, hs)
     return out, (xs, us, s)
 
@@ -352,53 +395,59 @@ def forward(
     return _predict(model, _encode(model, feats)[2], pattern.bits)
 
 
-def _per_sample_losses(model: ToyModel, out: np.ndarray, labels: np.ndarray) -> np.ndarray:
+def _losses(model: ToyModel, out: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample losses and their residuals d loss_i / d out_i.
+
+    Residuals have the output's shape for classification; for regression
+    they drop its last axis, the single output.
+    """
     if model.task == CLASSIFICATION:
-        shifted = out - out.max(axis=1, keepdims=True)
-        logz = np.log(np.exp(shifted).sum(axis=1))
-        return logz - shifted[np.arange(out.shape[0]), labels]
-    return (out[:, 0] - labels) ** 2
+        shifted = out - out.max(axis=-1, keepdims=True)
+        expd = np.exp(shifted)
+        total = expd.sum(axis=-1, keepdims=True)
+        rows = np.arange(out.shape[-2])
+        resid = expd / total
+        resid[..., rows, labels] -= 1.0
+        return np.log(total[..., 0]) - shifted[..., rows, labels], resid
+    diff = out[..., 0] - labels
+    return diff**2, 2.0 * diff
 
 
 def _backward(
     model: ToyModel,
     cache: tuple,
-    out: np.ndarray,
-    labels: np.ndarray,
+    resid: np.ndarray,
     weights: np.ndarray,
 ) -> dict:
-    """Gradients of R weighted losses sum_i weights[r, i] * loss_i, stacked on axis 0.
+    """Gradients of R weighted losses sum_i weights[a, r, i] * loss_i, as (A, R, ...) arrays.
 
-    Gradients are linear in the sample weights, so the residual
-    d loss_i / d out is formed once and scaled by each row of the (R, B)
-    `weights`; each module then gets the gradients of all R rows from one
-    stacked matmul and one sum.
+    `model` carries an arm axis, and `resid` holds each arm's residuals
+    from `_losses`. Gradients are linear in the sample weights, so each
+    row of the (A, R, B) `weights` scales the residuals; each module then
+    gets the gradients of every arm and row from one stacked matmul and
+    one sum.
     """
     xs, us, s = cache
     if model.task == CLASSIFICATION:
-        shifted = out - out.max(axis=1, keepdims=True)
-        expd = np.exp(shifted)
-        resid = expd / expd.sum(axis=1, keepdims=True)
-        resid[np.arange(out.shape[0]), labels] -= 1.0
-        dout = weights[:, :, None] * resid
-        fus_b = dout.sum(axis=1)
+        dout = weights[..., None] * resid[:, None]
+        fus_b = dout.sum(axis=2)
     else:
-        # fus_b sums each (R, B) row over its contiguous last axis, in the
-        # order of the (B, 1) column sum of a single weighting.
-        scaled = 2.0 * (out[:, 0] - labels) * weights
-        dout = scaled[:, :, None]
-        fus_b = scaled.sum(axis=-1)[:, None]
+        # fus_b sums each (A, R, B) row over its contiguous last axis, in
+        # the order of the (B, 1) column sum of a single weighting.
+        scaled = resid[:, None] * weights
+        dout = scaled[..., None]
+        fus_b = scaled.sum(axis=-1)[..., None]
     grads = {
-        "fus_W": np.matmul(s.T, dout),
+        "fus_W": np.matmul(s.transpose(0, 2, 1)[:, None], dout),
         "fus_b": fus_b,
         "enc_W": [],
         "enc_b": [],
     }
-    ds = np.matmul(dout, model.fus_W.T)
+    ds = np.matmul(dout, model.fus_W.transpose(0, 2, 1)[:, None])
     for m in range(model.M):
-        du = ds * (us[m] > 0.0)
-        grads["enc_W"].append(np.matmul(xs[m].T, du))
-        grads["enc_b"].append(du.sum(axis=1))
+        du = ds * (us[m] > 0.0)[:, None]
+        grads["enc_W"].append(np.matmul(xs[m].transpose(0, 2, 1)[:, None], du))
+        grads["enc_b"].append(du.sum(axis=2))
     return grads
 
 
@@ -409,29 +458,34 @@ def loss_and_grads(
     labels: np.ndarray,
     sample_weights: np.ndarray,
 ) -> tuple[float, dict]:
-    """Weighted loss sum_i w_i * loss_i and its parameter gradients."""
-    out, cache = _forward_batch(model, features, mask)
-    losses = _per_sample_losses(model, out, labels)
-    grads = _backward(model, cache, out, labels, np.asarray(sample_weights)[None, :])
-    return float((losses * sample_weights).sum()), _row(grads, 0)
-
-
-def _row(grads: dict, r: int) -> dict:
-    """Gradients of weighting r from stacked `_backward` output."""
-    return {
-        "fus_W": grads["fus_W"][r],
-        "fus_b": grads["fus_b"][r],
-        "enc_W": [g[r] for g in grads["enc_W"]],
-        "enc_b": [g[r] for g in grads["enc_b"]],
+    """Weighted loss sum_i w_i * loss_i and its parameter gradients (plain model)."""
+    mask = _checked_mask(mask, (labels.shape[0], model.M))
+    stacked = _lockstep(model)
+    present = mask.T[None]
+    out, cache = _forward_batch(stacked, features, present)
+    losses, resid = _losses(stacked, out, labels)
+    grads = _backward(stacked, cache, resid, np.asarray(sample_weights)[None, None])
+    return float((losses[0] * sample_weights).sum()), {
+        "fus_W": grads["fus_W"][0, 0],
+        "fus_b": grads["fus_b"][0, 0],
+        "enc_W": [g[0, 0] for g in grads["enc_W"]],
+        "enc_b": [g[0, 0] for g in grads["enc_b"]],
     }
 
 
+def _checked_mask(mask: np.ndarray, batch: tuple[int, ...]) -> np.ndarray:
+    mask = np.asarray(mask, dtype=np.float64)
+    if mask.shape != batch:
+        raise DimensionError(f"mask of shape {mask.shape} does not match batch {batch}")
+    return mask
+
+
 def _squared_norms(grads: dict) -> np.ndarray:
-    """(R, M + 1) squared L2 norm of each module's gradient (M encoders, then fusion)."""
+    """(A, R, M + 1) squared L2 norm of each module's gradient (M encoders, then fusion)."""
     pairs = list(zip(grads["enc_W"], grads["enc_b"])) + [(grads["fus_W"], grads["fus_b"])]
-    sq = np.empty((grads["fus_b"].shape[0], len(pairs)))
+    sq = np.empty(grads["fus_b"].shape[:2] + (len(pairs),))
     for k, (w, b) in enumerate(pairs):
-        sq[:, k] = (w**2).sum(axis=(1, 2)) + (b**2).sum(axis=1)
+        sq[..., k] = (w**2).sum(axis=(2, 3)) + (b**2).sum(axis=2)
     return sq
 
 
@@ -470,7 +524,7 @@ def train_step(
     learning_rate: float,
     step: int = 1,
     log_grads: bool = True,
-) -> StepLog:
+) -> StepLog | tuple[StepLog, ...]:
     """One plain gradient-descent step on the mean batch loss.
 
     Also evaluates, at the pre-update parameters and without applying
@@ -480,40 +534,61 @@ def train_step(
     and a zero row of weights, so its row of norms stays zero. The M
     restricted losses and the full batch loss share one backward pass;
     the parameter update uses only the full batch loss (the last row).
+
+    A model with an arm axis (see `ToyModel`) takes the step for all A
+    arms at once on the shared `features` and `labels`: `mask` is then
+    (A, B, M), one mask per arm, and the result is a tuple of A StepLogs.
+    A plain model is the case A = 1 with a (B, M) mask and one StepLog.
     """
     B = labels.shape[0]
     if B == 0:
         raise EmptyDatasetError("training batch is empty")
-    mask = np.asarray(mask, dtype=np.float64)
-    out, cache = _forward_batch(model, features, mask)
-    losses = _per_sample_losses(model, out, labels)
-    task_loss = float(losses.mean())
-    modality_losses = tuple(modality_loss(losses, mask[:, m]) for m in range(model.M))
+    plain = model.arms is None
+    mask = _checked_mask(mask, (B, model.M) if plain else (model.arms, B, model.M))
+    if plain:
+        model, mask = _lockstep(model), mask[None]
+    # (A, M, B) with each modality's flags contiguous, so that every sum
+    # over the batch below runs along a contiguous row.
+    present = np.ascontiguousarray(mask.transpose(0, 2, 1))
+    A, M = present.shape[:2]
+    out, cache = _forward_batch(model, features, present)
+    losses, resid = _losses(model, out, labels)
+    counts = present.sum(axis=-1)
+    divisors = np.maximum(counts, 1.0)
+    modality_losses = (losses[:, None] * present).sum(axis=-1) / divisors
 
-    weights = np.full((model.M + 1 if log_grads else 1, B), 1.0 / B)
     if log_grads:
-        for m, loss_m in enumerate(modality_losses):
-            col = mask[:, m]
-            weights[m] = 0.0 if loss_m is None else col / col.sum()
-    grads = _backward(model, cache, out, labels, weights)
+        weights = np.empty((A, M + 1, B))
+        weights[:, :M] = present / divisors[..., None]
+        weights[:, M] = 1.0 / B
+    else:
+        weights = np.full((A, 1, B), 1.0 / B)
+    grads = _backward(model, cache, resid, weights)
     grad_norms = None
     if log_grads:
-        grad_norms = np.sqrt(_squared_norms(grads)[:-1])
+        grad_norms = np.sqrt(_squared_norms(grads)[:, :-1])
         grad_norms.setflags(write=False)
 
-    full_grads = _row(grads, -1)
-    for m in range(model.M):
-        model.enc_W[m] -= learning_rate * full_grads["enc_W"][m]
-        model.enc_b[m] -= learning_rate * full_grads["enc_b"][m]
-    model.fus_W -= learning_rate * full_grads["fus_W"]
-    model.fus_b -= learning_rate * full_grads["fus_b"]
+    for m in range(M):
+        model.enc_W[m] -= learning_rate * grads["enc_W"][m][:, -1]
+        model.enc_b[m] -= learning_rate * grads["enc_b"][m][:, -1]
+    model.fus_W -= learning_rate * grads["fus_W"][:, -1]
+    model.fus_b -= learning_rate * grads["fus_b"][:, -1]
 
-    return StepLog(
-        step=step,
-        task_loss=task_loss,
-        modality_losses=modality_losses,
-        grad_norms=grad_norms,
+    task_losses = losses.mean(axis=-1).tolist()
+    observed = (counts > 0).tolist()
+    logs = tuple(
+        StepLog(
+            step=step,
+            task_loss=task_losses[a],
+            modality_losses=tuple(
+                loss if seen else None for loss, seen in zip(row, observed[a])
+            ),
+            grad_norms=None if grad_norms is None else grad_norms[a],
+        )
+        for a, row in enumerate(modality_losses.tolist())
     )
+    return logs[0] if plain else logs
 
 
 # ---------------------------------------------------------------------------
@@ -599,7 +674,7 @@ def ablation_table(model: ToyModel, split: Split, metric: PerfMetric) -> Ablatio
 def dataset_loss(model: ToyModel, split: Split) -> float:
     """Mean per-sample task loss on a clean, fully observed split."""
     _, out = _fuse(model, _encode(model, split.features)[2])
-    return float(_per_sample_losses(model, out, split.labels).mean())
+    return float(_losses(model, out, split.labels)[0].mean())
 
 
 # ---------------------------------------------------------------------------
@@ -703,12 +778,42 @@ def run_experiment(spec: SynthSpec, config: TrainConfig) -> RunLog:
     (initialisation, shuffling, masks); identical inputs give an
     identical RunLog. A step whose loss or logged gradient norms are not
     finite, or parameters that are not finite at the end of an epoch,
-    raise `TrainingDivergedError` before anything is evaluated.
+    raise `TrainingDivergedError` before anything is evaluated. This is
+    the one-arm case of `run_arms`.
     """
-    if config.protocol.M != spec.M:
-        raise DimensionError(
-            f"protocol has {config.protocol.M} modalities, data has {spec.M}"
-        )
+    return run_arms(spec, [config])[0]
+
+
+def run_arms(spec: SynthSpec, configs: Sequence[TrainConfig]) -> tuple[RunLog, ...]:
+    """Train one arm per config in lockstep; arm a's RunLog is `run_experiment(spec, configs[a])`.
+
+    The configs may differ in `protocol` alone, so the arms share their
+    data, initialisation and shuffle order: every step draws one batch
+    and takes it through one `train_step` with one mask per arm. Errors
+    are those of running the configs one after another: arm 0's
+    divergence is raised at once; any other arm's only after every arm
+    before it has trained and been evaluated. A diverged arm's slice
+    keeps stepping, apart from the others, and is never evaluated.
+    """
+    configs = tuple(configs)
+    if not configs:
+        raise ConfigError("at least one training config is required")
+    config = configs[0]
+    for a, other in enumerate(configs[1:], 1):
+        differing = [
+            f.name for f in fields(TrainConfig)
+            if f.name != "protocol" and getattr(other, f.name) != getattr(config, f.name)
+        ]
+        if differing:
+            raise ConfigError(
+                f"arm {a} differs from arm 0 in {', '.join(differing)}; "
+                "lockstep arms may differ in their protocol only"
+            )
+    for other in configs:
+        if other.protocol.M != spec.M:
+            raise DimensionError(
+                f"protocol has {other.protocol.M} modalities, data has {spec.M}"
+            )
     # What would only fail at evaluation fails here, before the first step.
     pattern_bits(spec.M)
     metrics = config.metrics or default_metrics(spec.task)
@@ -717,22 +822,33 @@ def run_experiment(spec: SynthSpec, config: TrainConfig) -> RunLog:
     dataset = gen_synthetic(spec)
 
     init_ss, shuffle_ss, mask_ss = np.random.SeedSequence(config.seed).spawn(3)
-    model = init_model(
-        spec.dims, config.hidden, spec.task, spec.n_classes, np.random.default_rng(init_ss)
+    model = _lockstep(
+        init_model(
+            spec.dims, config.hidden, spec.task, spec.n_classes, np.random.default_rng(init_ss)
+        ),
+        len(configs),
     )
     n_matrices = config.epochs if config.resample_masks_per_epoch else 1
     mask_seeds = mask_ss.generate_state(n_matrices, np.uint64)
-    matrices = tuple(
-        generate_mask_matrix(config.protocol, spec.n_train, int(s)) for s in mask_seeds
-    )
+    matrices = [
+        tuple(generate_mask_matrix(c.protocol, spec.n_train, int(s)) for s in mask_seeds)
+        for c in configs
+    ]
     shuffle_rng = np.random.default_rng(shuffle_ss)
 
-    steps: list[StepLog] = []
-    valid_tables: list[tuple[int, tuple[AblationTable, ...]]] = []
+    steps: list[list[StepLog]] = [[] for _ in configs]
+    valid_tables: list[list[tuple[int, tuple[AblationTable, ...]]]] = [[] for _ in configs]
+    errors: list[TrainingDivergedError | None] = [None] * len(configs)
+    last_finite: list[tuple[int, float] | None] = [None] * len(configs)
     step = 0
-    last_finite: tuple[int, float] | None = None
     for epoch in range(1, config.epochs + 1):
-        masks = matrices[epoch - 1 if config.resample_masks_per_epoch else 0].masks
+        if epoch == 1 or config.resample_masks_per_epoch:
+            # (A, M, N) float flags, cast once per mask matrix.
+            present = np.array(
+                [arm[epoch - 1 if config.resample_masks_per_epoch else 0].masks.T
+                 for arm in matrices],
+                dtype=np.float64,
+            )
         order = shuffle_rng.permutation(spec.n_train)
         for start in range(0, spec.n_train, config.batch_size):
             idx = order[start : start + config.batch_size]
@@ -741,43 +857,66 @@ def run_experiment(spec: SynthSpec, config: TrainConfig) -> RunLog:
             # A diverging step overflows to inf/nan; the checks below report
             # it with its step and epoch, so numpy's warnings add only noise.
             with np.errstate(over="ignore", invalid="ignore"):
-                log = train_step(
+                logs = train_step(
                     model,
                     feats,
-                    masks[idx].astype(np.float64),
+                    present[:, :, idx].transpose(0, 2, 1),
                     labels,
                     config.learning_rate,
                     step=step,
                     log_grads=(step - 1) % config.grad_log_stride == 0,
                 )
-            if not math.isfinite(log.task_loss):
-                raise _diverged(step, epoch, f"task loss is {log.task_loss!r}", last_finite)
-            if log.grad_norms is not None and not np.isfinite(log.grad_norms).all():
-                raise _diverged(step, epoch, "gradient norms are not finite", last_finite)
-            last_finite = (step, log.task_loss)
-            steps.append(log)
-        if not all(np.isfinite(p).all() for _, p in model.parameters()):
-            raise _diverged(step, epoch, "parameters are not finite", last_finite)
+            for a, log in enumerate(logs):
+                if errors[a] is not None:
+                    continue
+                if not math.isfinite(log.task_loss):
+                    errors[a] = _diverged(
+                        step, epoch, f"task loss is {log.task_loss!r}", last_finite[a]
+                    )
+                elif log.grad_norms is not None and not np.isfinite(log.grad_norms).all():
+                    errors[a] = _diverged(
+                        step, epoch, "gradient norms are not finite", last_finite[a]
+                    )
+                else:
+                    last_finite[a] = (step, log.task_loss)
+                    steps[a].append(log)
+            if errors[0] is not None:
+                raise errors[0]
+        for a in range(len(configs)):
+            if errors[a] is None and not all(
+                np.isfinite(p[a]).all() for _, p in model.parameters()
+            ):
+                errors[a] = _diverged(step, epoch, "parameters are not finite", last_finite[a])
+        if errors[0] is not None:
+            raise errors[0]
         if epoch % config.mei_epoch_stride == 0 or epoch == config.epochs:
-            tables = tuple(ablation_table(model, dataset.valid, m) for m in metrics)
-            valid_tables.append((epoch, tables))
+            for a in range(len(configs)):
+                if errors[a] is None:
+                    tables = tuple(ablation_table(model.arm(a), dataset.valid, m) for m in metrics)
+                    valid_tables[a].append((epoch, tables))
 
-    test_tables = tuple(ablation_table(model, dataset.test, m) for m in metrics)
-    trace = trace_from_norms(*_logged_norms(steps))
-    mei_results = tuple(
-        (table.metric.name, mei_from_table(table, config.epsilon, mode))
-        for table in test_tables
-        for mode in MEI_MODES
-    )
-    return RunLog(
-        spec=spec,
-        config=config,
-        config_hash=config_hash(describe_run(spec, config)),
-        steps=tuple(steps),
-        mask_matrices=matrices,
-        valid_tables=tuple(valid_tables),
-        test_tables=test_tables,
-        trace=trace,
-        mli_result=mli(trace),
-        mei_results=mei_results,
-    )
+    runs = []
+    for a, arm_config in enumerate(configs):
+        if errors[a] is not None:
+            raise errors[a]
+        arm = model.arm(a)
+        test_tables = tuple(ablation_table(arm, dataset.test, m) for m in metrics)
+        trace = trace_from_norms(*_logged_norms(steps[a]))
+        mei_results = tuple(
+            (table.metric.name, mei_from_table(table, arm_config.epsilon, mode))
+            for table in test_tables
+            for mode in MEI_MODES
+        )
+        runs.append(RunLog(
+            spec=spec,
+            config=arm_config,
+            config_hash=config_hash(describe_run(spec, arm_config)),
+            steps=tuple(steps[a]),
+            mask_matrices=matrices[a],
+            valid_tables=tuple(valid_tables[a]),
+            test_tables=test_tables,
+            trace=trace,
+            mli_result=mli(trace),
+            mei_results=mei_results,
+        ))
+    return tuple(runs)

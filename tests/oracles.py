@@ -402,6 +402,104 @@ def per_weighting_grad_norms(model, features, mask, labels) -> np.ndarray:
     return norms
 
 
+def per_arm_train_step(model, features, mask, labels, learning_rate, step, log_grads):
+    """One training step of one plain model, as the trainer took it before lockstep arms.
+
+    The same numpy operations as the trainer's forward pass and loss; the
+    L_m norms come from one backward pass per weighting and the update
+    from one more, so the result compares with the trainer's by `==`.
+    """
+    from missdiag import StepLog, modality_loss
+
+    mask = np.asarray(mask, dtype=np.float64)
+    B, M = mask.shape
+    out, cache = masked_forward_cache(model, features, mask)
+    if model.task == "classification":
+        shifted = out - out.max(axis=1, keepdims=True)
+        losses = np.log(np.exp(shifted).sum(axis=1)) - shifted[np.arange(B), labels]
+    else:
+        losses = (out[:, 0] - labels) ** 2
+    modality_losses = tuple(modality_loss(losses, mask[:, m]) for m in range(M))
+    norms = None
+    if log_grads:
+        norms = per_weighting_grad_norms(model, features, mask, labels)
+        norms.setflags(write=False)
+    full = backward_batch(model, cache, out, labels, np.full(B, 1.0 / B))
+    for m in range(M):
+        model.enc_W[m] -= learning_rate * full["enc_W"][m]
+        model.enc_b[m] -= learning_rate * full["enc_b"][m]
+    model.fus_W -= learning_rate * full["fus_W"]
+    model.fus_b -= learning_rate * full["fus_b"]
+    return StepLog(step, float(losses.mean()), modality_losses, norms)
+
+
+def sequential_run(spec, config, after_step=None):
+    """One run of the training loop as it was before lockstep arms, on `per_arm_train_step`.
+
+    Data, initialisation, masks, evaluation and the two diagnostics come
+    from the package's public functions. `after_step(step, model)` is
+    called after every step, so a test can poison the run. Returns the
+    RunLog, or raises what that loop raised.
+    """
+    from missdiag import (RunLog, TrainingDivergedError, ablation_table, default_metrics,
+                          gen_synthetic, generate_mask_matrix, mei_from_table, mli,
+                          trace_from_norms)
+    from missdiag.equity import MEI_MODES
+    from missdiag.report import config_hash
+    from missdiag.simtrainer import describe_run, init_model
+
+    def diverged(step, epoch, what, last):
+        last = "none" if last is None else f"{last[1]!r} at step {last[0]}"
+        return TrainingDivergedError(f"training diverged at step {step} (epoch {epoch}): "
+                                     f"{what}; last finite loss: {last}")
+
+    metrics = config.metrics or default_metrics(spec.task)
+    data = gen_synthetic(spec)
+    init_ss, shuffle_ss, mask_ss = np.random.SeedSequence(config.seed).spawn(3)
+    model = init_model(spec.dims, config.hidden, spec.task, spec.n_classes,
+                       np.random.default_rng(init_ss))
+    n_matrices = config.epochs if config.resample_masks_per_epoch else 1
+    matrices = tuple(generate_mask_matrix(config.protocol, spec.n_train, int(seed))
+                     for seed in mask_ss.generate_state(n_matrices, np.uint64))
+    shuffle = np.random.default_rng(shuffle_ss)
+    steps, valid_tables, step, last = [], [], 0, None
+    for epoch in range(1, config.epochs + 1):
+        masks = matrices[epoch - 1 if config.resample_masks_per_epoch else 0].masks
+        order = shuffle.permutation(spec.n_train)
+        for start in range(0, spec.n_train, config.batch_size):
+            idx = order[start:start + config.batch_size]
+            feats, labels = data.train.take(idx)
+            step += 1
+            with np.errstate(over="ignore", invalid="ignore"):
+                log = per_arm_train_step(model, feats, masks[idx], labels,
+                                         config.learning_rate, step,
+                                         (step - 1) % config.grad_log_stride == 0)
+                if after_step is not None:
+                    after_step(step, model)
+            if not math.isfinite(log.task_loss):
+                raise diverged(step, epoch, f"task loss is {log.task_loss!r}", last)
+            if log.grad_norms is not None and not np.isfinite(log.grad_norms).all():
+                raise diverged(step, epoch, "gradient norms are not finite", last)
+            last = (step, log.task_loss)
+            steps.append(log)
+        if not all(np.isfinite(p).all() for _, p in model.parameters()):
+            raise diverged(step, epoch, "parameters are not finite", last)
+        if epoch % config.mei_epoch_stride == 0 or epoch == config.epochs:
+            valid_tables.append(
+                (epoch, tuple(ablation_table(model, data.valid, m) for m in metrics)))
+    test_tables = tuple(ablation_table(model, data.test, m) for m in metrics)
+    logged = [log for log in steps if log.grad_norms is not None]
+    trace = trace_from_norms(
+        [log.step for log in logged], np.stack([log.grad_norms for log in logged]),
+        np.array([[loss is not None for loss in log.modality_losses] for log in logged]))
+    return RunLog(
+        spec=spec, config=config, config_hash=config_hash(describe_run(spec, config)),
+        steps=tuple(steps), mask_matrices=matrices, valid_tables=tuple(valid_tables),
+        test_tables=test_tables, trace=trace, mli_result=mli(trace),
+        mei_results=tuple((t.metric.name, mei_from_table(t, config.epsilon, mode))
+                          for t in test_tables for mode in MEI_MODES))
+
+
 # The config resolver as it was before the schema table: four key sets, two
 # default sources and inline checks. Valid documents must resolve to the same
 # document (hence the same config_hash) under `missdiag.config.resolve_config`.

@@ -392,6 +392,16 @@ class TestTrainingDivergence:
         assert "(epoch 2)" in err and "last finite loss: " in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_paired_run_raises_the_imr_arms_divergence(self, tmp_path, capsys):
+        # Both arms diverge; the IMR arm (arm 0) is the one reported, as
+        # when the arms trained one after the other.
+        assert main(self._argv(tmp_path, 1)) == 2
+        single = capsys.readouterr().err
+        assert main([*self._argv(tmp_path, 1), "--set", "simulation.paired=true"]) == 2
+        assert capsys.readouterr().err == single
+        assert not (tmp_path / "out").exists()
+
     def test_stderr_holds_only_the_error_line(self, tmp_path):
         proc = run_cli_process(self._argv(tmp_path, 1))
         assert proc.returncode == 2, proc.stderr

@@ -13,7 +13,8 @@ are derived, in the spirit of QuickCheck (Claessen and Hughes, ICFP
 - file cases from the four formats' grammars and headers: an empty
   file, header only, a byte-order mark, a truncated last row, a
   duplicate row, a non-canonical number and a `"`-quoted header field;
-- an `--out` that is a file.
+  and trace rows whose modality or module index is far beyond the data;
+- an `--out` that is a file, refused before any training step.
 
 Each case runs in-process through `cli.main`; a seeded sample also runs
 in a fresh interpreter. A config case runs under one of the three
@@ -30,7 +31,7 @@ import random
 
 import pytest
 
-from missdiag import protocol
+from missdiag import protocol, simtrainer
 from missdiag.cli import main
 from missdiag.config import REQUIRED, SCHEMA, SEED_ENV_VAR, Interval
 from missdiag.simtrainer import MAX_SIZE
@@ -245,6 +246,21 @@ def file_cases() -> list[tuple[str, list[str], str, str, str]]:
         ("gradtrace-v1 one step", trace_argv, lines(trace_header, *trace_rows[:6]), "domain",
          ""),
     ]
+    # An index far beyond the data names the first gap; no grid that wide is built.
+    agg_argv, agg_header, _, _ = FORMATS["gradagg-v1"]
+    huge = 2**62
+    cases += [
+        ("gradtrace-v1 huge modality index", trace_argv,
+         lines(trace_header, "1,0,0,0.5", f"1,{huge},0,0.5"), "domain",
+         "modality 1 has no defined gradient values"),
+        ("gradtrace-v1 huge module index", trace_argv,
+         lines(trace_header, "1,0,0,0.5", f"1,0,{huge},0.5"), "domain",
+         f"missing module entries: [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, "
+         f"16, 17, 18, 19, 20, ...] ({huge - 1} in all) at step 1, modality 0"),
+        ("gradagg-v1 huge modality index", agg_argv,
+         lines(agg_header, "1,0,0.5", f"1,{huge},0.5"), "domain",
+         "modality 1 has no defined gradient values"),
+    ]
     return cases
 
 
@@ -325,6 +341,29 @@ def test_out_that_is_a_file(tmp_path, capsys, command):
         argv += ["--config", config_argv(tmp_path, BASE, [], 0)[-1]]
     capsys.readouterr()
     assert_contract(main(argv), capsys.readouterr().err, "file", f"--out {out}: ")
+    assert afile.read_text() == "taken\n"
+
+
+@pytest.mark.parametrize("paired", [False, True])
+@pytest.mark.parametrize("where", ["file", "under a file", "output_dir"])
+def test_unusable_out_fails_before_training(tmp_path, capsys, monkeypatch, paired, where):
+    def no_step(*args, **kwargs):
+        raise AssertionError("a training step ran")
+
+    monkeypatch.setattr(simtrainer, "train_step", no_step)
+    afile = tmp_path / "afile"
+    afile.write_text("taken\n")
+    out = afile if where == "file" else afile / "run"
+    doc = doc_with("simulation.paired", paired)
+    if where == "output_dir":
+        doc["output_dir"] = str(out)
+        argv, prefix = ["simulate", "run"], f"config output_dir {out}: "
+    else:
+        argv, prefix = ["simulate", "run", "--out", str(out)], f"--out {out}: "
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = main([*argv, "--config", str(path)])
+    assert_contract(code, capsys.readouterr().err, "file", prefix)
     assert afile.read_text() == "taken\n"
 
 

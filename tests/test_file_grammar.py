@@ -157,6 +157,7 @@ MASK_CASES = [
     ("no-final-newline", MASK_HEADER + "0,1,0\n1,0,1", 3),
     ("id-beyond-int64", MASK_HEADER + "0,1,0\n99999999999999999999,1,0\n", 3),
     ("non-utf8", (MASK_HEADER + "0,1,0\n").encode() + b"1,\xff,0\n", 3),
+    ("duplicate-modality", "sample_id,a,b,a\n0,1,0,1\n", 1),
 ]
 TRACE_CASES = [
     ("underscore-float", TRACE_HEADER + "1,0,0,0.5\n1,1,0,1_0.5\n", 3),
@@ -273,6 +274,12 @@ class TestMessages:
         with pytest.raises(FileFormatError) as info:
             read_mask_matrix(path)
         assert str(info.value) == f"{path}:3: {reason}"
+
+    def test_duplicate_modality_name(self, tmp_path):
+        path = _write_case(tmp_path, "sample_id,a,b,a\n0,1,0,1\n")
+        with pytest.raises(FileFormatError) as info:
+            read_mask_matrix(path)
+        assert str(info.value) == f"{path}:1: duplicate modality name 'a'"
 
     @pytest.mark.parametrize("row, reason", [
         ("10,UA", "expected 3 fields, got 2"),

@@ -279,6 +279,35 @@ class TestAssembleTraceColumns:
         assert outcomes == {"ok", "DuplicateSampleError", "DimensionError",
                             "InvalidTraceError", "InsufficientTraceError"}
 
+    @pytest.mark.parametrize("M", [None, 2**62])
+    def test_huge_index_names_the_first_gap(self, M):
+        # The message a small gap gives; a grid as wide as the index would
+        # fail on its allocation instead.
+        huge = 2**62
+        cells = [(1, 0), (2, 0), (1, huge - 1)]
+        rows = np.array([(t, m, k, 0.5) for t, m in cells for k in range(3)],
+                        dtype=GRAD_SAMPLE_DTYPE)
+        small = rows.copy()
+        small["modality"][-3:] = 5
+        for trace_rows, width in ((rows, M), (small, None)):
+            with pytest.raises(InvalidTraceError) as info:
+                assemble_trace(trace_rows, M=width)
+            assert str(info.value) == "modality 1 has no defined gradient values"
+
+    def test_huge_module_index_lists_the_first_missing(self):
+        huge = 2**62
+        rows = np.array([(1, 0, k, 0.5) for k in (0, 1, 2, 9)], dtype=GRAD_SAMPLE_DTYPE)
+        with pytest.raises(InvalidTraceError) as info:
+            assemble_trace(rows)
+        assert str(info.value) == ("missing module entries: [3, 4, 5, 6, 7, 8] "
+                                   "at step 1, modality 0")
+        rows["module"][-1] = huge
+        with pytest.raises(InvalidTraceError) as info:
+            assemble_trace(rows)
+        assert str(info.value) == (
+            "missing module entries: [3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, "
+            f"17, 18, 19, 20, 21, 22, ...] ({huge - 3} in all) at step 1, modality 0")
+
     def test_invalid_values_raise_like_grad_sample(self):
         for row in [(-1, 0, 0, 1.0), (1, 0, -2, 1.0), (1, 0, 0, -0.5), (1, 0, 0, math.inf)]:
             array = np.array([(1, 0, 0, 1.0), row], dtype=GRAD_SAMPLE_DTYPE)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -27,6 +28,7 @@ from missdiag import (
     forward,
     gen_synthetic,
     assemble_trace,
+    run_arms,
     run_experiment,
     train_step,
 )
@@ -50,6 +52,7 @@ from oracles import (
     fd_gradient,
     masked_forward_cache,
     per_weighting_grad_norms,
+    sequential_run,
     zero_imputed_forward,
 )
 
@@ -436,6 +439,34 @@ class TestOneBackward:
             for r in range(R):
                 assert np.array_equal(stacked[r], single(r))
 
+    @pytest.mark.parametrize("A", [1, 2, 3])
+    @pytest.mark.parametrize("B", [1, 7, 48])
+    @pytest.mark.parametrize("C", [1, 4])
+    def test_arm_stacked_matmul_equals_per_slice(self, A, B, C):
+        # The same for the (A, R, ...) shapes of lockstep arms: every
+        # product of `_encode`, `_fuse` and `_backward`, with the arm
+        # axis leading and the row axis broadcast where they broadcast it.
+        rng = np.random.default_rng(100 * A + 10 * B + C)
+        R, H, d = 4, 6, 5
+        s, x = rng.standard_normal((A, B, H)), rng.standard_normal((A, B, d))
+        enc_W, fus_W = rng.standard_normal((A, d, H)), rng.standard_normal((A, H, C))
+        dout = rng.standard_normal((A, R, B))[..., None]
+        if C > 1:
+            dout = dout * rng.standard_normal((A, 1, B, C))
+        du = rng.standard_normal((A, R, B, H))
+        for stacked, single in (
+            (np.matmul(x, enc_W), lambda a, r: x[a] @ enc_W[a]),
+            (np.matmul(s, fus_W), lambda a, r: s[a] @ fus_W[a]),
+            (np.matmul(s.transpose(0, 2, 1)[:, None], dout), lambda a, r: s[a].T @ dout[a, r]),
+            (np.matmul(dout, fus_W.transpose(0, 2, 1)[:, None]),
+             lambda a, r: dout[a, r] @ fus_W[a].T),
+            (np.matmul(x.transpose(0, 2, 1)[:, None], du), lambda a, r: x[a].T @ du[a, r]),
+        ):
+            for a in range(A):
+                for r in range(R if stacked.ndim == 4 else 1):
+                    got = stacked[a, r] if stacked.ndim == 4 else stacked[a]
+                    assert np.array_equal(got, single(a, r))
+
 
 class TestMetrics:
     def test_classification_hand_case(self):
@@ -800,9 +831,9 @@ class TestDivergenceGuard:
     def test_non_finite_grad_norms(self, monkeypatch):
         backward = simtrainer._backward
 
-        def poisoned(model, cache, out, labels, weights):
-            grads = backward(model, cache, out, labels, weights)
-            grads["fus_b"][:-1] = math.inf  # the L_m rows; the update row stays finite
+        def poisoned(*args):
+            grads = backward(*args)
+            grads["fus_b"][:, :-1] = math.inf  # the L_m rows; the update row stays finite
             return grads
         monkeypatch.setattr("missdiag.simtrainer._backward", poisoned)
         with pytest.raises(TrainingDivergedError, match="gradient norms"):
@@ -834,3 +865,180 @@ class TestTrainConfig:
         # long before 2^M evaluation could run.
         with pytest.raises(DimensionError):
             all_patterns(24)
+
+
+def _lockstep_case(task: str, M: int, stride: int = 1, resample: bool = False,
+                   arms: int = 2, **overrides):
+    """A spec and `arms` configs that differ in protocol only: IMR, its SMR, then shared rates.
+
+    50 training samples in batches of 16 leave a short final batch of 2.
+    """
+    spec = SynthSpec(task=task, dims=tuple(2 + m % 3 for m in range(M)),
+                     informativeness=(1.0,) * M, n_train=50, n_valid=16, n_test=24,
+                     seed=40 + M, n_classes=3)
+    names = tuple(f"m{m}" for m in range(M))
+    imr = RateVector(names, tuple(np.linspace(0.2, 0.7, M).tolist()))
+    protocols = [imr, imr.mean_matched(), RateVector(names, (0.0,) * M)][:arms]
+    base = dict(epochs=3, batch_size=16, learning_rate=0.05, seed=7, hidden=5,
+                mei_epoch_stride=2, grad_log_stride=stride,
+                resample_masks_per_epoch=resample)
+    base.update(overrides)
+    return spec, [TrainConfig(protocol=p, **base) for p in protocols]
+
+
+def _scores(tables) -> list[list[float]]:
+    return [table.scores.tolist() for table in tables]
+
+
+def _poison_steps(monkeypatch, poison: dict[int, set[int]]) -> list[int]:
+    """Make `train_step` set arm a's head to 1e300 after each step in poison[a]; returns the steps run."""
+    real = simtrainer.train_step
+    seen: list[int] = []
+
+    def poisoned(model, *args, **kwargs):
+        logs = real(model, *args, **kwargs)
+        seen.append(logs[0].step)
+        for a in range(model.arms):
+            if logs[0].step in poison.get(a, ()):
+                model.fus_W[a] = 1e300
+        return logs
+
+    monkeypatch.setattr(simtrainer, "train_step", poisoned)
+    return seen
+
+
+def _sequential_error(spec, config, steps: set[int]) -> str:
+    def after_step(step, model):
+        if step in steps:
+            model.fus_W[...] = 1e300
+
+    with pytest.raises(TrainingDivergedError) as info:
+        sequential_run(spec, config, after_step)
+    return str(info.value)
+
+
+class TestLockstep:
+    """Arms trained in lockstep equal the pre-lockstep sequential loop, bit for bit."""
+
+    @pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
+    @pytest.mark.parametrize("M", [2, 3, 8])
+    @pytest.mark.parametrize("stride", [1, 3])
+    @pytest.mark.parametrize("resample", [False, True])
+    def test_every_field_equals_the_sequential_loop(self, task, M, stride, resample):
+        spec, configs = _lockstep_case(task, M, stride, resample)
+        runs = run_arms(spec, configs)
+        assert len(runs) == len(configs)
+        for run, config in zip(runs, configs):
+            want = sequential_run(spec, config)
+            assert run.config == config and run.config_hash == want.config_hash
+            assert run.steps == want.steps
+            assert [s.step for s in run.steps] == list(range(1, 13))
+            assert run.mask_matrices == want.mask_matrices
+            assert len(run.mask_matrices) == (3 if resample else 1)
+            assert [(e, _scores(t)) for e, t in run.valid_tables] == \
+                [(e, _scores(t)) for e, t in want.valid_tables]
+            assert _scores(run.test_tables) == _scores(want.test_tables)
+            assert run.trace.values.tolist() == want.trace.values.tolist()
+            assert np.array_equal(run.trace.defined, want.trace.defined)
+            assert run.trace.warnings == want.trace.warnings
+            assert run.mli_result == want.mli_result
+            assert run.mei_results == want.mei_results
+            assert run == want
+        assert runs[0].steps != runs[1].steps  # the arms' masks differ
+
+    def test_three_arms_and_one_arm(self):
+        spec, configs = _lockstep_case(REGRESSION, 3, arms=3)
+        runs = run_arms(spec, configs)
+        assert runs == tuple(run_experiment(spec, config) for config in configs)
+        assert run_arms(spec, configs[2:]) == runs[2:]
+
+    def test_one_data_draw_one_init_one_step_per_batch(self, monkeypatch):
+        spec, configs = _lockstep_case(CLASSIFICATION, 3)
+        calls = {"gen_synthetic": 0, "init_model": 0}
+        for name in calls:
+            real = getattr(simtrainer, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(simtrainer, name, counted)
+        steps = _poison_steps(monkeypatch, {})
+        run_arms(spec, configs)
+        assert calls == {"gen_synthetic": 1, "init_model": 1}
+        assert steps == list(range(1, 13))
+
+    def test_stacked_step_equals_plain_steps(self):
+        rng = np.random.default_rng(5)
+        model, feats, labels, mask = _oracle_batch(CLASSIFICATION, 3, 7, seed=5)
+        masks = np.stack([mask, (rng.random(mask.shape) < 0.5).astype(np.float64), mask])
+        masks[1, :, 0] = 0.0  # modality 0 absent from arm 1's batch
+        plain = [model.clone() for _ in masks]
+        stacked = simtrainer._lockstep(model, len(masks))
+        assert stacked.arms == 3 and model.arms is None
+        logs = train_step(stacked, feats, masks, labels, 0.01, step=4)
+        for a, arm_mask in enumerate(masks):
+            assert logs[a] == train_step(plain[a], feats, arm_mask, labels, 0.01, step=4)
+            _assert_same_parameters(stacked.arm(a), plain[a])
+        assert logs[1].modality_losses[0] is None
+
+    def test_stacked_model_shapes_checked(self):
+        model = simtrainer._lockstep(small_model(), 2)
+        feats, labels = [np.ones((4, 5)), np.ones((4, 4))], np.zeros(4, dtype=np.int64)
+        with pytest.raises(DimensionError, match=r"does not match batch \(2, 4, 2\)"):
+            train_step(model, feats, np.ones((4, 2)), labels, 0.1)
+        with pytest.raises(DimensionError, match="one arm at a time"):
+            forward(model, feats, MaskPattern((1, 1)))
+        with pytest.raises(DimensionError, match="inconsistent"):
+            simtrainer.ToyModel(model.enc_W, [b[0] for b in model.enc_b], model.fus_W,
+                                model.fus_b, CLASSIFICATION)
+
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", 4), ("learning_rate", 0.01), ("seed", 8), ("grad_log_stride", 2),
+        ("resample_masks_per_epoch", True), ("metrics", (PerfMetric.named("UA"),)),
+    ])
+    def test_configs_differing_beyond_protocol_rejected(self, monkeypatch, field, value):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(simtrainer, "train_step", no_work)
+        monkeypatch.setattr(simtrainer, "gen_synthetic", no_work)
+        spec, configs = _lockstep_case(CLASSIFICATION, 2)
+        configs[1] = dataclasses.replace(configs[1], **{field: value})
+        with pytest.raises(ConfigError, match=rf"^arm 1 differs from arm 0 in {field}; "):
+            run_arms(spec, configs)
+        with pytest.raises(ConfigError, match="at least one"):
+            run_arms(spec, [])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_arm_0_diverging_later_is_raised_first(self, monkeypatch, capfd):
+        spec, configs = _lockstep_case(REGRESSION, 3)
+        steps = _poison_steps(monkeypatch, {0: {7}, 1: {2}})
+        with pytest.raises(TrainingDivergedError) as info:
+            run_arms(spec, configs)
+        assert str(info.value) == _sequential_error(spec, configs[0], {7})
+        assert "(epoch 2)" in str(info.value)
+        assert steps[-1] < 12
+        assert capfd.readouterr().err == ""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
+    def test_arm_1_alone_raised_after_arm_0_trains(self, monkeypatch, capfd, task):
+        spec, configs = _lockstep_case(task, 3, arms=3)
+        evaluated = []
+        real_table = simtrainer.ablation_table
+
+        def table(model, split, metric):
+            evaluated.append(float(model.fus_W[0, 0]))
+            return real_table(model, split, metric)
+
+        monkeypatch.setattr(simtrainer, "ablation_table", table)
+        steps = _poison_steps(monkeypatch, {1: {2}, 2: {1}})
+        with pytest.raises(TrainingDivergedError) as info:
+            run_arms(spec, configs)
+        assert str(info.value) == _sequential_error(spec, configs[1], {2})
+        assert "(epoch 1)" in str(info.value)
+        assert steps == list(range(1, 13))
+        # Arm 0 alone was evaluated: validation at epochs 2 and 3, then test.
+        assert len(evaluated) == 3 * 3
+        assert all(math.isfinite(w) for w in evaluated)
+        assert capfd.readouterr().err == ""

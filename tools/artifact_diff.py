@@ -7,7 +7,8 @@ the `src/` of a checkout. Every command runs in a fresh interpreter whose
 PYTHONPATH is that directory alone, inside its own scratch directory and
 with the same relative paths on both sides, so console output compares
 as it is. The commands are the README paired simulation at seeds 1 and
-2, a 5-modality paired regression with per-epoch mask resampling, an
+2, a 5-modality paired regression with per-epoch mask resampling, the
+same regression with label noise that makes training diverge, an
 8-modality paired run logging every third step, `mask generate` at
 M = 3, 5 and 12 (seed 2^64 - 1 among the seeds), `metrics mei` on an
 M = 10 table and `protocol mean-match` at M = 14 with JS and with KL.
@@ -64,6 +65,12 @@ STRIDE_CONFIG = {
         "paired": True,
     },
 }
+# A paired regression whose labels overflow the squared loss: both sides
+# must exit 2 with the same single `error:` line and write nothing.
+DIVERGE_CONFIG = {
+    **RESAMPLE_CONFIG,
+    "simulation": {**RESAMPLE_CONFIG["simulation"], "label_noise": 1e154},
+}
 MASK_RATES = {
     3: [0.1, 0.2, 0.6],
     5: [0.85] * 5,
@@ -108,6 +115,7 @@ CASES: dict[str, tuple[dict, list[str]]] = {
     "readme-seed2": _simulate(README_CONFIG, "--seed", "2"),
     "resample-m5": _simulate(RESAMPLE_CONFIG),
     "stride3-m8": _simulate(STRIDE_CONFIG),
+    "diverge-paired": _simulate(DIVERGE_CONFIG),
     "mask-m3-seed0": _mask(3, "0"),
     "mask-m3-seedmax": _mask(3, U64_MAX),
     "mask-m5-seed1": _mask(5, "1"),
