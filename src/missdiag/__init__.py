@@ -20,7 +20,6 @@ from .equity import (
     ContributionProfile,
     MEIResult,
     PerfMetric,
-    combos_excluding,
     contribution,
     mei,
     mei_from_table,
@@ -42,15 +41,10 @@ from .errors import (
 )
 from .learning import (
     GRAD_SAMPLE_DTYPE,
-    GradSample,
     GradTrace,
     MLIResult,
     assemble_trace,
-    delta_series,
-    grad_sample_array,
-    grad_sample_list,
     mli,
-    modality_loss,
     samples_from_norms,
     trace_from_norms,
 )
@@ -58,10 +52,8 @@ from .protocol import (
     JS,
     KL,
     MaskMatrix,
-    MaskPattern,
     PatternDistribution,
     RateVector,
-    all_patterns,
     divergence,
     empirical_rates,
     generate_mask_matrix,

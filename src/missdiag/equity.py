@@ -32,10 +32,9 @@ from .errors import (
 )
 from .protocol import (
     MAX_ENUMERATED_MODALITIES,
-    MaskPattern,
     pattern_bits,
     pattern_bitstrings,
-    pattern_index,
+    pattern_code,
 )
 from .textformat import FLOAT, NAME, read_text
 
@@ -132,13 +131,9 @@ class AblationTable:
     def perf_full(self) -> float:
         return float(self.scores[-1])
 
-    def score(self, pattern: MaskPattern) -> float:
-        if len(pattern) != self.M:
-            raise DimensionError(
-                f"no score for combination {pattern.bitstring()} in a "
-                f"{self.M}-modality table"
-            )
-        return float(self.scores[pattern_index(pattern) - 1])
+    def score(self, bits: Sequence) -> float:
+        """Score of one 0/1 pattern, such as a row of `pattern_bits(M)`."""
+        return float(self.scores[pattern_code(bits, self.M) - 1])
 
 
 @dataclass(frozen=True)
@@ -181,16 +176,6 @@ def _excluding(M: int, m: int) -> np.ndarray:
     return ~pattern_bits(M)[:, m]
 
 
-def combos_excluding(M: int, m: int) -> tuple[MaskPattern, ...]:
-    """All 2^(M-1) - 1 patterns with modality m missing, canonical order.
-
-    Canonical order sorts patterns as binary integers with modality 0
-    as the most significant bit.
-    """
-    rows = pattern_bits(M)[_excluding(M, m)]
-    return tuple(MaskPattern(tuple(bits)) for bits in rows.tolist())
-
-
 def perf_drops(table: AblationTable, m: int) -> np.ndarray:
     """Sign-normalised performance drops over the combinations excluding m.
 
@@ -204,13 +189,17 @@ def perf_drops(table: AblationTable, m: int) -> np.ndarray:
     return scores - table.perf_full
 
 
+def _check_epsilon(epsilon: float) -> None:
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise DimensionError(f"epsilon must be finite and positive, got {epsilon}")
+
+
 def contribution(s_m: Sequence[float] | np.ndarray, epsilon: float = DEFAULT_EPSILON) -> tuple[float, float, float]:
     """(mean, population std, signal-to-noise ratio) of a drop vector."""
     s = np.asarray(s_m, dtype=np.float64)
     if s.ndim != 1 or s.size == 0:
         raise DimensionError("drop vector must be non-empty and one-dimensional")
-    if not epsilon > 0:
-        raise DimensionError(f"epsilon must be positive, got {epsilon}")
+    _check_epsilon(epsilon)
     mu = float(s.mean())
     sigma = float(s.std(ddof=0))
     return mu, sigma, mu / (sigma + epsilon)
@@ -223,8 +212,7 @@ def _entropy_index(
     M = zetas.size
     if M < 2:
         raise DimensionError(f"at least 2 modalities are required, got {M}")
-    if not epsilon > 0:
-        raise DimensionError(f"epsilon must be positive, got {epsilon}")
+    _check_epsilon(epsilon)
     if mode not in MEI_MODES:
         raise DimensionError(f"mode must be one of {MEI_MODES}, got {mode!r}")
     mags = np.abs(zetas)
@@ -233,8 +221,18 @@ def _entropy_index(
             "all modality contributions are zero; the contribution "
             "distribution is undefined beyond the epsilon term"
         )
-    p = mags / (mags.sum() + epsilon)
-    h2 = -math.log(float((p * p).sum()))
+    with np.errstate(over="ignore"):
+        total = mags.sum()
+    if not math.isfinite(total):
+        raise DimensionError(f"modality contributions |zeta| sum to {total}, beyond float64")
+    p = mags / (total + epsilon)
+    concentration = float((p * p).sum())
+    if concentration == 0.0:
+        raise DegenerateContributionError(
+            "all contribution weights p_m underflow to zero against epsilon; "
+            "the contribution distribution is undefined"
+        )
+    h2 = -math.log(concentration)
     ratio = h2 / math.log(M)
     value = ratio if mode == BALANCED_IS_ONE else 1.0 - ratio
     return tuple(float(x) for x in p), h2, min(1.0, max(0.0, value))
@@ -268,7 +266,16 @@ def mei_from_table(
     """Full pipeline: drops -> contribution statistics -> equity index."""
     mus, sigmas, zetas = [], [], []
     for m in range(table.M):
-        mu, sigma, zeta = contribution(perf_drops(table, m), epsilon)
+        # Finite scores far apart can overflow the drops or their statistics
+        # (an infinite drop makes mu non-finite); such a table is rejected
+        # rather than scored.
+        with np.errstate(over="ignore", invalid="ignore"):
+            mu, sigma, zeta = contribution(perf_drops(table, m), epsilon)
+        if not all(map(math.isfinite, (mu, sigma, zeta))):
+            raise DimensionError(
+                f"contribution of modality {m} to {table.metric.name!r} overflows "
+                f"float64: mu={mu!r}, sigma={sigma!r}, zeta={zeta!r}"
+            )
         mus.append(mu)
         sigmas.append(sigma)
         zetas.append(zeta)

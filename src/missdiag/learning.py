@@ -7,12 +7,12 @@ with a (T, M) flag grid marking the logged cells; `trace_from_norms`
 reduces it to G_m(t), the mean over modules, summed in module order so
 that the same norms always give the same bits. Logged norms travel as
 rows too, in one columnar form: a structured array of `GRAD_SAMPLE_DTYPE`
-(fields step, modality, module, grad_l2). The `gradtrace-v1` reader and
+(fields step, modality, module, grad_l2), whose indices are nonnegative
+and whose norms are finite and >= 0. The `gradtrace-v1` reader and
 writer, `RunLog.grad_samples()` and `assemble_trace`, which scatters the
-rows back into the (T, M, K) array, all use it; `GradSample` objects are
-built only on request, by `grad_sample_list`. The step-to-step
-variation delta_m(t) = |G_m(t) - G_m(t-1)| is compared across
-modalities:
+rows back into the (T, M, K) array, all use it, and one row check names
+the first row that breaks those rules. The step-to-step variation
+delta_m(t) = |G_m(t) - G_m(t-1)| is compared across modalities:
 
     raw_inner = sum_t sum_m |mean_delta(t) - delta_m(t)|
                 / (max_t mean_delta(t) * (T - 1) * M)
@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -41,47 +41,29 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class GradSample:
-    """One logged gradient norm: step t, modality m, module k, ||g||_2."""
-
-    step: int
-    modality: int
-    module: int
-    grad_l2: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "step", int(self.step))
-        object.__setattr__(self, "modality", int(self.modality))
-        object.__setattr__(self, "module", int(self.module))
-        object.__setattr__(self, "grad_l2", float(self.grad_l2))
-        if self.step < 0 or self.modality < 0 or self.module < 0:
-            raise InvalidTraceError(
-                f"step/modality/module must be nonnegative, got "
-                f"({self.step}, {self.modality}, {self.module})"
-            )
-        if not math.isfinite(self.grad_l2) or self.grad_l2 < 0:
-            raise InvalidTraceError(f"grad_l2 must be finite and >= 0, got {self.grad_l2}")
-
-
-# The columnar form of gradient-norm rows: one record per GradSample.
+# The columnar form of gradient-norm rows: step t, modality m, module k, ||g||_2.
 GRAD_SAMPLE_DTYPE = np.dtype(
     [("step", np.int64), ("modality", np.int64), ("module", np.int64), ("grad_l2", np.float64)]
 )
 
 
-def grad_sample_array(samples: Iterable[GradSample] | np.ndarray) -> np.ndarray:
-    """Rows as a `GRAD_SAMPLE_DTYPE` array; an array is cast, GradSample objects are read."""
-    if isinstance(samples, np.ndarray):
-        return samples.astype(GRAD_SAMPLE_DTYPE, copy=False)
-    return np.array(
-        [(s.step, s.modality, s.module, s.grad_l2) for s in samples], dtype=GRAD_SAMPLE_DTYPE
-    )
+def _row_error(
+    step: np.ndarray, modality: np.ndarray, module: np.ndarray, grad_l2: np.ndarray
+) -> str | None:
+    """Why the first row of these equal-length columns is not a gradient-norm row, if any.
 
-
-def grad_sample_list(samples: np.ndarray) -> list[GradSample]:
-    """The rows of a `GRAD_SAMPLE_DTYPE` array as validated GradSample objects."""
-    return [GradSample(*row) for row in samples.tolist()]
+    Indices must be nonnegative and grad_l2 finite and >= 0. Index
+    columns may hold Python ints beyond int64 (an object array).
+    """
+    negative = (step < 0) | (modality < 0) | (module < 0)
+    bad = negative | ~np.isfinite(grad_l2) | (grad_l2 < 0)
+    if not bad.any():
+        return None
+    i = int(np.argmax(bad))
+    if negative[i]:
+        return (f"step/modality/module must be nonnegative, got "
+                f"({int(step[i])}, {int(modality[i])}, {int(module[i])})")
+    return f"grad_l2 must be finite and >= 0, got {float(grad_l2[i])}"
 
 
 def samples_from_norms(
@@ -169,28 +151,6 @@ class MLIResult:
     max_mean_delta: float
 
 
-def modality_loss(per_sample_losses: Sequence[float] | np.ndarray,
-                  mask_column: Sequence[int] | np.ndarray) -> float | None:
-    """Mean loss over the samples where the modality is observed.
-
-    Returns None when the modality is absent from every sample (the
-    restricted loss is undefined for that batch, not zero).
-    """
-    losses = np.asarray(per_sample_losses, dtype=np.float64)
-    mask = np.asarray(mask_column, dtype=np.float64)
-    if losses.shape != mask.shape or losses.ndim != 1:
-        raise DimensionError(
-            f"losses and mask column must be equal-length vectors, got "
-            f"shapes {losses.shape} and {mask.shape}"
-        )
-    if losses.size == 0:
-        raise DimensionError("at least one sample is required")
-    total = mask.sum()
-    if total == 0:
-        return None
-    return float((losses * mask).sum() / total)
-
-
 def trace_from_norms(
     steps: Sequence[int], norms: np.ndarray, defined: np.ndarray
 ) -> GradTrace:
@@ -224,13 +184,21 @@ def trace_from_norms(
 
     # Left to right, not norms.sum(-1): numpy's pairwise sum splits 8 or
     # more terms across separate accumulators, which changes the last bits.
-    total = norms[:, :, 0].copy()
-    for k in range(1, K):
-        total += norms[:, :, k]
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = norms[:, :, 0].copy()
+        for k in range(1, K):
+            total += norms[:, :, k]
 
     unlogged = ~defined.any(axis=0)
     if unlogged.any():
         raise _unlogged(int(np.argmax(unlogged)))
+    overflow = defined & ~np.isfinite(total)
+    if overflow.any():
+        t, m = np.argwhere(overflow)[0].tolist()
+        raise InvalidTraceError(
+            f"the {K} module norms at step {int(steps[t])}, modality {m} "
+            "do not sum to a finite value"
+        )
     # Row of the last defined cell at or before t; leading gaps take the first.
     rows = np.where(defined, np.arange(T)[:, None], -1)
     np.maximum.accumulate(rows, axis=0, out=rows)
@@ -243,26 +211,24 @@ def trace_from_norms(
 
 
 def assemble_trace(
-    samples: np.ndarray | Iterable[GradSample],
-    M: int | None = None,
-    module_count: int | None = None,
+    samples: np.ndarray, M: int | None = None, module_count: int | None = None
 ) -> GradTrace:
     """Build a contiguous (T, M) grid of G_m(t) from gradient-norm rows.
 
-    `samples` is a `GRAD_SAMPLE_DTYPE` array, or GradSample objects that
-    are converted to one. Arrival order is irrelevant. Exact duplicate
-    rows are tolerated; rows that disagree on the same (step, modality,
-    module) raise. Every logged (step, modality) cell needs one row per
-    module. Cells with no rows — the modality was absent from that step's
-    batch — are imputed as `trace_from_norms` describes. When M or
+    `samples` is a `GRAD_SAMPLE_DTYPE` array. Arrival order is
+    irrelevant. Exact duplicate rows are tolerated; rows that disagree on
+    the same (step, modality, module) raise. Every logged (step,
+    modality) cell needs one row per module. Cells with no rows — the
+    modality was absent from that step's batch — are imputed as
+    `trace_from_norms` describes. When M or
     module_count is omitted it is inferred from the rows. Errors name the
     first offending row in arrival order.
     """
-    rows = grad_sample_array(samples)
+    rows = np.asarray(samples, dtype=GRAD_SAMPLE_DTYPE)
     step, modality, module, value = (rows[name] for name in GRAD_SAMPLE_DTYPE.names)
-    bad = (step < 0) | (modality < 0) | (module < 0) | ~np.isfinite(value) | (value < 0)
-    if bad.any():
-        GradSample(*rows[np.argmax(bad)].tolist())  # raises with the row's reason
+    reason = _row_error(step, modality, module, value)
+    if reason is not None:
+        raise InvalidTraceError(reason)
 
     # A stable sort groups equal keys in arrival order; the first row of a
     # group holds the value that later rows of the group must repeat.
@@ -347,20 +313,6 @@ def _unlogged(m: int) -> InvalidTraceError:
     return InvalidTraceError(f"modality {m} has no defined gradient values")
 
 
-def delta_series(trace: GradTrace) -> tuple[np.ndarray, np.ndarray]:
-    """Step-to-step variation grid and its per-step cross-modal mean.
-
-    delta[t, m] = |G_m(t+1) - G_m(t)| (shape (T-1, M));
-    mean_delta[t] = mean over m of delta[t, m].
-    """
-    if trace.T < 2:
-        raise InsufficientTraceError(
-            f"at least 2 steps are required for a difference series, got T={trace.T}"
-        )
-    delta = np.abs(np.diff(trace.values, axis=0))
-    return delta, delta.mean(axis=1)
-
-
 def mli(trace: GradTrace, stride: int = 1) -> MLIResult:
     """Learning-balance index of a gradient trace.
 
@@ -378,15 +330,24 @@ def mli(trace: GradTrace, stride: int = 1) -> MLIResult:
         raise InsufficientTraceError(
             f"at least 2 steps are required after subsampling, got T={T}"
         )
-    delta = np.abs(np.diff(values, axis=0))
-    mean_delta = delta.mean(axis=1)
-    max_mean = float(mean_delta.max())
-    if max_mean == 0.0:
-        return MLIResult(value=0.0, raw_inner=0.0, clamped=False, T=T, M=M,
-                         max_mean_delta=0.0)
-    raw_inner = float(
-        np.abs(mean_delta[:, None] - delta).sum() / (max_mean * (T - 1) * M)
-    )
+    # Finite values can still overflow in their differences and sums, and an
+    # infinite normaliser would turn any spread into raw_inner 0.0: such a
+    # trace is rejected rather than scored.
+    with np.errstate(over="ignore", invalid="ignore"):
+        delta = np.abs(np.diff(values, axis=0))
+        mean_delta = delta.mean(axis=1)
+        max_mean = float(mean_delta.max())
+        if max_mean == 0.0:
+            return MLIResult(value=0.0, raw_inner=0.0, clamped=False, T=T, M=M,
+                             max_mean_delta=0.0)
+        normaliser = max_mean * (T - 1) * M
+        raw_inner = float(np.abs(mean_delta[:, None] - delta).sum() / normaliser)
+    if not (math.isfinite(normaliser) and math.isfinite(raw_inner)):
+        raise InvalidTraceError(
+            f"step-to-step changes of the trace overflow float64: max_mean_delta "
+            f"{max_mean!r}, max_mean_delta * (T - 1) * M {normaliser!r}, "
+            f"raw_inner {raw_inner!r}"
+        )
     root = raw_inner ** (1.0 / M)
     clamped = root > 1.0
     return MLIResult(
@@ -403,11 +364,11 @@ def mli(trace: GradTrace, stride: int = 1) -> MLIResult:
 # gradtrace-v1 / gradagg-v1 file formats
 
 
-def write_grad_samples(samples: np.ndarray | Iterable[GradSample], path: str | Path) -> None:
-    """Write a `gradtrace-v1` CSV, rows sorted by (step, modality, module)."""
+def write_grad_samples(samples: np.ndarray, path: str | Path) -> None:
+    """Write a `GRAD_SAMPLE_DTYPE` array as a `gradtrace-v1` CSV, sorted by (step, modality, module)."""
     from .report import atomic_write_text
 
-    rows = grad_sample_array(samples)
+    rows = np.asarray(samples, dtype=GRAD_SAMPLE_DTYPE)
     rows = rows[np.lexsort((rows["module"], rows["modality"], rows["step"]))]
     lines = ["step,modality,module,grad_l2"]
     lines += [f"{t},{m},{k},{g!r}" for t, m, k, g in rows.tolist()]
@@ -473,14 +434,11 @@ def _read_trace_rows(path: str | Path, fields: tuple[str, ...], dtype: np.dtype)
 
 
 def _trace_row_error(k: int, cells: list[str]) -> str | None:
-    """The reason a row's cells do not form a GradSample (module 0 when absent), if any."""
+    """Why a row's cells do not form a gradient-norm row (module 0 when absent), if they do not."""
     try:
         ints = [int(v) for v in cells[:-1]]
         value = float(cells[-1])
     except ValueError:
         return "non-numeric field"
-    try:
-        GradSample(ints[0], ints[1], ints[2] if len(ints) > 2 else 0, value)
-    except InvalidTraceError as exc:
-        return str(exc)
-    return None
+    module = ints[2] if len(ints) > 2 else 0
+    return _row_error(*(np.atleast_1d(v) for v in (ints[0], ints[1], module, value)))

@@ -90,45 +90,6 @@ class RateVector:
         return np.asarray(self.rates, dtype=np.float64)
 
 
-@dataclass(frozen=True)
-class MaskPattern:
-    """Binary observation indicator; bit m = 1 means modality m observed.
-
-    At least one modality must be observed.
-    """
-
-    bits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "bits", tuple(int(b) for b in self.bits))
-        if not self.bits:
-            raise DimensionError("empty mask pattern")
-        if any(b not in (0, 1) for b in self.bits):
-            raise InvalidPatternError(f"mask bits must be 0 or 1: {self.bits}")
-        if not any(self.bits):
-            raise InvalidPatternError("all-missing mask pattern is not allowed")
-
-    def __len__(self) -> int:
-        return len(self.bits)
-
-    @classmethod
-    def full(cls, M: int) -> "MaskPattern":
-        return cls((1,) * M)
-
-    @classmethod
-    def from_bitstring(cls, s: str) -> "MaskPattern":
-        if any(c not in "01" for c in s):
-            raise InvalidPatternError(f"bitstring may only contain 0/1: {s!r}")
-        return cls(tuple(int(c) for c in s))
-
-    def bitstring(self) -> str:
-        return "".join(str(b) for b in self.bits)
-
-    def observed(self) -> tuple[int, ...]:
-        """Indices of observed modalities."""
-        return tuple(m for m, b in enumerate(self.bits) if b)
-
-
 def _code_weights(M: int) -> np.ndarray:
     """The canonical encoding: bit m of a pattern is worth 2^(M-1-m).
 
@@ -172,14 +133,23 @@ def pattern_counts(masks: np.ndarray) -> np.ndarray:
     return np.bincount(codes, minlength=len(pattern_bits(masks.shape[1])) + 1)[1:]
 
 
-def pattern_index(pattern: MaskPattern) -> int:
-    """Canonical code of a pattern: its bitstring read as a binary number."""
-    return int(pattern.bitstring(), 2)
+def pattern_code(bits: Sequence, M: int) -> int:
+    """Canonical code of one pattern over M modalities, given as a 0/1 sequence.
 
-
-def all_patterns(M: int) -> tuple[MaskPattern, ...]:
-    """All 2^M - 1 non-all-missing patterns in canonical (integer) order."""
-    return tuple(MaskPattern(tuple(row)) for row in pattern_bits(M).tolist())
+    A row of `pattern_bits(M)` qualifies; the pattern with code c is row
+    c - 1. A length other than M raises `DimensionError`; a value other
+    than 0 or 1, or the all-missing pattern, raises `InvalidPatternError`.
+    """
+    if len(bits) != M:
+        raise DimensionError(f"pattern length {len(bits)} != M={M}")
+    values = np.asarray(bits).tolist()
+    if any(b not in (0, 1) for b in values):
+        raise InvalidPatternError(f"mask bits must be 0 or 1: {tuple(values)}")
+    if not any(values):
+        raise InvalidPatternError("all-missing mask pattern is not allowed")
+    # Modality 0 is the most significant bit, as in `_code_weights`; a Python
+    # int keeps the code exact beyond 62 modalities, where int64 weights wrap.
+    return int("".join("1" if b else "0" for b in values), 2)
 
 
 @dataclass(frozen=True)
@@ -197,13 +167,9 @@ class PatternDistribution:
         if abs(total - 1.0) > 1e-12:
             raise InvalidPatternError(f"pattern probabilities sum to {total}, not 1")
 
-    def probability_of(self, pattern: MaskPattern) -> float:
-        """Probability of one pattern under the truncated product measure."""
-        if len(pattern) != self.rates.M:
-            raise DimensionError(
-                f"pattern length {len(pattern)} != modality count {self.rates.M}"
-            )
-        return float(self.probabilities[pattern_index(pattern) - 1])
+    def probability_of(self, bits: Sequence) -> float:
+        """Probability of one 0/1 pattern under the truncated product measure."""
+        return float(self.probabilities[pattern_code(bits, self.rates.M) - 1])
 
 
 def pattern_distribution(rates: RateVector) -> PatternDistribution:
@@ -234,15 +200,17 @@ class MaskMatrix:
     masks: np.ndarray  # (N, M) int8, 1 = observed
 
     def __post_init__(self) -> None:
-        masks = np.asarray(self.masks, dtype=np.int8)
+        masks = np.asarray(self.masks)
         if masks.ndim != 2 or masks.shape[1] != self.rates.M:
             raise DimensionError(
                 f"mask array of shape {masks.shape} does not match M={self.rates.M}"
             )
         if masks.shape[0] < 1:
             raise EmptyDatasetError("mask matrix must contain at least one row")
+        # Checked before the int8 cast, which would wrap 256 to 0 and cut 0.5 to 0.
         if not np.isin(masks, (0, 1)).all():
             raise InvalidPatternError("mask entries must be 0 or 1")
+        masks = masks.astype(np.int8, copy=False)
         if not masks.any(axis=1).all():
             raise InvalidPatternError("mask matrix contains an all-missing row")
         masks.setflags(write=False)
@@ -263,9 +231,6 @@ class MaskMatrix:
     @property
     def M(self) -> int:
         return int(self.masks.shape[1])
-
-    def pattern(self, i: int) -> MaskPattern:
-        return MaskPattern(tuple(int(b) for b in self.masks[i]))
 
 
 # Philox4x64-10 (Salmon et al., "Parallel Random Numbers: As Easy as 1, 2, 3",

@@ -43,10 +43,10 @@ from .learning import (
 )
 from .protocol import (
     MaskMatrix,
-    MaskPattern,
     RateVector,
     generate_mask_matrix,
     pattern_bits,
+    pattern_code,
 )
 from .report import config_hash
 
@@ -381,18 +381,16 @@ def _predict(model: ToyModel, hs: Sequence[np.ndarray], bits: Sequence) -> np.nd
     return out if model.task == CLASSIFICATION else out[:, 0]
 
 
-def forward(
-    model: ToyModel, features: Sequence[np.ndarray], pattern: MaskPattern
-) -> np.ndarray:
-    """Predictions for a batch under one mask pattern (zero-imputed inputs).
+def forward(model: ToyModel, features: Sequence[np.ndarray], bits: Sequence) -> np.ndarray:
+    """Predictions for a batch under one 0/1 mask pattern (zero-imputed inputs).
 
+    `bits` is a length-M 0/1 sequence, such as a row of `pattern_bits(M)`.
     Returns logits of shape (n, C) for classification, scalar
     predictions of shape (n,) for regression.
     """
-    if len(pattern) != model.M:
-        raise DimensionError(f"pattern length {len(pattern)} != M={model.M}")
+    pattern_code(bits, model.M)  # raises on a bad pattern; the code is not needed
     feats = [np.atleast_2d(np.asarray(f, dtype=np.float64)) for f in features]
-    return _predict(model, _encode(model, feats)[2], pattern.bits)
+    return _predict(model, _encode(model, feats)[2], bits)
 
 
 def _losses(model: ToyModel, out: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -402,6 +402,19 @@ def per_weighting_grad_norms(model, features, mask, labels) -> np.ndarray:
     return norms
 
 
+def modality_loss(losses: np.ndarray, mask_column: np.ndarray) -> float | None:
+    """Mean of the float64 per-sample losses where the modality is observed.
+
+    None when the modality is absent from every sample: the restricted
+    loss is undefined for that batch, not zero.
+    """
+    mask = np.asarray(mask_column, dtype=np.float64)
+    total = mask.sum()
+    if total == 0:
+        return None
+    return float((losses * mask).sum() / total)
+
+
 def per_arm_train_step(model, features, mask, labels, learning_rate, step, log_grads):
     """One training step of one plain model, as the trainer took it before lockstep arms.
 
@@ -409,7 +422,7 @@ def per_arm_train_step(model, features, mask, labels, learning_rate, step, log_g
     L_m norms come from one backward pass per weighting and the update
     from one more, so the result compares with the trainer's by `==`.
     """
-    from missdiag import StepLog, modality_loss
+    from missdiag import StepLog
 
     mask = np.asarray(mask, dtype=np.float64)
     B, M = mask.shape

@@ -20,7 +20,7 @@ from missdiag import (
     BALANCED_IS_ONE,
     CLASSIFICATION,
     DOMINANCE_IS_ONE,
-    GradSample,
+    GRAD_SAMPLE_DTYPE,
     GradTrace,
     MaskMatrix,
     PerfMetric,
@@ -518,16 +518,19 @@ def test_criterion_9_formats_round_trip_through_the_cli(tmp_path, capsys):
         )
         trace_path = tmp_path / "golden_trace.csv"
         write_grad_samples(
-            [
-                GradSample(step=1, modality=0, module=0, grad_l2=0.5),
-                GradSample(step=1, modality=0, module=1, grad_l2=1.5),
-                GradSample(step=1, modality=1, module=0, grad_l2=2.0),
-                GradSample(step=1, modality=1, module=1, grad_l2=4.0),
-                GradSample(step=2, modality=0, module=0, grad_l2=awkward),
-                GradSample(step=2, modality=0, module=1, grad_l2=0.7),
-                GradSample(step=2, modality=1, module=0, grad_l2=1.0),
-                GradSample(step=2, modality=1, module=1, grad_l2=3.0),
-            ],
+            np.array(
+                [
+                    (1, 0, 0, 0.5),
+                    (1, 0, 1, 1.5),
+                    (1, 1, 0, 2.0),
+                    (1, 1, 1, 4.0),
+                    (2, 0, 0, awkward),
+                    (2, 0, 1, 0.7),
+                    (2, 1, 0, 1.0),
+                    (2, 1, 1, 3.0),
+                ],
+                dtype=GRAD_SAMPLE_DTYPE,
+            ),
             trace_path,
         )
         assert trace_path.read_bytes() == golden_trace.encode()

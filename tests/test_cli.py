@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import missdiag
-from missdiag import GradSample, GradTrace, PerfMetric, AblationTable
+from missdiag import GRAD_SAMPLE_DTYPE, GradTrace, PerfMetric, AblationTable
 from missdiag.cli import main
 from missdiag.config import SEED_ENV_VAR
 from missdiag.equity import write_ablation_table
@@ -555,13 +555,9 @@ class TestMetricsMei:
 class TestMetricsMli:
     def _trace_file(self, tmp_path, grid, steps=None):
         path = tmp_path / "trace.csv"
-        samples = []
-        for t, row in enumerate(grid):
-            step = steps[t] if steps else t + 1
-            for m, value in enumerate(row):
-                samples.append(GradSample(step=step, modality=m, module=0,
-                                          grad_l2=value))
-        write_grad_samples(samples, path)
+        samples = [(steps[t] if steps else t + 1, m, 0, value)
+                   for t, row in enumerate(grid) for m, value in enumerate(row)]
+        write_grad_samples(np.array(samples, dtype=GRAD_SAMPLE_DTYPE), path)
         return str(path)
 
     def test_raw_trace_file(self, tmp_path, capsys):

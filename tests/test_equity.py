@@ -13,16 +13,14 @@ from missdiag import (
     AblationTable,
     DegenerateContributionError,
     DimensionError,
-    MaskPattern,
     PerfMetric,
-    combos_excluding,
     contribution,
     mei,
     mei_from_table,
     perf_drops,
 )
 from missdiag.equity import DEFAULT_EPSILON
-from missdiag.protocol import pattern_index
+from missdiag.protocol import pattern_bits, pattern_code
 
 from oracles import bit_tuples, brute_mei, plain_drops
 
@@ -68,14 +66,14 @@ class TestPerfMetric:
 class TestAblationTable:
     def test_score_lookup(self):
         table = make_table(2, {(1, 1): 0.9, (1, 0): 0.7, (0, 1): 0.5})
-        assert table.score(MaskPattern((1, 1))) == 0.9
-        assert table.score(MaskPattern((1, 0))) == 0.7
-        assert table.score(MaskPattern((0, 1))) == 0.5
+        assert table.score((1, 1)) == 0.9
+        assert table.score((1, 0)) == 0.7
+        assert table.score((0, 1)) == 0.5
 
     def test_scores_in_canonical_order_with_full_last(self):
         table = AblationTable(M=2, metric=UA, scores=[0.5, 0.7, 0.9])
         assert table.perf_full == 0.9
-        assert table.score(MaskPattern((0, 1))) == 0.5
+        assert table.score((0, 1)) == 0.5
         assert table.scores.dtype == np.float64
         with pytest.raises(ValueError):
             table.scores[0] = 0.0
@@ -111,30 +109,12 @@ class TestAblationTable:
     @pytest.mark.parametrize("bits", [(1, 0, 1), (0, 0, 1), (1,) * 8])
     def test_unknown_pattern_lookup_rejected(self, bits):
         table = make_table(2, {(1, 1): 0.9, (1, 0): 0.7, (0, 1): 0.5})
-        with pytest.raises(DimensionError, match="2-modality table"):
-            table.score(MaskPattern(bits))
+        with pytest.raises(DimensionError, match=f"pattern length {len(bits)} != M=2"):
+            table.score(bits)
 
-
-class TestCombosExcluding:
-    def test_m3_exact_set(self):
-        combos = combos_excluding(3, 0)
-        assert [p.bits for p in combos] == [(0, 0, 1), (0, 1, 0), (0, 1, 1)]
-
-    def test_m2_single_combo(self):
-        assert [p.bits for p in combos_excluding(2, 1)] == [(1, 0)]
-
-    def test_sizes_and_membership(self):
-        for M in (2, 3, 4, 5):
-            for m in range(M):
-                combos = combos_excluding(M, m)
-                assert len(combos) == 2 ** (M - 1) - 1
-                assert all(p.bits[m] == 0 for p in combos)
-                indices = [pattern_index(p) for p in combos]
-                assert indices == sorted(indices)
-
-    def test_index_validated(self):
-        with pytest.raises(DimensionError):
-            combos_excluding(3, 3)
+    def test_rows_of_pattern_bits_look_up_their_scores(self):
+        table = AblationTable(M=3, metric=UA, scores=np.arange(7) / 10.0)
+        assert [table.score(row) for row in pattern_bits(3)] == table.scores.tolist()
 
 
 class TestPerfDrops:
@@ -172,7 +152,7 @@ class TestPerfDrops:
                 perf_drops(table, m)
 
     def test_canonical_order_m3(self):
-        scores = {bits: float(pattern_index(MaskPattern(bits))) / 10.0
+        scores = {bits: float(pattern_code(bits, 3)) / 10.0
                   for bits in bit_tuples(3)}
         table = make_table(3, scores)
         # combos excluding modality 0: 001, 010, 011 -> indices 1, 2, 3
@@ -205,9 +185,14 @@ class TestContribution:
         with pytest.raises(DimensionError):
             contribution([])
 
-    def test_nonpositive_epsilon_rejected(self):
-        with pytest.raises(DimensionError):
-            contribution([0.1], epsilon=0.0)
+    @pytest.mark.parametrize("epsilon", [0.0, -1e-8, math.nan, math.inf])
+    def test_epsilon_must_be_finite_and_positive(self, epsilon):
+        # An infinite epsilon once passed here and zeroed every zeta, which
+        # then read as a degenerate profile.
+        for call in (lambda: contribution([0.1], epsilon=epsilon),
+                     lambda: mei((1.0, 2.0), epsilon=epsilon)):
+            with pytest.raises(DimensionError, match="epsilon must be finite and positive"):
+                call()
 
 
 class TestMEI:
@@ -282,6 +267,17 @@ class TestMEI:
         with pytest.raises(DimensionError):
             mei((1.0, 2.0), mode="sideways")
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("zetas", [(1.7e308, 1.7e308), (math.inf, 1.0), (math.nan, 1.0)])
+    def test_overflowing_ratios_rejected(self, zetas):
+        with pytest.raises(DimensionError, match="sum to"):
+            mei(zetas)
+
+    def test_weights_underflowing_to_zero_degenerate(self):
+        # p_m ~ 1e-284 squares to 0.0: H2 would be -ln 0.
+        with pytest.raises(DegenerateContributionError, match="underflow"):
+            mei((1e-292, 1e-292))
+
     def test_single_modality_rejected(self):
         with pytest.raises(DimensionError):
             mei((1.0,))
@@ -301,6 +297,22 @@ class TestMEIFromTable:
         result = mei_from_table(make_table(3, scores))
         assert result.value == pytest.approx(0.0, abs=1e-6)
         assert result.profile.dominant_modality() == 0
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("metric", [UA, MAE], ids=["higher", "lower"])
+    @pytest.mark.parametrize("scores, reading", [
+        ([-1.7e308, 1.0, 1.7e308], "mu=inf, sigma=nan, zeta=nan"),
+        ([0.0, 0.0, 1e301], "mu=1e+301, sigma=0.0, zeta=inf"),
+    ], ids=["drops", "zeta"])
+    def test_overflowing_contribution_rejected(self, metric, scores, reading):
+        # Such tables once read as h2 nan and mei 0.0 in both modes. Negated
+        # scores under the flipped orientation give the same drops.
+        sign = 1.0 if metric.higher_is_better else -1.0
+        table = AblationTable(M=2, metric=metric, scores=[sign * v for v in scores])
+        with pytest.raises(DimensionError) as info:
+            mei_from_table(table)
+        assert str(info.value) == (f"contribution of modality 0 to {metric.name!r} "
+                                   f"overflows float64: {reading}")
 
     def test_constant_table_degenerate(self):
         scores = {bits: 0.5 for bits in bit_tuples(3)}

@@ -261,6 +261,29 @@ def file_cases() -> list[tuple[str, list[str], str, str, str]]:
          lines(agg_header, "1,0,0.5", f"1,{huge},0.5"), "domain",
          "modality 1 has no defined gradient values"),
     ]
+    # Finite values whose trace, MLI or MEI arithmetic overflows float64, and
+    # an infinite epsilon: each once printed a number or a misleading error
+    # (with numpy warnings), a traceback, or read as a degenerate profile.
+    cases += [
+        ("gradtrace-v1 overflowing module sum", trace_argv,
+         lines(trace_header, "1,0,0,1.7e+308", "1,0,1,1.7e+308", "1,1,0,1.0", "1,1,1,1.0",
+               "2,0,0,1.0", "2,0,1,1.0", "2,1,0,1.0", "2,1,1,1.0"), "domain",
+         "the 2 module norms at step 1, modality 0 do not sum to a finite value"),
+        ("gradagg-v1 overflowing changes", agg_argv,
+         lines(agg_header, "1,0,0.0", "1,1,0.0", "2,0,1.7e+308", "2,1,1.7e+308", "3,0,0.0",
+               "3,1,1.0"), "domain", "step-to-step changes of the trace overflow float64"),
+        ("abltable-v1 overflowing drops", abl_argv,
+         lines(abl_header, "01,UA,-1.7e+308", "10,UA,1.0", "11,UA,1.7e+308"), "domain",
+         "contribution of modality 0 to 'UA' overflows float64"),
+        ("abltable-v1 overflowing ratios", abl_argv,
+         lines(abl_header, "01,UA,0.0", "10,UA,0.0", "11,UA,1.7e+300"), "domain",
+         "modality contributions |zeta| sum to inf"),
+        ("abltable-v1 underflowing weights", abl_argv,
+         lines(abl_header, "01,UA,0.0", "10,UA,0.0", "11,UA,1e-300"), "degenerate",
+         "all contribution weights p_m underflow to zero"),
+        ("abltable-v1 infinite epsilon", [*abl_argv[:-1], "--epsilon", "inf", abl_argv[-1]],
+         lines(abl_header, *abl_rows), "domain", "epsilon must be finite and positive, got inf"),
+    ]
     return cases
 
 
@@ -311,6 +334,8 @@ def test_config_case(tmp_path, capsys, case_id, doc, extra, kind, prefix, comman
     assert (tmp_path / "out").exists() == (kind == "ok")
 
 
+# A numpy warning is an error here: the contract allows one stderr line.
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("case_id, argv, text, kind, prefix", FILE_CASES,
                          ids=[case[0] for case in FILE_CASES])
 def test_file_case(tmp_path, capsys, case_id, argv, text, kind, prefix):

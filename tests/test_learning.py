@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -12,79 +11,66 @@ import pytest
 from missdiag import (
     DimensionError,
     DuplicateSampleError,
-    GradSample,
+    FileFormatError,
     GradTrace,
     InsufficientTraceError,
     InvalidTraceError,
     MissdiagError,
     assemble_trace,
-    delta_series,
     mli,
-    modality_loss,
     trace_from_norms,
 )
 
-from missdiag.learning import (
-    GRAD_SAMPLE_DTYPE,
-    grad_sample_array,
-    grad_sample_list,
-    samples_from_norms,
-)
+from missdiag.learning import GRAD_SAMPLE_DTYPE, read_grad_samples, samples_from_norms
 
 from oracles import brute_mli, brute_trace_grid, dict_assemble_error
 
 
-def samples_from_grid(grid: np.ndarray, modules: int = 1) -> list[GradSample]:
+def grad_rows(*tuples) -> np.ndarray:
+    """(step, modality, module, grad_l2) tuples as a `GRAD_SAMPLE_DTYPE` array."""
+    return np.array(list(tuples), dtype=GRAD_SAMPLE_DTYPE)
+
+
+def samples_from_grid(grid: np.ndarray, modules: int = 1) -> np.ndarray:
     """Expand a (T, M) grid of G values into per-module sample rows.
 
     Each cell becomes `modules` rows whose mean recovers the cell value.
     """
-    out = []
-    for t in range(grid.shape[0]):
-        for m in range(grid.shape[1]):
-            for k in range(modules):
-                out.append(
-                    GradSample(step=t + 1, modality=m, module=k,
-                               grad_l2=float(grid[t, m]))
-                )
-    return out
+    return grad_rows(*[(t + 1, m, k, float(grid[t, m])) for t in range(grid.shape[0])
+                       for m in range(grid.shape[1]) for k in range(modules)])
 
 
-class TestModalityLoss:
-    def test_all_observed_is_plain_mean(self):
-        assert modality_loss([1.0, 2.0, 3.0], [1, 1, 1]) == 2.0
-
-    def test_restricted_mean(self):
-        assert modality_loss([1.0, 2.0, 3.0, 4.0], [1, 0, 1, 0]) == 2.0
-
-    def test_absent_modality_is_undefined(self):
-        assert modality_loss([1.0, 2.0], [0, 0]) is None
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(DimensionError):
-            modality_loss([1.0, 2.0], [1, 0, 1])
-
-    def test_empty_batch_rejected(self):
-        with pytest.raises(DimensionError):
-            modality_loss([], [])
+# Rows that break the row rules, and the message naming the first of them.
+ROW_FAULTS = [
+    ((-1, 0, 0, 1.0), "step/modality/module must be nonnegative, got (-1, 0, 0)"),
+    ((1, 0, -2, 1.0), "step/modality/module must be nonnegative, got (1, 0, -2)"),
+    ((1, -3, 0, -1.0), "step/modality/module must be nonnegative, got (1, -3, 0)"),
+    ((1, 0, 0, -0.5), "grad_l2 must be finite and >= 0, got -0.5"),
+    ((1, 0, 0, math.inf), "grad_l2 must be finite and >= 0, got inf"),
+    ((1, 0, 0, math.nan), "grad_l2 must be finite and >= 0, got nan"),
+]
 
 
-class TestGradSample:
-    def test_coercion(self):
-        s = GradSample(step=1.0, modality=0, module=2, grad_l2=3)
-        assert (s.step, s.modality, s.module, s.grad_l2) == (1, 0, 2, 3.0)
+class TestRowCheck:
+    """Assembly and the trace readers name a bad row with the same message."""
 
-    def test_negative_indices_rejected(self):
-        with pytest.raises(InvalidTraceError):
-            GradSample(step=-1, modality=0, module=0, grad_l2=1.0)
+    @pytest.mark.parametrize("row, message", ROW_FAULTS)
+    def test_assembly_names_the_first_bad_row(self, row, message):
+        array = grad_rows((1, 0, 0, 1.0), row, (-5, 0, 0, -1.0))
+        with pytest.raises(InvalidTraceError) as info:
+            assemble_trace(array)
+        assert str(info.value) == message
 
-    def test_negative_norm_rejected(self):
-        with pytest.raises(InvalidTraceError):
-            GradSample(step=1, modality=0, module=0, grad_l2=-0.5)
-
-    def test_non_finite_norm_rejected(self):
-        with pytest.raises(InvalidTraceError):
-            GradSample(step=1, modality=0, module=0, grad_l2=math.nan)
+    @pytest.mark.parametrize("row, message", ROW_FAULTS + [
+        ((-2**70, 0, 0, 0.5), f"step/modality/module must be nonnegative, got ({-2**70}, 0, 0)"),
+    ])
+    def test_file_row_gives_the_same_message(self, tmp_path, row, message):
+        path = tmp_path / "trace.csv"
+        path.write_text("step,modality,module,grad_l2\n1,0,0,1.0\n"
+                        + ",".join(map(repr, row)) + "\n", encoding="utf-8")
+        with pytest.raises(FileFormatError) as info:
+            read_grad_samples(path)
+        assert str(info.value) == f"{path}:3: {message}"
 
 
 class TestGradTrace:
@@ -119,28 +105,22 @@ class TestAssembleTrace:
         rng = np.random.default_rng(72)
         grid = rng.uniform(0.0, 3.0, size=(5, 3))
         samples = samples_from_grid(grid, modules=4)
-        shuffled = [samples[i] for i in rng.permutation(len(samples))]
+        shuffled = samples[rng.permutation(samples.size)]
         a = assemble_trace(samples)
         b = assemble_trace(shuffled)
         np.testing.assert_array_equal(a.values, b.values)
 
     def test_mean_over_modules(self):
-        samples = [
-            GradSample(step=1, modality=0, module=0, grad_l2=1.0),
-            GradSample(step=1, modality=0, module=1, grad_l2=2.0),
-        ]
+        samples = grad_rows((1, 0, 0, 1.0), (1, 0, 1, 2.0))
         assert assemble_trace(samples).values.tolist() == [[1.5]]
 
     def test_module_mean_ignores_arrival_order(self):
         # Summed in arrival order, 0.1 + 0.2 + 0.3 and 0.3 + 0.2 + 0.1
         # differ in the last bit; the module-order sum gives one value.
-        rows = [
-            GradSample(step=1, modality=0, module=k, grad_l2=v)
-            for k, v in enumerate((0.1, 0.2, 0.3))
-        ]
+        cells = [(1, 0, k, v) for k, v in enumerate((0.1, 0.2, 0.3))]
         values = {
-            float(assemble_trace(list(order)).values[0, 0])
-            for order in itertools.permutations(rows)
+            float(assemble_trace(grad_rows(*order)).values[0, 0])
+            for order in itertools.permutations(cells)
         }
         assert values == {(0.1 + 0.2 + 0.3) / 3}
 
@@ -149,89 +129,63 @@ class TestAssembleTrace:
         for _ in range(20):
             k = int(rng.integers(1, 12))
             samples = [
-                GradSample(step=t, modality=m, module=i, grad_l2=float(v))
+                (t, m, i, float(v))
                 for t in (3, 4)
                 for m in range(2)
                 for i, v in enumerate(rng.uniform(0.0, 5.0, size=k))
             ]
-            shuffled = [samples[i] for i in rng.permutation(len(samples))]
+            shuffled = grad_rows(*samples)[rng.permutation(len(samples))]
             trace = assemble_trace(shuffled, M=2, module_count=k)
-            assert trace.values.tolist() == brute_trace_grid(map(astuple, samples), 2, k)
+            assert trace.values.tolist() == brute_trace_grid(samples, 2, k)
 
     def test_out_of_range_module_rejected(self):
-        samples = [GradSample(step=1, modality=0, module=3, grad_l2=1.0)]
         with pytest.raises(InvalidTraceError, match="out of range"):
-            assemble_trace(samples, module_count=2)
+            assemble_trace(grad_rows((1, 0, 3, 1.0)), module_count=2)
 
     def test_out_of_range_modality_rejected(self):
-        samples = [GradSample(step=1, modality=2, module=0, grad_l2=1.0)]
         with pytest.raises(DimensionError):
-            assemble_trace(samples, M=2)
+            assemble_trace(grad_rows((1, 2, 0, 1.0)), M=2)
 
     def test_step_gaps_reindexed_with_warning(self):
-        samples = [
-            GradSample(step=t, modality=m, module=0, grad_l2=float(m + t))
-            for t in (1, 2, 4)
-            for m in range(2)
-        ]
-        trace = assemble_trace(samples)
+        cells = [(t, m, 0, float(m + t)) for t in (1, 2, 4) for m in range(2)]
+        trace = assemble_trace(grad_rows(*cells))
         assert trace.T == 3
         np.testing.assert_array_equal(trace.values[:, 0], [1.0, 2.0, 4.0])
         assert any("not contiguous" in w for w in trace.warnings)
 
     def test_exact_duplicates_tolerated(self):
         samples = samples_from_grid(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        trace = assemble_trace(samples + [samples[0]])
+        trace = assemble_trace(np.concatenate((samples, samples[:1])))
         np.testing.assert_array_equal(trace.values, [[1.0, 2.0], [3.0, 4.0]])
 
     def test_conflicting_duplicates_rejected(self):
         samples = samples_from_grid(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        clash = GradSample(step=1, modality=0, module=0, grad_l2=9.0)
         with pytest.raises(DuplicateSampleError):
-            assemble_trace(samples + [clash])
+            assemble_trace(np.concatenate((samples, grad_rows((1, 0, 0, 9.0)))))
 
     def test_undefined_cells_carried_forward(self):
         # Modality 1 unlogged at steps 2 and 3: carry 20.0 forward.
-        samples = [
-            GradSample(step=1, modality=0, module=0, grad_l2=1.0),
-            GradSample(step=1, modality=1, module=0, grad_l2=20.0),
-            GradSample(step=2, modality=0, module=0, grad_l2=2.0),
-            GradSample(step=3, modality=0, module=0, grad_l2=3.0),
-        ]
-        trace = assemble_trace(samples)
+        trace = assemble_trace(grad_rows((1, 0, 0, 1.0), (1, 1, 0, 20.0), (2, 0, 0, 2.0),
+                                    (3, 0, 0, 3.0)))
         np.testing.assert_array_equal(trace.values[:, 1], [20.0, 20.0, 20.0])
         np.testing.assert_array_equal(trace.defined[:, 1], [True, False, False])
         assert any("imputed 2" in w for w in trace.warnings)
 
     def test_undefined_leading_cells_backfilled(self):
-        samples = [
-            GradSample(step=1, modality=0, module=0, grad_l2=1.0),
-            GradSample(step=2, modality=0, module=0, grad_l2=2.0),
-            GradSample(step=2, modality=1, module=0, grad_l2=30.0),
-        ]
-        trace = assemble_trace(samples)
+        trace = assemble_trace(grad_rows((1, 0, 0, 1.0), (2, 0, 0, 2.0), (2, 1, 0, 30.0)))
         np.testing.assert_array_equal(trace.values[:, 1], [30.0, 30.0])
 
     def test_fully_undefined_modality_rejected(self):
-        samples = [
-            GradSample(step=1, modality=0, module=0, grad_l2=1.0),
-            GradSample(step=2, modality=0, module=0, grad_l2=2.0),
-        ]
         with pytest.raises(InvalidTraceError, match="modality 1"):
-            assemble_trace(samples, M=2)
+            assemble_trace(grad_rows((1, 0, 0, 1.0), (2, 0, 0, 2.0)), M=2)
 
     def test_incomplete_module_set_rejected(self):
-        samples = [
-            GradSample(step=1, modality=0, module=0, grad_l2=1.0),
-            GradSample(step=1, modality=0, module=1, grad_l2=2.0),
-            GradSample(step=2, modality=0, module=0, grad_l2=3.0),
-        ]
         with pytest.raises(InvalidTraceError, match="missing module"):
-            assemble_trace(samples)
+            assemble_trace(grad_rows((1, 0, 0, 1.0), (1, 0, 1, 2.0), (2, 0, 0, 3.0)))
 
     def test_empty_stream_rejected(self):
         with pytest.raises(InsufficientTraceError):
-            assemble_trace([])
+            assemble_trace(grad_rows())
 
 
 class TestAssembleTraceColumns:
@@ -271,7 +225,6 @@ class TestAssembleTraceColumns:
                 outcomes.add(got[0])
                 continue
             assert want is None
-            assert trace == assemble_trace(grad_sample_list(array), M=M, module_count=K)
             width = array["modality"].max() + 1 if M is None else M
             modules = array["module"].max() + 1 if K is None else K
             assert trace.values.tolist() == brute_trace_grid(rows, width, modules)
@@ -308,15 +261,6 @@ class TestAssembleTraceColumns:
             "missing module entries: [3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, "
             f"17, 18, 19, 20, 21, 22, ...] ({huge - 3} in all) at step 1, modality 0")
 
-    def test_invalid_values_raise_like_grad_sample(self):
-        for row in [(-1, 0, 0, 1.0), (1, 0, -2, 1.0), (1, 0, 0, -0.5), (1, 0, 0, math.inf)]:
-            array = np.array([(1, 0, 0, 1.0), row], dtype=GRAD_SAMPLE_DTYPE)
-            with pytest.raises(InvalidTraceError) as info:
-                assemble_trace(array)
-            with pytest.raises(InvalidTraceError) as direct:
-                GradSample(*row)
-            assert str(info.value) == str(direct.value)
-
     def test_samples_from_norms_inverts_the_scatter(self):
         rng = np.random.default_rng(4)
         norms = rng.uniform(0.1, 2.0, size=(5, 3, 4))
@@ -328,14 +272,6 @@ class TestAssembleTraceColumns:
         assert rows.size == defined.sum() * 4
         assert assemble_trace(rows, M=3, module_count=4) == trace_from_norms(
             [2, 3, 5, 8, 9], norms, defined)
-
-    def test_grad_sample_list_round_trip(self):
-        samples = samples_from_grid(np.array([[1.0, 2.0], [0.1 + 0.2, 4.0]]), modules=2)
-        array = grad_sample_array(samples)
-        assert array.dtype == GRAD_SAMPLE_DTYPE
-        assert grad_sample_list(array) == samples
-        assert grad_sample_array(array) is array
-
 
 class TestGradTraceEquality:
     def test_value_equality(self):
@@ -381,28 +317,21 @@ class TestTraceFromNorms:
         with pytest.raises(InsufficientTraceError):
             trace_from_norms([], np.ones((0, 2, 3)), np.ones((0, 2), dtype=bool))
 
+    @pytest.mark.filterwarnings("error")
+    def test_module_sum_overflow_rejected(self):
+        # Finite norms whose module sum overflows once ended in a numpy
+        # warning and "trace contains negative or non-finite gradient values".
+        norms = np.ones((2, 2, 3))
+        norms[1, 1, :2] = 1.7e308
+        with pytest.raises(InvalidTraceError) as info:
+            trace_from_norms([4, 5], norms, np.ones((2, 2), dtype=bool))
+        assert str(info.value) == ("the 3 module norms at step 5, modality 1 do not "
+                                   "sum to a finite value")
+
     def test_modality_never_logged_rejected(self):
         defined = np.array([[True, False], [True, False]])
         with pytest.raises(InvalidTraceError, match="modality 1"):
             trace_from_norms([1, 2], np.ones((2, 2, 3)), defined)
-
-
-class TestDeltaSeries:
-    def test_hand_fixture(self):
-        trace = GradTrace(values=np.array([[1.0, 1.0], [2.0, 1.0], [4.0, 1.0]]))
-        delta, mean_delta = delta_series(trace)
-        np.testing.assert_array_equal(delta, [[1.0, 0.0], [2.0, 0.0]])
-        np.testing.assert_array_equal(mean_delta, [0.5, 1.0])
-
-    def test_constant_trace_gives_zero(self):
-        trace = GradTrace(values=5.0 * np.ones((4, 3)))
-        delta, mean_delta = delta_series(trace)
-        assert not delta.any()
-        assert not mean_delta.any()
-
-    def test_single_step_rejected(self):
-        with pytest.raises(InsufficientTraceError):
-            delta_series(GradTrace(values=np.ones((1, 2))))
 
 
 class TestMLI:
@@ -503,3 +432,18 @@ class TestMLI:
     def test_single_modality_rejected(self):
         with pytest.raises(DimensionError):
             mli(GradTrace(values=np.ones((4, 1))))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("values, reading", [
+        ([[0.0, 0.0], [1.7e308, 1.7e308], [0.0, 1.0]], "inf, max_mean_delta * (T - 1) * M "
+         "inf, raw_inner nan"),
+        ([[0.0, 0.0], [1e308, 0.0], [1e308, 0.0], [1e308, 0.0]], "5e+307, max_mean_delta * "
+         "(T - 1) * M inf, raw_inner 0.0"),
+        ([[0.0, 0.0, 0.0], [1.5e308, 0.0, 0.0]], "5e+307, max_mean_delta * (T - 1) * M "
+         "1.5e+308, raw_inner inf"),
+    ], ids=["mean-delta", "normaliser", "spread"])
+    def test_overflowing_changes_rejected(self, values, reading):
+        # Each once scored 0.0 or 1.0 where raw_inner is nan, 1/3 and 4/3.
+        with pytest.raises(InvalidTraceError) as info:
+            mli(GradTrace(values=np.array(values)))
+        assert str(info.value).endswith(f"overflow float64: max_mean_delta {reading}")

@@ -15,9 +15,7 @@ from missdiag import (
     EmptyDatasetError,
     InvalidPatternError,
     MaskMatrix,
-    MaskPattern,
     RateVector,
-    all_patterns,
     divergence,
     empirical_rates,
     generate_mask_matrix,
@@ -31,8 +29,8 @@ from missdiag.protocol import (
     _ROW_CHUNK,
     _generate_rows,
     pattern_bitstrings,
+    pattern_code,
     pattern_counts,
-    pattern_index,
 )
 
 from oracles import (
@@ -89,43 +87,32 @@ class TestRateVector:
         assert _rv(0.0, 0.0).rates == (0.0, 0.0)
 
 
-class TestMaskPattern:
-    def test_bitstring_round_trip(self):
-        p = MaskPattern.from_bitstring("101")
-        assert p.bits == (1, 0, 1)
-        assert p.bitstring() == "101"
-        assert p.observed() == (0, 2)
-        assert len(p) == 3
-
-    def test_full(self):
-        assert MaskPattern.full(4).bits == (1, 1, 1, 1)
+class TestPatternCode:
+    def test_msb_is_modality_zero(self):
+        assert pattern_code((1, 0, 0), 3) == 4
+        assert pattern_code((0, 0, 1), 3) == 1
+        assert pattern_code((1, 1, 1), 3) == 7
+        assert pattern_code((1,) + (0,) * 63, 64) == 2**63
 
     def test_all_missing_rejected(self):
-        with pytest.raises(InvalidPatternError):
-            MaskPattern((0, 0, 0))
+        with pytest.raises(InvalidPatternError, match="all-missing"):
+            pattern_code((0, 0, 0), 3)
 
-    def test_non_binary_rejected(self):
-        with pytest.raises(InvalidPatternError):
-            MaskPattern((1, 2))
+    @pytest.mark.parametrize("bits", [(1, 2), (1, 0.5), (1, -1), ("1", "0"), (1, math.nan)])
+    def test_non_binary_rejected(self, bits):
+        # No value is cut or wrapped to a bit: (1, 0.5) is not (1, 0).
+        with pytest.raises(InvalidPatternError, match="mask bits must be 0 or 1"):
+            pattern_code(bits, 2)
 
-    def test_bad_bitstring_rejected(self):
-        with pytest.raises(InvalidPatternError):
-            MaskPattern.from_bitstring("10x")
+    @pytest.mark.parametrize("bits", [(), (1,), (1, 1, 1)])
+    def test_length_rejected(self, bits):
+        with pytest.raises(DimensionError, match=f"pattern length {len(bits)} != M=2"):
+            pattern_code(bits, 2)
 
-    def test_pattern_index_msb_is_modality_zero(self):
-        assert pattern_index(MaskPattern((1, 0, 0))) == 4
-        assert pattern_index(MaskPattern((0, 0, 1))) == 1
-        assert pattern_index(MaskPattern((1, 1, 1))) == 7
-
-    def test_all_patterns_canonical_order(self):
-        patterns = all_patterns(3)
-        assert len(patterns) == 7
-        assert [pattern_index(p) for p in patterns] == list(range(1, 8))
-        assert patterns[-1] == MaskPattern.full(3)
-
-    def test_all_patterns_enumeration_cap(self):
-        with pytest.raises(DimensionError):
-            all_patterns(21)
+    def test_bools_and_arrays_accepted(self):
+        assert pattern_code((True, False), 2) == 2
+        assert pattern_code(np.array([0, 1], dtype=np.int8), 2) == 1
+        assert pattern_code([1.0, 1.0], 2) == 3
 
 
 class TestPatternBits:
@@ -134,12 +121,11 @@ class TestPatternBits:
         bits = pattern_bits(M)
         assert bits.shape == (2**M - 1, M) and bits.dtype == bool
         assert [tuple(int(b) for b in row) for row in bits.tolist()] == bit_tuples(M)
-        assert [p.bits for p in all_patterns(M)] == bit_tuples(M)
         assert pattern_bitstrings(M) == ["".join(map(str, b)) for b in bit_tuples(M)]
 
-    def test_row_index_is_code_minus_one(self):
-        for i, pattern in enumerate(all_patterns(4)):
-            assert pattern_index(pattern) == i + 1
+    @pytest.mark.parametrize("M", [2, 4])
+    def test_row_index_is_code_minus_one(self, M):
+        assert [pattern_code(row, M) for row in pattern_bits(M)] == list(range(1, 2**M))
 
     def test_read_only(self):
         with pytest.raises(ValueError):
@@ -158,12 +144,12 @@ class TestPatternBits:
 class TestPatternProbability:
     def test_deterministic_rates_give_certain_full_pattern(self):
         dist = pattern_distribution(_rv(0.0, 0.0, 0.0))
-        assert dist.probability_of(MaskPattern.full(3)) == 1.0
-        assert dist.probability_of(MaskPattern((1, 0, 1))) == 0.0
+        assert dist.probability_of((1, 1, 1)) == 1.0
+        assert dist.probability_of((1, 0, 1)) == 0.0
 
     def test_full_pattern_mass_frozen_value(self):
         # prod(1 - r) / (1 - prod r) = 0.12 / 0.88 for rates (0.4, 0.5, 0.6)
-        p = pattern_distribution(_rv(0.4, 0.5, 0.6)).probability_of(MaskPattern.full(3))
+        p = pattern_distribution(_rv(0.4, 0.5, 0.6)).probability_of((1, 1, 1))
         assert p == 0.13636363636363635
         assert p == 0.12 / 0.88
 
@@ -173,7 +159,7 @@ class TestPatternProbability:
         # off the end of the vector with an IndexError.
         dist = pattern_distribution(_rv(0.4, 0.5))
         with pytest.raises(DimensionError, match="pattern length"):
-            dist.probability_of(MaskPattern(bits))
+            dist.probability_of(bits)
 
     def test_distribution_sums_to_one(self):
         rng = np.random.default_rng(11)
@@ -212,9 +198,8 @@ class TestPatternProbability:
     def test_probability_of_lookup(self):
         rv = _rv(0.2, 0.7)
         dist = pattern_distribution(rv)
-        for pattern in all_patterns(2):
-            assert dist.probability_of(pattern) == scalar_pattern_probability(
-                rv.rates, pattern.bits)
+        for row in pattern_bits(2):
+            assert dist.probability_of(row) == scalar_pattern_probability(rv.rates, row)
 
 
 class TestGenerateMaskMatrix:
@@ -292,6 +277,13 @@ class TestGenerateMaskMatrix:
             MaskMatrix(rates=rv, seed=0, masks=np.array([[1, 2]]))
         with pytest.raises(DimensionError):
             MaskMatrix(rates=rv, seed=0, masks=np.ones((4, 3), dtype=np.int8))
+
+    @pytest.mark.parametrize("masks", [np.array([[1, 256], [257, 1]]), np.array([[1.0, 0.5]]),
+                                       np.array([[1, -255]])])
+    def test_matrix_rejects_values_before_the_int8_cast(self, masks):
+        # As int8 these would read as valid rows: [[1, 0], [1, 1]], [[1, 0]], [[1, 1]].
+        with pytest.raises(InvalidPatternError, match="mask entries must be 0 or 1"):
+            MaskMatrix(rates=_rv(0.1, 0.2), seed=0, masks=masks)
 
     def test_value_equality(self):
         rv = _rv(0.3, 0.4, 0.5)

@@ -14,7 +14,7 @@ from missdiag import (
     ConfigError,
     DimensionError,
     EmptyDatasetError,
-    MaskPattern,
+    InvalidPatternError,
     MissdiagError,
     TrainingDivergedError,
     PerfMetric,
@@ -23,11 +23,12 @@ from missdiag import (
     SynthSpec,
     TrainConfig,
     ablation_table,
-    all_patterns,
     default_metrics,
     forward,
     gen_synthetic,
     assemble_trace,
+    pattern_bits,
+    pattern_distribution,
     run_arms,
     run_experiment,
     train_step,
@@ -170,18 +171,17 @@ class TestForward:
     def test_output_shapes(self):
         model = small_model()
         data = gen_synthetic(small_spec())
-        out = forward(model, data.test.features, MaskPattern.full(2))
+        out = forward(model, data.test.features, (1, 1))
         assert out.shape == (32, 3)
         reg = small_model(task=REGRESSION)
-        out = forward(reg, data.test.features, MaskPattern.full(2))
+        out = forward(reg, data.test.features, (1, 1))
         assert out.shape == (32,)
 
     def test_masking_equals_zero_imputation(self):
         model = small_model()
         data = gen_synthetic(small_spec())
-        pattern = MaskPattern((1, 0))
-        direct = forward(model, data.test.features, pattern)
-        imputed = zero_imputed_forward(model, data.test.features, pattern.bits)
+        direct = forward(model, data.test.features, (1, 0))
+        imputed = zero_imputed_forward(model, data.test.features, (1, 0))
         np.testing.assert_array_equal(direct, imputed)
 
     def test_zeroed_encoder_is_inert(self):
@@ -190,8 +190,8 @@ class TestForward:
         model.enc_W[1][:] = 0.0
         model.enc_b[1][:] = 0.0
         data = gen_synthetic(small_spec())
-        full = forward(model, data.test.features, MaskPattern.full(2))
-        without = forward(model, data.test.features, MaskPattern((1, 0)))
+        full = forward(model, data.test.features, (1, 1))
+        without = forward(model, data.test.features, (1, 0))
         np.testing.assert_allclose(full, without, atol=1e-15)
 
     def test_ragged_feature_blocks_rejected(self):
@@ -199,16 +199,34 @@ class TestForward:
         data = gen_synthetic(small_spec())
         feats = [data.test.features[0][:3], data.test.features[1][:4]]
         with pytest.raises(DimensionError, match="rows"):
-            forward(model, feats, MaskPattern.full(2))
-
-    def test_pattern_width_validated(self):
-        model = small_model()
-        data = gen_synthetic(small_spec())
-        with pytest.raises(DimensionError):
-            forward(model, data.test.features, MaskPattern((1, 0, 1)))
+            forward(model, feats, (1, 1))
 
     def test_module_count(self):
         assert small_model().module_count == 3
+
+
+def _pattern_callers():
+    data = gen_synthetic(small_spec())
+    table = ablation_table(small_model(), data.test, PerfMetric.named("UA"))
+    dist = pattern_distribution(RateVector(("a", "b"), (0.2, 0.5)))
+    return {
+        "forward": lambda bits: forward(small_model(), data.test.features, bits),
+        "score": table.score,
+        "probability_of": dist.probability_of,
+    }
+
+
+@pytest.mark.parametrize("caller", ["forward", "score", "probability_of"])
+@pytest.mark.parametrize("bits, error, message", [
+    ((1, 0, 1), DimensionError, "pattern length 3 != M=2"),
+    ((1, 2), InvalidPatternError, r"mask bits must be 0 or 1: \(1, 2\)"),
+    ((0, 0), InvalidPatternError, "all-missing mask pattern is not allowed"),
+], ids=["wrong-length", "two", "all-zeros"])
+def test_pattern_arguments_share_one_check(caller, bits, error, message):
+    # forward, AblationTable.score and PatternDistribution.probability_of
+    # validate through protocol.pattern_code, with one message per fault.
+    with pytest.raises(error, match=f"^{message}$"):
+        _pattern_callers()[caller](bits)
 
 
 class TestTrainStep:
@@ -519,7 +537,7 @@ class TestEvaluation:
         table = ablation_table(model, data.test, metric)
         assert table.M == 2
         assert table.scores.shape == (3,)
-        full = forward(model, data.test.features, MaskPattern.full(2))
+        full = forward(model, data.test.features, (1, 1))
         assert table.perf_full == _wa(data.test.labels, full.argmax(axis=1))
 
     def test_evaluation_is_clean_of_training_protocol(self):
@@ -529,7 +547,7 @@ class TestEvaluation:
         metric = PerfMetric.named("UA")
         a = ablation_table(model, data.test, metric)
         b = ablation_table(model, data.test, metric)
-        assert a.score(MaskPattern((0, 1))) == b.score(MaskPattern((0, 1)))
+        assert a.score((0, 1)) == b.score((0, 1))
 
 
 METRIC_FUNS = {"UA": _ua, "WA": _wa, "F1": _f1_weighted,
@@ -565,33 +583,33 @@ class TestZeroImputationOracle:
 
     def test_forward_equals_oracle_for_every_pattern(self, task, M):
         model, data = trained_model(task, M)
-        for pattern in all_patterns(M):
-            expected = zero_imputed_forward(model, data.test.features, pattern.bits)
+        for bits in pattern_bits(M):
+            expected = zero_imputed_forward(model, data.test.features, bits)
             if task == REGRESSION:
                 expected = expected[:, 0]
-            got = forward(model, data.test.features, pattern)
+            got = forward(model, data.test.features, bits)
             assert got.shape == expected.shape
-            assert (got == expected).all(), pattern.bitstring()
+            assert (got == expected).all(), bits.tolist()
 
     def test_ablation_scores_equal_forward(self, task, M):
         model, data = trained_model(task, M)
         for metric in default_metrics(task):
             table = ablation_table(model, data.test, metric)
-            for pattern in all_patterns(M):
-                out = forward(model, data.test.features, pattern)
+            for bits in pattern_bits(M):
+                out = forward(model, data.test.features, bits)
                 predictions = out.argmax(axis=1) if task == CLASSIFICATION else out
                 expected = METRIC_FUNS[metric.name](data.test.labels, predictions)
-                assert table.score(pattern) == expected, (metric.name, pattern.bitstring())
+                assert table.score(bits) == expected, (metric.name, bits.tolist())
 
     def test_ablation_scores_equal_oracle(self, task, M):
         model, data = trained_model(task, M)
         for metric in default_metrics(task):
             table = ablation_table(model, data.test, metric)
-            for pattern in all_patterns(M):
-                out = zero_imputed_forward(model, data.test.features, pattern.bits)
+            for bits in pattern_bits(M):
+                out = zero_imputed_forward(model, data.test.features, bits)
                 predictions = out.argmax(axis=1) if task == CLASSIFICATION else out[:, 0]
                 expected = METRIC_FUNS[metric.name](data.test.labels, predictions)
-                assert table.score(pattern) == expected, (metric.name, pattern.bitstring())
+                assert table.score(bits) == expected, (metric.name, bits.tolist())
 
 
 def quick_config(rates=(0.0, 0.0), **overrides) -> TrainConfig:
@@ -746,8 +764,8 @@ class TestRunExperiment:
         config = quick_config(epochs=6, batch_size=32, learning_rate=0.1)
         run = run_experiment(spec, config)
         ua = next(t for t in run.test_tables if t.metric.name == "UA")
-        only_informative = ua.score(MaskPattern((1, 0)))
-        only_noise = ua.score(MaskPattern((0, 1)))
+        only_informative = ua.score((1, 0))
+        only_noise = ua.score((0, 1))
         assert abs(only_noise - 0.25) < 0.06
         assert only_informative > 0.45
 
@@ -859,12 +877,6 @@ class TestTrainConfig:
             quick_config(batch_size=0)
         with pytest.raises(ConfigError):
             quick_config(epsilon=0.0)
-
-    def test_pattern_width_guard_via_all_patterns(self):
-        # The ablation grid is capped; a >20-modality table is refused
-        # long before 2^M evaluation could run.
-        with pytest.raises(DimensionError):
-            all_patterns(24)
 
 
 def _lockstep_case(task: str, M: int, stride: int = 1, resample: bool = False,
@@ -987,7 +999,7 @@ class TestLockstep:
         with pytest.raises(DimensionError, match=r"does not match batch \(2, 4, 2\)"):
             train_step(model, feats, np.ones((4, 2)), labels, 0.1)
         with pytest.raises(DimensionError, match="one arm at a time"):
-            forward(model, feats, MaskPattern((1, 1)))
+            forward(model, feats, (1, 1))
         with pytest.raises(DimensionError, match="inconsistent"):
             simtrainer.ToyModel(model.enc_W, [b[0] for b in model.enc_b], model.fus_W,
                                 model.fus_b, CLASSIFICATION)

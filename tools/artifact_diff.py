@@ -11,7 +11,10 @@ as it is. The commands are the README paired simulation at seeds 1 and
 same regression with label noise that makes training diverge, an
 8-modality paired run logging every third step, `mask generate` at
 M = 3, 5 and 12 (seed 2^64 - 1 among the seeds), `metrics mei` on an
-M = 10 table and `protocol mean-match` at M = 14 with JS and with KL.
+M = 10 table, `metrics mli` on a seeded `gradtrace-v1` file (gapped
+steps, absent modalities) and a seeded `gradagg-v1` file, `metrics mli`
+on a trace row with a negative index and on one with a negative norm,
+and `protocol mean-match` at M = 14 with JS and with KL.
 
 One line per artifact: `same`, or `differs` with the first line where the
 two sides part. The artifacts are every file a command writes and its
@@ -98,6 +101,29 @@ def _ablation_table(M: int) -> str:
     return "\n".join(rows) + "\n"
 
 
+def _grad_trace(seed: int) -> str:
+    """A `gradtrace-v1` file: 3 modalities, 4 modules, every third step, some cells absent."""
+    rng = random.Random(seed)
+    rows = ["step,modality,module,grad_l2"]
+    for step in range(0, 120, 3):
+        for m in range(3):
+            if rng.random() < 0.1:  # the modality was absent from the step's batch
+                continue
+            rows += [f"{step},{m},{k},{rng.random()!r}" for k in range(4)]
+    return "\n".join(rows) + "\n"
+
+
+def _grad_agg(seed: int) -> str:
+    rng = random.Random(seed)
+    rows = ["step,modality,G"]
+    rows += [f"{t},{m},{10 * rng.random()!r}" for t in range(1, 61) for m in range(4)]
+    return "\n".join(rows) + "\n"
+
+
+def _mli(text: str) -> tuple[dict, list[str]]:
+    return {"trace.csv": text}, ["metrics", "mli", "--trace", "trace.csv"]
+
+
 def _simulate(config: dict, *extra: str) -> tuple[dict, list[str]]:
     return ({"config.json": _json(config)},
             ["simulate", "run", "--config", "config.json", "--out", "out", *extra])
@@ -122,6 +148,10 @@ CASES: dict[str, tuple[dict, list[str]]] = {
     "mask-m12-seedmax": _mask(12, U64_MAX),
     "mei-m10": ({"table.csv": _ablation_table(10)},
                 ["metrics", "mei", "--table", "table.csv"]),
+    "mli-gradtrace": _mli(_grad_trace(3)),
+    "mli-gradagg": _mli(_grad_agg(4)),
+    "mli-negative-index": _mli("step,modality,module,grad_l2\n1,0,0,0.5\n-1,0,0,0.5\n"),
+    "mli-negative-norm": _mli("step,modality,module,grad_l2\n1,0,0,0.5\n1,0,0,-0.5\n"),
     "js-m14": ({}, ["protocol", "mean-match", "--rates", MEAN_MATCH_RATES, "--kind", "js"]),
     "kl-m14": ({}, ["protocol", "mean-match", "--rates", MEAN_MATCH_RATES, "--kind", "kl"]),
 }
