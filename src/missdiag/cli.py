@@ -156,23 +156,28 @@ def _cmd_mei(args: argparse.Namespace) -> int:
     for name in args.lower_better or []:
         orientations[name] = equity.LOWER_BETTER
     tables = equity.read_ablation_tables(args.table, orientations)
+    # Every metric is scored before anything is printed, so a failing
+    # table leaves stdout empty beside its one error line.
+    lines = []
     for metric_name in sorted(tables):
         table = tables[metric_name]
-        print(f"metric {metric_name} ({table.metric.orientation}), M={table.M}, "
-              f"epsilon={args.epsilon!r}")
         results = {
             mode: equity.mei_from_table(table, args.epsilon, mode)
             for mode in equity.MEI_MODES
         }
         profile = results[equity.BALANCED_IS_ONE].profile
-        print("modality,mu,sigma,zeta,p")
+        lines.append(f"metric {metric_name} ({table.metric.orientation}), M={table.M}, "
+                     f"epsilon={args.epsilon!r}")
+        lines.append("modality,mu,sigma,zeta,p")
         for m in range(table.M):
-            print(f"{m},{profile.mu[m]!r},{profile.sigma[m]!r},"
-                  f"{profile.zeta[m]!r},{profile.p[m]!r}")
-        print(f"h2: {results[equity.BALANCED_IS_ONE].h2!r}")
+            lines.append(f"{m},{profile.mu[m]!r},{profile.sigma[m]!r},"
+                         f"{profile.zeta[m]!r},{profile.p[m]!r}")
+        lines.append(f"h2: {results[equity.BALANCED_IS_ONE].h2!r}")
         for mode in equity.MEI_MODES:
             marker = " (selected)" if mode == args.mode else ""
-            print(f"mei[{mode}]: {results[mode].value!r}{marker}")
+            lines.append(f"mei[{mode}]: {results[mode].value!r}{marker}")
+    for line in lines:
+        print(line)
     return 0
 
 

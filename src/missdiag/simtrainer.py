@@ -9,9 +9,11 @@ are zero-imputed at the encoder input, with per-sample masks drawn from
 a missingness protocol. A zero input gives encoder m the pre-activation
 0 W_m + b_m = b_m exactly, so a missing modality adds exactly relu(b_m)
 to the fused sum; evaluation runs each encoder once per batch and
-re-fuses its outputs for every observed-modality pattern. The arms of a
-paired run differ only in their masks, so `run_arms` trains them in
-lockstep: one model with a leading arm axis, one step per shared batch.
+re-fuses its outputs for every observed-modality pattern, and scores
+every metric from that one prediction. Encoders of equal input width are
+stored as one stacked array and run as one matmul. The arms of a paired
+run differ only in their masks, so `run_arms` trains them in lockstep:
+one model with a leading arm axis, one step per shared batch.
 
 The trainer exists to emit gradient traces and ablation tables for the
 equity/learning diagnostics, not to reach competitive accuracy.
@@ -204,17 +206,32 @@ def gen_synthetic(spec: SynthSpec) -> SynthDataset:
     )
 
 
+def _width_groups(dims: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """Modalities grouped by input width, in order of each width's first modality."""
+    groups: dict[int, list[int]] = {}
+    for m, d in enumerate(dims):
+        groups.setdefault(d, []).append(m)
+    return tuple(tuple(group) for group in groups.values())
+
+
 class ToyModel:
     """Per-modality affine encoders + rectifier, summed into an affine head.
 
     Parameter modules for gradient logging: module m (< M) is encoder m
     (weights and bias), module M is the fusion head.
 
-    Every array may carry one leading arm axis of length A: encoder
-    weights (A, d_m, H), biases (A, H), head weight (A, H, C) and bias
-    (A, C). Such a model holds A models that `train_step` trains in
-    lockstep on one shared batch; `arm(a)` is arm a as a plain model of
-    views, for evaluation.
+    Encoders of equal input width d form one group (`groups`, in order of
+    each width's first modality), whose weights are one (G, d, H) array in
+    `group_W`; the M biases are one (M, H) array, `enc_bias`. Both hold
+    the modalities group by group: modality m sits at `slots[m]` of the M
+    axis. `enc_W[m]` and `enc_b[m]` are views of modality m's slices, so
+    an update through either form reaches both.
+
+    Every array may carry one leading arm axis of length A: group weights
+    (A, G, d, H), biases (A, M, H), head weight (A, H, C) and bias (A, C).
+    Such a model holds A models that `train_step` trains in lockstep on
+    one shared batch; `arm(a)` is arm a as a plain model of views, for
+    evaluation.
     """
 
     def __init__(
@@ -225,28 +242,65 @@ class ToyModel:
         fus_b: np.ndarray,
         task: str,
     ):
-        self.enc_W = [np.asarray(w, dtype=np.float64) for w in enc_W]
-        self.enc_b = [np.asarray(b, dtype=np.float64) for b in enc_b]
-        self.fus_W = np.asarray(fus_W, dtype=np.float64)
-        self.fus_b = np.asarray(fus_b, dtype=np.float64)
-        self.task = task
+        enc_W = [np.asarray(w, dtype=np.float64) for w in enc_W]
+        enc_b = [np.asarray(b, dtype=np.float64) for b in enc_b]
+        fus_W = np.asarray(fus_W, dtype=np.float64)
+        fus_b = np.asarray(fus_b, dtype=np.float64)
         if task not in TASKS:
             raise ConfigError(f"task must be one of {TASKS}, got {task!r}")
-        if len(self.enc_W) != len(self.enc_b) or len(self.enc_W) < 2:
+        if len(enc_W) != len(enc_b) or len(enc_W) < 2:
             raise DimensionError("need one (W, b) pair per modality, at least 2")
-        if self.fus_W.ndim not in (2, 3):
+        if fus_W.ndim not in (2, 3):
             raise DimensionError("the fusion weight must be (H, C), or (A, H, C) with an arm axis")
-        lead, hidden = self.fus_W.shape[:-2], self.fus_W.shape[-2]
-        for w, b in zip(self.enc_W, self.enc_b):
-            if (w.ndim != self.fus_W.ndim or w.shape[:-2] != lead or w.shape[-1] != hidden
+        lead, hidden = fus_W.shape[:-2], fus_W.shape[-2]
+        for w, b in zip(enc_W, enc_b):
+            if (w.ndim != fus_W.ndim or w.shape[:-2] != lead or w.shape[-1] != hidden
                     or b.shape != lead + (hidden,)):
                 raise DimensionError("encoder shapes are inconsistent with the fusion head")
-        if self.fus_b.shape != lead + self.fus_W.shape[-1:]:
+        if fus_b.shape != lead + fus_W.shape[-1:]:
             raise DimensionError("fusion bias does not match the fusion weight")
+        groups = _width_groups([w.shape[-2] for w in enc_W])
+        self._bind(
+            groups,
+            [np.stack([enc_W[m] for m in group], axis=-3) for group in groups],
+            np.stack([enc_b[m] for group in groups for m in group], axis=-2),
+            fus_W,
+            fus_b,
+            task,
+        )
+
+    def _bind(self, groups, group_W, enc_bias, fus_W, fus_b, task) -> None:
+        self.groups = groups
+        self.group_W = group_W
+        self.enc_bias = enc_bias
+        self.fus_W = fus_W
+        self.fus_b = fus_b
+        self.task = task
+        self.order = np.array([m for group in groups for m in group])
+        self.slots = np.argsort(self.order)
+        ends = np.cumsum([len(group) for group in groups]).tolist()
+        self.spans = tuple(slice(end - len(group), end) for group, end in zip(groups, ends))
+        self.enc_W = self.per_modality(group_W)
+        self.enc_b = [enc_bias[..., s, :] for s in self.slots]
+
+    def per_modality(self, group_arrays: Sequence[np.ndarray]) -> list[np.ndarray]:
+        """Modality m's slice of per-group arrays whose group axis is third from last."""
+        views = [None] * self.M
+        for group, arr in zip(self.groups, group_arrays):
+            for j, m in enumerate(group):
+                views[m] = arr[..., j, :, :]
+        return views
+
+    def _map(self, fn) -> "ToyModel":
+        """The model whose every parameter array is `fn` of this model's."""
+        model = object.__new__(ToyModel)
+        model._bind(self.groups, [fn(w) for w in self.group_W], fn(self.enc_bias),
+                    fn(self.fus_W), fn(self.fus_b), self.task)
+        return model
 
     @property
     def M(self) -> int:
-        return len(self.enc_W)
+        return len(self.order)
 
     @property
     def module_count(self) -> int:
@@ -263,13 +317,9 @@ class ToyModel:
 
     def arm(self, a: int) -> "ToyModel":
         """Arm a of a model with an arm axis, as a plain model of views into its arrays."""
-        return ToyModel(
-            [w[a] for w in self.enc_W],
-            [b[a] for b in self.enc_b],
-            self.fus_W[a],
-            self.fus_b[a],
-            self.task,
-        )
+        if self.arms is None:
+            raise DimensionError("a plain model has no arm axis to take an arm from")
+        return self._map(lambda p: p[a])
 
     def parameters(self) -> list[tuple[str, np.ndarray]]:
         """Named parameter arrays, mutated in place by updates."""
@@ -282,28 +332,14 @@ class ToyModel:
         return named
 
     def clone(self) -> "ToyModel":
-        return ToyModel(
-            [w.copy() for w in self.enc_W],
-            [b.copy() for b in self.enc_b],
-            self.fus_W.copy(),
-            self.fus_b.copy(),
-            self.task,
-        )
+        return self._map(np.copy)
 
 
 def _lockstep(model: ToyModel, arms: int | None = None) -> ToyModel:
     """A plain `model` with an arm axis: one arm of views into it, or `arms` copies."""
-
-    def lift(p: np.ndarray) -> np.ndarray:
-        return p[None] if arms is None else np.repeat(p[None], arms, axis=0)
-
-    return ToyModel(
-        [lift(w) for w in model.enc_W],
-        [lift(b) for b in model.enc_b],
-        lift(model.fus_W),
-        lift(model.fus_b),
-        model.task,
-    )
+    if arms is None:
+        return model._map(lambda p: p[None])
+    return model._map(lambda p: np.repeat(p[None], arms, axis=0))
 
 
 def init_model(
@@ -325,17 +361,19 @@ def init_model(
 
 
 def _encode(model: ToyModel, features: Sequence[np.ndarray], present: np.ndarray | None = None):
-    """Inputs x_m, u_m = x_m W_m + b_m and relu(u_m).
+    """Grouped inputs x, pre-activations u = x W + b and rectified outputs relu(u).
 
-    Evaluation passes a plain model and no `present`. Training passes a
-    model with an arm axis and the (A, M, B) observed flags `present`,
-    which zero each arm's missing inputs; the features are shared.
+    x is one (..., G, B, d) array per width group; u and relu(u) are
+    (..., M, B, H) arrays in slot order (`ToyModel.slots`). Evaluation
+    passes a plain model and no `present`. Training passes a model with
+    an arm axis and the (A, M, B) observed flags `present`, in modality
+    order, which zero each arm's missing inputs; the features are shared.
     """
     if len(features) != model.M:
         raise DimensionError(f"got {len(features)} feature blocks for M={model.M}")
     if present is None and model.arms is not None:
         raise DimensionError("evaluate a model with an arm axis one arm at a time")
-    xs, us, hs = [], [], []
+    feats = []
     for m in range(model.M):
         x = np.asarray(features[m], dtype=np.float64)
         width = model.enc_W[m].shape[-2]
@@ -344,17 +382,23 @@ def _encode(model: ToyModel, features: Sequence[np.ndarray], present: np.ndarray
                 f"modality {m}: features of shape {x.shape} do not match encoder "
                 f"input width {width}"
             )
-        if xs and x.shape[0] != xs[0].shape[-2]:
+        if feats and x.shape[0] != feats[0].shape[0]:
             raise DimensionError(
-                f"modality {m}: {x.shape[0]} feature rows, modality 0 has {xs[0].shape[-2]}"
+                f"modality {m}: {x.shape[0]} feature rows, modality 0 has {feats[0].shape[0]}"
             )
+        feats.append(x)
+    if present is not None:
+        present = present[:, model.order, :, None]
+    u = np.empty(model.enc_bias.shape[:-1] + (feats[0].shape[0], model.fus_W.shape[-2]))
+    xs = []
+    for group, span, W in zip(model.groups, model.spans, model.group_W):
+        x = np.array([feats[m] for m in group])
         if present is not None:
-            x = x * present[:, m, :, None]
-        u = np.matmul(x, model.enc_W[m]) + model.enc_b[m][..., None, :]
+            x = x * present[:, span]
+        np.matmul(x, W, out=u[..., span, :, :])
         xs.append(x)
-        us.append(u)
-        hs.append(np.maximum(u, 0.0))
-    return xs, us, hs
+    u += model.enc_bias[..., None, :]
+    return xs, u, np.maximum(u, 0.0)
 
 
 def _fuse(model: ToyModel, hs: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -369,14 +413,15 @@ def _forward_batch(
     model: ToyModel, features: Sequence[np.ndarray], present: np.ndarray
 ) -> tuple[np.ndarray, tuple]:
     """Masked forward pass for training; returns (output, cache for backprop)."""
-    xs, us, hs = _encode(model, features, present)
-    s, out = _fuse(model, hs)
-    return out, (xs, us, s)
+    xs, u, h = _encode(model, features, present)
+    s, out = _fuse(model, [h[:, slot] for slot in model.slots])
+    return out, (xs, u, s)
 
 
-def _predict(model: ToyModel, hs: Sequence[np.ndarray], bits: Sequence) -> np.ndarray:
-    """Output under one bit row from encoder outputs `hs`; a missing modality adds relu(b_m)."""
-    hs = [h if bit else np.maximum(b, 0.0) for h, b, bit in zip(hs, model.enc_b, bits)]
+def _predict(model: ToyModel, h: np.ndarray, bits: Sequence) -> np.ndarray:
+    """Output under one bit row from slot-order encoder outputs `h`; a missing modality adds relu(b_m)."""
+    hs = [h[slot] if bit else np.maximum(b, 0.0)
+          for slot, b, bit in zip(model.slots, model.enc_b, bits)]
     _, out = _fuse(model, hs)
     return out if model.task == CLASSIFICATION else out[:, 0]
 
@@ -421,11 +466,12 @@ def _backward(
 
     `model` carries an arm axis, and `resid` holds each arm's residuals
     from `_losses`. Gradients are linear in the sample weights, so each
-    row of the (A, R, B) `weights` scales the residuals; each module then
-    gets the gradients of every arm and row from one stacked matmul and
-    one sum.
+    row of the (A, R, B) `weights` scales the residuals; each width group
+    of encoders, and the head, then gets the gradients of every arm and
+    row from one stacked matmul. "enc_W" is one (A, R, G, d, H) array per
+    group and "enc_b" one (A, R, M, H) array in slot order.
     """
-    xs, us, s = cache
+    xs, u, s = cache
     if model.task == CLASSIFICATION:
         dout = weights[..., None] * resid[:, None]
         fus_b = dout.sum(axis=2)
@@ -435,18 +481,15 @@ def _backward(
         scaled = resid[:, None] * weights
         dout = scaled[..., None]
         fus_b = scaled.sum(axis=-1)[..., None]
-    grads = {
+    ds = np.matmul(dout, model.fus_W.transpose(0, 2, 1)[:, None])
+    du = ds[:, :, None] * (u > 0.0)[:, None]
+    return {
         "fus_W": np.matmul(s.transpose(0, 2, 1)[:, None], dout),
         "fus_b": fus_b,
-        "enc_W": [],
-        "enc_b": [],
+        "enc_W": [np.matmul(x.swapaxes(-1, -2)[:, None], du[:, :, span])
+                  for x, span in zip(xs, model.spans)],
+        "enc_b": du.sum(axis=3),
     }
-    ds = np.matmul(dout, model.fus_W.transpose(0, 2, 1)[:, None])
-    for m in range(model.M):
-        du = ds * (us[m] > 0.0)[:, None]
-        grads["enc_W"].append(np.matmul(xs[m].transpose(0, 2, 1)[:, None], du))
-        grads["enc_b"].append(du.sum(axis=2))
-    return grads
 
 
 def loss_and_grads(
@@ -466,8 +509,8 @@ def loss_and_grads(
     return float((losses[0] * sample_weights).sum()), {
         "fus_W": grads["fus_W"][0, 0],
         "fus_b": grads["fus_b"][0, 0],
-        "enc_W": [g[0, 0] for g in grads["enc_W"]],
-        "enc_b": [g[0, 0] for g in grads["enc_b"]],
+        "enc_W": model.per_modality([g[0, 0] for g in grads["enc_W"]]),
+        "enc_b": [grads["enc_b"][0, 0, s] for s in model.slots],
     }
 
 
@@ -478,12 +521,24 @@ def _checked_mask(mask: np.ndarray, batch: tuple[int, ...]) -> np.ndarray:
     return mask
 
 
-def _squared_norms(grads: dict) -> np.ndarray:
-    """(A, R, M + 1) squared L2 norm of each module's gradient (M encoders, then fusion)."""
-    pairs = list(zip(grads["enc_W"], grads["enc_b"])) + [(grads["fus_W"], grads["fus_b"])]
-    sq = np.empty(grads["fus_b"].shape[:2] + (len(pairs),))
-    for k, (w, b) in enumerate(pairs):
-        sq[..., k] = (w**2).sum(axis=(2, 3)) + (b**2).sum(axis=2)
+def _squared_norms(model: ToyModel, grads: dict) -> np.ndarray:
+    """(A, M, M + 1) squared L2 norms of each module's gradient of each L_m.
+
+    Modules are the M encoders in modality order, then the fusion head.
+    Only the first M rows of `grads`, the modality losses, are reduced;
+    the last row, the full batch loss, drives the update alone.
+    """
+    M = model.M
+    enc_b = grads["enc_b"][:, :M]
+    enc = np.empty(enc_b.shape[:3])
+    for w, span in zip(grads["enc_W"], model.spans):
+        enc[..., span] = (w[:, :M] ** 2).sum(axis=(3, 4))
+    enc += (enc_b**2).sum(axis=3)
+    sq = np.empty(enc.shape[:2] + (M + 1,))
+    sq[..., :M] = enc[..., model.slots]
+    sq[..., M] = (grads["fus_W"][:, :M] ** 2).sum(axis=(2, 3)) + (
+        grads["fus_b"][:, :M] ** 2
+    ).sum(axis=2)
     return sq
 
 
@@ -564,12 +619,12 @@ def train_step(
     grads = _backward(model, cache, resid, weights)
     grad_norms = None
     if log_grads:
-        grad_norms = np.sqrt(_squared_norms(grads)[:, :-1])
+        grad_norms = np.sqrt(_squared_norms(model, grads))
         grad_norms.setflags(write=False)
 
-    for m in range(M):
-        model.enc_W[m] -= learning_rate * grads["enc_W"][m][:, -1]
-        model.enc_b[m] -= learning_rate * grads["enc_b"][m][:, -1]
+    for W, grad in zip(model.group_W, grads["enc_W"]):
+        W -= learning_rate * grad[:, -1]
+    model.enc_bias -= learning_rate * grads["enc_b"][:, -1]
     model.fus_W -= learning_rate * grads["fus_W"][:, -1]
     model.fus_b -= learning_rate * grads["fus_b"][:, -1]
 
@@ -590,34 +645,42 @@ def train_step(
 
 
 # ---------------------------------------------------------------------------
-# Evaluation metrics (computed directly; all operate on numpy vectors)
+# Evaluation metrics: classification scores from one confusion count,
+# regression scores from the label and prediction vectors
 
 
-def _ua(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    """Unweighted accuracy: mean per-class recall over classes present."""
-    recalls = [
-        float((y_pred[y_true == c] == c).mean()) for c in np.unique(y_true)
-    ]
+def _confusion(y_true: np.ndarray, y_pred: np.ndarray, classes: int) -> list[list[int]]:
+    """(C, C) counts: row c holds the samples of true class c by predicted class."""
+    counts = np.bincount(y_true * classes + y_pred, minlength=classes * classes)
+    return counts.reshape(classes, classes).tolist()
+
+
+def _ua(confusion: list[list[int]]) -> float:
+    """Unweighted accuracy: mean per-class recall over the classes present."""
+    recalls = [row[c] / sum(row) for c, row in enumerate(confusion) if sum(row)]
     return float(np.mean(recalls))
 
 
-def _wa(y_true: np.ndarray, y_pred: np.ndarray) -> float:
+def _wa(confusion: list[list[int]]) -> float:
     """Weighted accuracy: plain fraction of correct predictions."""
-    return float((y_pred == y_true).mean())
+    return sum(row[c] for c, row in enumerate(confusion)) / sum(map(sum, confusion))
 
 
-def _f1_weighted(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    """Support-weighted mean of per-class F1 scores."""
-    n = y_true.shape[0]
+def _f1_weighted(confusion: list[list[int]]) -> float:
+    """Support-weighted mean of per-class F1 scores over the classes present."""
+    n = sum(map(sum, confusion))
     total = 0.0
-    for c in np.unique(y_true):
-        tp = float(((y_pred == c) & (y_true == c)).sum())
-        fp = float(((y_pred == c) & (y_true != c)).sum())
-        fn = float(((y_pred != c) & (y_true == c)).sum())
+    for c, row in enumerate(confusion):
+        support = sum(row)
+        if not support:
+            continue
+        tp = float(row[c])
+        fp = float(sum(other[c] for other in confusion)) - tp
+        fn = float(support) - tp
         precision = tp / (tp + fp) if tp + fp > 0 else 0.0
         recall = tp / (tp + fn) if tp + fn > 0 else 0.0
         f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
-        total += f1 * float((y_true == c).sum()) / n
+        total += f1 * float(support) / n
     return total
 
 
@@ -638,6 +701,8 @@ def _acc2(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     return float(((y_pred >= 0) == (y_true >= 0)).mean())
 
 
+# Classification metrics score a confusion count, regression metrics the
+# (labels, predictions) vectors.
 _CLASSIFICATION_FUNS = {"UA": _ua, "WA": _wa, "F1": _f1_weighted}
 _REGRESSION_FUNS = {"MAE": _mae, "Corr": _corr, "Acc-2": _acc2}
 
@@ -657,21 +722,40 @@ def _metric_function(task: str, metric: PerfMetric):
     return fun
 
 
-def ablation_table(model: ToyModel, split: Split, metric: PerfMetric) -> AblationTable:
-    """Evaluate every nonempty modality combination on a clean split, encoding it once."""
-    fun = _metric_function(model.task, metric)
-    hs = _encode(model, split.features)[2]
-    scores = []
-    for bits in pattern_bits(model.M):
-        out = _predict(model, hs, bits)
-        predictions = out.argmax(axis=1) if model.task == CLASSIFICATION else out
-        scores.append(fun(split.labels, predictions))
-    return AblationTable(M=model.M, metric=metric, scores=scores)
+def ablation_table(
+    model: ToyModel, split: Split, metrics: Sequence[PerfMetric]
+) -> tuple[AblationTable, ...]:
+    """One table per metric over every nonempty modality combination on a clean split.
+
+    The split is encoded once and each pattern predicted once; every
+    metric scores that one prediction, a classification metric through
+    the pattern's confusion count.
+    """
+    funs = [_metric_function(model.task, metric) for metric in metrics]
+    h = _encode(model, split.features)[2]
+    labels = split.labels
+    classes = model.fus_W.shape[-1]
+    if model.task == CLASSIFICATION and labels.size and not (
+        labels.min() >= 0 and labels.max() < classes
+    ):
+        raise DimensionError(f"class labels must lie in [0, {classes}) for {classes} outputs")
+    scores = np.empty((len(funs), (1 << model.M) - 1))
+    for p, bits in enumerate(pattern_bits(model.M)):
+        out = _predict(model, h, bits)
+        if model.task == CLASSIFICATION:
+            confusion = _confusion(labels, out.argmax(axis=1), classes)
+            scores[:, p] = [fun(confusion) for fun in funs]
+        else:
+            scores[:, p] = [fun(labels, out) for fun in funs]
+    return tuple(
+        AblationTable(M=model.M, metric=metric, scores=row) for metric, row in zip(metrics, scores)
+    )
 
 
 def dataset_loss(model: ToyModel, split: Split) -> float:
     """Mean per-sample task loss on a clean, fully observed split."""
-    _, out = _fuse(model, _encode(model, split.features)[2])
+    h = _encode(model, split.features)[2]
+    _, out = _fuse(model, [h[slot] for slot in model.slots])
     return float(_losses(model, out, split.labels)[0].mean())
 
 
@@ -708,8 +792,8 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be >= 1")
         if not self.learning_rate > 0 or not math.isfinite(self.learning_rate):
             raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
-        if not self.epsilon > 0:
-            raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
+        if not (self.epsilon > 0 and math.isfinite(self.epsilon)):
+            raise ConfigError(f"epsilon must be finite and positive, got {self.epsilon}")
         if self.metrics is not None:
             object.__setattr__(self, "metrics", tuple(self.metrics))
 
@@ -890,7 +974,7 @@ def run_arms(spec: SynthSpec, configs: Sequence[TrainConfig]) -> tuple[RunLog, .
         if epoch % config.mei_epoch_stride == 0 or epoch == config.epochs:
             for a in range(len(configs)):
                 if errors[a] is None:
-                    tables = tuple(ablation_table(model.arm(a), dataset.valid, m) for m in metrics)
+                    tables = ablation_table(model.arm(a), dataset.valid, metrics)
                     valid_tables[a].append((epoch, tables))
 
     runs = []
@@ -898,7 +982,7 @@ def run_arms(spec: SynthSpec, configs: Sequence[TrainConfig]) -> tuple[RunLog, .
         if errors[a] is not None:
             raise errors[a]
         arm = model.arm(a)
-        test_tables = tuple(ablation_table(arm, dataset.test, m) for m in metrics)
+        test_tables = ablation_table(arm, dataset.test, metrics)
         trace = trace_from_norms(*_logged_norms(steps[a]))
         mei_results = tuple(
             (table.metric.name, mei_from_table(table, arm_config.epsilon, mode))

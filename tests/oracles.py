@@ -446,17 +446,89 @@ def per_arm_train_step(model, features, mask, labels, learning_rate, step, log_g
     return StepLog(step, float(losses.mean()), modality_losses, norms)
 
 
+def ua(y_true: np.ndarray, y_pred: np.ndarray) -> float:
+    """Unweighted accuracy: mean per-class recall over classes present."""
+    recalls = [float((y_pred[y_true == c] == c).mean()) for c in np.unique(y_true)]
+    return float(np.mean(recalls))
+
+
+def wa(y_true: np.ndarray, y_pred: np.ndarray) -> float:
+    """Weighted accuracy: plain fraction of correct predictions."""
+    return float((y_pred == y_true).mean())
+
+
+def f1_weighted(y_true: np.ndarray, y_pred: np.ndarray) -> float:
+    """Support-weighted mean of per-class F1 scores, counted with boolean masks."""
+    n = y_true.shape[0]
+    total = 0.0
+    for c in np.unique(y_true):
+        tp = float(((y_pred == c) & (y_true == c)).sum())
+        fp = float(((y_pred == c) & (y_true != c)).sum())
+        fn = float(((y_pred != c) & (y_true == c)).sum())
+        precision = tp / (tp + fp) if tp + fp > 0 else 0.0
+        recall = tp / (tp + fn) if tp + fn > 0 else 0.0
+        f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
+        total += f1 * float((y_true == c).sum()) / n
+    return total
+
+
+def mae(y_true: np.ndarray, y_pred: np.ndarray) -> float:
+    return float(np.abs(y_pred - y_true).mean())
+
+
+def corr(y_true: np.ndarray, y_pred: np.ndarray) -> float:
+    """Pearson correlation; 0 when either side has zero variance."""
+    st, sp = y_true.std(), y_pred.std()
+    if st == 0.0 or sp == 0.0:
+        return 0.0
+    return float(((y_true - y_true.mean()) * (y_pred - y_pred.mean())).mean() / (st * sp))
+
+
+def acc2(y_true: np.ndarray, y_pred: np.ndarray) -> float:
+    """Binary sign agreement (zero counted as nonnegative)."""
+    return float(((y_pred >= 0) == (y_true >= 0)).mean())
+
+
+# Metric name -> score of (labels, predictions): class ids, or regression values.
+LABEL_METRICS = {"UA": ua, "WA": wa, "F1": f1_weighted, "MAE": mae, "Corr": corr,
+                 "Acc-2": acc2}
+
+
+def per_metric_ablation_table(model, split, metric):
+    """One metric's ablation table, as the package built it before its one evaluation pass.
+
+    Each encoder runs once on the split as a 2-D product; every pattern
+    then re-fuses the outputs (relu(b_m) for a missing modality, added in
+    modality order) and is scored with one label-vector metric.
+    """
+    from missdiag import AblationTable
+
+    hs = [np.maximum(np.asarray(x, dtype=np.float64) @ W + b, 0.0)
+          for x, W, b in zip(split.features, model.enc_W, model.enc_b)]
+    fun = LABEL_METRICS[metric.name]
+    scores = []
+    for bits in bit_tuples(len(hs)):
+        fused = None
+        for h, b, bit in zip(hs, model.enc_b, bits):
+            h = h if bit else np.maximum(b, 0.0)
+            fused = h if fused is None else fused + h
+        out = fused @ model.fus_W + model.fus_b
+        predictions = out.argmax(axis=1) if model.task == "classification" else out[:, 0]
+        scores.append(fun(split.labels, predictions))
+    return AblationTable(M=len(hs), metric=metric, scores=scores)
+
+
 def sequential_run(spec, config, after_step=None):
     """One run of the training loop as it was before lockstep arms, on `per_arm_train_step`.
 
-    Data, initialisation, masks, evaluation and the two diagnostics come
-    from the package's public functions. `after_step(step, model)` is
+    Evaluation is `per_metric_ablation_table`, one table per metric. Data,
+    initialisation, masks and the two diagnostics come from the package's
+    public functions. `after_step(step, model)` is
     called after every step, so a test can poison the run. Returns the
     RunLog, or raises what that loop raised.
     """
-    from missdiag import (RunLog, TrainingDivergedError, ablation_table, default_metrics,
-                          gen_synthetic, generate_mask_matrix, mei_from_table, mli,
-                          trace_from_norms)
+    from missdiag import (RunLog, TrainingDivergedError, default_metrics, gen_synthetic,
+                          generate_mask_matrix, mei_from_table, mli, trace_from_norms)
     from missdiag.equity import MEI_MODES
     from missdiag.report import config_hash
     from missdiag.simtrainer import describe_run, init_model
@@ -499,8 +571,9 @@ def sequential_run(spec, config, after_step=None):
             raise diverged(step, epoch, "parameters are not finite", last)
         if epoch % config.mei_epoch_stride == 0 or epoch == config.epochs:
             valid_tables.append(
-                (epoch, tuple(ablation_table(model, data.valid, m) for m in metrics)))
-    test_tables = tuple(ablation_table(model, data.test, m) for m in metrics)
+                (epoch, tuple(per_metric_ablation_table(model, data.valid, m)
+                              for m in metrics)))
+    test_tables = tuple(per_metric_ablation_table(model, data.test, m) for m in metrics)
     logged = [log for log in steps if log.grad_norms is not None]
     trace = trace_from_norms(
         [log.step for log in logged], np.stack([log.grad_norms for log in logged]),

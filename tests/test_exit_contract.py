@@ -341,8 +341,10 @@ def test_config_case(tmp_path, capsys, case_id, doc, extra, kind, prefix, comman
 def test_file_case(tmp_path, capsys, case_id, argv, text, kind, prefix):
     argv, path = file_argv(tmp_path, argv, text)
     code = main(argv)
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert_contract(code, err, kind, f"{path}{prefix}" if kind == "file" else prefix)
+    if kind != "ok":
+        assert out == "", out  # no partial result beside the error line
 
 
 @pytest.mark.parametrize("command", ["mask", "simulate", "merge"])
@@ -431,3 +433,4 @@ def test_file_case_in_fresh_interpreter(tmp_path, index):
     proc = run_cli_process(argv)
     assert_contract(proc.returncode, proc.stderr, kind,
                     f"{path}{prefix}" if kind == "file" else prefix)
+    assert kind == "ok" or proc.stdout == ""

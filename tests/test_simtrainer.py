@@ -36,6 +36,7 @@ from missdiag import (
 from missdiag import simtrainer
 from missdiag.simtrainer import (
     _acc2,
+    _confusion,
     _corr,
     _f1_weighted,
     _mae,
@@ -48,10 +49,13 @@ from missdiag.simtrainer import (
 )
 
 from oracles import (
+    LABEL_METRICS,
     backward_batch,
     brute_trace_grid,
     fd_gradient,
     masked_forward_cache,
+    per_arm_train_step,
+    per_metric_ablation_table,
     per_weighting_grad_norms,
     sequential_run,
     zero_imputed_forward,
@@ -207,7 +211,7 @@ class TestForward:
 
 def _pattern_callers():
     data = gen_synthetic(small_spec())
-    table = ablation_table(small_model(), data.test, PerfMetric.named("UA"))
+    (table,) = ablation_table(small_model(), data.test, [PerfMetric.named("UA")])
     dist = pattern_distribution(RateVector(("a", "b"), (0.2, 0.5)))
     return {
         "forward": lambda bits: forward(small_model(), data.test.features, bits),
@@ -357,11 +361,16 @@ class TestGradients:
         self._check_model(REGRESSION, seed=8)
 
 
-def _oracle_batch(task: str, M: int, B: int, seed: int, absent: int | None = None):
-    """A model whose biases take both signs, one batch, and a mask with no empty row."""
+def _oracle_batch(task: str, M: int, B: int, seed: int, absent: int | None = None,
+                  dims: tuple[int, ...] | None = None, hidden: int = 6):
+    """A model whose biases take both signs, one batch, and a mask with no empty row.
+
+    The input widths are `dims`, or M random widths from 1 to 8.
+    """
     rng = np.random.default_rng(seed)
-    dims = tuple(int(d) for d in rng.integers(1, 9, size=M))
-    model = init_model(dims, 6, task, 4, rng)
+    if dims is None:
+        dims = tuple(int(d) for d in rng.integers(1, 9, size=M))
+    model = init_model(dims, hidden, task, 4, rng)
     for b in model.enc_b:
         b[:] = rng.normal(0.0, 0.3, size=b.shape)
     feats = [rng.standard_normal((B, d)) for d in dims]
@@ -393,6 +402,8 @@ class TestOneBackward:
     """One stacked backward pass equals one backward pass per weighting, bit for bit."""
 
     LR = 0.005
+    # Mixed group sizes, one group of two, all singletons, the README shape.
+    WIDTHS = [(4, 7, 4, 7, 3), (5, 5), (3, 9), (16, 16, 16)]
 
     @pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
     @pytest.mark.parametrize("M", [2, 3, 8])
@@ -435,6 +446,65 @@ class TestOneBackward:
                    if m != absent)
         assert (log.grad_norms[absent] == 0.0).all()
         assert np.array_equal(log.grad_norms, expected)
+
+    @pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
+    @pytest.mark.parametrize("dims", WIDTHS, ids=lambda dims: "x".join(map(str, dims)))
+    @pytest.mark.parametrize("A", [1, 2, 4])
+    @pytest.mark.parametrize("hidden", [1, 6])
+    def test_width_groups_equal_per_arm_oracle(self, task, dims, A, hidden):
+        # Encoders of equal width share one stacked array and one matmul
+        # per group; every arm must still equal one plain model stepped by
+        # the per-weighting oracle, norms and parameters bit for bit.
+        M, B = len(dims), 19
+        seed = 1000 * A + 10 * M + hidden
+        model, feats, labels, mask = _oracle_batch(task, M, B, seed, dims=dims, hidden=hidden)
+        assert model.dims == dims
+        rng = np.random.default_rng(seed)
+        masks = np.stack([mask] + [(rng.random(mask.shape) < 0.5).astype(np.float64)
+                                   for _ in range(A - 1)])
+        masks[:, :, 0] = np.maximum(masks[:, :, 0], masks.sum(axis=2) == 0)
+        if A > 1:
+            masks[1, :, M - 1] = 0.0  # the last modality is absent from arm 1's batch
+            masks[1, :, 0] = 1.0
+        stacked = simtrainer._lockstep(model, A)
+        plain = [model.clone() for _ in range(A)]
+        for step in range(1, 4):
+            log_grads = step != 2
+            logs = train_step(stacked, feats, masks, labels, self.LR, step=step,
+                              log_grads=log_grads)
+            for a in range(A):
+                expected = per_weighting_grad_norms(plain[a], feats, masks[a], labels)
+                out, cache = masked_forward_cache(plain[a], feats, masks[a])
+                full = backward_batch(plain[a], cache, out, labels, np.full(B, 1.0 / B))
+                reference = plain[a].clone()
+                want = per_arm_train_step(plain[a], feats, masks[a], labels, self.LR, step,
+                                          log_grads)
+                assert logs[a] == want
+                if log_grads:
+                    assert np.array_equal(logs[a].grad_norms, expected)
+                _descend(reference, full, self.LR)
+                _assert_same_parameters(plain[a], reference)
+                _assert_same_parameters(stacked.arm(a), plain[a])
+
+    @pytest.mark.parametrize("dims", WIDTHS, ids=lambda dims: "x".join(map(str, dims)))
+    def test_modality_views_share_the_group_arrays(self, dims):
+        model = small_model(dims=dims)
+        assert [m for group in model.groups for m in group] == sorted(
+            range(len(dims)), key=lambda m: (dims.index(dims[m]), m))
+        for group, W in zip(model.groups, model.group_W):
+            assert W.shape == (len(group), dims[group[0]], 6)
+            for j, m in enumerate(group):
+                assert np.shares_memory(model.enc_W[m], W)
+                assert np.array_equal(model.enc_W[m], W[j])
+        for m, b in enumerate(model.enc_b):
+            assert np.shares_memory(b, model.enc_bias)
+            assert np.array_equal(b, model.enc_bias[model.slots[m]])
+        model.enc_W[-1][0, 0] = 7.0
+        model.enc_b[-1][0] = 8.0
+        clone, arm = model.clone(), simtrainer._lockstep(model, 2).arm(1)
+        model.enc_W[-1][0, 0] = 0.0
+        assert clone.enc_W[-1][0, 0] == 7.0 and clone.enc_b[-1][0] == 8.0
+        assert arm.enc_W[-1][0, 0] == 7.0 and arm.enc_b[-1][0] == 8.0
 
     @pytest.mark.parametrize("B", [1, 7, 48])
     @pytest.mark.parametrize("C", [1, 4])
@@ -488,26 +558,39 @@ class TestOneBackward:
 
 class TestMetrics:
     def test_classification_hand_case(self):
-        y_true = np.array([0, 0, 1, 2])
-        y_pred = np.array([0, 1, 1, 1])
-        assert _wa(y_true, y_pred) == 0.5
-        assert _ua(y_true, y_pred) == pytest.approx((0.5 + 1.0 + 0.0) / 3.0)
+        confusion = _confusion(np.array([0, 0, 1, 2]), np.array([0, 1, 1, 1]), 3)
+        assert confusion == [[1, 1, 0], [0, 1, 0], [0, 1, 0]]
+        assert _wa(confusion) == 0.5
+        assert _ua(confusion) == pytest.approx((0.5 + 1.0 + 0.0) / 3.0)
         # class F1: 2/3 for class 0 (p=1, r=1/2), 1/2 for class 1
         # (p=1/3, r=1), 0 for class 2; supports 2, 1, 1.
         expected = (2 / 4) * (2 / 3) + (1 / 4) * 0.5 + (1 / 4) * 0.0
-        assert _f1_weighted(y_true, y_pred) == pytest.approx(expected)
+        assert _f1_weighted(confusion) == pytest.approx(expected)
 
     def test_perfect_prediction(self):
         y = np.array([2, 0, 1, 1])
-        assert _ua(y, y) == 1.0
-        assert _wa(y, y) == 1.0
-        assert _f1_weighted(y, y) == pytest.approx(1.0)
+        confusion = _confusion(y, y, 3)
+        assert _ua(confusion) == 1.0
+        assert _wa(confusion) == 1.0
+        assert _f1_weighted(confusion) == pytest.approx(1.0)
 
     def test_ua_ignores_absent_classes(self):
         # Class 2 never occurs in y_true, so it has no recall term.
-        y_true = np.array([0, 0, 1, 1])
-        y_pred = np.array([0, 2, 1, 2])
-        assert _ua(y_true, y_pred) == 0.5
+        confusion = _confusion(np.array([0, 0, 1, 1]), np.array([0, 2, 1, 2]), 3)
+        assert _ua(confusion) == 0.5
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_counts_equal_label_vector_metrics(self, seed):
+        # Scores from one confusion count equal the label-vector forms bit
+        # for bit, including classes absent from the labels or predictions.
+        rng = np.random.default_rng(seed)
+        C = int(rng.integers(2, 13))
+        n = int(rng.choice([1, 2, 7, 50, 600]))
+        y_true = rng.integers(0, max(1, C - seed % 3), size=n)
+        y_pred = rng.integers(0, C, size=n)
+        confusion = _confusion(y_true, y_pred, C)
+        for name, fun in (("UA", _ua), ("WA", _wa), ("F1", _f1_weighted)):
+            assert fun(confusion) == LABEL_METRICS[name](y_true, y_pred), name
 
     def test_regression_metrics(self):
         y_true = np.array([1.0, -1.0, 2.0, 0.0])
@@ -528,35 +611,40 @@ class TestEvaluation:
         model = small_model()
         data = gen_synthetic(small_spec())
         with pytest.raises(ConfigError):
-            ablation_table(model, data.test, PerfMetric.named("MAE"))
+            ablation_table(model, data.test, [PerfMetric.named("UA"), PerfMetric.named("MAE")])
 
     def test_ablation_table_complete_and_consistent(self):
         model = small_model()
         data = gen_synthetic(small_spec())
         metric = PerfMetric.named("WA")
-        table = ablation_table(model, data.test, metric)
+        (table,) = ablation_table(model, data.test, [metric])
         assert table.M == 2
         assert table.scores.shape == (3,)
         full = forward(model, data.test.features, (1, 1))
-        assert table.perf_full == _wa(data.test.labels, full.argmax(axis=1))
+        assert table.perf_full == LABEL_METRICS["WA"](data.test.labels, full.argmax(axis=1))
 
     def test_evaluation_is_clean_of_training_protocol(self):
         # Ablation scores depend only on (model, split, pattern).
         model = small_model()
         data = gen_synthetic(small_spec())
         metric = PerfMetric.named("UA")
-        a = ablation_table(model, data.test, metric)
-        b = ablation_table(model, data.test, metric)
-        assert a.score((0, 1)) == b.score((0, 1))
+        a = ablation_table(model, data.test, [metric])
+        b = ablation_table(model, data.test, [metric])
+        assert a[0].score((0, 1)) == b[0].score((0, 1))
 
-
-METRIC_FUNS = {"UA": _ua, "WA": _wa, "F1": _f1_weighted,
-               "MAE": _mae, "Corr": _corr, "Acc-2": _acc2}
+    def test_one_table_per_metric_in_order(self):
+        model = small_model()
+        data = gen_synthetic(small_spec())
+        metrics = [PerfMetric.named(name) for name in ("F1", "UA", "F1")]
+        tables = ablation_table(model, data.test, metrics)
+        assert [table.metric for table in tables] == metrics
+        assert tables[0] == tables[2]
+        assert ablation_table(model, data.test, []) == ()
 
 
 def trained_model(task: str, M: int):
     """A model after a few masked training steps, so its biases are nonzero."""
-    dims = (5, 4, 3, 6, 2)[:M]
+    dims = (5, 4, 3, 6, 2, 4, 3, 5)[:M]
     spec = small_spec(task=task, dims=dims, informativeness=(1.0,) * M,
                       n_train=96, n_test=64)
     data = gen_synthetic(spec)
@@ -593,23 +681,60 @@ class TestZeroImputationOracle:
 
     def test_ablation_scores_equal_forward(self, task, M):
         model, data = trained_model(task, M)
-        for metric in default_metrics(task):
-            table = ablation_table(model, data.test, metric)
+        for table in ablation_table(model, data.test, default_metrics(task)):
             for bits in pattern_bits(M):
                 out = forward(model, data.test.features, bits)
                 predictions = out.argmax(axis=1) if task == CLASSIFICATION else out
-                expected = METRIC_FUNS[metric.name](data.test.labels, predictions)
-                assert table.score(bits) == expected, (metric.name, bits.tolist())
+                expected = LABEL_METRICS[table.metric.name](data.test.labels, predictions)
+                assert table.score(bits) == expected, (table.metric.name, bits.tolist())
 
     def test_ablation_scores_equal_oracle(self, task, M):
         model, data = trained_model(task, M)
-        for metric in default_metrics(task):
-            table = ablation_table(model, data.test, metric)
+        for table in ablation_table(model, data.test, default_metrics(task)):
             for bits in pattern_bits(M):
                 out = zero_imputed_forward(model, data.test.features, bits)
                 predictions = out.argmax(axis=1) if task == CLASSIFICATION else out[:, 0]
-                expected = METRIC_FUNS[metric.name](data.test.labels, predictions)
-                assert table.score(bits) == expected, (metric.name, bits.tolist())
+                expected = LABEL_METRICS[table.metric.name](data.test.labels, predictions)
+                assert table.score(bits) == expected, (table.metric.name, bits.tolist())
+
+
+class TestOneEvaluationPass:
+    """Every metric's table from one prediction per pattern equals the per-metric loop."""
+
+    @pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
+    @pytest.mark.parametrize("M", [2, 3, 8])
+    def test_tables_equal_per_metric_oracle(self, task, M):
+        model, data = trained_model(task, M)
+        for split in (data.valid, data.test):
+            tables = ablation_table(model, split, default_metrics(task))
+            assert [table.metric for table in tables] == list(default_metrics(task))
+            for table in tables:
+                assert table == per_metric_ablation_table(model, split, table.metric)
+
+    @pytest.mark.parametrize("M", [2, 3, 8])
+    def test_classes_absent_from_the_labels(self, M):
+        # Class 2 is relabelled away, so it has no support, yet the model
+        # still predicts it under some pattern; class 1 keeps one sample.
+        model, data = trained_model(CLASSIFICATION, M)
+        labels = data.test.labels.copy()
+        labels[labels == 2] = 0
+        labels[labels == 1] = 0
+        labels[0] = 1
+        split = simtrainer.Split(features=data.test.features, labels=labels)
+        predicted = {int(c) for bits in pattern_bits(M)
+                     for c in forward(model, split.features, bits).argmax(axis=1)}
+        assert 2 in predicted and 2 not in labels
+        for table in ablation_table(model, split, default_metrics(CLASSIFICATION)):
+            assert table == per_metric_ablation_table(model, split, table.metric)
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_labels_outside_the_classes_rejected(self, bad):
+        model, data = trained_model(CLASSIFICATION, 2)
+        labels = data.test.labels.copy()
+        labels[5] = bad
+        split = simtrainer.Split(features=data.test.features, labels=labels)
+        with pytest.raises(DimensionError, match=r"^class labels must lie in \[0, 3\) "):
+            ablation_table(model, split, default_metrics(CLASSIFICATION))
 
 
 def quick_config(rates=(0.0, 0.0), **overrides) -> TrainConfig:
@@ -878,6 +1003,19 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             quick_config(epsilon=0.0)
 
+    @pytest.mark.parametrize("epsilon, shown", [(math.inf, "inf"), (math.nan, "nan"),
+                                                (-1e-8, "-1e-08")])
+    def test_epsilon_must_be_finite_and_positive(self, monkeypatch, epsilon, shown):
+        # Refused when the config is made, before any data or training step.
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(simtrainer, "train_step", no_work)
+        monkeypatch.setattr(simtrainer, "gen_synthetic", no_work)
+        with pytest.raises(ConfigError,
+                           match=rf"^epsilon must be finite and positive, got {shown}$"):
+            run_experiment(small_spec(), quick_config(epsilon=epsilon))
+
 
 def _lockstep_case(task: str, M: int, stride: int = 1, resample: bool = False,
                    arms: int = 2, **overrides):
@@ -958,6 +1096,20 @@ class TestLockstep:
             assert run == want
         assert runs[0].steps != runs[1].steps  # the arms' masks differ
 
+    @pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
+    def test_repeated_widths_equal_the_sequential_loop(self, task):
+        # Width groups of two, two and one encoders, trained in lockstep.
+        dims = (4, 7, 4, 7, 3)
+        spec = SynthSpec(task=task, dims=dims, informativeness=(1.0, 0.5, 1.0, 0.25, 1.0),
+                         n_train=60, n_valid=20, n_test=30, seed=17, n_classes=4)
+        imr = RateVector(tuple(f"m{m}" for m in range(5)), (0.1, 0.3, 0.5, 0.2, 0.6))
+        configs = [TrainConfig(protocol=p, epochs=3, batch_size=16, learning_rate=0.05,
+                               seed=3, hidden=5, mei_epoch_stride=2)
+                   for p in (imr, imr.mean_matched())]
+        runs = run_arms(spec, configs)
+        for run, config in zip(runs, configs):
+            assert run == sequential_run(spec, config)
+
     def test_three_arms_and_one_arm(self):
         spec, configs = _lockstep_case(REGRESSION, 3, arms=3)
         runs = run_arms(spec, configs)
@@ -1000,6 +1152,8 @@ class TestLockstep:
             train_step(model, feats, np.ones((4, 2)), labels, 0.1)
         with pytest.raises(DimensionError, match="one arm at a time"):
             forward(model, feats, (1, 1))
+        with pytest.raises(DimensionError, match="^a plain model has no arm axis"):
+            small_model().arm(0)
         with pytest.raises(DimensionError, match="inconsistent"):
             simtrainer.ToyModel(model.enc_W, [b[0] for b in model.enc_b], model.fus_W,
                                 model.fus_b, CLASSIFICATION)
@@ -1039,9 +1193,9 @@ class TestLockstep:
         evaluated = []
         real_table = simtrainer.ablation_table
 
-        def table(model, split, metric):
+        def table(model, split, metrics):
             evaluated.append(float(model.fus_W[0, 0]))
-            return real_table(model, split, metric)
+            return real_table(model, split, metrics)
 
         monkeypatch.setattr(simtrainer, "ablation_table", table)
         steps = _poison_steps(monkeypatch, {1: {2}, 2: {1}})
@@ -1050,7 +1204,8 @@ class TestLockstep:
         assert str(info.value) == _sequential_error(spec, configs[1], {2})
         assert "(epoch 1)" in str(info.value)
         assert steps == list(range(1, 13))
-        # Arm 0 alone was evaluated: validation at epochs 2 and 3, then test.
-        assert len(evaluated) == 3 * 3
+        # Arm 0 alone was evaluated, every metric in one call: validation at
+        # epochs 2 and 3, then test.
+        assert len(evaluated) == 3
         assert all(math.isfinite(w) for w in evaluated)
         assert capfd.readouterr().err == ""

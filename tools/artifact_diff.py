@@ -9,7 +9,9 @@ with the same relative paths on both sides, so console output compares
 as it is. The commands are the README paired simulation at seeds 1 and
 2, a 5-modality paired regression with per-epoch mask resampling, the
 same regression with label noise that makes training diverge, an
-8-modality paired run logging every third step, `mask generate` at
+8-modality paired run logging every third step, a 5-modality paired
+classification whose input widths 4, 7, 4, 7, 3 make encoder groups of
+two, two and one, `mask generate` at
 M = 3, 5 and 12 (seed 2^64 - 1 among the seeds), `metrics mei` on an
 M = 10 table, `metrics mli` on a seeded `gradtrace-v1` file (gapped
 steps, absent modalities) and a seeded `gradagg-v1` file, `metrics mli`
@@ -66,6 +68,18 @@ STRIDE_CONFIG = {
         "n_valid": 100, "n_test": 400, "n_classes": 4, "epochs": 4,
         "batch_size": 32, "mei_epoch_stride": 2, "grad_log_stride": 3,
         "paired": True,
+    },
+}
+# Encoder width groups of two, two and one: the one case whose encoders
+# mix group sizes (README and stride3-m8 have one group, resample-m5 none).
+MIXED_WIDTH_CONFIG = {
+    "modalities": [f"m{m}" for m in range(5)],
+    "protocol": {"rates": [0.15, 0.3, 0.45, 0.25, 0.6]},
+    "seed": 3,
+    "simulation": {
+        "dims": [4, 7, 4, 7, 3], "informativeness": [1.0, 0.5, 1.0, 0.25, 1.0],
+        "n_train": 400, "n_valid": 100, "n_test": 400, "n_classes": 4, "epochs": 4,
+        "batch_size": 32, "mei_epoch_stride": 2, "grad_log_stride": 1, "paired": True,
     },
 }
 # A paired regression whose labels overflow the squared loss: both sides
@@ -141,6 +155,7 @@ CASES: dict[str, tuple[dict, list[str]]] = {
     "readme-seed2": _simulate(README_CONFIG, "--seed", "2"),
     "resample-m5": _simulate(RESAMPLE_CONFIG),
     "stride3-m8": _simulate(STRIDE_CONFIG),
+    "mixed-width-m5": _simulate(MIXED_WIDTH_CONFIG),
     "diverge-paired": _simulate(DIVERGE_CONFIG),
     "mask-m3-seed0": _mask(3, "0"),
     "mask-m3-seedmax": _mask(3, U64_MAX),
