@@ -187,6 +187,18 @@ def pattern_distribution(rates: RateVector) -> PatternDistribution:
     return PatternDistribution(rates=rates, probabilities=num / (1.0 - all_missing))
 
 
+def _every_row_observed(masks: np.ndarray) -> bool:
+    """Whether each row of an (N, M) 0/1 int array has a 1.
+
+    The columns are ORed one at a time: `masks.any(axis=1)` walks the
+    short rows one by one and is some 50x slower at M = 3.
+    """
+    observed = masks[:, 0].copy()
+    for column in masks.T[1:]:
+        observed |= column
+    return bool(observed.all())
+
+
 @dataclass(frozen=True)
 class MaskMatrix:
     """Per-sample mask patterns plus the generation provenance.
@@ -208,10 +220,10 @@ class MaskMatrix:
         if masks.shape[0] < 1:
             raise EmptyDatasetError("mask matrix must contain at least one row")
         # Checked before the int8 cast, which would wrap 256 to 0 and cut 0.5 to 0.
-        if not np.isin(masks, (0, 1)).all():
+        if not ((masks == 0) | (masks == 1)).all():
             raise InvalidPatternError("mask entries must be 0 or 1")
         masks = masks.astype(np.int8, copy=False)
-        if not masks.any(axis=1).all():
+        if not _every_row_observed(masks):
             raise InvalidPatternError("mask matrix contains an all-missing row")
         masks.setflags(write=False)
         object.__setattr__(self, "masks", masks)
@@ -241,18 +253,38 @@ _PHILOX_WEYL = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
 _U64 = (1 << 64) - 1
 _LO32 = 0xFFFFFFFF
+# The multipliers and their 32-bit halves, one per lane of `_mulhilo`.
+_MUL = np.array(_PHILOX_MULTIPLIERS, dtype=np.uint64)[:, None, None]
+_MUL_LO, _MUL_HI = _MUL & np.uint64(_LO32), _MUL >> np.uint64(32)
 # Rows sampled per array step. It bounds the uint64 temporaries to a few
 # MiB whatever the row count.
 _ROW_CHUNK = 1 << 14
 
 
-def _mulhilo(a: np.ndarray, multiplier: int) -> tuple[np.ndarray, np.ndarray]:
-    """High and low 64-bit words of the 128-bit products a * multiplier."""
-    m_lo, m_hi = np.uint64(multiplier & _LO32), np.uint64(multiplier >> 32)
-    a_lo, a_hi = a & _LO32, a >> 32
-    ll, lh, hl = a_lo * m_lo, a_lo * m_hi, a_hi * m_lo
-    carry = ((ll >> 32) + (lh & _LO32) + (hl & _LO32)) >> 32
-    return a_hi * m_hi + (lh >> 32) + (hl >> 32) + carry, a * np.uint64(multiplier)
+def _mulhilo(a: np.ndarray, hi: np.ndarray, t: np.ndarray) -> None:
+    """128-bit products a * _PHILOX_MULTIPLIERS, lane by lane: low words over a, high into hi.
+
+    `a` and `hi` are (2, ...) uint64 arrays whose lanes take the two
+    multipliers, and `t` a (3, 2, ...) uint64 scratch buffer. The high
+    word is the schoolbook sum of the four 32-bit partial products; no
+    partial sum can wrap.
+    """
+    a_lo, ll, mid = t
+    np.bitwise_and(a, _LO32, out=a_lo)
+    np.right_shift(a, 32, out=hi)  # a_hi
+    np.multiply(a, _MUL, out=a)
+    np.multiply(a_lo, _MUL_LO, out=ll)
+    ll >>= 32
+    np.multiply(hi, _MUL_LO, out=mid)
+    mid += ll
+    np.bitwise_and(mid, _LO32, out=ll)
+    mid >>= 32
+    a_lo *= _MUL_HI
+    a_lo += ll
+    a_lo >>= 32
+    hi *= _MUL_HI
+    hi += mid
+    hi += a_lo
 
 
 def _philox_words(seed: int, rows: np.ndarray, first: int, count: int) -> np.ndarray:
@@ -263,19 +295,28 @@ def _philox_words(seed: int, rows: np.ndarray, first: int, count: int) -> np.nda
     Philox4x64-10 of the counter (k + 1, i, 0, 0) under the key
     (seed mod 2^64, seed >> 64). Returns a (len(rows), 4 * count) uint64
     array, the words in stream order.
+
+    The rounds run in place in one buffer per call. The counter words
+    are held as two lane pairs, `mul` = (c0, c2), which a round
+    multiplies, and `xor` = (c1, c3), which it xors with the high words
+    and the key. The new (c0, c2) is then `xor`, and the new (c1, c3)
+    the low words, `mul` in reverse lane order.
     """
-    shape = (rows.size, count)
-    c0 = np.broadcast_to(np.arange(first + 1, first + count + 1, dtype=np.uint64), shape)
-    c1 = np.broadcast_to(rows[:, None], shape)
-    c2 = c3 = np.zeros(shape, dtype=np.uint64)
+    buf = np.empty((6, 2, rows.size, count), dtype=np.uint64)
+    mul, xor, hi = buf[:3]
+    mul[0] = np.arange(first + 1, first + count + 1, dtype=np.uint64)
+    xor[0] = rows[:, None]
+    mul[1] = xor[1] = 0
     # Round keys stay Python ints: numpy warns when a uint64 scalar sum wraps.
     k0, k1 = seed & _U64, seed >> 64
     for _ in range(_PHILOX_ROUNDS):
-        hi0, lo0 = _mulhilo(c0, _PHILOX_MULTIPLIERS[0])
-        hi1, lo1 = _mulhilo(c2, _PHILOX_MULTIPLIERS[1])
-        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ np.uint64(k1), lo0
+        _mulhilo(mul, hi, buf[3:])
+        xor ^= hi[::-1]
+        xor ^= np.array([k0, k1], dtype=np.uint64)[:, None, None]
+        mul, xor = xor, mul[::-1]
         k0, k1 = (k0 + _PHILOX_WEYL[0]) & _U64, (k1 + _PHILOX_WEYL[1]) & _U64
-    return np.stack((c0, c1, c2, c3), axis=-1).reshape(rows.size, 4 * count)
+    words = np.stack((mul[0], xor[0], mul[1], xor[1]), axis=-1)
+    return words.reshape(rows.size, 4 * count)
 
 
 def _sample_rows(r: np.ndarray, rows: np.ndarray, seed: int) -> np.ndarray:
@@ -287,6 +328,9 @@ def _sample_rows(r: np.ndarray, rows: np.ndarray, seed: int) -> np.ndarray:
     still rejected.
     """
     M = r.size
+    # x * 2^-53 >= r_m exactly when the integer x >= ceil(r_m * 2^53): the
+    # scaling by 2^53 is exact, and so is the compare.
+    thresholds = np.ceil(r * 2.0**53).astype(np.uint64)
     bits = np.empty((rows.size, M), dtype=bool)
     pending = np.arange(rows.size)
     attempt = 0
@@ -296,10 +340,9 @@ def _sample_rows(r: np.ndarray, rows: np.ndarray, seed: int) -> np.ndarray:
         count = (word + M - 1) // 4 - block + 1
         words = _philox_words(seed, rows[pending], block, count)
         skip = word - 4 * block
-        draw = (words[:, skip : skip + M] >> 11) * 2.0**-53 >= r
-        ok = draw.any(axis=1)
-        bits[pending[ok]] = draw[ok]
-        pending = pending[~ok]
+        draw = (words[:, skip : skip + M] >> 11) >= thresholds
+        bits[pending] = draw  # a rejected row's draw is overwritten by a later attempt
+        pending = pending[~draw.any(axis=1)]
         attempt += 1
     return bits
 
@@ -407,26 +450,86 @@ def _kl(p: np.ndarray, q: np.ndarray) -> float:
 # maskmatrix-v1 file format
 
 
+def _id_runs(n: int):
+    """(first, stop, digits) for each run of the sample ids 0..n-1 that share a digit count."""
+    first, digits = 0, 1
+    while first < n:
+        stop = min(10**digits, n)
+        yield first, stop, digits
+        first, digits = stop, digits + 1
+
+
+def _mask_body(masks: np.ndarray) -> bytes:
+    """The body of a `maskmatrix-v1` file, the lines after its header, for an (N, M) 0/1 array.
+
+    Line k is the sample id k in decimal, M ",b" pairs and LF. The
+    lines of each run of ids with one digit count have one length, so
+    each run is built as one uint8 block.
+    """
+    n, M = masks.shape
+    blocks = []
+    for first, stop, digits in _id_runs(n):
+        block = np.empty((stop - first, digits + 2 * M + 1), dtype=np.uint8)
+        # The narrowest unsigned type divides fastest; ids - 10 * tens is
+        # ids % 10, which numpy computes slower.
+        ids = np.arange(first, stop, dtype=np.min_scalar_type(stop))
+        for j in range(digits - 1, -1, -1):
+            tens = ids // 10
+            block[:, j] = ids - 10 * tens + ord("0")
+            ids = tens
+        block[:, digits:-1:2] = ord(",")
+        block[:, digits + 1 :: 2] = masks[first:stop] + ord("0")
+        block[:, -1] = ord("\n")
+        blocks.append(block.tobytes())
+    return b"".join(blocks)
+
+
+def _mask_bits(body: bytes, M: int) -> np.ndarray | None:
+    """The (N, M) int8 bits of a body that is `_mask_body` of its own bits, else None.
+
+    The body's length fixes N, each line's length fixes where its bits
+    sit. Those bytes must be 0 or 1, and the body rebuilt from them must
+    equal the body byte for byte: that checks every comma, LF and id.
+    Mask row k is applied to training sample k, so the ids must count
+    from 0.
+    """
+    n, size, digits = 0, len(body), 1
+    while size:
+        line = digits + 2 * M + 1
+        run = 10**digits - n
+        if size < run * line:
+            if size % line:
+                return None
+            n, size = n + size // line, 0
+        else:
+            n, size, digits = n + run, size - run * line, digits + 1
+    data = np.frombuffer(body, dtype=np.uint8)
+    bits = np.empty((n, M), dtype=np.uint8)
+    pos = 0
+    for first, stop, digits in _id_runs(n):
+        end = pos + (stop - first) * (digits + 2 * M + 1)
+        bits[first:stop] = data[pos:end].reshape(stop - first, -1)[:, digits + 1 :: 2]
+        pos = end
+    bits -= ord("0")
+    if (bits > 1).any() or _mask_body(bits) != body:
+        return None
+    return bits.view(np.int8)
+
+
 def write_mask_matrix(matrix: MaskMatrix, path: str | Path) -> None:
     """Write a `maskmatrix-v1` CSV: sample_id column then one 0/1 column per modality."""
-    from .report import atomic_write_text
+    from .report import atomic_write_bytes
 
-    # Everything after a row's sample_id is M ",b" pairs: build them for all
-    # rows as one byte block, decode it once and slice it per row.
-    width = 2 * matrix.M
-    pairs = np.empty((matrix.N, width), dtype=np.uint8)
-    pairs[:, 0::2] = ord(",")
-    pairs[:, 1::2] = matrix.masks + ord("0")
-    cells = pairs.tobytes().decode("ascii")
-    lines = ["sample_id," + ",".join(matrix.rates.modality_names)]
-    lines += [f"{i}{cells[i * width : (i + 1) * width]}" for i in range(matrix.N)]
-    atomic_write_text(Path(path), "\n".join(lines) + "\n")
+    header = "sample_id," + ",".join(matrix.rates.modality_names) + "\n"
+    atomic_write_bytes(Path(path), header.encode("utf-8") + _mask_body(matrix.masks))
 
 
 def read_mask_matrix(path: str | Path) -> tuple[tuple[str, ...], np.ndarray]:
     """Read a `maskmatrix-v1` CSV; returns (modality names, (N, M) int8 array).
 
-    The first malformed row raises `FileFormatError` with its line number.
+    A body in the grammar has one form, the one `_mask_body` writes, so
+    the body is read by checking it against that form. Otherwise the
+    first malformed row raises `FileFormatError` with its line number.
     """
     header, body = textformat.read_text(path)
     if len(header) < 3 or header[0] != "sample_id":
@@ -435,15 +538,13 @@ def read_mask_matrix(path: str | Path) -> tuple[tuple[str, ...], np.ndarray]:
     repeated = next((name for i, name in enumerate(names) if name in names[:i]), None)
     if repeated is not None:
         raise FileFormatError(f"{path}:1: duplicate modality name {repeated!r}")
-    fields = (textformat.INT,) + (textformat.BIT,) * (len(header) - 1)
-    rows = textformat.parse_rows(body, fields, np.dtype(np.int64))
-    # Mask row i is applied to training sample i, so ids must count from 0.
-    if rows is None or not np.array_equal(rows[:, 0], np.arange(rows.shape[0])):
+    masks = _mask_bits(body.encode("utf-8"), len(names))
+    if masks is None:
+        fields = (textformat.INT,) + (textformat.BIT,) * len(names)
         raise textformat.first_bad_line(path, body, header, fields, _mask_row_error)
-    if not rows.shape[0]:
+    if not masks.shape[0]:
         raise FileFormatError(f"{path}: no mask rows")
-    masks = rows[:, 1:].astype(np.int8)
-    if not masks.any(axis=1).all():
+    if not _every_row_observed(masks):
         raise FileFormatError(f"{path}: contains an all-missing row")
     return tuple(names), masks
 

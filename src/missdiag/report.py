@@ -25,12 +25,17 @@ TOOL_VERSION = "0.1.0"
 
 def atomic_write_text(path: str | Path, text: str) -> None:
     """Write UTF-8 text via a temp file + rename in the target directory."""
+    atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def atomic_write_bytes(path: str | Path, data: bytes) -> None:
+    """Write bytes via a temp file + rename in the target directory."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as f:
-            f.write(text)
+        with os.fdopen(fd, "wb") as f:
+            f.write(data)
         os.replace(tmp, path)
     except BaseException:
         try:

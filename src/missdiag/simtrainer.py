@@ -361,10 +361,11 @@ def init_model(
 
 
 def _encode(model: ToyModel, features: Sequence[np.ndarray], present: np.ndarray | None = None):
-    """Grouped inputs x, pre-activations u = x W + b and rectified outputs relu(u).
+    """Grouped inputs x and encoder outputs h = relu(x W + b).
 
-    x is one (..., G, B, d) array per width group; u and relu(u) are
-    (..., M, B, H) arrays in slot order (`ToyModel.slots`). Evaluation
+    x is one (..., G, B, d) array per width group; h is an (..., M, B, H)
+    array in slot order (`ToyModel.slots`), rectified in place, so no
+    second array of its size is made. Evaluation
     passes a plain model and no `present`. Training passes a model with
     an arm axis and the (A, M, B) observed flags `present`, in modality
     order, which zero each arm's missing inputs; the features are shared.
@@ -398,7 +399,7 @@ def _encode(model: ToyModel, features: Sequence[np.ndarray], present: np.ndarray
         np.matmul(x, W, out=u[..., span, :, :])
         xs.append(x)
     u += model.enc_bias[..., None, :]
-    return xs, u, np.maximum(u, 0.0)
+    return xs, np.maximum(u, 0.0, out=u)
 
 
 def _fuse(model: ToyModel, hs: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -413,9 +414,9 @@ def _forward_batch(
     model: ToyModel, features: Sequence[np.ndarray], present: np.ndarray
 ) -> tuple[np.ndarray, tuple]:
     """Masked forward pass for training; returns (output, cache for backprop)."""
-    xs, u, h = _encode(model, features, present)
+    xs, h = _encode(model, features, present)
     s, out = _fuse(model, [h[:, slot] for slot in model.slots])
-    return out, (xs, u, s)
+    return out, (xs, h, s)
 
 
 def _predict(model: ToyModel, h: np.ndarray, bits: Sequence) -> np.ndarray:
@@ -435,7 +436,7 @@ def forward(model: ToyModel, features: Sequence[np.ndarray], bits: Sequence) -> 
     """
     pattern_code(bits, model.M)  # raises on a bad pattern; the code is not needed
     feats = [np.atleast_2d(np.asarray(f, dtype=np.float64)) for f in features]
-    return _predict(model, _encode(model, feats)[2], bits)
+    return _predict(model, _encode(model, feats)[1], bits)
 
 
 def _losses(model: ToyModel, out: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -471,7 +472,7 @@ def _backward(
     row from one stacked matmul. "enc_W" is one (A, R, G, d, H) array per
     group and "enc_b" one (A, R, M, H) array in slot order.
     """
-    xs, u, s = cache
+    xs, h, s = cache
     if model.task == CLASSIFICATION:
         dout = weights[..., None] * resid[:, None]
         fus_b = dout.sum(axis=2)
@@ -482,7 +483,8 @@ def _backward(
         dout = scaled[..., None]
         fus_b = scaled.sum(axis=-1)[..., None]
     ds = np.matmul(dout, model.fus_W.transpose(0, 2, 1)[:, None])
-    du = ds[:, :, None] * (u > 0.0)[:, None]
+    # h > 0 exactly where the pre-activation is: relu keeps the sign, and a NaN fails both.
+    du = ds[:, :, None] * (h > 0.0)[:, None]
     return {
         "fus_W": np.matmul(s.transpose(0, 2, 1)[:, None], dout),
         "fus_b": fus_b,
@@ -732,7 +734,7 @@ def ablation_table(
     the pattern's confusion count.
     """
     funs = [_metric_function(model.task, metric) for metric in metrics]
-    h = _encode(model, split.features)[2]
+    h = _encode(model, split.features)[1]
     labels = split.labels
     classes = model.fus_W.shape[-1]
     if model.task == CLASSIFICATION and labels.size and not (
@@ -754,7 +756,7 @@ def ablation_table(
 
 def dataset_loss(model: ToyModel, split: Split) -> float:
     """Mean per-sample task loss on a clean, fully observed split."""
-    h = _encode(model, split.features)[2]
+    h = _encode(model, split.features)[1]
     _, out = _fuse(model, [h[slot] for slot in model.slots])
     return float(_losses(model, out, split.labels)[0].mean())
 

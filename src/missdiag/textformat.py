@@ -12,10 +12,12 @@ one too). Each body column has a grammar:
 Header fields are `NAME`s, split on commas with no csv quoting; modality
 names (`RateVector`) and abltable metric names share that grammar.
 
-`parse_rows` checks every body line against the line grammar with one
-regex substitution and converts the body with numpy's `loadtxt` in one
-step. Only when that fails does `first_bad_line` walk the lines in
-Python to name the first bad one as `path:line: reason`.
+`parse_rows` checks every body line of a trace file against the line
+grammar with one regex substitution and converts the body with numpy's
+`loadtxt` in one step. A `maskmatrix-v1` body in the grammar has one
+byte form, which `protocol.read_mask_matrix` checks without a regex.
+Only when that fails does `first_bad_line` walk the lines in Python to
+name the first bad one as `path:line: reason`.
 
 `abltable-v1` (`equity.read_ablation_tables`) shares `read_text` and
 `FLOAT`; its metric column is text, so it matches its rows one by one.

@@ -216,6 +216,80 @@ def plain_mask_csv(names, masks) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
+def _alloc_mulhilo(a: np.ndarray, multiplier: int) -> tuple[np.ndarray, np.ndarray]:
+    lo32 = 0xFFFFFFFF
+    m_lo, m_hi = np.uint64(multiplier & lo32), np.uint64(multiplier >> 32)
+    a_lo, a_hi = a & lo32, a >> 32
+    ll, lh, hl = a_lo * m_lo, a_lo * m_hi, a_hi * m_lo
+    carry = ((ll >> 32) + (lh & lo32) + (hl & lo32)) >> 32
+    return a_hi * m_hi + (lh >> 32) + (hl >> 32) + carry, a * np.uint64(multiplier)
+
+
+def alloc_philox_words(seed: int, rows: np.ndarray, first: int, count: int) -> np.ndarray:
+    """Philox4x64-10 words of blocks first..first+count-1 of each row's stream.
+
+    The array kernel as the package had it before it reused its buffers:
+    every operation of every round makes a fresh array. Same contract as
+    `protocol._philox_words`: a (len(rows), 4 * count) uint64 array.
+    """
+    u64 = (1 << 64) - 1
+    multipliers = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+    weyl = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+    shape = (rows.size, count)
+    c0 = np.broadcast_to(np.arange(first + 1, first + count + 1, dtype=np.uint64), shape)
+    c1 = np.broadcast_to(rows[:, None], shape)
+    c2 = c3 = np.zeros(shape, dtype=np.uint64)
+    k0, k1 = seed & u64, seed >> 64
+    for _ in range(10):
+        hi0, lo0 = _alloc_mulhilo(c0, multipliers[0])
+        hi1, lo1 = _alloc_mulhilo(c2, multipliers[1])
+        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ np.uint64(k1), lo0
+        k0, k1 = (k0 + weyl[0]) & u64, (k1 + weyl[1]) & u64
+    return np.stack((c0, c1, c2, c3), axis=-1).reshape(rows.size, 4 * count)
+
+
+def regex_read_mask_matrix(path) -> tuple[tuple[str, ...], np.ndarray]:
+    """A `maskmatrix-v1` file read as the package read it before its canonical-bytes check.
+
+    Every body line is matched against the line grammar by one regex
+    substitution, then the body is converted by one `np.loadtxt`; when
+    either fails, or the ids do not count from 0, the error names the
+    first bad line through `textformat.first_bad_line`. Raises what that
+    reader raised, in the same order.
+    """
+    import io
+    import re
+
+    from missdiag import textformat
+    from missdiag.errors import FileFormatError
+    from missdiag.protocol import _mask_row_error
+
+    header, body = textformat.read_text(path)
+    if len(header) < 3 or header[0] != "sample_id":
+        raise FileFormatError(f"{path}: expected header 'sample_id,<modalities...>'")
+    names = header[1:]
+    repeated = next((name for i, name in enumerate(names) if name in names[:i]), None)
+    if repeated is not None:
+        raise FileFormatError(f"{path}:1: duplicate modality name {repeated!r}")
+    fields = (textformat.INT,) + (textformat.BIT,) * len(names)
+    line = re.compile(",".join(f"(?:{f})" for f in fields) + "\n")
+    rows = None
+    if not line.sub("", body):
+        try:
+            rows = (np.loadtxt(io.StringIO(body), delimiter=",", dtype=np.int64, ndmin=2)
+                    if body else np.empty((0, len(fields)), dtype=np.int64))
+        except ValueError:  # an integer beyond int64
+            pass
+    if rows is None or not np.array_equal(rows[:, 0], np.arange(rows.shape[0])):
+        raise textformat.first_bad_line(path, body, header, fields, _mask_row_error)
+    if not rows.shape[0]:
+        raise FileFormatError(f"{path}: no mask rows")
+    masks = rows[:, 1:].astype(np.int8)
+    if not masks.any(axis=1).all():
+        raise FileFormatError(f"{path}: contains an all-missing row")
+    return tuple(names), masks
+
+
 # The csv readers the package used before its strict-grammar readers:
 # `csv` splits each row, `int()`/`float()` convert each cell, blank rows
 # are skipped, and CRLF reads like LF. On every file the package writes,

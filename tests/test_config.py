@@ -311,7 +311,8 @@ def _known_configs(tmp_path) -> list[dict]:
     ]
     configs += [{"modalities": list(names), "protocol": {"rates": list(rates)}, "seed": 0,
                  "n_samples": rows} for _, names, rates, rows, _ in workloads.MASK_PROTOCOLS]
-    configs += [json.loads(artifact_diff._mask_config(M)) for M in artifact_diff.MASK_RATES]
+    configs += [json.loads(inputs["config.json"])
+                for inputs, argv in artifact_diff.CASES.values() if argv[0] == "mask"]
     configs += [
         base_raw(), base_raw(protocol={"shared_rate": 0.3}), base_raw(n_samples=500),
         base_raw(metrics=["UA", {"name": "RMSE", "orientation": "lower-better"}]),

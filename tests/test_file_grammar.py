@@ -207,6 +207,85 @@ TABLE_CASES = [
 ]
 
 
+# Bytes a substitution or an insertion puts into a mask file: the
+# grammar's own, so that some mutants stay valid, and bytes outside it.
+MUTANT_BYTES = b"01,\n\r29 +-_a\xff\xc3"
+
+
+def _mask_mutants(N: int, M: int) -> list[tuple[str, bytes]]:
+    """A valid N-row, M-modality file and seeded mutants of it, each (label, bytes).
+
+    Mutants land in the header or the first 1001 rows, and two in the
+    last row: a file that breaks the grammar is walked line by line up
+    to its first bad line, which is slow in a 10001-row file.
+    """
+    rng = np.random.default_rng([N, M])
+    masks = rng.integers(0, 2, size=(N, M), dtype=np.int8)
+    masks[~masks.any(axis=1), rng.integers(M)] = 1
+    data = oracles.plain_mask_csv([f"m{m}" for m in range(M)], masks)
+    lines = data.split(b"\n")[:-1]
+    near = min(N, 1001)
+    reach = sum(len(line) + 1 for line in lines[: near + 1])
+
+    def with_line(k: int, line: bytes | None) -> bytes:
+        body = lines[:k] + ([] if line is None else [line]) + lines[k + 1 :]
+        return b"".join(part + b"\n" for part in body)
+
+    last = lines[N]
+    mutants = [("valid", data), ("no-final-lf", data[:-1]),
+               ("crlf", data.replace(b"\n", b"\r\n")), ("header-only", lines[0] + b"\n"),
+               ("last-all-missing", with_line(N, last.split(b",")[0] + b",0" * M)),
+               ("last-cut", with_line(N, last[:-2]))]
+    for k in rng.integers(1, near + 1, size=4 if N < 10_000 else 2).tolist():
+        flipped = lines[k][:-1] + (b"0" if lines[k].endswith(b"1") else b"1")
+        mutants += [
+            (f"crlf-line-{k}", with_line(k, lines[k] + b"\r")),
+            (f"all-missing-{k}", with_line(k, lines[k].split(b",")[0] + b",0" * M)),
+            (f"bit-flip-{k}", with_line(k, flipped)),
+            (f"non-utf8-{k}", with_line(k, lines[k][:-1] + b"\xc3(")),
+            (f"line-dropped-{k}", with_line(k, None)),
+            (f"line-repeated-{k}", with_line(k, lines[k] + b"\n" + lines[k])),
+        ]
+    for at in rng.integers(reach, size=12 if N < 10_000 else 6).tolist():
+        i = int(rng.integers(len(MUTANT_BYTES)))
+        byte = MUTANT_BYTES[i : i + 1]
+        mutants += [(f"sub-{at}-{byte!r}", data[:at] + byte + data[at + 1 :]),
+                    (f"ins-{at}-{byte!r}", data[:at] + byte + data[at:]),
+                    (f"del-{at}", data[:at] + data[at + 1 :])]
+    return mutants
+
+
+def _read_outcome(reader, path):
+    """What a mask reader makes of a file: its names and array, or its error text."""
+    try:
+        names, masks = reader(path)
+    except FileFormatError as exc:
+        return str(exc)
+    return names, masks.dtype, masks.shape, masks.tobytes()
+
+
+class TestMaskReaderOracle:
+    """The canonical-bytes mask reader against the regex and `loadtxt` reader it replaced.
+
+    On every file of a seeded mutation sweep, both must return the same
+    names and array, or raise the same `FileFormatError` text. The row
+    counts cross every sample-id digit width up to 5, next to each
+    power of ten.
+    """
+
+    @pytest.mark.parametrize("M", [2, 3, 5, 12])
+    @pytest.mark.parametrize("N", [1, 9, 10, 11, 99, 100, 101, 1000, 10001])
+    def test_mutants_read_like_the_oracle(self, tmp_path, N, M):
+        path = tmp_path / "masks.csv"
+        read = 0
+        for label, data in _mask_mutants(N, M):
+            path.write_bytes(data)
+            got = _read_outcome(read_mask_matrix, path)
+            assert got == _read_outcome(oracles.regex_read_mask_matrix, path), label
+            read += not isinstance(got, str)
+        assert read >= 2  # the valid file and its bit flips read; the rest mostly do not
+
+
 def _write_case(tmp_path, text: str | bytes):
     path = tmp_path / "case.csv"
     path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))

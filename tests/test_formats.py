@@ -74,8 +74,9 @@ class TestMaskMatrixFormat:
         write_mask_matrix(mask_matrix(), path)
         assert path.read_bytes() == self.GOLDEN.encode()
 
-    @pytest.mark.parametrize("M", [2, 3, 12])
-    @pytest.mark.parametrize("N", [1, 1000])
+    # Row counts next to each power of ten cross every sample-id digit width up to 5.
+    @pytest.mark.parametrize("M", [2, 3, 5, 12])
+    @pytest.mark.parametrize("N", [1, 9, 10, 11, 99, 100, 101, 1000, 10001])
     def test_bytes_equal_plain_row_writer(self, tmp_path, M, N):
         rates = RateVector(tuple(f"m{m}" for m in range(M)), (0.5,) * M)
         matrix = generate_mask_matrix(rates, N, seed=M)

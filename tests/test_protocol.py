@@ -28,12 +28,14 @@ from missdiag import (
 from missdiag.protocol import (
     _ROW_CHUNK,
     _generate_rows,
+    _philox_words,
     pattern_bitstrings,
     pattern_code,
     pattern_counts,
 )
 
 from oracles import (
+    alloc_philox_words,
     bit_tuples,
     enum_marginal,
     enum_pattern_probs,
@@ -304,6 +306,11 @@ class TestGenerateMaskMatrix:
             matrix.masks[0, 0] = 0
 
 
+def first_uniforms(seed: int, row: int, M: int) -> np.ndarray:
+    """The M uniforms of the first attempt at mask row `row`, from numpy's own Philox."""
+    return np.random.Generator(np.random.Philox(key=seed, counter=row << 64)).random(M)
+
+
 class TestSamplerOracle:
     # Near-1 rates reject most first attempts, so later attempts read words
     # that straddle the stream's 4-word blocks for every M here.
@@ -325,13 +332,27 @@ class TestSamplerOracle:
         # exact tie. `>=` keeps that modality, and the tie pins every bit of
         # the uniform, down to the lowest.
         M = 4
-        rates = tuple(
-            float(np.random.Generator(np.random.Philox(key=seed, counter=m << 64)).random(M)[m])
-            for m in range(M)
-        )
+        rates = tuple(float(first_uniforms(seed, m, M)[m]) for m in range(M))
         rows = _generate_rows(_rv(*rates), 0, M, seed)
         assert rows.diagonal().all()
         assert (rows == philox_mask_rows(rates, 0, M, seed)).all()
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_rates_one_ulp_above_a_draw_count_as_missing(self, seed):
+        # Rate m is the next float above the first uniform m below 0.5 among
+        # rows m, m + M, ...: r * 2^53 is then not an integer, and only its
+        # ceiling, not its floor, keeps that draw below the rate.
+        M = 4
+        rates, rows = [], []
+        for m in range(M):
+            i = m
+            while (u := first_uniforms(seed, i, M)[m]) >= 0.5:
+                i += M
+            rates.append(float(np.nextafter(u, 1.0)))
+            rows.append(i)
+        got = _generate_rows(_rv(*rates), 0, max(rows) + 1, seed)
+        assert (got == philox_mask_rows(rates, 0, max(rows) + 1, seed)).all()
+        assert not got[rows, range(M)].all()
 
     def test_no_runtime_warnings(self):
         # The largest key makes every round-key addition wrap around 2^64.
@@ -339,6 +360,23 @@ class TestSamplerOracle:
             warnings.simplefilter("error")
             generate_mask_matrix(_rv(*[0.95] * 12), 3_000, seed=2**64 - 1)
             generate_mask_matrix(_rv(0.1, 0.2, 0.6), 3_000, seed=0)
+
+
+class TestPhiloxKernel:
+    """The in-place kernel against the allocate-per-operation kernel it replaced."""
+
+    @pytest.mark.parametrize("seed", [0, 2**63, 2**64 - 1])
+    @pytest.mark.parametrize("first, count", [(0, 1), (0, 2), (1, 2), (3, 1)])
+    @pytest.mark.parametrize("n", [0, 1, 5, _ROW_CHUNK - 1, _ROW_CHUNK + 1])
+    def test_words_equal_the_allocating_kernel(self, seed, first, count, n):
+        # Stream ids at both ends of the 64-bit counter word.
+        rows = np.arange(n, dtype=np.uint64)
+        rows[n // 2 :] = np.uint64(2**64 - 1) - rows[n // 2 :]
+        words = _philox_words(seed, rows, first, count)
+        want = alloc_philox_words(seed, rows, first, count)
+        assert words.dtype == want.dtype == np.uint64
+        assert words.shape == want.shape == (n, 4 * count)
+        assert (words == want).all()
 
 
 class TestMarginals:

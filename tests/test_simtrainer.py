@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -726,6 +727,25 @@ class TestOneEvaluationPass:
         assert 2 in predicted and 2 not in labels
         for table in ablation_table(model, split, default_metrics(CLASSIFICATION)):
             assert table == per_metric_ablation_table(model, split, table.metric)
+
+    def test_at_most_two_split_sized_arrays_live(self):
+        # README shapes: the 6000-row test split, three width-16 encoders,
+        # H = 16. The stacked inputs and the rectified outputs are the two
+        # (M, n, H) arrays an evaluation needs; a third, such as the
+        # pre-activations kept beside their rectified copy, fails this.
+        spec = SynthSpec(task=CLASSIFICATION, dims=(16, 16, 16), informativeness=(1.0,) * 3,
+                         n_train=48, n_valid=8, n_test=6000, seed=1, n_classes=8)
+        data = gen_synthetic(spec)
+        model = init_model(spec.dims, 16, CLASSIFICATION, 8, np.random.default_rng(0))
+        array_bytes = 3 * 6000 * 16 * 8
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ablation_table(model, data.test, default_metrics(CLASSIFICATION))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 2 * array_bytes <= peak - before < 3 * array_bytes
 
     @pytest.mark.parametrize("bad", [-1, 3])
     def test_labels_outside_the_classes_rejected(self, bad):

@@ -11,8 +11,9 @@ as it is. The commands are the README paired simulation at seeds 1 and
 same regression with label noise that makes training diverge, an
 8-modality paired run logging every third step, a 5-modality paired
 classification whose input widths 4, 7, 4, 7, 3 make encoder groups of
-two, two and one, `mask generate` at
-M = 3, 5 and 12 (seed 2^64 - 1 among the seeds), `metrics mei` on an
+two, two and one, `mask generate` at M = 3, 5 and 12 with 20,000 rows
+(seed 2^64 - 1 among the seeds) and at M = 3 with 100,001 rows, whose
+sample ids take every width from 1 to 6 digits, `metrics mei` on an
 M = 10 table, `metrics mli` on a seeded `gradtrace-v1` file (gapped
 steps, absent modalities) and a seeded `gradagg-v1` file, `metrics mli`
 on a trace row with a negative index and on one with a negative norm,
@@ -101,10 +102,10 @@ def _json(doc: dict) -> str:
     return json.dumps(doc, indent=1) + "\n"
 
 
-def _mask_config(M: int) -> str:
+def _mask_config(M: int, n: int) -> str:
     names = [f"m{m}" for m in range(M)]
     return _json({"modalities": names, "protocol": {"rates": MASK_RATES[M]},
-                  "seed": 0, "n_samples": 20_000})
+                  "seed": 0, "n_samples": n})
 
 
 def _ablation_table(M: int) -> str:
@@ -143,8 +144,8 @@ def _simulate(config: dict, *extra: str) -> tuple[dict, list[str]]:
             ["simulate", "run", "--config", "config.json", "--out", "out", *extra])
 
 
-def _mask(M: int, seed: str) -> tuple[dict, list[str]]:
-    return ({"config.json": _mask_config(M)},
+def _mask(M: int, seed: str, n: int = 20_000) -> tuple[dict, list[str]]:
+    return ({"config.json": _mask_config(M, n)},
             ["mask", "generate", "--config", "config.json", "--seed", seed,
              "--out", "out/masks.csv"])
 
@@ -161,6 +162,7 @@ CASES: dict[str, tuple[dict, list[str]]] = {
     "mask-m3-seedmax": _mask(3, U64_MAX),
     "mask-m5-seed1": _mask(5, "1"),
     "mask-m12-seedmax": _mask(12, U64_MAX),
+    "mask-m3-n100001": _mask(3, "7", 100_001),
     "mei-m10": ({"table.csv": _ablation_table(10)},
                 ["metrics", "mei", "--table", "table.csv"]),
     "mli-gradtrace": _mli(_grad_trace(3)),
