@@ -25,6 +25,7 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict
+from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
 
@@ -456,9 +457,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process: parsing leaves it as it was, so calls share it."""
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except MissdiagError as exc:

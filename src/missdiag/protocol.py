@@ -259,6 +259,8 @@ _MUL_LO, _MUL_HI = _MUL & np.uint64(_LO32), _MUL >> np.uint64(32)
 # Rows sampled per array step. It bounds the uint64 temporaries to a few
 # MiB whatever the row count.
 _ROW_CHUNK = 1 << 14
+# Row attempts per kernel call once only rejected rows are left (see `_sample_rows`).
+_ATTEMPT_ROWS = 1 << 11
 
 
 def _mulhilo(a: np.ndarray, hi: np.ndarray, t: np.ndarray) -> None:
@@ -323,9 +325,12 @@ def _sample_rows(r: np.ndarray, rows: np.ndarray, seed: int) -> np.ndarray:
     """Rejection-sample one mask row per stream in `rows`: (len(rows), M) bool.
 
     A row's j-th attempt reads uniforms j*M .. j*M+M-1 of its stream, each
-    `(word >> 11) * 2^-53` as in numpy's `Generator.random`. All rows
-    make the first attempt together; later attempts run only for the rows
-    still rejected.
+    `(word >> 11) * 2^-53` as in numpy's `Generator.random`, and the row
+    keeps its first attempt with an observed modality. All rows make the
+    first attempt together. The rows still rejected then make their next
+    attempts several at a time, as many as keep one kernel call near
+    `_ATTEMPT_ROWS` row attempts, so a long tail of a few rejected rows
+    costs a few calls rather than one per attempt.
     """
     M = r.size
     # x * 2^-53 >= r_m exactly when the integer x >= ceil(r_m * 2^53): the
@@ -333,17 +338,28 @@ def _sample_rows(r: np.ndarray, rows: np.ndarray, seed: int) -> np.ndarray:
     thresholds = np.ceil(r * 2.0**53).astype(np.uint64)
     bits = np.empty((rows.size, M), dtype=bool)
     pending = np.arange(rows.size)
-    attempt = 0
+    attempt, attempts = 0, 1
     while pending.size:
-        word = attempt * M
+        word, end = attempt * M, (attempt + attempts) * M
         block = word // 4
-        count = (word + M - 1) // 4 - block + 1
-        words = _philox_words(seed, rows[pending], block, count)
+        words = _philox_words(seed, rows[pending], block, (end - 1) // 4 - block + 1)
         skip = word - 4 * block
-        draw = (words[:, skip : skip + M] >> 11) >= thresholds
-        bits[pending] = draw  # a rejected row's draw is overwritten by a later attempt
-        pending = pending[~draw.any(axis=1)]
-        attempt += 1
+        draws = (words[:, skip : skip + attempts * M] >> 11).reshape(-1, attempts, M)
+        draws = draws >= thresholds
+        # Columns ORed one at a time, as in `_every_row_observed`.
+        accepted = draws[..., 0].copy()
+        for m in range(1, M):
+            accepted |= draws[..., m]
+        if attempts == 1:  # plain indexing: no gather over the many rows of a first attempt
+            done = accepted[:, 0]
+            bits[pending] = draws[:, 0]  # a rejected row's draw is overwritten later
+        else:
+            first = accepted.argmax(axis=1)
+            done = accepted[np.arange(pending.size), first]
+            bits[pending[done]] = draws[done, first[done]]
+        pending = pending[~done]
+        attempt += attempts
+        attempts = max(1, _ATTEMPT_ROWS // max(pending.size, 1))
     return bits
 
 

@@ -208,6 +208,33 @@ def philox_mask_rows(rates, start: int, stop: int, seed: int) -> np.ndarray:
     return out
 
 
+def per_attempt_sample_rows(r: np.ndarray, rows: np.ndarray, seed: int) -> np.ndarray:
+    """`protocol._sample_rows` as it was before it drew several attempts per kernel call.
+
+    All rows make the first attempt together; every later attempt is one
+    `protocol._philox_words` call for the rows still rejected. Returns the
+    (len(rows), M) bool rows.
+    """
+    from missdiag.protocol import _philox_words
+
+    M = r.size
+    thresholds = np.ceil(r * 2.0**53).astype(np.uint64)
+    bits = np.empty((rows.size, M), dtype=bool)
+    pending = np.arange(rows.size)
+    attempt = 0
+    while pending.size:
+        word = attempt * M
+        block = word // 4
+        count = (word + M - 1) // 4 - block + 1
+        words = _philox_words(seed, rows[pending], block, count)
+        skip = word - 4 * block
+        draw = (words[:, skip : skip + M] >> 11) >= thresholds
+        bits[pending] = draw
+        pending = pending[~draw.any(axis=1)]
+        attempt += 1
+    return bits
+
+
 def plain_mask_csv(names, masks) -> bytes:
     """`maskmatrix-v1` file bytes written with one f-string per row."""
     lines = ["sample_id," + ",".join(names)]
@@ -592,6 +619,11 @@ def per_metric_ablation_table(model, split, metric):
     return AblationTable(M=len(hs), metric=metric, scores=scores)
 
 
+def take(split, idx):
+    """The feature blocks and labels of a split's rows `idx`."""
+    return [f[idx] for f in split.features], split.labels[idx]
+
+
 def sequential_run(spec, config, after_step=None):
     """One run of the training loop as it was before lockstep arms, on `per_arm_train_step`.
 
@@ -627,7 +659,7 @@ def sequential_run(spec, config, after_step=None):
         order = shuffle.permutation(spec.n_train)
         for start in range(0, spec.n_train, config.batch_size):
             idx = order[start:start + config.batch_size]
-            feats, labels = data.train.take(idx)
+            feats, labels = take(data.train, idx)
             step += 1
             with np.errstate(over="ignore", invalid="ignore"):
                 log = per_arm_train_step(model, feats, masks[idx], labels,

@@ -52,6 +52,7 @@ from oracles import (
     enum_marginal,
     fd_gradient,
     random_rate_vector,
+    take,
 )
 
 
@@ -264,7 +265,7 @@ def test_criterion_6_backprop_matches_finite_differences():
             # one-sided slope; nonzero biases move every probe off it.
             for m in range(2):
                 model.enc_b[m][:] = rng.uniform(0.05, 0.25, model.enc_b[m].shape)
-            feats, labels = gen_synthetic(spec).train.take(np.arange(12))
+            feats, labels = take(gen_synthetic(spec).train, np.arange(12))
             mask = (rng.random((12, 2)) < 0.8).astype(np.float64)
             mask[:, 0] = np.maximum(mask[:, 0], 1.0 - mask[:, 1])
             for m in range(2):

@@ -761,3 +761,36 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert "mean-matched shared rate: 0.5" in proc.stdout
+
+
+class TestOneParser:
+    """`main` parses with one parser per process; reuse changes no output."""
+
+    def test_built_once(self):
+        from missdiag import cli
+
+        assert cli._parser() is cli._parser()
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], ["mask", "generate", "--help"], ["report", "merge", "--help"], [], ["mask"],
+        ["bogus"], ["metrics", "mli"], ["metrics", "mli", "--trace", "t", "--stride", "x"],
+        ["protocol", "divergence", "--rates-a", "0.1,0.2", "--rates-b", "0.1,0.2",
+         "--kind", "xx"],
+    ], ids=lambda argv: " ".join(argv) or "no-args")
+    def test_exits_print_what_a_fresh_parser_prints(self, capsys, argv):
+        from missdiag.cli import build_parser
+
+        seen = []
+        for parse in (lambda: main(argv), lambda: main(argv),
+                      lambda: build_parser().parse_args(argv)):
+            with pytest.raises(SystemExit) as info:
+                parse()
+            seen.append((info.value.code, capsys.readouterr()))
+        assert seen[0] == seen[1] == seen[2]
+
+    def test_no_value_carries_over_between_calls(self, capsys):
+        rates = ["--rates-a", "0.1,0.2", "--rates-b", "0.3,0.2"]
+        assert main(["protocol", "divergence", *rates, "--kind", "kl"]) == 0
+        assert capsys.readouterr().out.startswith("divergence (kl): ")
+        assert main(["protocol", "divergence", *rates]) == 0
+        assert capsys.readouterr().out.startswith("divergence (js): ")

@@ -377,7 +377,7 @@ def test_unusable_out_fails_before_training(tmp_path, capsys, monkeypatch, paire
     def no_step(*args, **kwargs):
         raise AssertionError("a training step ran")
 
-    monkeypatch.setattr(simtrainer, "train_step", no_step)
+    monkeypatch.setattr(simtrainer, "_step", no_step)
     afile = tmp_path / "afile"
     afile.write_text("taken\n")
     out = afile if where == "file" else afile / "run"

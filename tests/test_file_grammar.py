@@ -285,6 +285,44 @@ class TestMaskReaderOracle:
             read += not isinstance(got, str)
         assert read >= 2  # the valid file and its bit flips read; the rest mostly do not
 
+    @pytest.mark.parametrize("M", [2, 3, 12])
+    def test_deep_mutants_read_like_the_oracle(self, tmp_path, M):
+        # Mutants past line 9000 of a 10001-row file, after thousands of
+        # valid lines: the reader must name the same line and reason as
+        # the oracle.
+        N = 10_001
+        rng = np.random.default_rng([M, 9000])
+        masks = rng.integers(0, 2, size=(N, M), dtype=np.int8)
+        masks[~masks.any(axis=1), 0] = 1
+        data = oracles.plain_mask_csv([f"m{m}" for m in range(M)], masks)
+        lines = data.split(b"\n")[:-1]
+
+        def with_line(k: int, line: bytes) -> bytes:
+            return b"".join(part + b"\n" for part in lines[:k] + [line] + lines[k + 1 :])
+
+        k, j = (int(v) for v in rng.integers(9000, N + 1, size=2))
+        ids, bits = lines[k].split(b",", 1)
+        at = len(b"\n".join(lines[:k])) + 1 + len(ids) + 1 + 2 * int(rng.integers(M))
+        mutants = {
+            "bit-2": with_line(k, lines[k][:-1] + b"2"),
+            "crlf": with_line(k, lines[k] + b"\r"),
+            "id-zero-padded": with_line(k, b"0" + lines[k]),
+            "id-off-by-one": with_line(k, str(k).encode() + b"," + bits),
+            "all-missing": with_line(k, ids + b",0" * M),
+            "line-dropped": b"".join(part + b"\n" for part in lines[:k] + lines[k + 1 :]),
+            "blank-line": with_line(k, lines[k] + b"\n"),
+            "bit-deleted": data[:at] + data[at + 1 :],
+            "byte-inserted": data[:at] + b"+" + data[at:],
+            "two-bad-lines": with_line(min(k, j), lines[min(k, j)] + b",1")[:-2] + b"x\n",
+            "no-final-lf": data[:-1],
+        }
+        path = tmp_path / "masks.csv"
+        for label, mutant in mutants.items():
+            path.write_bytes(mutant)
+            got = _read_outcome(read_mask_matrix, path)
+            assert isinstance(got, str), label
+            assert got == _read_outcome(oracles.regex_read_mask_matrix, path), label
+
 
 def _write_case(tmp_path, text: str | bytes):
     path = tmp_path / "case.csv"

@@ -29,6 +29,7 @@ from missdiag.protocol import (
     _ROW_CHUNK,
     _generate_rows,
     _philox_words,
+    _sample_rows,
     pattern_bitstrings,
     pattern_code,
     pattern_counts,
@@ -39,6 +40,7 @@ from oracles import (
     bit_tuples,
     enum_marginal,
     enum_pattern_probs,
+    per_attempt_sample_rows,
     philox_mask_rows,
     random_rate_vector,
     scalar_pattern_probability,
@@ -360,6 +362,52 @@ class TestSamplerOracle:
             warnings.simplefilter("error")
             generate_mask_matrix(_rv(*[0.95] * 12), 3_000, seed=2**64 - 1)
             generate_mask_matrix(_rv(0.1, 0.2, 0.6), 3_000, seed=0)
+
+
+class TestSeveralAttemptsPerCall:
+    """Rows drawn several attempts per kernel call equal the one-call-per-attempt loop."""
+
+    @pytest.mark.parametrize("M", [2, 3, 5, 12])
+    @pytest.mark.parametrize("rate", [0.85, 0.93, 0.99])
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    @pytest.mark.parametrize("n", [1, 37, _ROW_CHUNK + 5])
+    def test_rows_equal_the_per_attempt_loop(self, M, rate, seed, n):
+        rng = np.random.default_rng([M, int(rate * 100), seed % 7, n])
+        r = np.minimum(rate + rng.uniform(0.0, 0.0099, M), 0.99)
+        # Stream ids from both ends of the 64-bit counter word.
+        rows = np.arange(n, dtype=np.uint64)
+        rows[n // 2 :] = np.uint64(2**64 - 1) - rows[n // 2 :]
+        got = _sample_rows(r, rows, seed)
+        assert got.dtype == bool and got.shape == (n, M)
+        assert (got == per_attempt_sample_rows(r, rows, seed)).all()
+
+    @pytest.mark.parametrize("n", [_ROW_CHUNK - 1, _ROW_CHUNK, 2 * _ROW_CHUNK + 3])
+    def test_generated_rows_span_chunks(self, n):
+        rates = _rv(0.97, 0.95, 0.9)
+        want = np.concatenate([
+            per_attempt_sample_rows(rates.as_array(),
+                                    np.arange(lo, min(lo + _ROW_CHUNK, n), dtype=np.uint64), 5)
+            for lo in range(0, n, _ROW_CHUNK)
+        ])
+        assert (_generate_rows(rates, 0, n, 5) == want).all()
+
+    def test_fewer_kernel_calls(self, monkeypatch):
+        # M = 5 at rates 0.85 rejects 44% of attempts: one call per attempt
+        # took 12 calls on one chunk of rows.
+        from missdiag import protocol
+
+        calls = []
+
+        def counted(seed, rows, first, count):
+            calls.append(rows.size)
+            return _philox_words(seed, rows, first, count)
+
+        monkeypatch.setattr(protocol, "_philox_words", counted)
+        rows = _generate_rows(_rv(*[0.85] * 5), 0, _ROW_CHUNK, 3)
+        assert len(calls) <= 6
+        monkeypatch.undo()
+        want = per_attempt_sample_rows(np.full(5, 0.85), np.arange(_ROW_CHUNK, dtype=np.uint64), 3)
+        assert (rows == want).all()
 
 
 class TestPhiloxKernel:

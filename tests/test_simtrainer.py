@@ -59,6 +59,7 @@ from oracles import (
     per_metric_ablation_table,
     per_weighting_grad_norms,
     sequential_run,
+    take,
     zero_imputed_forward,
 )
 
@@ -237,7 +238,7 @@ def test_pattern_arguments_share_one_check(caller, bits, error, message):
 class TestTrainStep:
     def _batch(self, n=8, task=CLASSIFICATION):
         data = gen_synthetic(small_spec(task=task, n_train=n))
-        feats, labels = data.train.take(np.arange(n))
+        feats, labels = take(data.train, np.arange(n))
         return feats, labels
 
     def test_zero_learning_rate_leaves_parameters(self):
@@ -316,7 +317,7 @@ class TestGradients:
         for m in range(2):
             model.enc_b[m][:] = rng.uniform(0.05, 0.25, size=model.enc_b[m].shape)
         data = gen_synthetic(small_spec(task=task, n_train=12, seed=seed))
-        feats, labels = data.train.take(np.arange(12))
+        feats, labels = take(data.train, np.arange(12))
         mask = (rng.random((12, 2)) < 0.8).astype(np.float64)
         mask[:, 0] = np.maximum(mask[:, 0], 1.0 - mask[:, 1])
         for m in range(2):
@@ -652,7 +653,7 @@ def trained_model(task: str, M: int):
     rng = np.random.default_rng(5)
     model = init_model(dims, 6, task, spec.n_classes, rng)
     for step in range(1, 31):
-        feats, labels = data.train.take(rng.choice(spec.n_train, 32, replace=False))
+        feats, labels = take(data.train, rng.choice(spec.n_train, 32, replace=False))
         mask = rng.integers(0, 2, size=(32, M))
         mask[mask.sum(axis=1) == 0, 0] = 1
         train_step(model, feats, mask.astype(np.float64), labels, 0.05,
@@ -788,7 +789,7 @@ class TestRunExperiment:
         def no_step(*args, **kwargs):
             raise AssertionError("a training step ran")
 
-        monkeypatch.setattr(simtrainer, "train_step", no_step)
+        monkeypatch.setattr(simtrainer, "_step", no_step)
         monkeypatch.setattr(simtrainer, "gen_synthetic", no_step)
         with pytest.raises(MissdiagError, match=message):
             run_experiment(spec, config)
@@ -951,7 +952,7 @@ class TestRunExperiment:
                            np.random.default_rng(3))
         before = dataset_loss(model, data.train)
         for _ in range(5):
-            feats, labels = data.train.take(np.arange(128))
+            feats, labels = take(data.train, np.arange(128))
             train_step(model, feats, np.ones((128, 2)), labels, learning_rate=0.2)
         assert dataset_loss(model, data.train) < before
 
@@ -1030,7 +1031,7 @@ class TestTrainConfig:
         def no_work(*args, **kwargs):
             raise AssertionError("work started")
 
-        monkeypatch.setattr(simtrainer, "train_step", no_work)
+        monkeypatch.setattr(simtrainer, "_step", no_work)
         monkeypatch.setattr(simtrainer, "gen_synthetic", no_work)
         with pytest.raises(ConfigError,
                            match=rf"^epsilon must be finite and positive, got {shown}$"):
@@ -1061,19 +1062,22 @@ def _scores(tables) -> list[list[float]]:
 
 
 def _poison_steps(monkeypatch, poison: dict[int, set[int]]) -> list[int]:
-    """Make `train_step` set arm a's head to 1e300 after each step in poison[a]; returns the steps run."""
-    real = simtrainer.train_step
+    """Make `_step` set arm a's head to 1e300 after each step in poison[a]; returns the steps run.
+
+    `run_arms` calls `_step` once per step, so the n-th call is step n.
+    """
+    real = simtrainer._step
     seen: list[int] = []
 
     def poisoned(model, *args, **kwargs):
-        logs = real(model, *args, **kwargs)
-        seen.append(logs[0].step)
+        columns = real(model, *args, **kwargs)
+        seen.append(len(seen) + 1)
         for a in range(model.arms):
-            if logs[0].step in poison.get(a, ()):
+            if seen[-1] in poison.get(a, ()):
                 model.fus_W[a] = 1e300
-        return logs
+        return columns
 
-    monkeypatch.setattr(simtrainer, "train_step", poisoned)
+    monkeypatch.setattr(simtrainer, "_step", poisoned)
     return seen
 
 
@@ -1136,6 +1140,41 @@ class TestLockstep:
         assert runs == tuple(run_experiment(spec, config) for config in configs)
         assert run_arms(spec, configs[2:]) == runs[2:]
 
+    @pytest.mark.parametrize("task, n_train, batch_size, resample", [
+        (CLASSIFICATION, 37, 8, False),    # a short last batch of 5
+        (CLASSIFICATION, 49, 16, False),   # a last batch of one sample
+        (CLASSIFICATION, 50, 64, False),   # one batch, larger than the split
+        (CLASSIFICATION, 50, 50, True),    # one batch, the whole split, masks resampled
+        (REGRESSION, 45, 8, True),
+        (REGRESSION, 50, 64, False),
+    ], ids=["short-last", "last-of-one", "single", "single-resampled", "regression-resampled",
+            "regression-single"])
+    def test_batch_plans_equal_the_sequential_loop(self, task, n_train, batch_size, resample):
+        spec, configs = _lockstep_case(task, 3, stride=2, resample=resample,
+                                       batch_size=batch_size)
+        spec = dataclasses.replace(spec, n_train=n_train)
+        runs = run_arms(spec, configs)
+        n_batches = -(-n_train // batch_size)
+        for run, config in zip(runs, configs):
+            assert len(run.steps) == 3 * n_batches
+            assert run == sequential_run(spec, config)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_arm_1_diverging_on_an_unlogged_step(self, monkeypatch, capfd):
+        # Norms are logged at steps 1, 4, 7, 10. Arm 1's head is set to 1e300
+        # after step 4: its equal huge logits keep step 5's loss at ln 3, and
+        # the loss is first not finite at step 6, which logs no norms.
+        spec, configs = _lockstep_case(CLASSIFICATION, 3, stride=3)
+        steps = _poison_steps(monkeypatch, {1: {4}})
+        with pytest.raises(TrainingDivergedError) as info:
+            run_arms(spec, configs)
+        assert str(info.value) == _sequential_error(spec, configs[1], {4})
+        assert str(info.value).startswith("training diverged at step 6 (epoch 2): task loss is nan; ")
+        assert steps == list(range(1, 13))
+        monkeypatch.undo()
+        assert run_arms(spec, configs[:1])[0] == sequential_run(spec, configs[0])
+        assert capfd.readouterr().err == ""
+
     def test_one_data_draw_one_init_one_step_per_batch(self, monkeypatch):
         spec, configs = _lockstep_case(CLASSIFICATION, 3)
         calls = {"gen_synthetic": 0, "init_model": 0}
@@ -1186,7 +1225,7 @@ class TestLockstep:
         def no_work(*args, **kwargs):
             raise AssertionError("work started")
 
-        monkeypatch.setattr(simtrainer, "train_step", no_work)
+        monkeypatch.setattr(simtrainer, "_step", no_work)
         monkeypatch.setattr(simtrainer, "gen_synthetic", no_work)
         spec, configs = _lockstep_case(CLASSIFICATION, 2)
         configs[1] = dataclasses.replace(configs[1], **{field: value})
