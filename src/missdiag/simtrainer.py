@@ -439,21 +439,48 @@ def forward(model: ToyModel, features: Sequence[np.ndarray], bits: Sequence) -> 
     return _predict(model, _encode(model, _grouped(model, feats))[1], bits)
 
 
-def _losses(model: ToyModel, out: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample losses and their residuals d loss_i / d out_i.
+def _check_class_labels(labels: np.ndarray, classes: int) -> None:
+    if labels.size and not (labels.min() >= 0 and labels.max() < classes):
+        raise DimensionError(f"class labels must lie in [0, {classes}) for {classes} outputs")
+
+
+def _targets(task: str, labels: np.ndarray, classes: int, pos: np.ndarray) -> list[np.ndarray]:
+    """What `_losses` compares a batch's outputs with, one array per sample row.
+
+    Regression compares with the labels. Classification needs, for each
+    sample at position `pos` of its batch, the flat index pos·C + label of
+    its picked logit in the batch's (B, C) outputs and its one-hot row.
+    """
+    if task != CLASSIFICATION:
+        return [labels]
+    _check_class_labels(labels, classes)
+    onehot = np.zeros((labels.size, classes))
+    onehot[np.arange(labels.size), labels] = 1.0
+    return [pos * classes + labels, onehot]
+
+
+def _losses(
+    model: ToyModel, out: np.ndarray, targets: Sequence[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample losses and their residuals d loss_i / d out_i against `_targets`.
 
     Residuals have the output's shape for classification; for regression
     they drop its last axis, the single output.
     """
     if model.task == CLASSIFICATION:
-        shifted = out - out.max(axis=-1, keepdims=True)
-        expd = np.exp(shifted)
-        total = expd.sum(axis=-1, keepdims=True)
-        rows = np.arange(out.shape[-2])
-        resid = expd / total
-        resid[..., rows, labels] -= 1.0
-        return np.log(total[..., 0]) - shifted[..., rows, labels], resid
-    diff = out[..., 0] - labels
+        picks, onehot = targets
+        # The row max of a (..., C, B) copy runs across rows, not along a
+        # short contiguous axis. It can differ from out.max(-1) only in the
+        # sign of a zero, which moves neither the loss nor the residual.
+        top = np.ascontiguousarray(np.swapaxes(out, -1, -2)).max(axis=-2)
+        shifted = out - top[..., None]
+        resid = np.exp(shifted)
+        total = resid.sum(axis=-1, keepdims=True)
+        picked = np.take(shifted.reshape(shifted.shape[:-2] + (-1,)), picks, axis=-1)
+        resid /= total
+        resid -= onehot
+        return np.log(total[..., 0]) - picked, resid
+    diff = out[..., 0] - targets[0]
     return diff**2, 2.0 * diff
 
 
@@ -483,8 +510,10 @@ def _backward(
         dout = scaled[..., None]
         fus_b = scaled.sum(axis=-1)[..., None]
     ds = np.matmul(dout, model.fus_W.transpose(0, 2, 1)[:, None])
-    # h > 0 exactly where the pre-activation is: relu keeps the sign, and a NaN fails both.
-    du = ds[:, :, None] * (h > 0.0)[:, None]
+    # h > 0 exactly where the pre-activation is: relu keeps the sign, and a
+    # NaN fails both. A float gate multiplies as 1.0/0.0 with no bool cast.
+    gate = np.greater(h, 0.0, out=np.empty(h.shape))
+    du = ds[:, :, None] * gate[:, None]
     return {
         "fus_W": np.matmul(s.transpose(0, 2, 1)[:, None], dout),
         "fus_b": fus_b,
@@ -506,7 +535,8 @@ def loss_and_grads(
     stacked = _lockstep(model)
     present = mask.T[None]
     out, cache = _forward_batch(stacked, _grouped(model, features), present)
-    losses, resid = _losses(stacked, out, labels)
+    targets = _targets(model.task, labels, model.fus_W.shape[-1], np.arange(labels.shape[0]))
+    losses, resid = _losses(stacked, out, targets)
     grads = _backward(stacked, cache, resid, np.asarray(sample_weights)[None, None])
     return float((losses[0] * sample_weights).sum()), {
         "fus_W": grads["fus_W"][0, 0],
@@ -523,24 +553,32 @@ def _checked_mask(mask: np.ndarray, batch: tuple[int, ...]) -> np.ndarray:
     return mask
 
 
-def _squared_norms(model: ToyModel, grads: dict) -> np.ndarray:
-    """(A, M, M + 1) squared L2 norms of each module's gradient of each L_m.
+# A logged step's modality gradient rows are squared into a block, and
+# the block's norms are reduced in one call. The budget keeps a block and
+# its sums within a core's cache: at README shapes a step's rows take
+# ~46 KB, so a block holds 8 steps; a block of 16 ran slower per step.
+_NORM_BLOCK_BYTES = 384 * 1024
 
-    Modules are the M encoders in modality order, then the fusion head.
-    Only the first M rows of `grads`, the modality losses, are reduced;
-    the last row, the full batch loss, drives the update alone.
+
+def _squared_norms(model: ToyModel, squares: Sequence[np.ndarray]) -> np.ndarray:
+    """(X, M, M + 1) squared L2 norms of each module's gradient of each L_m.
+
+    `squares` holds the elementwise squares of modality rows from `_step`
+    (enc_W per width group, enc_b, fus_W, fus_b), each with one leading
+    axis of length X: the arms, or a block of steps and arms folded into
+    one axis. Each module's sum runs over the same contiguous block of
+    elements whatever X is. Modules are the M encoders in modality order,
+    then the fusion head.
     """
+    *enc_W, enc_b, fus_W, fus_b = squares
     M = model.M
-    enc_b = grads["enc_b"][:, :M]
     enc = np.empty(enc_b.shape[:3])
-    for w, span in zip(grads["enc_W"], model.spans):
-        enc[..., span] = (w[:, :M] ** 2).sum(axis=(3, 4))
-    enc += (enc_b**2).sum(axis=3)
+    for w, span in zip(enc_W, model.spans):
+        enc[..., span] = w.sum(axis=(3, 4))
+    enc += enc_b.sum(axis=3)
     sq = np.empty(enc.shape[:2] + (M + 1,))
     sq[..., :M] = enc[..., model.slots]
-    sq[..., M] = (grads["fus_W"][:, :M] ** 2).sum(axis=(2, 3)) + (
-        grads["fus_b"][:, :M] ** 2
-    ).sum(axis=2)
+    sq[..., M] = fus_W.sum(axis=(2, 3)) + fus_b.sum(axis=2)
     return sq
 
 
@@ -597,32 +635,37 @@ def _step(
     present: np.ndarray,
     divisors: np.ndarray,
     weights: np.ndarray,
-    labels: np.ndarray,
+    targets: Sequence[np.ndarray],
     learning_rate: float,
     log_grads: bool,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...] | None]:
     """One gradient-descent step of every arm of `model` on one batch, as arrays.
 
     `xs` are the batch's grouped features (`_grouped`), `present` its
     contiguous (A, M, B) observed flags, `divisors` the (A, M) divisors
-    and `weights` the (A, M + 1, B) sample weights of `_batch_weights`.
-    Returns the task losses (A,), the modality losses (A, M), 0 where a
-    modality is absent from the batch, and the gradient norms
-    (A, M, M + 1), or None when `log_grads` is false.
+    and `weights` the (A, M + 1, B) sample weights of `_batch_weights`,
+    and `targets` its rows of `_targets`. Returns the task losses (A,),
+    the modality losses (A, M), 0 where a modality is absent from the
+    batch, and, when `log_grads`, the gradients of the M modality losses:
+    (A, M, ...) views of enc_W per width group, enc_b, fus_W and fus_b,
+    whose squares `_squared_norms` reduces. It is None otherwise.
     """
     M = present.shape[1]
     out, cache = _forward_batch(model, xs, present)
-    losses, resid = _losses(model, out, labels)
+    losses, resid = _losses(model, out, targets)
     modality_losses = (losses[:, None] * present).sum(axis=-1) / divisors
     grads = _backward(model, cache, resid, weights if log_grads else weights[:, M:])
-    grad_norms = np.sqrt(_squared_norms(model, grads)) if log_grads else None
+    modality_grads = None
+    if log_grads:
+        modality_grads = tuple(g[:, :M] for g in (*grads["enc_W"], grads["enc_b"],
+                                                  grads["fus_W"], grads["fus_b"]))
 
     for W, grad in zip(model.group_W, grads["enc_W"]):
         W -= learning_rate * grad[:, -1]
     model.enc_bias -= learning_rate * grads["enc_b"][:, -1]
     model.fus_W -= learning_rate * grads["fus_W"][:, -1]
     model.fus_b -= learning_rate * grads["fus_b"][:, -1]
-    return losses.mean(axis=-1), modality_losses, grad_norms
+    return losses.sum(axis=-1) / losses.shape[-1], modality_losses, modality_grads
 
 
 def _step_logs(
@@ -681,14 +724,17 @@ def train_step(
     # over the batch runs along a contiguous row.
     present = np.ascontiguousarray(mask.transpose(0, 2, 1))
     counts, divisors, weights = _batch_weights(present, np.array([0]), np.array([B]))
-    task_losses, modality_losses, grad_norms = _step(
-        model, _grouped(model, features), present, divisors[..., 0], weights, labels,
+    targets = _targets(model.task, labels, model.fus_W.shape[-1], np.arange(B))
+    task_losses, modality_losses, modality_grads = _step(
+        model, _grouped(model, features), present, divisors[..., 0], weights, targets,
         learning_rate, log_grads,
     )
     A = task_losses.shape[0]
-    if grad_norms is None:
+    if modality_grads is None:
         grad_norms = [None] * A
     else:
+        # A block of one step: the arms are the leading axis.
+        grad_norms = np.sqrt(_squared_norms(model, [np.square(g) for g in modality_grads]))
         grad_norms.setflags(write=False)
     # One row per arm, all at the same step.
     logs = _step_logs([step] * A, task_losses, modality_losses, counts[..., 0] > 0, grad_norms)
@@ -786,10 +832,8 @@ def ablation_table(
     h = _encode(model, _grouped(model, split.features))[1]
     labels = split.labels
     classes = model.fus_W.shape[-1]
-    if model.task == CLASSIFICATION and labels.size and not (
-        labels.min() >= 0 and labels.max() < classes
-    ):
-        raise DimensionError(f"class labels must lie in [0, {classes}) for {classes} outputs")
+    if model.task == CLASSIFICATION:
+        _check_class_labels(labels, classes)
     scores = np.empty((len(funs), (1 << model.M) - 1))
     for p, bits in enumerate(pattern_bits(model.M)):
         out = _predict(model, h, bits)
@@ -807,7 +851,8 @@ def dataset_loss(model: ToyModel, split: Split) -> float:
     """Mean per-sample task loss on a clean, fully observed split."""
     h = _encode(model, _grouped(model, split.features))[1]
     _, out = _fuse(model, [h[slot] for slot in model.slots])
-    return float(_losses(model, out, split.labels)[0].mean())
+    targets = _targets(model.task, split.labels, model.fus_W.shape[-1], np.arange(split.n))
+    return float(_losses(model, out, targets)[0].mean())
 
 
 # ---------------------------------------------------------------------------
@@ -924,12 +969,16 @@ def run_arms(spec: SynthSpec, configs: Sequence[TrainConfig]) -> tuple[RunLog, .
     data, initialisation and shuffle order: every step takes one batch
     through one `_step` with one mask per arm. Each epoch's batch plan
     gathers the features, flags and labels in shuffle order once, so a
-    step takes one slice of rows from each; the steps' losses and norms
-    go into columns, from which each arm's StepLogs are built once. Errors
-    are those of running the configs one after another: arm 0's
-    divergence is raised at once; any other arm's only after every arm
-    before it has trained and been evaluated. A diverged arm's slice
-    keeps stepping, apart from the others, and is never evaluated.
+    step takes one slice of rows from each; the steps' losses go into
+    columns, and the squared modality gradients of logged steps into a
+    block whose norms are reduced into a column in one call when it fills,
+    at the epoch's end, and before a divergence is named. Each arm's
+    StepLogs are built once, from the columns. Errors are those of running
+    the configs one after another: arm 0's divergence is raised at once
+    (a non-finite norm when its block is reduced); any other arm's only
+    after every arm before it has trained and been evaluated. A diverged
+    arm's slice keeps stepping, apart from the others, and is never
+    evaluated.
     """
     configs = tuple(configs)
     if not configs:
@@ -983,6 +1032,19 @@ def run_arms(spec: SynthSpec, configs: Sequence[TrainConfig]) -> tuple[RunLog, .
     observed = np.empty((T, A, M), dtype=bool)
     grad_norms = np.empty(((T - 1) // stride + 1, A, M, M + 1))
     train_xs = _grouped(model, dataset.train.features)
+    classes = model.fus_W.shape[-1]
+    # Each sample's position in its batch, for the flat indices of `_targets`.
+    positions = np.arange(N) - np.repeat(starts, sizes)
+
+    # The block: the squared modality rows of up to `block_steps` logged
+    # steps, one (block_steps, A, M, ...) array per row of `_step`.
+    params = (*model.group_W, model.enc_bias, model.fus_W, model.fus_b)
+    row_shapes = [(M,) + p.shape[1:] for p in params]
+    row_bytes = 8 * A * sum(math.prod(shape) for shape in row_shapes)
+    block_steps = min(max(1, _NORM_BLOCK_BYTES // row_bytes), n_batches)
+    block = [np.empty((block_steps, A) + shape) for shape in row_shapes]
+    pending = 0  # steps in the block
+    n_logged = 0  # logged steps so far, in the block or reduced
 
     def last_finite(a: int, step: int) -> tuple[int, float] | None:
         """Arm a's last finite loss when every step up to `step` was finite."""
@@ -990,6 +1052,25 @@ def run_arms(spec: SynthSpec, configs: Sequence[TrainConfig]) -> tuple[RunLog, .
 
     valid_tables: list[list[tuple[int, tuple[AblationTable, ...]]]] = [[] for _ in configs]
     errors: list[TrainingDivergedError | None] = [None] * A
+
+    def reduce_block(epoch: int) -> None:
+        """Reduce the block's norms into their rows of the column, and test them."""
+        nonlocal pending
+        n, pending = pending, 0
+        if not n:
+            return
+        squares = [buf[:n].reshape((n * A,) + buf.shape[2:]) for buf in block]
+        norms = grad_norms[n_logged - n : n_logged]
+        np.sqrt(_squared_norms(model, squares).reshape(norms.shape), out=norms)
+        if np.isfinite(norms).all():
+            return
+        bad = ~np.isfinite(norms).all(axis=(2, 3))
+        for a in range(A):
+            if errors[a] is None and bad[:, a].any():
+                first = (n_logged - n + int(np.argmax(bad[:, a]))) * stride + 1
+                errors[a] = _diverged(first, epoch, "gradient norms are not finite",
+                                      last_finite(a, first - 1))
+
     step = 0
     for epoch in range(1, config.epochs + 1):
         if epoch == 1 or config.resample_masks_per_epoch:
@@ -1005,45 +1086,50 @@ def run_arms(spec: SynthSpec, configs: Sequence[TrainConfig]) -> tuple[RunLog, .
         order = shuffle_rng.permutation(N)
         xs = [np.take(x, order, axis=1) for x in train_xs]
         flags = np.take(present, order, axis=2)
-        labels = dataset.train.labels[order]
+        targets = _targets(spec.task, dataset.train.labels[order], classes, positions)
         counts, divisors, weights = _batch_weights(flags, starts, sizes)
         observed[step : step + n_batches] = (counts > 0).transpose(2, 0, 1)
-        for b, (lo, size) in enumerate(zip(starts.tolist(), sizes.tolist())):
-            rows = slice(lo, lo + size)
-            log_grads = step % stride == 0
-            step += 1
-            # A diverging step overflows to inf/nan; the checks below report
-            # it with its step and epoch, so numpy's warnings add only noise.
-            with np.errstate(over="ignore", invalid="ignore"):
-                task, modality, norms = _step(
+        # A diverging step overflows to inf/nan; the checks below report it
+        # with its step and epoch, so numpy's warnings add only noise.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for b, (lo, size) in enumerate(zip(starts.tolist(), sizes.tolist())):
+                rows = slice(lo, lo + size)
+                log_grads = step % stride == 0
+                step += 1
+                task, modality, grads = _step(
                     model,
                     [x[:, rows] for x in xs],
                     # Contiguous, so that the L_m sums run along contiguous rows.
                     np.ascontiguousarray(flags[:, :, rows]),
                     divisors[:, :, b],
                     weights[:, :, rows],
-                    labels[rows],
+                    [t[rows] for t in targets],
                     config.learning_rate,
                     log_grads,
                 )
-            task_losses[step - 1] = task
-            modality_losses[step - 1] = modality
-            if log_grads:
-                grad_norms[(step - 1) // stride] = norms
-            # One test covers every arm; the arms are told apart only when it fails.
-            if np.isfinite(task).all() and (norms is None or np.isfinite(norms).all()):
-                continue
-            for a in range(A):
-                if errors[a] is not None:
-                    continue
-                if not math.isfinite(task[a]):
-                    errors[a] = _diverged(step, epoch, f"task loss is {float(task[a])!r}",
-                                          last_finite(a, step - 1))
-                elif norms is not None and not np.isfinite(norms[a]).all():
-                    errors[a] = _diverged(step, epoch, "gradient norms are not finite",
-                                          last_finite(a, step - 1))
-            if errors[0] is not None:
-                raise errors[0]
+                task_losses[step - 1] = task
+                modality_losses[step - 1] = modality
+                # One test covers every arm; the arms are told apart only when
+                # it fails. The block's earlier steps are tested first, and a
+                # step's task loss before its norms.
+                if not np.isfinite(task).all():
+                    reduce_block(epoch)
+                    for a in range(A):
+                        if errors[a] is None and not math.isfinite(task[a]):
+                            errors[a] = _diverged(step, epoch, f"task loss is {float(task[a])!r}",
+                                                  last_finite(a, step - 1))
+                    if errors[0] is not None:
+                        raise errors[0]
+                if grads is not None:
+                    for buf, grad in zip(block, grads):
+                        np.square(grad, out=buf[pending])
+                    pending += 1
+                    n_logged += 1
+                    if pending == block_steps:
+                        reduce_block(epoch)
+                        if errors[0] is not None:
+                            raise errors[0]
+            reduce_block(epoch)
         for a in range(A):
             if errors[a] is None and not all(
                 np.isfinite(p[a]).all() for _, p in model.parameters()
@@ -1058,6 +1144,9 @@ def run_arms(spec: SynthSpec, configs: Sequence[TrainConfig]) -> tuple[RunLog, .
                     tables = ablation_table(model.arm(a), dataset.valid, metrics)
                     valid_tables[a].append((epoch, tables))
 
+    # The batch plan and the block are training's alone; dropped here, they
+    # add nothing to the peak memory of the test-split evaluation below.
+    del xs, flags, targets, weights, block
     grad_norms.setflags(write=False)
     steps = range(1, T + 1)
     logged = steps[::stride]

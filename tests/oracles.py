@@ -389,6 +389,26 @@ def csv_read_agg_grid(path) -> list[list[float]]:
     return [[cells[(t, m)] for m in range(M)] for t in steps]
 
 
+def fstring_grad_samples_text(samples: np.ndarray) -> str:
+    """A `gradtrace-v1` file's text as the writer built it before it formatted columns.
+
+    One f-string per row, in (step, modality, module) order.
+    """
+    rows = samples[np.lexsort((samples["module"], samples["modality"], samples["step"]))]
+    lines = ["step,modality,module,grad_l2"]
+    lines += [f"{t},{m},{k},{g!r}" for t, m, k, g in rows.tolist()]
+    return "\n".join(lines) + "\n"
+
+
+def loop_agg_trace_text(values: np.ndarray) -> str:
+    """A `gradagg-v1` file's text for a (T, M) grid, one Python loop iteration per cell."""
+    lines = ["step,modality,G"]
+    for t in range(values.shape[0]):
+        for m in range(values.shape[1]):
+            lines.append(f"{t + 1},{m},{float(values[t, m])!r}")
+    return "\n".join(lines) + "\n"
+
+
 def dict_assemble_error(rows, M=None, K=None) -> tuple[str, str] | None:
     """(error class name, message) of the first fault a dict-based trace assembly meets.
 
@@ -514,6 +534,20 @@ def modality_loss(losses: np.ndarray, mask_column: np.ndarray) -> float | None:
     if total == 0:
         return None
     return float((losses * mask).sum() / total)
+
+
+def indexed_losses(out: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Softmax cross-entropy losses and residuals of (..., B, C) logits, as the trainer took them
+    before its flat-index picks: the row max along the class axis, and the label's logit and
+    residual fancy-indexed.
+    """
+    shifted = out - out.max(axis=-1, keepdims=True)
+    expd = np.exp(shifted)
+    total = expd.sum(axis=-1, keepdims=True)
+    rows = np.arange(out.shape[-2])
+    resid = expd / total
+    resid[..., rows, labels] -= 1.0
+    return np.log(total[..., 0]) - shifted[..., rows, labels], resid
 
 
 def per_arm_train_step(model, features, mask, labels, learning_rate, step, log_grads):

@@ -44,7 +44,7 @@ from missdiag.report import (
     write_report,
 )
 
-from oracles import plain_mask_csv
+from oracles import fstring_grad_samples_text, loop_agg_trace_text, plain_mask_csv
 
 AWKWARD = 0.1 + 0.2  # 0.30000000000000004: only repr round-trips it
 
@@ -390,6 +390,49 @@ class TestAggTraceFormat:
         np.testing.assert_array_equal(
             trace.values, [[1.0, 3.0], [(AWKWARD + 0.7) / 2.0, 2.0]]
         )
+
+
+# Floats whose repr is easy to get wrong: both zeros, the smallest
+# subnormal, a small and a large power of ten, and a sum that only repr
+# round-trips.
+AWKWARD_FLOATS = [0.0, -0.0, 5e-324, 1e-05, 1e16, AWKWARD]
+
+
+class TestColumnarTraceWriters:
+    """The writers format columns in chunks; their bytes equal one f-string per row."""
+
+    @staticmethod
+    def random_samples(n: int, seed: int) -> np.ndarray:
+        rng = np.random.default_rng(seed)
+        rows = np.zeros(n, dtype=GRAD_SAMPLE_DTYPE)
+        rows["step"] = rng.integers(0, 2**40, size=n)
+        rows["step"][:3] = [2**31, 2**31 + 1, 2**63 - 1]
+        rows["modality"] = rng.integers(0, 12, size=n)
+        rows["module"] = rng.integers(0, 13, size=n)
+        rows["grad_l2"] = rng.random(n) * 10.0 ** rng.integers(-300, 300, size=n)
+        rows["grad_l2"][3 : 3 + len(AWKWARD_FLOATS)] = AWKWARD_FLOATS
+        return rows
+
+    @pytest.mark.parametrize("chunk", [1, 3, 4096])
+    @pytest.mark.parametrize("n", [0, 1, 9, 1000])
+    def test_gradtrace_equals_per_row_fstrings(self, tmp_path, monkeypatch, chunk, n):
+        monkeypatch.setattr("missdiag.learning._WRITE_CHUNK_ROWS", chunk)
+        rows = self.random_samples(max(n, 9), seed=n)[:n]
+        path = tmp_path / "trace.csv"
+        write_grad_samples(rows, path)
+        assert path.read_bytes() == fstring_grad_samples_text(rows).encode()
+
+    @pytest.mark.parametrize("chunk", [1, 3, 4096])
+    @pytest.mark.parametrize("shape", [(0, 3), (1, 2), (7, 3), (400, 5)])
+    def test_gradagg_equals_per_cell_loop(self, tmp_path, monkeypatch, chunk, shape):
+        monkeypatch.setattr("missdiag.learning._WRITE_CHUNK_ROWS", chunk)
+        rng = np.random.default_rng(shape[0])
+        values = rng.random(shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+        flat = values.reshape(-1)
+        flat[: min(flat.size, len(AWKWARD_FLOATS))] = AWKWARD_FLOATS[: flat.size]
+        path = tmp_path / "agg.csv"
+        write_agg_trace(GradTrace(values=values), path)
+        assert path.read_bytes() == loop_agg_trace_text(values).encode()
 
 
 class TestReportFormat:

@@ -49,11 +49,13 @@ from missdiag.simtrainer import (
     loss_and_grads,
 )
 
+import oracles
 from oracles import (
     LABEL_METRICS,
     backward_batch,
     brute_trace_grid,
     fd_gradient,
+    indexed_losses,
     masked_forward_cache,
     per_arm_train_step,
     per_metric_ablation_table,
@@ -1268,3 +1270,185 @@ class TestLockstep:
         assert len(evaluated) == 3
         assert all(math.isfinite(w) for w in evaluated)
         assert capfd.readouterr().err == ""
+
+
+def _row_bytes(spec: SynthSpec, hidden: int, arms: int) -> int:
+    """Bytes of one logged step's squared modality rows in the trainer's block.
+
+    Per arm and modality loss: every encoder weight, the M encoder biases,
+    and the head's weight and bias.
+    """
+    H, C, M = hidden, spec.out_dim, spec.M
+    return 8 * arms * M * (H * sum(spec.dims) + M * H + H * C + C)
+
+
+def _count_blocks(monkeypatch, arms: int) -> list[int]:
+    """Record the steps of each block `_squared_norms` reduces; returns that list."""
+    real = simtrainer._squared_norms
+    reduced: list[int] = []
+
+    def counted(model, squares):
+        reduced.append(squares[-1].shape[0] // arms)
+        return real(model, squares)
+
+    monkeypatch.setattr(simtrainer, "_squared_norms", counted)
+    return reduced
+
+
+def _force_blocks(monkeypatch, steps: int, spec: SynthSpec, hidden: int, arms: int) -> list[int]:
+    """Shrink the block budget to `steps` logged steps; returns the steps of each reduction."""
+    monkeypatch.setattr(simtrainer, "_NORM_BLOCK_BYTES", steps * _row_bytes(spec, hidden, arms))
+    return _count_blocks(monkeypatch, arms)
+
+
+def _expected_blocks(epochs: int, n_batches: int, stride: int, steps: int) -> list[int]:
+    """Block sizes: each epoch's logged steps in runs of `steps`, the last run cut short."""
+    sizes = []
+    for epoch in range(epochs):
+        first = epoch * n_batches
+        logged = sum(s % stride == 0 for s in range(first, first + n_batches))
+        sizes += [steps] * (logged // steps) + ([logged % steps] if logged % steps else [])
+    return sizes
+
+
+def _poison_norms(monkeypatch, poison: dict[int, set[int]]) -> None:
+    """Make arm a's modality gradients infinite at each step in poison[a].
+
+    `run_arms` calls `_backward` once per step, so the n-th call is step n.
+    As in `test_non_finite_grad_norms`, the update row stays finite.
+    """
+    real = simtrainer._backward
+    calls: list[int] = []
+
+    def poisoned(model, *args):
+        grads = real(model, *args)
+        calls.append(len(calls) + 1)
+        for a in range(model.arms):
+            if calls[-1] in poison.get(a, ()):
+                grads["fus_b"][a, :-1] = math.inf
+        return grads
+
+    monkeypatch.setattr(simtrainer, "_backward", poisoned)
+
+
+def _oracle_error(spec, config, norm_steps=(), head_steps=()) -> str:
+    """The sequential loop's error with infinite norms at `norm_steps` and a 1e300 head
+    set after each step of `head_steps`."""
+    real = oracles.per_arm_train_step
+
+    def poisoned(model, *args):
+        log = real(model, *args)
+        if log.step in norm_steps:
+            assert log.grad_norms is not None
+            log = dataclasses.replace(log, grad_norms=np.full_like(log.grad_norms, math.inf))
+        return log
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracles, "per_arm_train_step", poisoned)
+        return _sequential_error(spec, config, set(head_steps))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestNormBlocks:
+    """Norms reduced once per block of logged steps equal the per-step sequential loop."""
+
+    # 50 samples in batches of 8: seven steps per epoch, the last of 2 samples.
+    @pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
+    @pytest.mark.parametrize("M, stride, hidden, steps", [
+        (2, 1, 5, 1), (2, 3, 1, 2), (3, 2, 1, 3), (3, 1, 5, 2), (5, 3, 5, 1), (5, 2, 1, 3),
+        (5, 1, 1, 2),
+    ])
+    def test_blocks_equal_the_sequential_loop(self, monkeypatch, task, M, stride, hidden,
+                                              steps):
+        # M = 5 has widths (2, 3, 4, 2, 3): groups of two, two and one.
+        spec, configs = _lockstep_case(task, M, stride, batch_size=8, hidden=hidden)
+        reduced = _force_blocks(monkeypatch, steps, spec, hidden, len(configs))
+        runs = run_arms(spec, configs)
+        assert reduced == _expected_blocks(3, 7, stride, steps)
+        assert max(reduced) == steps
+        for run, config in zip(runs, configs):
+            assert len(run.steps) == 21
+            assert run == sequential_run(spec, config)
+
+    @pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
+    def test_default_budget_equals_the_sequential_loop(self, monkeypatch, task):
+        spec, configs = _lockstep_case(task, 3, 1, batch_size=4, hidden=5)
+        reduced = _count_blocks(monkeypatch, len(configs))
+        runs = run_arms(spec, configs)
+        assert reduced == [13] * 3  # an epoch's 13 steps fit in one block
+        for run, config in zip(runs, configs):
+            assert run == sequential_run(spec, config)
+
+    @pytest.mark.parametrize("arm", [0, 1])
+    @pytest.mark.parametrize("stride, poisoned", [(1, 5), (2, 11)])
+    def test_norm_divergence_inside_a_block(self, monkeypatch, capfd, arm, stride, poisoned):
+        # Blocks of three logged steps; the poisoned step sits in the middle of one.
+        spec, configs = _lockstep_case(REGRESSION, 3, stride, batch_size=8)
+        _force_blocks(monkeypatch, 3, spec, 5, len(configs))
+        _poison_norms(monkeypatch, {arm: {poisoned}})
+        steps = _poison_steps(monkeypatch, {})
+        with pytest.raises(TrainingDivergedError) as info:
+            run_arms(spec, configs)
+        want = _oracle_error(spec, configs[arm], norm_steps={poisoned})
+        assert str(info.value) == want
+        assert want.startswith(f"training diverged at step {poisoned} (epoch ")
+        assert "gradient norms are not finite" in want
+        # Arm 0 is raised when its block is reduced, one logged step later
+        # here; arm 1 only after arm 0 has trained to the end.
+        assert steps[-1] == (poisoned + stride if arm == 0 else 21)
+        assert capfd.readouterr().err == ""
+
+    @pytest.mark.parametrize("arm", [0, 1])
+    @pytest.mark.parametrize("norm_step, named", [(4, "gradient norms are not finite"),
+                                                  (5, "task loss is inf")])
+    def test_task_divergence_after_norms_in_the_same_block(self, monkeypatch, capfd, arm,
+                                                           norm_step, named):
+        # Blocks of three steps: 4, 5, 6. The head set to 1e300 after step 4
+        # makes step 5's loss inf. Non-finite norms at step 4, still in the
+        # block, are the error named; at step 5 itself the task loss comes first.
+        spec, configs = _lockstep_case(REGRESSION, 3, 1, batch_size=8)
+        _force_blocks(monkeypatch, 3, spec, 5, len(configs))
+        _poison_norms(monkeypatch, {arm: {norm_step}})
+        steps = _poison_steps(monkeypatch, {arm: {4}})
+        with pytest.raises(TrainingDivergedError) as info:
+            run_arms(spec, configs)
+        want = _oracle_error(spec, configs[arm], norm_steps={norm_step}, head_steps={4})
+        assert str(info.value) == want
+        assert want.startswith(f"training diverged at step {norm_step} (epoch 1): {named}")
+        assert steps[-1] == (5 if arm == 0 else 21)
+        assert capfd.readouterr().err == ""
+
+
+class TestLosses:
+    """The flat-index loss equals the fancy-indexed one, bit for bit."""
+
+    POOL = np.array([0.0, -0.0, 1.0, -1.0, 2.5, 2.5, math.inf, -math.inf, math.nan, 1e308,
+                     -1e308, 5e-324])
+
+    @pytest.mark.parametrize("C", [2, 3, 5, 8])
+    @pytest.mark.parametrize("lead", [(), (1,), (3,)])
+    def test_adversarial_logits_equal_the_indexed_loss(self, C, lead):
+        rng = np.random.default_rng(C * 10 + len(lead))
+        model = small_model(CLASSIFICATION, hidden=2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for trial in range(200):
+                B = int(rng.integers(1, 9))
+                out = rng.choice(self.POOL, size=lead + (B, C))
+                if trial % 2:
+                    out = np.where(rng.random(out.shape) < 0.5, out,
+                                   rng.standard_normal(out.shape))
+                labels = rng.integers(0, C, size=B)
+                targets = simtrainer._targets(CLASSIFICATION, labels, C, np.arange(B))
+                got = simtrainer._losses(model, out, targets)
+                for mine, theirs in zip(got, indexed_losses(out, labels)):
+                    assert mine.shape == theirs.shape
+                    assert np.array_equal(mine.view(np.uint64), theirs.view(np.uint64))
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_labels_outside_the_classes_rejected(self, bad):
+        with pytest.raises(DimensionError, match=r"^class labels must lie in \[0, 3\) "):
+            simtrainer._targets(CLASSIFICATION, np.array([0, bad]), 3, np.arange(2))
+
+    def test_regression_targets_are_the_labels(self):
+        labels = np.array([0.5, -1.0])
+        assert simtrainer._targets(REGRESSION, labels, 1, np.arange(2)) == [labels]

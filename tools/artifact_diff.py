@@ -11,7 +11,9 @@ as it is. The commands are the README paired simulation at seeds 1 and
 same regression with label noise that makes training diverge, an
 8-modality paired run logging every third step, a 5-modality paired
 classification whose input widths 4, 7, 4, 7, 3 make encoder groups of
-two, two and one, `mask generate` at M = 3, 5 and 12 with 20,000 rows
+two, two and one, a 4-modality paired classification with hidden width 1,
+every second step logged, a short last batch and resampled masks,
+`mask generate` at M = 3, 5 and 12 with 20,000 rows
 (seed 2^64 - 1 among the seeds) and at M = 3 with 100,001 rows, whose
 sample ids take every width from 1 to 6 digits, `metrics mei` on an
 M = 10 table, `metrics mli` on a seeded `gradtrace-v1` file (gapped
@@ -81,6 +83,20 @@ MIXED_WIDTH_CONFIG = {
         "dims": [4, 7, 4, 7, 3], "informativeness": [1.0, 0.5, 1.0, 0.25, 1.0],
         "n_train": 400, "n_valid": 100, "n_test": 400, "n_classes": 4, "epochs": 4,
         "batch_size": 32, "mei_epoch_stride": 2, "grad_log_stride": 1, "paired": True,
+    },
+}
+# Hidden width 1, where numpy orders the batch sums of the bias gradients
+# differently, with every second step logged, resampled masks and a short
+# last batch (250 = 7 x 32 + 26).
+H1_CONFIG = {
+    "modalities": [f"m{m}" for m in range(4)],
+    "protocol": {"rates": [0.2, 0.5, 0.1, 0.4]},
+    "seed": 4,
+    "simulation": {
+        "dims": [6, 3, 6, 5], "informativeness": [1.0, 0.5, 0.75, 1.0], "hidden": 1,
+        "n_train": 250, "n_valid": 100, "n_test": 300, "n_classes": 3, "epochs": 4,
+        "batch_size": 32, "mei_epoch_stride": 2, "grad_log_stride": 2,
+        "resample_masks_per_epoch": True, "paired": True,
     },
 }
 # A paired regression whose labels overflow the squared loss: both sides
@@ -157,6 +173,7 @@ CASES: dict[str, tuple[dict, list[str]]] = {
     "resample-m5": _simulate(RESAMPLE_CONFIG),
     "stride3-m8": _simulate(STRIDE_CONFIG),
     "mixed-width-m5": _simulate(MIXED_WIDTH_CONFIG),
+    "h1-stride2-m4": _simulate(H1_CONFIG),
     "diverge-paired": _simulate(DIVERGE_CONFIG),
     "mask-m3-seed0": _mask(3, "0"),
     "mask-m3-seedmax": _mask(3, U64_MAX),
