@@ -183,6 +183,7 @@ def _cmd_mei(args: argparse.Namespace) -> int:
 
 
 def _cmd_mli(args: argparse.Namespace) -> int:
+    learning.check_stride(args.stride)  # before the file is read or any warning printed
     fmt = learning.sniff_trace_format(args.trace)
     if fmt == "gradtrace-v1":
         samples = learning.read_grad_samples(args.trace)

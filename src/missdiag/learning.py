@@ -230,23 +230,30 @@ def assemble_trace(
     if reason is not None:
         raise InvalidTraceError(reason)
 
-    # A stable sort groups equal keys in arrival order; the first row of a
-    # group holds the value that later rows of the group must repeat.
-    order = np.lexsort((module, modality, step))
-    keys = np.stack((step[order], modality[order], module[order]))
-    starts = np.ones(order.size, dtype=bool)
-    starts[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
-    first = order[np.maximum.accumulate(np.where(starts, np.arange(order.size), 0))]
-    ordered = value[order]
-    clash = ordered != value[first]
-    if clash.any():
-        j = int(order[clash].min())
-        i = int(first[order == j][0])
-        s, m, k = rows[j].tolist()[:3]
-        raise DuplicateSampleError(
-            f"conflicting grad_l2 at step {s}, modality {m}, module {k}: "
-            f"{value[i].tolist()} vs {value[j].tolist()}"
-        )
+    # Every writer emits rows in strictly increasing key order: those rows are
+    # already the sorted unique keys. Any other order, exact duplicates
+    # included, is sorted. Indices are nonnegative, so the differences fit.
+    d_step, d_modality, d_module = np.diff(step), np.diff(modality), np.diff(module)
+    in_key_order = bool((
+        (d_step > 0) | ((d_step == 0) & ((d_modality > 0) | ((d_modality == 0) & (d_module > 0))))
+    ).all())
+    if not in_key_order:
+        # A stable sort groups equal keys in arrival order; the first row of
+        # a group holds the value that later rows of the group must repeat.
+        order = np.lexsort((module, modality, step))
+        keys = np.stack((step[order], modality[order], module[order]))
+        starts = np.ones(order.size, dtype=bool)
+        starts[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
+        first = order[np.maximum.accumulate(np.where(starts, np.arange(order.size), 0))]
+        clash = value[order] != value[first]
+        if clash.any():
+            j = int(order[clash].min())
+            i = int(first[order == j][0])
+            s, m, k = rows[j].tolist()[:3]
+            raise DuplicateSampleError(
+                f"conflicting grad_l2 at step {s}, modality {m}, module {k}: "
+                f"{value[i].tolist()} vs {value[j].tolist()}"
+            )
     if not rows.size:
         raise InsufficientTraceError("empty gradient sample stream")
     M = int(modality.max()) + 1 if M is None else M
@@ -268,9 +275,9 @@ def assemble_trace(
     # the (T, M, K) grid exists, so that a huge index fails with its
     # message rather than with the allocation. Cells are the runs of equal
     # (step, modality) among the sorted unique keys.
-    keys = [column[starts] for column in keys]
-    step, modality, module = keys
-    value = ordered[starts]
+    if not in_key_order:
+        unique = order[starts]
+        step, modality, module, value = (c[unique] for c in (step, modality, module, value))
     step_starts = np.ones(step.size, dtype=bool)
     step_starts[1:] = step[1:] != step[:-1]
     cell_starts = step_starts.copy()
@@ -313,6 +320,12 @@ def _unlogged(m: int) -> InvalidTraceError:
     return InvalidTraceError(f"modality {m} has no defined gradient values")
 
 
+def check_stride(stride: int) -> None:
+    """Raise `DimensionError` unless `stride` is a usable subsampling stride (>= 1)."""
+    if stride < 1:
+        raise DimensionError(f"stride must be >= 1, got {stride}")
+
+
 def mli(trace: GradTrace, stride: int = 1) -> MLIResult:
     """Learning-balance index of a gradient trace.
 
@@ -320,8 +333,7 @@ def mli(trace: GradTrace, stride: int = 1) -> MLIResult:
     before the difference series is formed. A perfectly static trace
     (max_t mean_delta = 0) scores 0 by convention.
     """
-    if stride < 1:
-        raise DimensionError(f"stride must be >= 1, got {stride}")
+    check_stride(stride)
     values = trace.values[::stride]
     T, M = values.shape
     if M < 2:

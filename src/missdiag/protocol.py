@@ -451,13 +451,21 @@ def divergence(rates_a: RateVector, rates_b: RateVector, kind: str = JS) -> floa
 
 
 def _kl(p: np.ndarray, q: np.ndarray) -> float:
-    total = 0.0
-    for pi, qi in zip(p.tolist(), q.tolist()):
-        if pi == 0.0:
-            continue
-        if qi == 0.0:
-            return math.inf
-        total += pi * math.log(pi / qi)
+    """sum p * ln(p / q) over the patterns with p > 0, added left to right.
+
+    The logs come from `math.log`, whose bits `np.log` does not always
+    match, and `np.add.accumulate` adds one term after another where
+    `np.sum` would add pairwise.
+    """
+    kept = p != 0.0
+    p, q = p[kept], q[kept]
+    if not p.size:
+        return 0.0
+    if (q == 0.0).any():
+        return math.inf
+    ratios = p / q
+    logs = np.fromiter(map(math.log, ratios.tolist()), dtype=np.float64, count=ratios.size)
+    total = float(np.add.accumulate(p * logs)[-1])
     # Round-off can leave a tiny negative residue when p ~ q.
     return max(0.0, total)
 

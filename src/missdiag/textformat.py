@@ -13,11 +13,11 @@ Header fields are `NAME`s, split on commas with no csv quoting; modality
 names (`RateVector`) and abltable metric names share that grammar.
 
 `parse_rows` checks every body line of a trace file against the line
-grammar with one regex substitution and converts the body with numpy's
-`loadtxt` in one step. A `maskmatrix-v1` body in the grammar has one
-byte form, which `protocol.read_mask_matrix` checks without a regex.
-Only when that fails does `first_bad_line` walk the lines in Python to
-name the first bad one as `path:line: reason`.
+grammar with one regex substitution, in blocks of up to 64 lines, and
+converts the body with numpy's `loadtxt` in one step. A `maskmatrix-v1`
+body in the grammar has one byte form, which `protocol.read_mask_matrix`
+checks without a regex. Only when that fails does `first_bad_line` walk
+the lines in Python to name the first bad one as `path:line: reason`.
 
 `abltable-v1` (`equity.read_ablation_tables`) shares `read_text` and
 `FLOAT`; its metric column is text, so it matches its rows one by one.
@@ -51,9 +51,18 @@ _DESCRIPTIONS = {
 _INT64_MAX = np.iinfo(np.int64).max
 
 
+# Body lines one regex step matches. A `(?:line)*` over the whole body would
+# keep a backtracking frame per line (possessive repeats need Python 3.11);
+# a block keeps at most this many. Blocks of 16, 64 and 256 lines match
+# alike, all faster than one line per step.
+_BLOCK_LINES = 64
+
+
 @lru_cache(maxsize=32)
 def _line_re(fields: tuple[str, ...]) -> re.Pattern:
-    return re.compile(",".join(f"(?:{f})" for f in fields) + "\n")
+    """One to `_BLOCK_LINES` body lines in the grammar of `fields`."""
+    line = ",".join(f"(?:{f})" for f in fields) + "\n"
+    return re.compile(f"(?:{line}){{1,{_BLOCK_LINES}}}")
 
 
 def read_header(path: str | Path, line: bytes) -> list[str]:
@@ -98,8 +107,8 @@ def parse_rows(body: str, fields: tuple[str, ...], dtype: np.dtype) -> np.ndarra
     A structured `dtype` gives one record per line; a plain one an
     (N, len(fields)) array.
     """
-    # `sub` matches one line at a time: a single `(?:line)*` match would keep
-    # a backtracking frame per line, and possessive repeats need Python 3.11.
+    # Every match is whole grammar lines, so nothing remains exactly when
+    # every line is in the grammar.
     if _line_re(fields).sub("", body):
         return None
     if not body:

@@ -451,6 +451,111 @@ def dict_assemble_error(rows, M=None, K=None) -> tuple[str, str] | None:
     return None
 
 
+def sorting_assemble_trace(samples, M=None, module_count=None):
+    """`assemble_trace` as it was when it sorted every row set, whatever its order.
+
+    A stable `np.lexsort` on (step, modality, module) groups equal keys in
+    arrival order; a row that differs from its group's first raises, and
+    the sorted unique keys are scattered into the (T, M, K) grid. Raises
+    what the package raised, with the same messages.
+    """
+    from missdiag.errors import DimensionError, DuplicateSampleError, InsufficientTraceError
+    from missdiag.errors import InvalidTraceError
+    from missdiag.learning import (GRAD_SAMPLE_DTYPE, _absent, _row_error, _unlogged,
+                                   trace_from_norms)
+
+    rows = np.asarray(samples, dtype=GRAD_SAMPLE_DTYPE)
+    step, modality, module, value = (rows[name] for name in GRAD_SAMPLE_DTYPE.names)
+    reason = _row_error(step, modality, module, value)
+    if reason is not None:
+        raise InvalidTraceError(reason)
+    order = np.lexsort((module, modality, step))
+    keys = np.stack((step[order], modality[order], module[order]))
+    starts = np.ones(order.size, dtype=bool)
+    starts[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
+    first = order[np.maximum.accumulate(np.where(starts, np.arange(order.size), 0))]
+    ordered = value[order]
+    clash = ordered != value[first]
+    if clash.any():
+        j = int(order[clash].min())
+        i = int(first[order == j][0])
+        s, m, k = rows[j].tolist()[:3]
+        raise DuplicateSampleError(
+            f"conflicting grad_l2 at step {s}, modality {m}, module {k}: "
+            f"{value[i].tolist()} vs {value[j].tolist()}"
+        )
+    if not rows.size:
+        raise InsufficientTraceError("empty gradient sample stream")
+    M = int(modality.max()) + 1 if M is None else M
+    module_count = int(module.max()) + 1 if module_count is None else module_count
+    if M < 1:
+        raise DimensionError(f"modality count must be >= 1, got {M}")
+    if module_count < 1:
+        raise DimensionError(f"module count must be >= 1, got {module_count}")
+    out_of_range = (modality >= M) | (module >= module_count)
+    if out_of_range.any():
+        s, m, k, _ = rows[np.argmax(out_of_range)].tolist()
+        if m >= M:
+            raise DimensionError(f"modality index {m} out of range for M={M}")
+        raise InvalidTraceError(
+            f"module index {k} out of range for module count {module_count}"
+        )
+    step, modality, module = [column[starts] for column in keys]
+    value = ordered[starts]
+    step_starts = np.ones(step.size, dtype=bool)
+    step_starts[1:] = step[1:] != step[:-1]
+    cell_starts = step_starts.copy()
+    cell_starts[1:] |= modality[1:] != modality[:-1]
+    bounds = np.append(np.flatnonzero(cell_starts), step.size)
+    incomplete = np.flatnonzero(np.diff(bounds) < module_count)
+    if incomplete.size:
+        lo, hi = bounds[incomplete[0]], bounds[incomplete[0] + 1]
+        raise InvalidTraceError(
+            f"missing module entries: {_absent(module[lo:hi], module_count)} "
+            f"at step {step[lo]}, modality {modality[lo]}"
+        )
+    cell_modality = modality[bounds[:-1]]
+    logged = np.zeros(min(M, cell_modality.size + 1), dtype=bool)
+    logged[cell_modality[cell_modality < logged.size]] = True
+    if not logged.all():
+        raise _unlogged(int(np.argmin(logged)))
+    steps, t = step[step_starts], np.cumsum(step_starts) - 1
+    norms = np.zeros((steps.size, M, module_count))
+    norms[t, modality, module] = value
+    defined = np.zeros((steps.size, M), dtype=bool)
+    defined[t, modality] = True
+    return trace_from_norms(steps, norms, defined)
+
+
+def loop_kl(p: np.ndarray, q: np.ndarray) -> float:
+    """sum p * ln(p / q) over p > 0, one pattern at a time: inf at the first kept q of 0."""
+    total = 0.0
+    for pi, qi in zip(p.tolist(), q.tolist()):
+        if pi == 0.0:
+            continue
+        if qi == 0.0:
+            return math.inf
+        total += pi * math.log(pi / qi)
+    return max(0.0, total)
+
+
+def line_by_line_parse_rows(body: str, fields: tuple[str, ...], dtype: np.dtype):
+    """`textformat.parse_rows` as it was when its regex matched one line per step."""
+    import io
+    import re
+
+    line = re.compile(",".join(f"(?:{f})" for f in fields) + "\n")
+    if line.sub("", body):
+        return None
+    if not body:
+        return np.empty(0 if dtype.names else (0, len(fields)), dtype=dtype)
+    try:
+        return np.loadtxt(io.StringIO(body), delimiter=",", dtype=dtype,
+                          ndmin=1 if dtype.names else 2)
+    except ValueError:
+        return None
+
+
 def masked_forward_cache(model, features, mask):
     """Toy-model head output and backprop cache (xs, us, fused sum) under a per-sample mask.
 

@@ -598,6 +598,15 @@ class TestMetricsMli:
         assert main(["metrics", "mli", "--trace", path, "--stride", "2"]) == 0
         assert "mli: 0.8660254037844386" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("stride", ["0", "-3"])
+    def test_bad_stride_checked_before_the_read(self, tmp_path, capsys, stride):
+        gapped = self._trace_file(tmp_path, [[1.0, 1.0], [2.0, 1.0], [4.0, 1.0]], steps=[1, 2, 9])
+        for path in (gapped, str(tmp_path / "absent.csv")):
+            assert main(["metrics", "mli", "--trace", path, "--stride", stride]) == 2
+            captured = capsys.readouterr()
+            assert captured.err == f"error: stride must be >= 1, got {stride}\n"
+            assert captured.out == ""
+
     def test_single_step_trace_is_config_error(self, tmp_path, capsys):
         path = self._trace_file(tmp_path, [[1.0, 2.0]])
         assert main(["metrics", "mli", "--trace", path]) == 2

@@ -18,6 +18,7 @@ from missdiag.cli import main
 from missdiag.equity import read_ablation_tables
 from missdiag.errors import FileFormatError
 from missdiag.learning import (
+    _TRACE_FIELDS,
     GRAD_SAMPLE_DTYPE,
     read_agg_trace,
     read_grad_samples,
@@ -25,6 +26,7 @@ from missdiag.learning import (
     write_grad_samples,
 )
 from missdiag.protocol import read_mask_matrix
+from missdiag.textformat import INT, parse_rows
 
 import oracles
 
@@ -463,3 +465,43 @@ class TestFinalNewline:
         with pytest.raises(FileFormatError, match="no mask rows"):
             read_mask_matrix(path)
         assert read_grad_samples(_write_case(tmp_path, TRACE_HEADER)).size == 0
+
+
+def _trace_body(n: int) -> list[str]:
+    """n seeded `gradtrace-v1` data rows, each ended by its LF."""
+    rng = np.random.default_rng(n)
+    return [f"{t},{m},{k},{float(rng.uniform(0, 3))!r}\n"
+            for t in range(n) for m in range(2) for k in range(2)][:n]
+
+
+class TestBlocksOfLines:
+    """The grammar matches blocks of up to 64 lines and reads as one line per step did."""
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 128, 129])
+    @pytest.mark.parametrize("fields, dtype", [(_TRACE_FIELDS, GRAD_SAMPLE_DTYPE),
+                                               ((INT, INT, INT), np.dtype(np.int64))])
+    def test_body_reads_as_line_by_line(self, n, fields, dtype):
+        body = "".join(line[:line.rindex(",")] + "\n" if len(fields) == 3 else line
+                       for line in _trace_body(n))
+        got = parse_rows(body, fields, dtype)
+        want = oracles.line_by_line_parse_rows(body, fields, dtype)
+        assert got.shape == want.shape == ((n,) if dtype.names else (n, 3))
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("fault, reason", [
+        ("cell", "grad_l2 '.5' is not a nonnegative float in repr form"),
+        ("crlf", "CRLF line ending, expected LF"),
+        ("blank", "blank line"),
+    ])
+    @pytest.mark.parametrize("row", [0, 62, 63, 64, 65, 127, 128, 129])
+    def test_bad_row_is_named(self, tmp_path, row, fault, reason):
+        lines = _trace_body(130)
+        lines[row] = {"cell": lines[row].rsplit(",", 1)[0] + ",.5\n",
+                      "crlf": lines[row][:-1] + "\r\n", "blank": "\n"}[fault]
+        body = "".join(lines)
+        assert parse_rows(body, _TRACE_FIELDS, GRAD_SAMPLE_DTYPE) is None
+        assert oracles.line_by_line_parse_rows(body, _TRACE_FIELDS, GRAD_SAMPLE_DTYPE) is None
+        path = _write_case(tmp_path, TRACE_HEADER + body)
+        with pytest.raises(FileFormatError) as info:
+            read_grad_samples(path)
+        assert str(info.value) == f"{path}:{row + 2}: {reason}"

@@ -23,7 +23,7 @@ from missdiag import (
 
 from missdiag.learning import GRAD_SAMPLE_DTYPE, read_grad_samples, samples_from_norms
 
-from oracles import brute_mli, brute_trace_grid, dict_assemble_error
+from oracles import brute_mli, brute_trace_grid, dict_assemble_error, sorting_assemble_trace
 
 
 def grad_rows(*tuples) -> np.ndarray:
@@ -272,6 +272,79 @@ class TestAssembleTraceColumns:
         assert rows.size == defined.sum() * 4
         assert assemble_trace(rows, M=3, module_count=4) == trace_from_norms(
             [2, 3, 5, 8, 9], norms, defined)
+
+def _assembly(assemble, rows, **sizes):
+    """A grid's bits, flags and warnings, or the (error class, message) assembly raises."""
+    try:
+        trace = assemble(rows, **sizes)
+    except MissdiagError as exc:
+        return type(exc).__name__, str(exc)
+    return trace.values.tobytes(), trace.defined.tolist(), trace.warnings
+
+
+class TestKeyOrderAssembly:
+    """Rows in key order skip the sort; every order assembles as the sorting oracle does."""
+
+    @staticmethod
+    def _key_ordered(rng):
+        """Rows in (step, modality, module) order: gapped steps, some cells absent."""
+        M, K = int(rng.integers(2, 6)), int(rng.integers(1, 6))
+        steps = np.sort(rng.choice(np.arange(40), size=int(rng.integers(2, 12)), replace=False))
+        rows = grad_rows(*[(int(t), m, k, float(rng.uniform(0.0, 3.0)))
+                           for t in steps for m in range(M) if rng.random() > 0.15
+                           for k in range(K)])
+        return rows, M
+
+    def test_random_row_sets_in_any_order(self):
+        rng = np.random.default_rng(1601)
+        outcomes = set()
+        for _ in range(150):
+            rows, M = self._key_ordered(rng)
+            repeated = np.sort(np.concatenate([rows, rng.choice(rows, size=3)]),
+                               order=list(GRAD_SAMPLE_DTYPE.names[:3]))
+            forms = [rows, rows[rng.permutation(rows.size)],
+                     repeated, repeated[rng.permutation(repeated.size)]]
+            width = None if rng.random() < 0.7 else M + int(rng.integers(0, 2))
+            for form in forms:
+                got = _assembly(assemble_trace, form, M=width)
+                assert got == _assembly(sorting_assemble_trace, form, M=width)
+                outcomes.add(got[0] if isinstance(got[0], str) else "ok")
+        assert outcomes == {"ok", "InvalidTraceError"}
+
+    def test_key_ordered_rows_are_not_sorted(self, monkeypatch):
+        rows = samples_from_grid(np.random.default_rng(1602).uniform(size=(9, 4)), modules=3)
+        want = _assembly(sorting_assemble_trace, rows)
+
+        def no_sort(*args, **kwargs):
+            raise AssertionError("rows in key order were sorted")
+
+        monkeypatch.setattr(np, "lexsort", no_sort)
+        assert _assembly(assemble_trace, rows) == want
+
+    # (name, rows in key order, assembly sizes): each fault once.
+    FAULTS = [
+        ("negative index", [(1, 0, -1, 0.5), (1, 0, 0, 0.5), (2, 0, 0, 0.5)], {}),
+        ("conflicting duplicate", [(1, 0, 0, 0.5), (1, 0, 0, 0.75), (1, 1, 0, 0.5),
+                                   (2, 0, 0, 0.5), (2, 1, 0, 0.5)], {}),
+        ("missing module", [(1, 0, 0, 0.5), (1, 0, 1, 0.5), (1, 1, 0, 0.5),
+                            (2, 0, 1, 0.5), (2, 1, 0, 0.5), (2, 1, 1, 0.5)], {}),
+        ("unlogged modality", [(1, 0, 0, 0.5), (1, 2, 0, 0.5), (2, 0, 0, 0.5)], {}),
+        ("modality out of range", [(1, 0, 0, 0.5), (1, 1, 0, 0.5), (1, 3, 0, 0.5)], {"M": 2}),
+        ("module out of range", [(1, 0, 0, 0.5), (1, 0, 1, 0.5), (1, 0, 2, 0.5)],
+         {"module_count": 2}),
+        ("empty", [], {}),
+    ]
+
+    @pytest.mark.parametrize("name, rows, sizes", FAULTS, ids=[f[0] for f in FAULTS])
+    @pytest.mark.parametrize("order", ["key order", "reversed"])
+    def test_every_error_class_in_both_orders(self, name, rows, sizes, order):
+        array = grad_rows(*rows)
+        if order == "reversed":
+            array = array[::-1]
+        got = _assembly(assemble_trace, array, **sizes)
+        assert isinstance(got[0], str) and got[0].endswith("Error")
+        assert got == _assembly(sorting_assemble_trace, array, **sizes)
+
 
 class TestGradTraceEquality:
     def test_value_equality(self):

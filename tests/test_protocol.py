@@ -28,6 +28,7 @@ from missdiag import (
 from missdiag.protocol import (
     _ROW_CHUNK,
     _generate_rows,
+    _kl,
     _philox_words,
     _sample_rows,
     pattern_bitstrings,
@@ -40,6 +41,7 @@ from oracles import (
     bit_tuples,
     enum_marginal,
     enum_pattern_probs,
+    loop_kl,
     per_attempt_sample_rows,
     philox_mask_rows,
     random_rate_vector,
@@ -542,6 +544,53 @@ class TestDivergence:
                 if pa > 0:
                     expected += float(pa) * math.log(float(pa) / float(pb))
             assert divergence(a, b, kind=KL) == pytest.approx(expected, abs=1e-12)
+
+    def test_kl_and_js_bits_match_the_pattern_loop(self):
+        rng = np.random.default_rng(1603)
+        for M in range(2, 15):
+            for _ in range(4 if M < 11 else 1):
+                a, b = (np.array(random_rate_vector(rng, M)) for _ in range(2))
+                a[rng.random(M) < 0.25] = 0.0  # patterns without mass under a: skipped
+                if rng.random() < 0.5:  # b may share a's zeros, and has no others
+                    b[a == 0.0] = 0.0
+                p, q = (pattern_distribution(_rv(*r)).probabilities for r in (a, b))
+                mix = 0.5 * (p + q)
+                assert _kl(p, q) == loop_kl(p, q)
+                assert divergence(_rv(*a), _rv(*b), kind=KL) == loop_kl(p, q)
+                assert divergence(_rv(*a), _rv(*b), kind=JS) == max(
+                    0.0, 0.5 * loop_kl(p, mix) + 0.5 * loop_kl(q, mix))
+
+    def test_kl_infinite_with_a_zero_rate_in_b_only(self):
+        a, b = _rv(0.2, 0.4, 0.1, 0.6), _rv(0.2, 0.0, 0.1, 0.6)
+        p, q = (pattern_distribution(r).probabilities for r in (a, b))
+        assert loop_kl(p, q) == math.inf
+        assert divergence(a, b, kind=KL) == math.inf
+        assert math.isfinite(divergence(b, a, kind=KL))
+
+    @pytest.mark.parametrize("case", ["zeros", "equal", "tiny", "none kept"])
+    def test_kl_of_crafted_vectors(self, case):
+        rng = np.random.default_rng(1604)
+        p, q = rng.dirichlet(np.ones(500)), rng.dirichlet(np.ones(500))
+        if case == "zeros":
+            p[rng.random(500) < 0.3] = 0.0
+        elif case == "equal":  # round-off may leave a negative residue
+            q = p.copy()
+        elif case == "tiny":
+            p[::7] = 5e-324
+            q[::11] = 1e-300
+        else:
+            p[:] = 0.0
+        assert _kl(p, q) == loop_kl(p, q)
+
+    def test_kl_of_one_kept_pattern_keeps_the_bits_of_its_log(self):
+        # Among many terms a last-bit change of one log is rounded away;
+        # alone, p * ln(p / q) shows it.
+        rng = np.random.default_rng(1605)
+        p = rng.uniform(0.0, 1.0, size=4000)
+        q = p * rng.uniform(0.001, 1.0, size=4000)
+        for pi, qi in zip(p, q):
+            pair = (np.array([pi, 0.0]), np.array([qi, 0.5]))
+            assert _kl(*pair) == loop_kl(*pair)
 
     def test_mismatched_m_rejected(self):
         with pytest.raises(DimensionError):

@@ -17,9 +17,11 @@ every second step logged, a short last batch and resampled masks,
 (seed 2^64 - 1 among the seeds) and at M = 3 with 100,001 rows, whose
 sample ids take every width from 1 to 6 digits, `metrics mei` on an
 M = 10 table, `metrics mli` on a seeded `gradtrace-v1` file (gapped
-steps, absent modalities) and a seeded `gradagg-v1` file, `metrics mli`
+steps, absent modalities), the same kind of file with its rows shuffled
+and five repeated exactly, and a seeded `gradagg-v1` file, `metrics mli`
 on a trace row with a negative index and on one with a negative norm,
-and `protocol mean-match` at M = 14 with JS and with KL.
+`protocol mean-match` at M = 14 with JS and with KL, and KL at M = 6
+with one zero rate.
 
 One line per artifact: `same`, or `differs` with the first line where the
 two sides part. The artifacts are every file a command writes and its
@@ -144,6 +146,15 @@ def _grad_trace(seed: int) -> str:
     return "\n".join(rows) + "\n"
 
 
+def _shuffled_grad_trace(seed: int) -> str:
+    """`_grad_trace(seed)` with its rows shuffled and a few repeated exactly: the sorting path."""
+    rng = random.Random(seed)
+    header, *rows = _grad_trace(seed).splitlines()
+    rows += rng.sample(rows, 5)
+    rng.shuffle(rows)
+    return "\n".join([header, *rows]) + "\n"
+
+
 def _grad_agg(seed: int) -> str:
     rng = random.Random(seed)
     rows = ["step,modality,G"]
@@ -184,10 +195,14 @@ CASES: dict[str, tuple[dict, list[str]]] = {
                 ["metrics", "mei", "--table", "table.csv"]),
     "mli-gradtrace": _mli(_grad_trace(3)),
     "mli-gradagg": _mli(_grad_agg(4)),
+    "mli-shuffled": _mli(_shuffled_grad_trace(5)),
     "mli-negative-index": _mli("step,modality,module,grad_l2\n1,0,0,0.5\n-1,0,0,0.5\n"),
     "mli-negative-norm": _mli("step,modality,module,grad_l2\n1,0,0,0.5\n1,0,0,-0.5\n"),
     "js-m14": ({}, ["protocol", "mean-match", "--rates", MEAN_MATCH_RATES, "--kind", "js"]),
     "kl-m14": ({}, ["protocol", "mean-match", "--rates", MEAN_MATCH_RATES, "--kind", "kl"]),
+    # A zero rate leaves every pattern that misses modality 2 without mass.
+    "kl-zero-rate": ({}, ["protocol", "mean-match", "--rates", "0.3,0.1,0.0,0.45,0.2,0.6",
+                          "--kind", "kl"]),
 }
 
 
