@@ -70,13 +70,11 @@ from .simtrainer import (
     REGRESSION_METRICS,
     TASKS,
     RunLog,
-    StepLog,
     SynthDataset,
     SynthSpec,
     ToyModel,
     TrainConfig,
     ablation_table,
-    dataset_loss,
     default_metrics,
     forward,
     gen_synthetic,

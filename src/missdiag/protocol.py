@@ -124,13 +124,30 @@ def pattern_bitstrings(M: int) -> list[str]:
     return ["".join(row) for row in np.where(pattern_bits(M), "1", "0").tolist()]
 
 
+def _integer_masks(masks, rows: int = 0) -> np.ndarray:
+    """An (N, M) mask array of integer or bool dtype, with at least `rows` rows."""
+    masks = np.asarray(masks)
+    if masks.ndim != 2 or masks.shape[0] < rows:
+        raise DimensionError(f"expected {'a non-empty' if rows else 'an'} (N, M) mask array")
+    if masks.dtype.kind not in "biu":
+        raise DimensionError(f"mask arrays hold integers or bools, got dtype {masks.dtype}")
+    return masks
+
+
 def pattern_counts(masks: np.ndarray) -> np.ndarray:
     """Occurrences of each valid pattern among the rows of an (N, M) 0/1 array.
 
-    Counts are in canonical order; all-missing rows are not counted.
+    Counts are in canonical order; all-missing rows are not counted. Each
+    row's code is built one column at a time, modality 0 first, as
+    code * 2 + e[m].
     """
-    codes = np.asarray(masks, dtype=np.int64) @ _code_weights(masks.shape[1])
-    return np.bincount(codes, minlength=len(pattern_bits(masks.shape[1])) + 1)[1:]
+    masks = _integer_masks(masks)
+    M = masks.shape[1]
+    codes = np.zeros(masks.shape[0], dtype=np.int64)
+    for m in range(M):
+        codes <<= 1
+        np.add(codes, masks[:, m], out=codes, dtype=np.int64, casting="unsafe")
+    return np.bincount(codes, minlength=len(pattern_bits(M)) + 1)[1:]
 
 
 def pattern_code(bits: Sequence, M: int) -> int:
@@ -391,11 +408,10 @@ def generate_mask_matrix(rates: RateVector, n: int, seed: int) -> MaskMatrix:
 
 
 def empirical_rates(matrix: MaskMatrix | np.ndarray) -> np.ndarray:
-    """Observed missing fraction per modality: mean over rows of (1 - e[m])."""
-    masks = matrix.masks if isinstance(matrix, MaskMatrix) else np.asarray(matrix)
-    if masks.ndim != 2 or masks.shape[0] < 1:
-        raise DimensionError("expected a non-empty (N, M) mask array")
-    return 1.0 - masks.mean(axis=0)
+    """Observed missing fraction per modality: 1 - (observed count) / N, counted exactly."""
+    masks = _integer_masks(matrix.masks if isinstance(matrix, MaskMatrix) else matrix, rows=1)
+    counts = np.array([masks[:, m].sum(dtype=np.int64) for m in range(masks.shape[1])])
+    return 1.0 - counts / masks.shape[0]
 
 
 def marginal_missing_rate(rates: RateVector, m: int) -> float:

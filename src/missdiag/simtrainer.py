@@ -11,9 +11,12 @@ a missingness protocol. A zero input gives encoder m the pre-activation
 to the fused sum; evaluation runs each encoder once per batch and
 re-fuses its outputs for every observed-modality pattern, and scores
 every metric from that one prediction. Encoders of equal input width are
-stored as one stacked array and run as one matmul. The arms of a paired
-run differ only in their masks, so `run_arms` trains them in lockstep:
-one model with a leading arm axis, one step per shared batch.
+stored as one stacked array and run as one matmul. A model's parameters
+live in one flat array, and a step's gradients in one array of the same
+layout, so an update is one subtraction. The arms of a paired run
+differ only in their masks, so `run_arms` trains them in lockstep: one
+model with a leading arm axis, one step per shared batch. A run's steps
+are recorded in columns (`RunLog`), not in per-step objects.
 
 The trainer exists to emit gradient traces and ablation tables for the
 equity/learning diagnostics, not to reach competitive accuracy.
@@ -217,18 +220,21 @@ class ToyModel:
     Parameter modules for gradient logging: module m (< M) is encoder m
     (weights and bias), module M is the fusion head.
 
-    Encoders of equal input width d form one group (`groups`, in order of
-    each width's first modality), whose weights are one (G, d, H) array in
-    `group_W`; the M biases are one (M, H) array, `enc_bias`. Both hold
-    the modalities group by group: modality m sits at `slots[m]` of the M
-    axis. `enc_W[m]` and `enc_b[m]` are views of modality m's slices, so
-    an update through either form reaches both.
+    Every parameter lives in one contiguous array `flat` of shape (P,):
+    the weights of each width group, then the encoder biases, the head
+    weight and the head bias, each flattened (`shapes`). Encoders of
+    equal input width d form one group (`groups`, in order of each
+    width's first modality), whose weights `group_W` views as one
+    (G, d, H) array; `enc_bias` views the M biases as one (M, H) array.
+    Both hold the modalities group by group: modality m sits at
+    `slots[m]` of the M axis. `fus_W` (H, C), `fus_b` (C,), `enc_W[m]`
+    and `enc_b[m]` are views too, so an update through any form, `flat`
+    included, reaches all of them.
 
-    Every array may carry one leading arm axis of length A: group weights
-    (A, G, d, H), biases (A, M, H), head weight (A, H, C) and bias (A, C).
-    Such a model holds A models that `train_step` trains in lockstep on
-    one shared batch; `arm(a)` is arm a as a plain model of views, for
-    evaluation.
+    `flat` may carry one leading arm axis of length A, and every view
+    with it. Such a model holds A models that `train_step` trains in
+    lockstep on one shared batch; `arm(a)` is arm a as a plain model of
+    views, for evaluation.
     """
 
     def __init__(
@@ -249,36 +255,46 @@ class ToyModel:
             raise DimensionError("need one (W, b) pair per modality, at least 2")
         if fus_W.ndim not in (2, 3):
             raise DimensionError("the fusion weight must be (H, C), or (A, H, C) with an arm axis")
-        lead, hidden = fus_W.shape[:-2], fus_W.shape[-2]
+        lead, (hidden, classes) = fus_W.shape[:-2], fus_W.shape[-2:]
         for w, b in zip(enc_W, enc_b):
             if (w.ndim != fus_W.ndim or w.shape[:-2] != lead or w.shape[-1] != hidden
                     or b.shape != lead + (hidden,)):
                 raise DimensionError("encoder shapes are inconsistent with the fusion head")
-        if fus_b.shape != lead + fus_W.shape[-1:]:
+        if fus_b.shape != lead + (classes,):
             raise DimensionError("fusion bias does not match the fusion weight")
         groups = _width_groups([w.shape[-2] for w in enc_W])
-        self._bind(
-            groups,
-            [np.stack([enc_W[m] for m in group], axis=-3) for group in groups],
-            np.stack([enc_b[m] for group in groups for m in group], axis=-2),
-            fus_W,
-            fus_b,
-            task,
-        )
+        shapes = (*((len(group), enc_W[group[0]].shape[-2], hidden) for group in groups),
+                  (len(enc_W), hidden), (hidden, classes), (classes,))
+        self._bind(groups, shapes, np.empty(lead + (sum(map(math.prod, shapes)),)), task)
+        for mine, given in zip(self.enc_W + self.enc_b + [self.fus_W, self.fus_b],
+                               enc_W + enc_b + [fus_W, fus_b]):
+            mine[...] = given
 
-    def _bind(self, groups, group_W, enc_bias, fus_W, fus_b, task) -> None:
+    def _bind(self, groups, shapes, flat, task) -> None:
         self.groups = groups
-        self.group_W = group_W
-        self.enc_bias = enc_bias
-        self.fus_W = fus_W
-        self.fus_b = fus_b
+        self.shapes = shapes
+        self.flat = flat
         self.task = task
+        *self.group_W, self.enc_bias, self.fus_W, self.fus_b = self.segments(flat)
         self.order = np.array([m for group in groups for m in group])
         self.slots = np.argsort(self.order)
         ends = np.cumsum([len(group) for group in groups]).tolist()
         self.spans = tuple(slice(end - len(group), end) for group, end in zip(groups, ends))
-        self.enc_W = self.per_modality(group_W)
-        self.enc_b = [enc_bias[..., s, :] for s in self.slots]
+        self.enc_W = self.per_modality(self.group_W)
+        self.enc_b = [self.enc_bias[..., s, :] for s in self.slots]
+
+    def segments(self, flat: np.ndarray) -> list[np.ndarray]:
+        """Views of an (..., P) array in the layout of `flat`, its leading axes kept.
+
+        One (..., G, d, H) array per width group, then (..., M, H),
+        (..., H, C) and (..., C): a gradient or its square, laid out as
+        the parameters are, splits into the same modules.
+        """
+        views, end = [], 0
+        for shape in self.shapes:
+            start, end = end, end + math.prod(shape)
+            views.append(flat[..., start:end].reshape(flat.shape[:-1] + shape))
+        return views
 
     def per_modality(self, group_arrays: Sequence[np.ndarray]) -> list[np.ndarray]:
         """Modality m's slice of per-group arrays whose group axis is third from last."""
@@ -289,10 +305,9 @@ class ToyModel:
         return views
 
     def _map(self, fn) -> "ToyModel":
-        """The model whose every parameter array is `fn` of this model's."""
+        """The model whose parameter array is `fn` of this model's `flat`."""
         model = object.__new__(ToyModel)
-        model._bind(self.groups, [fn(w) for w in self.group_W], fn(self.enc_bias),
-                    fn(self.fus_W), fn(self.fus_b), self.task)
+        model._bind(self.groups, self.shapes, fn(self.flat), self.task)
         return model
 
     @property
@@ -489,38 +504,38 @@ def _backward(
     cache: tuple,
     resid: np.ndarray,
     weights: np.ndarray,
-) -> dict:
-    """Gradients of R weighted losses sum_i weights[a, r, i] * loss_i, as (A, R, ...) arrays.
+) -> np.ndarray:
+    """Gradients of R weighted losses sum_i weights[a, r, i] * loss_i, as one (A, R, P) array.
 
     `model` carries an arm axis, and `resid` holds each arm's residuals
     from `_losses`. Gradients are linear in the sample weights, so each
     row of the (A, R, B) `weights` scales the residuals; each width group
     of encoders, and the head, then gets the gradients of every arm and
-    row from one stacked matmul. "enc_W" is one (A, R, G, d, H) array per
-    group and "enc_b" one (A, R, M, H) array in slot order.
+    row from one stacked matmul. Row (a, r) is laid out as `model.flat`:
+    each module's gradient is written into its view (`ToyModel.segments`).
     """
     xs, h, s = cache
+    grads = np.empty(weights.shape[:2] + model.flat.shape[-1:])
+    *enc_W, enc_b, fus_W, fus_b = model.segments(grads)
     if model.task == CLASSIFICATION:
         dout = weights[..., None] * resid[:, None]
-        fus_b = dout.sum(axis=2)
+        dout.sum(axis=2, out=fus_b)
     else:
         # fus_b sums each (A, R, B) row over its contiguous last axis, in
         # the order of the (B, 1) column sum of a single weighting.
         scaled = resid[:, None] * weights
         dout = scaled[..., None]
-        fus_b = scaled.sum(axis=-1)[..., None]
+        scaled.sum(axis=-1, out=fus_b[..., 0])
     ds = np.matmul(dout, model.fus_W.transpose(0, 2, 1)[:, None])
     # h > 0 exactly where the pre-activation is: relu keeps the sign, and a
     # NaN fails both. A float gate multiplies as 1.0/0.0 with no bool cast.
     gate = np.greater(h, 0.0, out=np.empty(h.shape))
     du = ds[:, :, None] * gate[:, None]
-    return {
-        "fus_W": np.matmul(s.transpose(0, 2, 1)[:, None], dout),
-        "fus_b": fus_b,
-        "enc_W": [np.matmul(x.swapaxes(-1, -2)[:, None], du[:, :, span])
-                  for x, span in zip(xs, model.spans)],
-        "enc_b": du.sum(axis=3),
-    }
+    np.matmul(s.transpose(0, 2, 1)[:, None], dout, out=fus_W)
+    for x, span, out in zip(xs, model.spans, enc_W):
+        np.matmul(x.swapaxes(-1, -2)[:, None], du[:, :, span], out=out)
+    du.sum(axis=3, out=enc_b)
+    return grads
 
 
 def loss_and_grads(
@@ -538,11 +553,12 @@ def loss_and_grads(
     targets = _targets(model.task, labels, model.fus_W.shape[-1], np.arange(labels.shape[0]))
     losses, resid = _losses(stacked, out, targets)
     grads = _backward(stacked, cache, resid, np.asarray(sample_weights)[None, None])
+    *enc_W, enc_b, fus_W, fus_b = model.segments(grads[0, 0])
     return float((losses[0] * sample_weights).sum()), {
-        "fus_W": grads["fus_W"][0, 0],
-        "fus_b": grads["fus_b"][0, 0],
-        "enc_W": model.per_modality([g[0, 0] for g in grads["enc_W"]]),
-        "enc_b": [grads["enc_b"][0, 0, s] for s in model.slots],
+        "fus_W": fus_W,
+        "fus_b": fus_b,
+        "enc_W": model.per_modality(enc_W),
+        "enc_b": [enc_b[s] for s in model.slots],
     }
 
 
@@ -560,17 +576,17 @@ def _checked_mask(mask: np.ndarray, batch: tuple[int, ...]) -> np.ndarray:
 _NORM_BLOCK_BYTES = 384 * 1024
 
 
-def _squared_norms(model: ToyModel, squares: Sequence[np.ndarray]) -> np.ndarray:
+def _squared_norms(model: ToyModel, squares: np.ndarray) -> np.ndarray:
     """(X, M, M + 1) squared L2 norms of each module's gradient of each L_m.
 
-    `squares` holds the elementwise squares of modality rows from `_step`
-    (enc_W per width group, enc_b, fus_W, fus_b), each with one leading
-    axis of length X: the arms, or a block of steps and arms folded into
-    one axis. Each module's sum runs over the same contiguous block of
+    `squares` is the (X, M, P) elementwise square of modality rows from
+    `_step`, whose leading axis holds the arms, or a block of steps and
+    arms folded into one axis. Each module's sum runs over its view
+    (`ToyModel.segments`), the same contiguous run of d·H, H, H·C or C
     elements whatever X is. Modules are the M encoders in modality order,
     then the fusion head.
     """
-    *enc_W, enc_b, fus_W, fus_b = squares
+    *enc_W, enc_b, fus_W, fus_b = model.segments(squares)
     M = model.M
     enc = np.empty(enc_b.shape[:3])
     for w, span in zip(enc_W, model.spans):
@@ -580,33 +596,6 @@ def _squared_norms(model: ToyModel, squares: Sequence[np.ndarray]) -> np.ndarray
     sq[..., :M] = enc[..., model.slots]
     sq[..., M] = fus_W.sum(axis=(2, 3)) + fus_b.sum(axis=2)
     return sq
-
-
-@dataclass(frozen=True)
-class StepLog:
-    """One training step's losses and, when logged, its gradient norms.
-
-    `grad_norms[m, k]` is the L2 norm of module k's gradient of L_m, a
-    read-only (M, M + 1) float64 array; row m is unused (zero) where
-    `modality_losses[m]` is None. It is None on steps that log no
-    gradients (`TrainConfig.grad_log_stride`).
-    """
-
-    step: int
-    task_loss: float
-    modality_losses: tuple[float | None, ...]
-    grad_norms: np.ndarray | None
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, StepLog):
-            return NotImplemented
-        mine, theirs = self.grad_norms, other.grad_norms
-        return (
-            (self.step, self.task_loss, self.modality_losses)
-            == (other.step, other.task_loss, other.modality_losses)
-            and (mine is None) == (theirs is None)
-            and (mine is None or np.array_equal(mine, theirs))
-        )
 
 
 def _batch_weights(
@@ -638,7 +627,7 @@ def _step(
     targets: Sequence[np.ndarray],
     learning_rate: float,
     log_grads: bool,
-) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...] | None]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """One gradient-descent step of every arm of `model` on one batch, as arrays.
 
     `xs` are the batch's grouped features (`_grouped`), `present` its
@@ -646,47 +635,18 @@ def _step(
     and `weights` the (A, M + 1, B) sample weights of `_batch_weights`,
     and `targets` its rows of `_targets`. Returns the task losses (A,),
     the modality losses (A, M), 0 where a modality is absent from the
-    batch, and, when `log_grads`, the gradients of the M modality losses:
-    (A, M, ...) views of enc_W per width group, enc_b, fus_W and fus_b,
-    whose squares `_squared_norms` reduces. It is None otherwise.
+    batch, and, when `log_grads`, the (A, M, P) gradients of the M
+    modality losses, a view whose square `_squared_norms` reduces. It is
+    None otherwise.
     """
     M = present.shape[1]
     out, cache = _forward_batch(model, xs, present)
     losses, resid = _losses(model, out, targets)
     modality_losses = (losses[:, None] * present).sum(axis=-1) / divisors
     grads = _backward(model, cache, resid, weights if log_grads else weights[:, M:])
-    modality_grads = None
-    if log_grads:
-        modality_grads = tuple(g[:, :M] for g in (*grads["enc_W"], grads["enc_b"],
-                                                  grads["fus_W"], grads["fus_b"]))
-
-    for W, grad in zip(model.group_W, grads["enc_W"]):
-        W -= learning_rate * grad[:, -1]
-    model.enc_bias -= learning_rate * grads["enc_b"][:, -1]
-    model.fus_W -= learning_rate * grads["fus_W"][:, -1]
-    model.fus_b -= learning_rate * grads["fus_b"][:, -1]
-    return losses.sum(axis=-1) / losses.shape[-1], modality_losses, modality_grads
-
-
-def _step_logs(
-    steps: Sequence[int],
-    task_losses: np.ndarray,
-    modality_losses: np.ndarray,
-    observed: np.ndarray,
-    grad_norms: Sequence[np.ndarray | None],
-) -> list[StepLog]:
-    """One StepLog per row of (T,) task losses, (T, M) modality losses and observed flags.
-
-    `grad_norms` holds each row's (M, M + 1) norms, or None for a row
-    that logged none.
-    """
-    return [
-        StepLog(step, task, tuple(loss if seen else None for loss, seen in zip(row, flags)),
-                norms)
-        for step, task, row, flags, norms in zip(
-            steps, task_losses.tolist(), modality_losses.tolist(), observed.tolist(),
-            grad_norms)
-    ]
+    model.flat -= learning_rate * grads[:, -1]
+    return (losses.sum(axis=-1) / losses.shape[-1], modality_losses,
+            grads[:, :M] if log_grads else None)
 
 
 def train_step(
@@ -695,23 +655,26 @@ def train_step(
     mask: np.ndarray,
     labels: np.ndarray,
     learning_rate: float,
-    step: int = 1,
     log_grads: bool = True,
-) -> StepLog | tuple[StepLog, ...]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
     """One plain gradient-descent step on the mean batch loss.
 
     Also evaluates, at the pre-update parameters and without applying
     them, the gradients of each modality-restricted loss L_m (mean loss
     over samples where m is observed) and logs one gradient norm per
-    module. A modality absent from the whole batch yields L_m = None
-    and a zero row of weights, so its row of norms stays zero. The M
-    restricted losses and the full batch loss share one backward pass;
-    the parameter update uses only the full batch loss (the last row).
+    module. A modality absent from the whole batch has no L_m and a zero
+    row of weights, so its row of norms stays zero. The M restricted
+    losses and the full batch loss share one backward pass; the
+    parameter update uses only the full batch loss (the last row).
 
     A model with an arm axis (see `ToyModel`) takes the step for all A
-    arms at once on the shared `features` and `labels`: `mask` is then
-    (A, B, M), one mask per arm, and the result is a tuple of A StepLogs.
-    A plain model is the case A = 1 with a (B, M) mask and one StepLog.
+    arms at once on the shared `features` and `labels`, with an (A, B, M)
+    `mask`, one mask per arm. Returns arrays: the task losses (A,), the
+    modality losses (A, M), 0 where a modality is absent from the batch,
+    the (A, M) flags of the modalities present in it, and the read-only
+    (A, M, M + 1) norms, `norms[a, m, k]` for module k's gradient of L_m,
+    or None when not `log_grads`. A plain model is the case A = 1 with a
+    (B, M) mask, and its results drop the arm axis.
     """
     B = labels.shape[0]
     if B == 0:
@@ -729,16 +692,13 @@ def train_step(
         model, _grouped(model, features), present, divisors[..., 0], weights, targets,
         learning_rate, log_grads,
     )
-    A = task_losses.shape[0]
-    if modality_grads is None:
-        grad_norms = [None] * A
-    else:
+    grad_norms = None
+    if modality_grads is not None:
         # A block of one step: the arms are the leading axis.
-        grad_norms = np.sqrt(_squared_norms(model, [np.square(g) for g in modality_grads]))
+        grad_norms = np.sqrt(_squared_norms(model, np.square(modality_grads)))
         grad_norms.setflags(write=False)
-    # One row per arm, all at the same step.
-    logs = _step_logs([step] * A, task_losses, modality_losses, counts[..., 0] > 0, grad_norms)
-    return logs[0] if plain else tuple(logs)
+    columns = (task_losses, modality_losses, counts[..., 0] > 0, grad_norms)
+    return tuple(None if c is None else c[0] for c in columns) if plain else columns
 
 
 # ---------------------------------------------------------------------------
@@ -847,14 +807,6 @@ def ablation_table(
     )
 
 
-def dataset_loss(model: ToyModel, split: Split) -> float:
-    """Mean per-sample task loss on a clean, fully observed split."""
-    h = _encode(model, _grouped(model, split.features))[1]
-    _, out = _fuse(model, [h[slot] for slot in model.slots])
-    targets = _targets(model.task, split.labels, model.fus_W.shape[-1], np.arange(split.n))
-    return float(_losses(model, out, targets)[0].mean())
-
-
 # ---------------------------------------------------------------------------
 # Experiment driver
 
@@ -896,18 +848,42 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class RunLog:
-    """Complete record of one training run; replayable from (spec, config)."""
+    """Complete record of one training run; replayable from (spec, config).
+
+    The steps are kept as read-only columns. Row t of `task_losses` (T,),
+    `modality_losses` (T, M) and `observed` (T, M) is step t + 1;
+    `observed[t, m]` is False where modality m was absent from the
+    step's batch, so L_m is undefined there and its loss reads 0.
+    `logged_steps` holds the steps that logged gradient norms, and row i
+    of `grad_norms` (T_logged, M, M + 1) those of step logged_steps[i]:
+    `grad_norms[i, m, k]` is the L2 norm of module k's gradient of L_m,
+    0 where L_m is undefined.
+    """
 
     spec: SynthSpec
     config: TrainConfig
     config_hash: str
-    steps: tuple[StepLog, ...]
+    task_losses: np.ndarray
+    modality_losses: np.ndarray
+    observed: np.ndarray
+    logged_steps: np.ndarray
+    grad_norms: np.ndarray
     mask_matrices: tuple[MaskMatrix, ...]
     valid_tables: tuple[tuple[int, tuple[AblationTable, ...]], ...]
     test_tables: tuple[AblationTable, ...]
     trace: GradTrace
     mli_result: MLIResult
     mei_results: tuple[tuple[str, MEIResult], ...] = field(default=())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RunLog):
+            return NotImplemented
+        for f in fields(self):
+            mine, theirs = getattr(self, f.name), getattr(other, f.name)
+            if not (np.array_equal(mine, theirs) if isinstance(mine, np.ndarray)
+                    else mine == theirs):
+                return False
+        return True
 
     def mei(self, metric_name: str, mode: str) -> MEIResult:
         for name, result in self.mei_results:
@@ -917,17 +893,8 @@ class RunLog:
 
     def grad_samples(self) -> np.ndarray:
         """The logged norms as `GRAD_SAMPLE_DTYPE` rows in (step, modality, module) order."""
-        return samples_from_norms(*_logged_norms(self.steps))
-
-
-def _logged_norms(steps: Sequence[StepLog]) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """Step numbers, (T, M, K) norms and (T, M) defined flags of the steps that logged norms."""
-    logged = [log for log in steps if log.grad_norms is not None]
-    return (
-        [log.step for log in logged],
-        np.stack([log.grad_norms for log in logged]),
-        np.array([[loss is not None for loss in log.modality_losses] for log in logged]),
-    )
+        return samples_from_norms(self.logged_steps, self.grad_norms,
+                                  self.observed[self.logged_steps - 1])
 
 
 def describe_run(spec: SynthSpec, config: TrainConfig) -> dict:
@@ -973,7 +940,7 @@ def run_arms(spec: SynthSpec, configs: Sequence[TrainConfig]) -> tuple[RunLog, .
     columns, and the squared modality gradients of logged steps into a
     block whose norms are reduced into a column in one call when it fills,
     at the epoch's end, and before a divergence is named. Each arm's
-    StepLogs are built once, from the columns. Errors are those of running
+    RunLog keeps read-only views of its columns. Errors are those of running
     the configs one after another: arm 0's divergence is raised at once
     (a non-finite norm when its block is reduced); any other arm's only
     after every arm before it has trained and been evaluated. A diverged
@@ -1036,13 +1003,10 @@ def run_arms(spec: SynthSpec, configs: Sequence[TrainConfig]) -> tuple[RunLog, .
     # Each sample's position in its batch, for the flat indices of `_targets`.
     positions = np.arange(N) - np.repeat(starts, sizes)
 
-    # The block: the squared modality rows of up to `block_steps` logged
-    # steps, one (block_steps, A, M, ...) array per row of `_step`.
-    params = (*model.group_W, model.enc_bias, model.fus_W, model.fus_b)
-    row_shapes = [(M,) + p.shape[1:] for p in params]
-    row_bytes = 8 * A * sum(math.prod(shape) for shape in row_shapes)
-    block_steps = min(max(1, _NORM_BLOCK_BYTES // row_bytes), n_batches)
-    block = [np.empty((block_steps, A) + shape) for shape in row_shapes]
+    # The block: the squared (A, M, P) modality rows of up to
+    # `block_steps` logged steps.
+    block_steps = min(max(1, _NORM_BLOCK_BYTES // (8 * A * M * model.flat.shape[-1])), n_batches)
+    block = np.empty((block_steps, A, M, model.flat.shape[-1]))
     pending = 0  # steps in the block
     n_logged = 0  # logged steps so far, in the block or reduced
 
@@ -1059,8 +1023,8 @@ def run_arms(spec: SynthSpec, configs: Sequence[TrainConfig]) -> tuple[RunLog, .
         n, pending = pending, 0
         if not n:
             return
-        squares = [buf[:n].reshape((n * A,) + buf.shape[2:]) for buf in block]
         norms = grad_norms[n_logged - n : n_logged]
+        squares = block[:n].reshape((n * A,) + block.shape[2:])
         np.sqrt(_squared_norms(model, squares).reshape(norms.shape), out=norms)
         if np.isfinite(norms).all():
             return
@@ -1121,8 +1085,7 @@ def run_arms(spec: SynthSpec, configs: Sequence[TrainConfig]) -> tuple[RunLog, .
                     if errors[0] is not None:
                         raise errors[0]
                 if grads is not None:
-                    for buf, grad in zip(block, grads):
-                        np.square(grad, out=buf[pending])
+                    np.square(grads, out=block[pending])
                     pending += 1
                     n_logged += 1
                     if pending == block_steps:
@@ -1131,9 +1094,7 @@ def run_arms(spec: SynthSpec, configs: Sequence[TrainConfig]) -> tuple[RunLog, .
                             raise errors[0]
             reduce_block(epoch)
         for a in range(A):
-            if errors[a] is None and not all(
-                np.isfinite(p[a]).all() for _, p in model.parameters()
-            ):
+            if errors[a] is None and not np.isfinite(model.flat[a]).all():
                 errors[a] = _diverged(step, epoch, "parameters are not finite",
                                       last_finite(a, step))
         if errors[0] is not None:
@@ -1147,19 +1108,16 @@ def run_arms(spec: SynthSpec, configs: Sequence[TrainConfig]) -> tuple[RunLog, .
     # The batch plan and the block are training's alone; dropped here, they
     # add nothing to the peak memory of the test-split evaluation below.
     del xs, flags, targets, weights, block
-    grad_norms.setflags(write=False)
-    steps = range(1, T + 1)
-    logged = steps[::stride]
+    logged = np.arange(1, T + 1, stride)
+    for column in (task_losses, modality_losses, observed, logged, grad_norms):
+        column.setflags(write=False)
     runs = []
     for a, arm_config in enumerate(configs):
         if errors[a] is not None:
             raise errors[a]
         arm = model.arm(a)
         test_tables = ablation_table(arm, dataset.test, metrics)
-        norms = grad_norms[:, a]
-        step_norms = [None] * T
-        step_norms[::stride] = norms
-        trace = trace_from_norms(logged, norms, observed[::stride, a])
+        trace = trace_from_norms(logged, grad_norms[:, a], observed[::stride, a])
         mei_results = tuple(
             (table.metric.name, mei_from_table(table, arm_config.epsilon, mode))
             for table in test_tables
@@ -1169,8 +1127,11 @@ def run_arms(spec: SynthSpec, configs: Sequence[TrainConfig]) -> tuple[RunLog, .
             spec=spec,
             config=arm_config,
             config_hash=config_hash(describe_run(spec, arm_config)),
-            steps=tuple(_step_logs(steps, task_losses[:, a], modality_losses[:, a],
-                                   observed[:, a], step_norms)),
+            task_losses=task_losses[:, a],
+            modality_losses=modality_losses[:, a],
+            observed=observed[:, a],
+            logged_steps=logged,
+            grad_norms=grad_norms[:, a],
             mask_matrices=matrices[a],
             valid_tables=tuple(valid_tables[a]),
             test_tables=test_tables,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -233,6 +234,19 @@ def per_attempt_sample_rows(r: np.ndarray, rows: np.ndarray, seed: int) -> np.nd
         pending = pending[~draw.any(axis=1)]
         attempt += 1
     return bits
+
+
+def mean_empirical_rates(masks: np.ndarray) -> np.ndarray:
+    """Missing fraction per modality as `protocol.empirical_rates` took it: 1 - column means."""
+    return 1.0 - np.asarray(masks).mean(axis=0)
+
+
+def matmul_pattern_counts(masks: np.ndarray) -> np.ndarray:
+    """`protocol.pattern_counts` as an int64 product of the rows with the code weights."""
+    M = masks.shape[1]
+    weights = np.array([1 << (M - 1 - m) for m in range(M)], dtype=np.int64)
+    codes = np.asarray(masks, dtype=np.int64) @ weights
+    return np.bincount(codes, minlength=1 << M)[1:]
 
 
 def plain_mask_csv(names, masks) -> bytes:
@@ -599,6 +613,34 @@ def backward_batch(model, cache, out, labels, weights) -> dict:
     return grads
 
 
+def per_module_backward(model, cache, resid, weights) -> dict:
+    """The trainer's stacked backward pass as it was before one flat gradient array.
+
+    Takes `_backward`'s arguments and returns one (A, R, ...) array per
+    module: "fus_W", "fus_b", "enc_W" (one (A, R, G, d, H) array per width
+    group) and "enc_b" ((A, R, M, H) in slot order), each from its own
+    allocation, so the flat buffer's views compare with them by `==`.
+    """
+    xs, h, s = cache
+    if model.task == "classification":
+        dout = weights[..., None] * resid[:, None]
+        fus_b = dout.sum(axis=2)
+    else:
+        scaled = resid[:, None] * weights
+        dout = scaled[..., None]
+        fus_b = scaled.sum(axis=-1)[..., None]
+    ds = np.matmul(dout, model.fus_W.transpose(0, 2, 1)[:, None])
+    gate = np.greater(h, 0.0, out=np.empty(h.shape))
+    du = ds[:, :, None] * gate[:, None]
+    return {
+        "fus_W": np.matmul(s.transpose(0, 2, 1)[:, None], dout),
+        "fus_b": fus_b,
+        "enc_W": [np.matmul(x.swapaxes(-1, -2)[:, None], du[:, :, span])
+                  for x, span in zip(xs, model.spans)],
+        "enc_b": du.sum(axis=3),
+    }
+
+
 def module_grad_norms(grads: dict) -> list[float]:
     """L2 norm of each module's stacked gradient (M encoders, then fusion)."""
     norms = []
@@ -655,6 +697,66 @@ def indexed_losses(out: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.
     return np.log(total[..., 0]) - shifted[..., rows, labels], resid
 
 
+@dataclass(frozen=True)
+class StepLog:
+    """One training step's losses and, when logged, its gradient norms.
+
+    The per-step record the trainer kept before its columnar `RunLog`.
+    `grad_norms[m, k]` is the L2 norm of module k's gradient of L_m, an
+    (M, M + 1) float64 array; row m is unused (zero) where
+    `modality_losses[m]` is None. It is None on steps that log no
+    gradients.
+    """
+
+    step: int
+    task_loss: float
+    modality_losses: tuple[float | None, ...]
+    grad_norms: np.ndarray | None
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, StepLog):
+            return NotImplemented
+        mine, theirs = self.grad_norms, other.grad_norms
+        return (
+            (self.step, self.task_loss, self.modality_losses)
+            == (other.step, other.task_loss, other.modality_losses)
+            and (mine is None) == (theirs is None)
+            and (mine is None or np.array_equal(mine, theirs))
+        )
+
+
+def step_columns(steps) -> dict:
+    """The `RunLog` columns of a sequence of `StepLog`s, as keyword arguments.
+
+    Task losses (T,), modality losses (T, M) with 0 where a loss is None,
+    the (T, M) flags of the defined ones, and the steps and stacked norms
+    of the steps that logged norms.
+    """
+    logged = [log for log in steps if log.grad_norms is not None]
+    return dict(
+        task_losses=np.array([log.task_loss for log in steps]),
+        modality_losses=np.array([[0.0 if loss is None else loss for loss in log.modality_losses]
+                                  for log in steps]),
+        observed=np.array([[loss is not None for loss in log.modality_losses] for log in steps]),
+        logged_steps=np.array([log.step for log in logged]),
+        grad_norms=np.stack([log.grad_norms for log in logged]),
+    )
+
+
+def plain_losses(model, out, labels) -> np.ndarray:
+    """Per-sample softmax cross-entropy or squared losses of a plain model's (B, C) outputs."""
+    if model.task == "classification":
+        shifted = out - out.max(axis=1, keepdims=True)
+        return np.log(np.exp(shifted).sum(axis=1)) - shifted[np.arange(out.shape[0]), labels]
+    return (out[:, 0] - labels) ** 2
+
+
+def dataset_loss(model, split) -> float:
+    """Mean per-sample task loss on a clean, fully observed split."""
+    out, _ = masked_forward_cache(model, split.features, np.ones((split.n, len(model.enc_W))))
+    return float(plain_losses(model, out, split.labels).mean())
+
+
 def per_arm_train_step(model, features, mask, labels, learning_rate, step, log_grads):
     """One training step of one plain model, as the trainer took it before lockstep arms.
 
@@ -662,16 +764,10 @@ def per_arm_train_step(model, features, mask, labels, learning_rate, step, log_g
     L_m norms come from one backward pass per weighting and the update
     from one more, so the result compares with the trainer's by `==`.
     """
-    from missdiag import StepLog
-
     mask = np.asarray(mask, dtype=np.float64)
     B, M = mask.shape
     out, cache = masked_forward_cache(model, features, mask)
-    if model.task == "classification":
-        shifted = out - out.max(axis=1, keepdims=True)
-        losses = np.log(np.exp(shifted).sum(axis=1)) - shifted[np.arange(B), labels]
-    else:
-        losses = (out[:, 0] - labels) ** 2
+    losses = plain_losses(model, out, labels)
     modality_losses = tuple(modality_loss(losses, mask[:, m]) for m in range(M))
     norms = None
     if log_grads:
@@ -819,13 +915,12 @@ def sequential_run(spec, config, after_step=None):
                 (epoch, tuple(per_metric_ablation_table(model, data.valid, m)
                               for m in metrics)))
     test_tables = tuple(per_metric_ablation_table(model, data.test, m) for m in metrics)
-    logged = [log for log in steps if log.grad_norms is not None]
-    trace = trace_from_norms(
-        [log.step for log in logged], np.stack([log.grad_norms for log in logged]),
-        np.array([[loss is not None for loss in log.modality_losses] for log in logged]))
+    columns = step_columns(steps)
+    logged = columns["logged_steps"]
+    trace = trace_from_norms(logged, columns["grad_norms"], columns["observed"][logged - 1])
     return RunLog(
         spec=spec, config=config, config_hash=config_hash(describe_run(spec, config)),
-        steps=tuple(steps), mask_matrices=matrices, valid_tables=tuple(valid_tables),
+        **columns, mask_matrices=matrices, valid_tables=tuple(valid_tables),
         test_tables=test_tables, trace=trace, mli_result=mli(trace),
         mei_results=tuple((t.metric.name, mei_from_table(t, config.epsilon, mode))
                           for t in test_tables for mode in MEI_MODES))

@@ -42,6 +42,8 @@ from oracles import (
     enum_marginal,
     enum_pattern_probs,
     loop_kl,
+    matmul_pattern_counts,
+    mean_empirical_rates,
     per_attempt_sample_rows,
     philox_mask_rows,
     random_rate_vector,
@@ -264,6 +266,42 @@ class TestGenerateMaskMatrix:
             p = marginal_missing_rate(rv, m)
             sigma = math.sqrt(p * (1.0 - p) / n)
             assert abs(observed[m] - p) < 4.5 * sigma
+
+    @pytest.mark.parametrize("M, n, seed", [(2, 1, 0), (3, 100_000, 1), (5, 999, 2),
+                                            (12, 4_096, 3)])
+    def test_counted_statistics_equal_the_mean_and_matmul_forms(self, M, n, seed):
+        # Integer counts give the bits of 1 - mean and of the int64 code
+        # product, for sampled int8 masks, their bool and int64 forms, and
+        # integers other than 0/1 (which the statistics do not reject).
+        rng = np.random.default_rng(seed)
+        rv = RateVector(tuple(f"m{m}" for m in range(M)),
+                        tuple(rng.uniform(0.0, 0.9, M).tolist()))
+        masks = generate_mask_matrix(rv, n, seed=seed).masks
+        odd = rng.integers(0, 4, size=(n, M)).astype(np.int16)
+        for form in (masks, masks.astype(bool), masks.astype(np.int64), odd):
+            assert empirical_rates(form).tolist() == mean_empirical_rates(form).tolist()
+            assert pattern_counts(form).tolist() == matmul_pattern_counts(form).tolist()
+        negative = odd - 2
+        assert empirical_rates(negative).tolist() == mean_empirical_rates(negative).tolist()
+        matrix = generate_mask_matrix(rv, n, seed=seed)
+        assert empirical_rates(matrix).tolist() == mean_empirical_rates(masks).tolist()
+
+    @pytest.mark.parametrize("masks", [np.ones((3, 2)), np.ones((3, 2), dtype=np.float32),
+                                       np.full((3, 2), "1")], ids=["float64", "float32", "str"])
+    def test_statistics_reject_non_integer_masks(self, masks):
+        for statistic in (empirical_rates, pattern_counts):
+            with pytest.raises(DimensionError, match="^mask arrays hold integers or bools, got "):
+                statistic(masks)
+
+    def test_statistics_reject_other_shapes(self):
+        for masks in (np.ones(3, dtype=np.int8), np.ones((2, 2, 2), dtype=np.int8)):
+            with pytest.raises(DimensionError, match=r"\(N, M\) mask array"):
+                empirical_rates(masks)
+            with pytest.raises(DimensionError, match=r"^expected an \(N, M\) mask array$"):
+                pattern_counts(masks)
+        with pytest.raises(DimensionError, match="^expected a non-empty"):
+            empirical_rates(np.ones((0, 2), dtype=np.int8))
+        assert pattern_counts(np.ones((0, 2), dtype=np.int8)).tolist() == [0, 0, 0]
 
     def test_zero_rows_rejected(self):
         with pytest.raises(EmptyDatasetError):

@@ -20,7 +20,6 @@ from missdiag import (
     TrainingDivergedError,
     PerfMetric,
     RateVector,
-    StepLog,
     SynthSpec,
     TrainConfig,
     ablation_table,
@@ -43,7 +42,6 @@ from missdiag.simtrainer import (
     _mae,
     _ua,
     _wa,
-    dataset_loss,
     describe_run,
     init_model,
     loss_and_grads,
@@ -52,13 +50,16 @@ from missdiag.simtrainer import (
 import oracles
 from oracles import (
     LABEL_METRICS,
+    StepLog,
     backward_batch,
     brute_trace_grid,
+    dataset_loss,
     fd_gradient,
     indexed_losses,
     masked_forward_cache,
     per_arm_train_step,
     per_metric_ablation_table,
+    per_module_backward,
     per_weighting_grad_norms,
     sequential_run,
     take,
@@ -247,11 +248,12 @@ class TestTrainStep:
         model = small_model()
         before = [(name, arr.copy()) for name, arr in model.parameters()]
         feats, labels = self._batch()
-        log = train_step(model, feats, np.ones((8, 2)), labels, learning_rate=0.0)
+        task, _, observed, _ = train_step(model, feats, np.ones((8, 2)), labels,
+                                          learning_rate=0.0)
         for (_, old), (_, new) in zip(before, model.parameters()):
             np.testing.assert_array_equal(old, new)
-        assert log.task_loss > 0.0
-        assert all(v is not None for v in log.modality_losses)
+        assert task > 0.0
+        assert observed.tolist() == [True, True]
 
     def test_update_is_plain_gradient_descent(self):
         model = small_model()
@@ -276,29 +278,30 @@ class TestTrainStep:
         feats, labels = self._batch()
         mask = np.ones((8, 2))
         mask[:, 1] = 0.0
-        log = train_step(model, feats, mask, labels, learning_rate=0.01)
-        assert log.modality_losses[1] is None
+        _, modality, observed, norms = train_step(model, feats, mask, labels,
+                                                  learning_rate=0.01)
+        assert observed.tolist() == [True, False] and modality[1] == 0.0
         # one norm per module for modality 0; modality 1's row is unused
-        assert log.grad_norms.shape == (2, 3)
-        assert (log.grad_norms[0, [0, 2]] > 0).all()
-        assert (log.grad_norms[1] == 0).all()
+        assert norms.shape == (2, 3)
+        assert (norms[0, [0, 2]] > 0).all()
+        assert (norms[1] == 0).all()
 
     def test_modality_loss_restricted_to_observed_rows(self):
         model = small_model()
         feats, labels = self._batch()
         mask = np.ones((8, 2))
         mask[:4, 1] = 0.0
-        log = train_step(model, feats, mask, labels, learning_rate=0.0)
-        assert log.modality_losses[1] is not None
-        assert log.modality_losses[1] != pytest.approx(log.task_loss)
+        task, modality, observed, _ = train_step(model, feats, mask, labels, learning_rate=0.0)
+        assert observed[1]
+        assert modality[1] != pytest.approx(task)
 
     def test_log_grads_flag_suppresses_samples(self):
         model = small_model()
         feats, labels = self._batch()
-        log = train_step(model, feats, np.ones((8, 2)), labels,
-                         learning_rate=0.01, log_grads=False)
-        assert log.grad_norms is None
-        assert log.modality_losses[0] is not None
+        _, _, observed, norms = train_step(model, feats, np.ones((8, 2)), labels,
+                                           learning_rate=0.01, log_grads=False)
+        assert norms is None
+        assert observed[0]
 
     def test_empty_batch_rejected(self):
         model = small_model()
@@ -397,6 +400,15 @@ def _descend(model, grads, learning_rate: float) -> None:
     model.fus_b -= learning_rate * grads["fus_b"]
 
 
+def _step_log(columns, step: int, a: int | None = None) -> StepLog:
+    """`train_step`'s arrays as the oracle's `StepLog` of `step`, for arm a of a model with arms."""
+    task, modality, observed, norms = (c if a is None or c is None else c[a] for c in columns)
+    return StepLog(step, float(task),
+                   tuple(loss if seen else None
+                         for loss, seen in zip(modality.tolist(), observed.tolist())),
+                   norms)
+
+
 def _assert_same_parameters(model, reference) -> None:
     for (name, mine), (_, theirs) in zip(model.parameters(), reference.parameters()):
         assert np.array_equal(mine, theirs), name
@@ -415,13 +427,13 @@ class TestOneBackward:
     def test_norms_and_update_equal_per_weighting_oracle(self, task, M, B):
         model, feats, labels, mask = _oracle_batch(task, M, B, seed=10 * M + B)
         reference = model.clone()
-        for step in range(3):
+        for _ in range(3):
             expected = per_weighting_grad_norms(reference, feats, mask, labels)
             out, cache = masked_forward_cache(reference, feats, mask)
             full = backward_batch(reference, cache, out, labels, np.full(B, 1.0 / B))
-            log = train_step(model, feats, mask, labels, self.LR, step=step + 1)
-            assert np.isfinite(log.grad_norms).all()
-            assert np.array_equal(log.grad_norms, expected)
+            norms = train_step(model, feats, mask, labels, self.LR)[3]
+            assert np.isfinite(norms).all()
+            assert np.array_equal(norms, expected)
             _descend(reference, full, self.LR)
             _assert_same_parameters(model, reference)
 
@@ -433,8 +445,8 @@ class TestOneBackward:
         model, feats, labels, mask = _oracle_batch(task, M, B, seed=10 * M + B + 1)
         reference = model.clone()
         _, grads = loss_and_grads(reference, feats, mask, labels, np.full(B, 1.0 / B))
-        log = train_step(model, feats, mask, labels, self.LR, log_grads=log_grads)
-        assert (log.grad_norms is None) == (not log_grads)
+        norms = train_step(model, feats, mask, labels, self.LR, log_grads=log_grads)[3]
+        assert (norms is None) == (not log_grads)
         _descend(reference, grads, self.LR)
         _assert_same_parameters(model, reference)
 
@@ -444,12 +456,10 @@ class TestOneBackward:
         absent = 1
         model, feats, labels, mask = _oracle_batch(task, M, 7, seed=M, absent=absent)
         expected = per_weighting_grad_norms(model, feats, mask, labels)
-        log = train_step(model, feats, mask, labels, self.LR)
-        assert log.modality_losses[absent] is None
-        assert all(loss is not None for m, loss in enumerate(log.modality_losses)
-                   if m != absent)
-        assert (log.grad_norms[absent] == 0.0).all()
-        assert np.array_equal(log.grad_norms, expected)
+        _, _, observed, norms = train_step(model, feats, mask, labels, self.LR)
+        assert observed.tolist() == [m != absent for m in range(M)]
+        assert (norms[absent] == 0.0).all()
+        assert np.array_equal(norms, expected)
 
     @pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
     @pytest.mark.parametrize("dims", WIDTHS, ids=lambda dims: "x".join(map(str, dims)))
@@ -474,8 +484,7 @@ class TestOneBackward:
         plain = [model.clone() for _ in range(A)]
         for step in range(1, 4):
             log_grads = step != 2
-            logs = train_step(stacked, feats, masks, labels, self.LR, step=step,
-                              log_grads=log_grads)
+            columns = train_step(stacked, feats, masks, labels, self.LR, log_grads=log_grads)
             for a in range(A):
                 expected = per_weighting_grad_norms(plain[a], feats, masks[a], labels)
                 out, cache = masked_forward_cache(plain[a], feats, masks[a])
@@ -483,9 +492,9 @@ class TestOneBackward:
                 reference = plain[a].clone()
                 want = per_arm_train_step(plain[a], feats, masks[a], labels, self.LR, step,
                                           log_grads)
-                assert logs[a] == want
+                assert _step_log(columns, step, a) == want
                 if log_grads:
-                    assert np.array_equal(logs[a].grad_norms, expected)
+                    assert np.array_equal(columns[3][a], expected)
                 _descend(reference, full, self.LR)
                 _assert_same_parameters(plain[a], reference)
                 _assert_same_parameters(stacked.arm(a), plain[a])
@@ -558,6 +567,116 @@ class TestOneBackward:
                 for r in range(R if stacked.ndim == 4 else 1):
                     got = stacked[a, r] if stacked.ndim == 4 else stacked[a]
                     assert np.array_equal(got, single(a, r))
+
+
+def _same_bits(mine: np.ndarray, theirs: np.ndarray) -> bool:
+    return mine.shape == theirs.shape and np.array_equal(
+        np.ascontiguousarray(mine).view(np.uint64), np.ascontiguousarray(theirs).view(np.uint64))
+
+
+class TestFlatParameters:
+    """One flat array per arm holds the parameters, and one per row their gradients."""
+
+    @pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
+    @pytest.mark.parametrize("dims", [(4, 7, 4, 7, 3), (16, 16, 16), (5, 3)],
+                             ids=lambda dims: "x".join(map(str, dims)))
+    @pytest.mark.parametrize("hidden", [1, 6])
+    @pytest.mark.parametrize("A", [1, 2, 16])
+    @pytest.mark.parametrize("rows", ["update", "all"])
+    def test_backward_equals_per_module_oracle(self, task, dims, hidden, A, rows):
+        # Each module's gradient, written into its view of one (A, R, P)
+        # buffer, has the bits of the per-module arrays it replaced: width
+        # groups of two, two and one, one group of three, two singletons;
+        # H = 1; regression's single output (C = 1); R = 1 and R = M + 1.
+        M, B = len(dims), 19
+        seed = 100 * A + 10 * M + hidden
+        model, feats, labels, mask = _oracle_batch(task, M, B, seed, dims=dims, hidden=hidden)
+        stacked = simtrainer._lockstep(model, A)
+        rng = np.random.default_rng(seed)
+        stacked.flat[...] += rng.normal(0.0, 0.1, size=stacked.flat.shape)
+        masks = (rng.random((A, B, M)) < 0.6).astype(np.float64)
+        masks[:, :, 0] = np.maximum(masks[:, :, 0], masks.sum(axis=2) == 0)
+        present = np.ascontiguousarray(masks.transpose(0, 2, 1))
+        _, _, weights = simtrainer._batch_weights(present, np.array([0]), np.array([B]))
+        if rows == "update":
+            weights = weights[:, M:]
+        out, cache = simtrainer._forward_batch(stacked, simtrainer._grouped(model, feats), present)
+        classes = stacked.fus_W.shape[-1]
+        targets = simtrainer._targets(task, labels, classes, np.arange(B))
+        resid = simtrainer._losses(stacked, out, targets)[1]
+        grads = simtrainer._backward(stacked, cache, resid, weights)
+        want = per_module_backward(stacked, cache, resid, weights)
+        assert grads.shape == weights.shape[:2] + stacked.flat.shape[-1:]
+        *enc_W, enc_b, fus_W, fus_b = stacked.segments(grads)
+        assert len(enc_W) == len(want["enc_W"]) == len(model.groups)
+        for mine, theirs in zip(enc_W, want["enc_W"]):
+            assert _same_bits(mine, theirs)
+        assert _same_bits(enc_b, want["enc_b"])
+        assert _same_bits(fus_W, want["fus_W"])
+        assert _same_bits(fus_b, want["fus_b"])
+
+    @pytest.mark.parametrize("dims", [(4, 7, 4, 7, 3), (16, 16, 16), (5, 3)],
+                             ids=lambda dims: "x".join(map(str, dims)))
+    @pytest.mark.parametrize("A", [None, 3])
+    def test_every_view_is_a_segment_of_flat(self, dims, A):
+        model = small_model(dims=dims)
+        if A is not None:
+            model = simtrainer._lockstep(model, A)
+        flat = model.flat
+        lead, (H, C), M = flat.shape[:-1], model.fus_W.shape[-2:], len(dims)
+        assert flat.flags.c_contiguous
+        assert flat.shape[-1] == H * sum(dims) + M * H + H * C + C
+        # The layout: each width group's weights, the biases in slot order,
+        # the head weight, the head bias.
+        flat[...] = np.arange(flat.size).reshape(flat.shape)
+        start = 0
+
+        def segment(*shape):
+            nonlocal start
+            start += math.prod(shape)
+            return flat[..., start - math.prod(shape):start].reshape(lead + shape)
+
+        for group, W in zip(model.groups, model.group_W):
+            block = segment(len(group), dims[group[0]], H)
+            assert np.array_equal(W, block)
+            for j, m in enumerate(group):
+                assert np.array_equal(model.enc_W[m], block[..., j, :, :])
+        bias = segment(M, H)
+        assert np.array_equal(model.enc_bias, bias)
+        for m in range(M):
+            assert np.array_equal(model.enc_b[m], bias[..., model.slots[m], :])
+        assert np.array_equal(model.fus_W, segment(H, C))
+        assert np.array_equal(model.fus_b, segment(C))
+        assert start == flat.shape[-1]
+        # A write through any view lands in flat, and one into flat in every view.
+        for view in [*model.enc_W, *model.enc_b, model.fus_W, model.fus_b]:
+            before = flat.copy()
+            view[...] = -1.0
+            assert (flat == -1.0).sum() == view.size
+            assert (flat != before).sum() == view.size
+            flat[...] = before
+        flat[...] = 2.0
+        for _, view in model.parameters():
+            assert (view == 2.0).all()
+
+    def test_arm_and_clone_keep_their_aliasing(self):
+        model = small_model(dims=(4, 7, 4))
+        stacked = simtrainer._lockstep(model, 3)
+        arm, clone = stacked.arm(1), stacked.clone()
+        assert arm.arms is None and clone.arms == 3
+        assert np.shares_memory(arm.flat, stacked.flat)
+        assert not np.shares_memory(clone.flat, stacked.flat)
+        arm.enc_W[2][0, 0] = 5.0
+        arm.fus_b[0] = 6.0
+        assert stacked.enc_W[2][1, 0, 0] == 5.0 and stacked.flat[1, -3] == 6.0
+        assert stacked.enc_W[2][0, 0, 0] != 5.0 and clone.enc_W[2][1, 0, 0] != 5.0
+        stacked.flat[1] = 0.0
+        assert not arm.fus_W.any() and clone.fus_W[1].any()
+        # One arm of views into a plain model: its updates reach the model.
+        single = simtrainer._lockstep(model)
+        assert np.shares_memory(single.flat, model.flat)
+        single.flat -= 1.0
+        assert np.array_equal(single.flat[0], model.flat)
 
 
 class TestMetrics:
@@ -654,12 +773,11 @@ def trained_model(task: str, M: int):
     data = gen_synthetic(spec)
     rng = np.random.default_rng(5)
     model = init_model(dims, 6, task, spec.n_classes, rng)
-    for step in range(1, 31):
+    for _ in range(30):
         feats, labels = take(data.train, rng.choice(spec.n_train, 32, replace=False))
         mask = rng.integers(0, 2, size=(32, M))
         mask[mask.sum(axis=1) == 0, 0] = 1
-        train_step(model, feats, mask.astype(np.float64), labels, 0.05,
-                   step=step, log_grads=False)
+        train_step(model, feats, mask.astype(np.float64), labels, 0.05, log_grads=False)
     return model, data
 
 
@@ -760,6 +878,21 @@ class TestOneEvaluationPass:
             ablation_table(model, split, default_metrics(CLASSIFICATION))
 
 
+# The step columns of a RunLog.
+COLUMNS = ("task_losses", "modality_losses", "observed", "logged_steps", "grad_norms")
+
+
+def _assert_columns(run, want) -> None:
+    """`run`'s columns are read-only and equal `want`'s, built from the oracle's step logs."""
+    for name in COLUMNS:
+        column = getattr(run, name)
+        assert not column.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            column[...] = column
+        assert column.dtype == getattr(want, name).dtype, name
+        assert np.array_equal(column, getattr(want, name)), name
+
+
 def quick_config(rates=(0.0, 0.0), **overrides) -> TrainConfig:
     base = dict(
         protocol=RateVector(tuple(f"m{i}" for i in range(len(rates))), rates),
@@ -818,7 +951,7 @@ class TestRunExperiment:
         np.testing.assert_array_equal(
             a.mask_matrices[0].masks, b.mask_matrices[0].masks
         )
-        assert [s.task_loss for s in a.steps] == [s.task_loss for s in b.steps]
+        assert a.task_losses.tolist() == b.task_losses.tolist()
         assert a.mli_result == b.mli_result
         assert a.config_hash == b.config_hash
         for (na, ra), (nb, rb) in zip(a.mei_results, b.mei_results):
@@ -828,8 +961,9 @@ class TestRunExperiment:
         spec = small_spec(n_train=64)
         config = quick_config(epochs=4, batch_size=16, mei_epoch_stride=2)
         run = run_experiment(spec, config)
-        assert len(run.steps) == 4 * 4
-        assert [s.step for s in run.steps] == list(range(1, 17))
+        assert run.task_losses.shape == (4 * 4,)
+        assert run.modality_losses.shape == run.observed.shape == (16, 2)
+        assert run.logged_steps.tolist() == list(range(1, 17))
         # validation tables at epochs 2 and 4; one table per metric
         assert [epoch for epoch, _ in run.valid_tables] == [2, 4]
         assert len(run.test_tables) == 3
@@ -842,25 +976,39 @@ class TestRunExperiment:
         config = quick_config(rates=(0.3, 0.6), batch_size=4)
         run = run_experiment(spec, config)
         samples = run.grad_samples()
-        for log in run.steps:
-            assert log.grad_norms.shape == (2, 3)
-            assert not log.grad_norms.flags.writeable
-            for m, loss in enumerate(log.modality_losses):
-                cell = (samples["step"] == log.step) & (samples["modality"] == m)
+        assert run.grad_norms.shape == (64, 2, 3)
+        assert not run.grad_norms.flags.writeable
+        for step in run.logged_steps.tolist():
+            for m, seen in enumerate(run.observed[step - 1].tolist()):
+                cell = (samples["step"] == step) & (samples["modality"] == m)
                 modules = samples["module"][cell].tolist()
-                assert modules == ([] if loss is None else [0, 1, 2])
-        assert any(loss is None for log in run.steps for loss in log.modality_losses)
+                assert modules == ([0, 1, 2] if seen else [])
+        assert not run.observed.all()
 
     def test_value_equality(self):
         spec, config = small_spec(), quick_config(rates=(0.3, 0.6), batch_size=4)
         run = run_experiment(spec, config)
         again = run_experiment(spec, config)
         assert run == again
-        assert run.steps == again.steps and run.trace == again.trace
+        assert np.array_equal(run.task_losses, again.task_losses) and run.trace == again.trace
         other = run_experiment(spec, quick_config(rates=(0.3, 0.6), batch_size=4, seed=10))
         assert run != other
-        assert run.steps != other.steps and run.trace != other.trace
+        assert not np.array_equal(run.task_losses, other.task_losses)
+        assert run.trace != other.trace
         assert run.mask_matrices != other.mask_matrices
+
+    def test_run_log_equality_compares_the_columns(self):
+        # The columns are arrays: equality compares them by value, and any
+        # one differing column, or another field, makes two runs unequal.
+        run = run_experiment(small_spec(), quick_config(rates=(0.3, 0.6), batch_size=4))
+        copies = {name: getattr(run, name).copy() for name in COLUMNS}
+        assert run == dataclasses.replace(run, **copies)
+        for name, column in copies.items():
+            changed = column.copy()
+            changed.flat[0] = not changed.flat[0] if changed.dtype == bool else changed.flat[0] + 1
+            assert run != dataclasses.replace(run, **{name: changed}), name
+        assert run != dataclasses.replace(run, config_hash="0" * 64)
+        assert run.__eq__(object()) is NotImplemented
 
     def test_step_log_equality(self):
         norms = np.ones((2, 3))
@@ -886,16 +1034,16 @@ class TestRunExperiment:
         spec = small_spec(n_train=128)
         config = quick_config(epochs=6, batch_size=16, learning_rate=0.05)
         run = run_experiment(spec, config)
-        first_epoch = [s.task_loss for s in run.steps[:8]]
-        last_epoch = [s.task_loss for s in run.steps[-8:]]
+        first_epoch = run.task_losses[:8]
+        last_epoch = run.task_losses[-8:]
         assert np.mean(last_epoch) < np.mean(first_epoch)
 
     def test_grad_log_stride_thins_trace(self):
         spec = small_spec(n_train=64)
         config = quick_config(grad_log_stride=2)
         run = run_experiment(spec, config)
-        logged = {s.step for s in run.steps if s.grad_norms is not None}
-        assert logged == set(range(1, 17, 2))
+        assert run.logged_steps.tolist() == list(range(1, 17, 2))
+        assert run.grad_norms.shape == (8, 2, 3)
 
     def test_uninformative_modality_scores_at_chance(self):
         # Modality 1 carries no label signal: an ablation that keeps
@@ -930,12 +1078,9 @@ class TestRunExperiment:
         run = run_experiment(spec, config)
         from missdiag import marginal_missing_rate
 
-        n_steps = len(run.steps)
+        n_steps = run.task_losses.size
         assert n_steps == 100
-        undefined = [
-            sum(log.modality_losses[m] is None for log in run.steps)
-            for m in range(3)
-        ]
+        undefined = (~run.observed).sum(axis=0).tolist()
         for m in range(3):
             p_gap = marginal_missing_rate(rates, m) ** 4
             sigma = math.sqrt(n_steps * p_gap * (1.0 - p_gap))
@@ -997,9 +1142,10 @@ class TestDivergenceGuard:
     def test_non_finite_grad_norms(self, monkeypatch):
         backward = simtrainer._backward
 
-        def poisoned(*args):
-            grads = backward(*args)
-            grads["fus_b"][:, :-1] = math.inf  # the L_m rows; the update row stays finite
+        def poisoned(model, *args):
+            grads = backward(model, *args)
+            # The fus_b segment of the L_m rows; the update row stays finite.
+            model.segments(grads)[-1][:, :-1] = math.inf
             return grads
         monkeypatch.setattr("missdiag.simtrainer._backward", poisoned)
         with pytest.raises(TrainingDivergedError, match="gradient norms"):
@@ -1107,8 +1253,9 @@ class TestLockstep:
         for run, config in zip(runs, configs):
             want = sequential_run(spec, config)
             assert run.config == config and run.config_hash == want.config_hash
-            assert run.steps == want.steps
-            assert [s.step for s in run.steps] == list(range(1, 13))
+            _assert_columns(run, want)
+            assert run.task_losses.shape == (12,)
+            assert run.logged_steps.tolist() == list(range(1, 13, stride))
             assert run.mask_matrices == want.mask_matrices
             assert len(run.mask_matrices) == (3 if resample else 1)
             assert [(e, _scores(t)) for e, t in run.valid_tables] == \
@@ -1120,7 +1267,8 @@ class TestLockstep:
             assert run.mli_result == want.mli_result
             assert run.mei_results == want.mei_results
             assert run == want
-        assert runs[0].steps != runs[1].steps  # the arms' masks differ
+        # The arms' masks differ.
+        assert not np.array_equal(runs[0].modality_losses, runs[1].modality_losses)
 
     @pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
     def test_repeated_widths_equal_the_sequential_loop(self, task):
@@ -1158,7 +1306,7 @@ class TestLockstep:
         runs = run_arms(spec, configs)
         n_batches = -(-n_train // batch_size)
         for run, config in zip(runs, configs):
-            assert len(run.steps) == 3 * n_batches
+            assert run.task_losses.shape == (3 * n_batches,)
             assert run == sequential_run(spec, config)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -1176,6 +1324,35 @@ class TestLockstep:
         monkeypatch.undo()
         assert run_arms(spec, configs[:1])[0] == sequential_run(spec, configs[0])
         assert capfd.readouterr().err == ""
+
+    def test_arm_1_parameters_not_finite_at_an_epoch_end(self, monkeypatch):
+        # Arm 1's head becomes inf after step 4, the last of epoch 1, whose
+        # loss was finite: the end-of-epoch test of that arm's parameters
+        # names it, and arm 0 still trains to the end first.
+        spec, configs = _lockstep_case(REGRESSION, 3)
+        real = simtrainer._step
+        seen: list[int] = []
+
+        def poisoned(model, *args, **kwargs):
+            columns = real(model, *args, **kwargs)
+            seen.append(len(seen) + 1)
+            if seen[-1] == 4:
+                model.fus_W[1] = math.inf
+            return columns
+
+        def after_step(step, model):
+            if step == 4:
+                model.fus_W[...] = math.inf
+
+        monkeypatch.setattr(simtrainer, "_step", poisoned)
+        with pytest.raises(TrainingDivergedError) as info:
+            run_arms(spec, configs)
+        with pytest.raises(TrainingDivergedError) as want:
+            sequential_run(spec, configs[1], after_step)
+        assert str(info.value) == str(want.value)
+        assert str(info.value).startswith(
+            "training diverged at step 4 (epoch 1): parameters are not finite; ")
+        assert seen == list(range(1, 13))
 
     def test_one_data_draw_one_init_one_step_per_batch(self, monkeypatch):
         spec, configs = _lockstep_case(CLASSIFICATION, 3)
@@ -1200,11 +1377,12 @@ class TestLockstep:
         plain = [model.clone() for _ in masks]
         stacked = simtrainer._lockstep(model, len(masks))
         assert stacked.arms == 3 and model.arms is None
-        logs = train_step(stacked, feats, masks, labels, 0.01, step=4)
+        columns = train_step(stacked, feats, masks, labels, 0.01)
         for a, arm_mask in enumerate(masks):
-            assert logs[a] == train_step(plain[a], feats, arm_mask, labels, 0.01, step=4)
+            alone = train_step(plain[a], feats, arm_mask, labels, 0.01)
+            assert _step_log(columns, 4, a) == _step_log(alone, 4)
             _assert_same_parameters(stacked.arm(a), plain[a])
-        assert logs[1].modality_losses[0] is None
+        assert not columns[2][1, 0]
 
     def test_stacked_model_shapes_checked(self):
         model = simtrainer._lockstep(small_model(), 2)
@@ -1288,7 +1466,7 @@ def _count_blocks(monkeypatch, arms: int) -> list[int]:
     reduced: list[int] = []
 
     def counted(model, squares):
-        reduced.append(squares[-1].shape[0] // arms)
+        reduced.append(squares.shape[0] // arms)
         return real(model, squares)
 
     monkeypatch.setattr(simtrainer, "_squared_norms", counted)
@@ -1325,7 +1503,7 @@ def _poison_norms(monkeypatch, poison: dict[int, set[int]]) -> None:
         calls.append(len(calls) + 1)
         for a in range(model.arms):
             if calls[-1] in poison.get(a, ()):
-                grads["fus_b"][a, :-1] = math.inf
+                model.segments(grads)[-1][a, :-1] = math.inf  # the L_m rows of fus_b
         return grads
 
     monkeypatch.setattr(simtrainer, "_backward", poisoned)
@@ -1367,7 +1545,7 @@ class TestNormBlocks:
         assert reduced == _expected_blocks(3, 7, stride, steps)
         assert max(reduced) == steps
         for run, config in zip(runs, configs):
-            assert len(run.steps) == 21
+            assert run.task_losses.shape == (21,)
             assert run == sequential_run(spec, config)
 
     @pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
