@@ -24,7 +24,7 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
@@ -98,7 +98,7 @@ def _print_pattern_table(masks: np.ndarray, rates: protocol.RateVector | None = 
 
 def _cmd_mask_generate(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    rates = config.rate_vector()
+    rates = config.rates
     matrix = protocol.generate_mask_matrix(rates, config.n_samples, config.seed)
     out = Path(args.out) if args.out else Path(config.output_dir) / "masks.csv"
     with _writing_out(args, config):
@@ -129,7 +129,7 @@ def _rates_from_args(args: argparse.Namespace, attr: str = "rates") -> protocol.
     if text:
         return _generic_rate_vector(_parse_rate_list(text))
     if args.config:
-        return _load_config(args).rate_vector()
+        return _load_config(args).rates
     raise ConfigError(f"provide --{attr.replace('_', '-')} or --config")
 
 
@@ -300,24 +300,32 @@ def _check_out_dir(path: Path) -> None:
 
 
 def _simulate(config: cfg.ExperimentConfig, out_dir: Path) -> None:
-    """Train one run, or the paired IMR and SMR arms, and write every artifact."""
-    spec = config.synth_spec()
-    rates = config.rate_vector()
+    """Train the paired IMR and SMR arms, or one unnamed arm, and write every artifact.
+
+    A named arm writes into its own subdirectory, and its manifest keys and
+    paths carry the `name/` prefix.
+    """
+    if config.train is None:
+        raise ConfigError("this command requires a 'simulation' block in the config")
+    if config.paired:
+        smr = replace(config.train, protocol=config.rates.mean_matched())
+        arms = {"imr": config.train, "smr": smr}
+    else:
+        arms = {"": config.train}
+    runs = dict(zip(arms, simtrainer.run_arms(config.spec, list(arms.values()))))
+    payloads = {}
+    artifact_index = {}
+    for arm, run in runs.items():
+        artifacts = _emit_run_artifacts(run, out_dir / arm)
+        prefix = f"{arm}/" if arm else ""
+        for name, entry in artifacts.items():
+            artifact_index[prefix + name] = {
+                "path": prefix + entry["path"],
+                "sha256": entry["sha256"],
+            }
+        payloads[arm] = _run_payload(run, config.divergence_kind, artifacts)
 
     if config.paired:
-        arms = {"imr": rates, "smr": rates.mean_matched()}
-        trained = simtrainer.run_arms(spec, [config.train_config(r) for r in arms.values()])
-        runs = dict(zip(arms, trained))
-        payloads = {}
-        artifact_index = {}
-        for arm, run in runs.items():
-            artifacts = _emit_run_artifacts(run, out_dir / arm)
-            for name, entry in artifacts.items():
-                artifact_index[f"{arm}/{name}"] = {
-                    "path": f"{arm}/{entry['path']}",
-                    "sha256": entry["sha256"],
-                }
-            payloads[arm] = _run_payload(run, config.divergence_kind, artifacts)
         deltas = {
             "mli": runs["imr"].mli_result.value - runs["smr"].mli_result.value,
             "mei": {
@@ -329,21 +337,13 @@ def _simulate(config: cfg.ExperimentConfig, out_dir: Path) -> None:
                 for name in payloads["imr"]["mei"]
             },
         }
-        payload = {
-            "paired": True,
-            "imr": payloads["imr"],
-            "smr": payloads["smr"],
-            "deltas": deltas,
-        }
+        payload = {"paired": True, **payloads, "deltas": deltas}
         print(f"paired run: mli[imr]={runs['imr'].mli_result.value!r} "
               f"mli[smr]={runs['smr'].mli_result.value!r} delta={deltas['mli']!r}")
     else:
-        run = simtrainer.run_experiment(spec, config.train_config())
-        artifact_index = _emit_run_artifacts(run, out_dir)
-        payload = _run_payload(run, config.divergence_kind, artifact_index)
-        payload["paired"] = False
-        print(f"run: mli={run.mli_result.value!r}")
-        for metric_name, result in run.mei_results:
+        payload = {**payloads[""], "paired": False}
+        print(f"run: mli={runs[''].mli_result.value!r}")
+        for metric_name, result in runs[""].mei_results:
             if result.mode == config.mei_mode:
                 print(f"mei[{metric_name}][{config.mei_mode}]: {result.value!r}")
 

@@ -20,6 +20,7 @@ the config knows, its range or choices. `resolve_config` walks the
 document against it, applies the cross-field rules, and builds the
 library types (`RateVector`, `SynthSpec`, `TrainConfig`) whose checks
 hold the other ranges, so a bad field fails before any command's work.
+The commands use the objects it built.
 
 Individual fields can be overridden on the command line with
 `--set dotted.path=value` (values parsed as JSON, falling back to a
@@ -183,65 +184,21 @@ def _walk(prefix: str, obj: dict) -> dict:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated configuration with the resolved document for hashing."""
+    """The library objects `resolve_config` built, and the resolved document for hashing.
 
-    modalities: tuple[str, ...]
-    shared_rate: float | None
-    rates: tuple[float, ...] | None
+    `spec` and `train` are None when the document has no simulation block.
+    """
+
+    rates: RateVector
     seed: int
     n_samples: int
     divergence_kind: str
-    epsilon: float
     mei_mode: str
-    metrics: tuple[PerfMetric, ...] | None
     output_dir: str
-    simulation: dict | None
+    spec: SynthSpec | None
+    train: TrainConfig | None
+    paired: bool
     resolved: dict
-
-    def rate_vector(self) -> RateVector:
-        if self.rates is not None:
-            return RateVector(self.modalities, self.rates)
-        return RateVector.shared(self.modalities, self.shared_rate)
-
-    def synth_spec(self) -> SynthSpec:
-        sim = self._simulation()
-        return SynthSpec(
-            task=sim["task"],
-            dims=tuple(sim["dims"]),
-            informativeness=tuple(sim["informativeness"]),
-            n_train=sim["n_train"],
-            n_valid=sim["n_valid"],
-            n_test=sim["n_test"],
-            seed=sim.get("data_seed", self.seed),
-            n_classes=sim["n_classes"],
-            label_noise=sim["label_noise"],
-        )
-
-    def train_config(self, protocol: RateVector | None = None) -> TrainConfig:
-        sim = self._simulation()
-        metrics = self.metrics or default_metrics(sim["task"])
-        return TrainConfig(
-            protocol=protocol if protocol is not None else self.rate_vector(),
-            epochs=sim["epochs"],
-            batch_size=sim["batch_size"],
-            learning_rate=sim["learning_rate"],
-            seed=self.seed,
-            hidden=sim["hidden"],
-            mei_epoch_stride=sim["mei_epoch_stride"],
-            grad_log_stride=sim["grad_log_stride"],
-            resample_masks_per_epoch=sim["resample_masks_per_epoch"],
-            epsilon=self.epsilon,
-            metrics=metrics,
-        )
-
-    @property
-    def paired(self) -> bool:
-        return self.simulation is not None and self.simulation["paired"]
-
-    def _simulation(self) -> dict:
-        if self.simulation is None:
-            raise ConfigError("this command requires a 'simulation' block in the config")
-        return self.simulation
 
 
 def load_raw_config(path: str | Path) -> dict:
@@ -291,7 +248,8 @@ def _parse_metrics(entries: Any) -> tuple[PerfMetric, ...]:
     for entry in entries:
         if isinstance(entry, str):
             metrics.append(PerfMetric.named(entry))
-        elif isinstance(entry, dict) and set(entry) <= {"name", "orientation"} and "name" in entry:
+        elif (isinstance(entry, dict) and set(entry) <= {"name", "orientation"}
+              and isinstance(entry.get("name"), str)):
             orientation = entry.get("orientation")
             if orientation is None:
                 metrics.append(PerfMetric.named(entry["name"]))
@@ -357,24 +315,47 @@ def resolve_config(
     )
     doc["epsilon"] = float(doc["epsilon"])
 
-    shared_rate, rates = protocol.get("shared_rate"), protocol.get("rates")
-    config = ExperimentConfig(
-        modalities=tuple(modalities),
-        shared_rate=float(shared_rate) if shared_rate is not None else None,
-        rates=tuple(float(r) for r in rates) if rates is not None else None,
+    # The library types hold the remaining checks; built here, a bad field
+    # fails before any work, the rates first.
+    if "rates" in protocol:
+        rates = RateVector(modalities, protocol["rates"])
+    else:
+        rates = RateVector.shared(modalities, protocol["shared_rate"])
+    spec = train = None
+    if simulation is not None:
+        spec = SynthSpec(
+            task=simulation["task"],
+            dims=simulation["dims"],
+            informativeness=simulation["informativeness"],
+            n_train=simulation["n_train"],
+            n_valid=simulation["n_valid"],
+            n_test=simulation["n_test"],
+            seed=simulation.get("data_seed", doc["seed"]),
+            n_classes=simulation["n_classes"],
+            label_noise=simulation["label_noise"],
+        )
+        train = TrainConfig(
+            protocol=rates,
+            epochs=simulation["epochs"],
+            batch_size=simulation["batch_size"],
+            learning_rate=simulation["learning_rate"],
+            seed=doc["seed"],
+            hidden=simulation["hidden"],
+            mei_epoch_stride=simulation["mei_epoch_stride"],
+            grad_log_stride=simulation["grad_log_stride"],
+            resample_masks_per_epoch=simulation["resample_masks_per_epoch"],
+            epsilon=doc["epsilon"],
+            metrics=metrics or default_metrics(simulation["task"]),
+        )
+    return ExperimentConfig(
+        rates=rates,
         seed=doc["seed"],
         n_samples=doc["n_samples"],
         divergence_kind=doc["divergence"],
-        epsilon=doc["epsilon"],
         mei_mode=doc["mei_mode"],
-        metrics=metrics,
         output_dir=doc["output_dir"],
-        simulation=simulation,
+        spec=spec,
+        train=train,
+        paired=simulation is not None and simulation["paired"],
         resolved=doc,
     )
-    # The library types hold the remaining checks; build them now, before any work.
-    config.rate_vector()
-    if simulation is not None:
-        config.synth_spec()
-        config.train_config()
-    return config

@@ -108,7 +108,10 @@ def read_report(path: str | Path) -> DiagnosticsReport:
         raise FileFormatError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(doc, dict) or not {"payload", "payload_sha256"} <= set(doc):
         raise FileFormatError(f"{path}: not a diagnostics report")
-    expected = sha256_hex(canonical_json(doc["payload"]))
+    try:
+        expected = sha256_hex(canonical_json(doc["payload"]))
+    except ValueError:  # NaN or an infinity, which json.loads reads and JSON does not define
+        raise FileFormatError(f"{path}: payload holds a non-finite number") from None
     if doc["payload_sha256"] != expected:
         raise FileFormatError(
             f"{path}: payload checksum mismatch (stored {doc['payload_sha256']}, "

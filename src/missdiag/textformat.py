@@ -102,20 +102,18 @@ def read_text(path: str | Path) -> tuple[list[str], str]:
 
 
 def parse_rows(body: str, fields: tuple[str, ...], dtype: np.dtype) -> np.ndarray | None:
-    """The body as an array, or None when a line breaks the grammar or a number overflows.
+    """The body as one record of the structured `dtype` per line, or None.
 
-    A structured `dtype` gives one record per line; a plain one an
-    (N, len(fields)) array.
+    None when a line breaks the grammar or a number overflows.
     """
     # Every match is whole grammar lines, so nothing remains exactly when
     # every line is in the grammar.
     if _line_re(fields).sub("", body):
         return None
     if not body:
-        return np.empty(0 if dtype.names else (0, len(fields)), dtype=dtype)
+        return np.empty(0, dtype=dtype)
     try:
-        return np.loadtxt(io.StringIO(body), delimiter=",", dtype=dtype,
-                          ndmin=1 if dtype.names else 2)
+        return np.loadtxt(io.StringIO(body), delimiter=",", dtype=dtype, ndmin=1)
     except ValueError:  # an integer beyond int64
         return None
 

@@ -562,10 +562,9 @@ def line_by_line_parse_rows(body: str, fields: tuple[str, ...], dtype: np.dtype)
     if line.sub("", body):
         return None
     if not body:
-        return np.empty(0 if dtype.names else (0, len(fields)), dtype=dtype)
+        return np.empty(0, dtype=dtype)
     try:
-        return np.loadtxt(io.StringIO(body), delimiter=",", dtype=dtype,
-                          ndmin=1 if dtype.names else 2)
+        return np.loadtxt(io.StringIO(body), delimiter=",", dtype=dtype, ndmin=1)
     except ValueError:
         return None
 

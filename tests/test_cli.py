@@ -8,15 +8,16 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import missdiag
-from missdiag import GRAD_SAMPLE_DTYPE, GradTrace, PerfMetric, AblationTable
+from missdiag import GRAD_SAMPLE_DTYPE, GradTrace, PerfMetric, AblationTable, simtrainer
 from missdiag.cli import main
-from missdiag.config import SEED_ENV_VAR
+from missdiag.config import SEED_ENV_VAR, resolve_config
 from missdiag.equity import write_ablation_table
 from missdiag.learning import write_agg_trace, write_grad_samples
 from missdiag.report import file_sha256, read_report
@@ -697,7 +698,32 @@ class TestSimulateRun:
     def test_simulation_block_required(self, tmp_path, capsys):
         config = mask_config(tmp_path)
         assert main(["simulate", "run", "--config", config]) == 2
-        assert "simulation" in capsys.readouterr().err
+        assert capsys.readouterr() == (
+            "", "error: this command requires a 'simulation' block in the config\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("paired", [False, True])
+    def test_one_run_arms_call(self, tmp_path, monkeypatch, paired):
+        calls = []
+        run_arms = simtrainer.run_arms
+
+        def recorded(spec, configs):
+            calls.append((spec, list(configs)))
+            return run_arms(spec, configs)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("run_experiment was called")
+
+        monkeypatch.setattr(simtrainer, "run_arms", recorded)
+        monkeypatch.setattr(simtrainer, "run_experiment", refused)
+        config_path = sim_config(tmp_path, paired=paired)
+        assert main(["simulate", "run", "--config", config_path]) == 0
+        config = resolve_config(json.loads(Path(config_path).read_text()), env={})
+        [(spec, configs)] = calls
+        assert spec == config.spec
+        assert [c.protocol.rates for c in configs] == [(0.2, 0.5), (0.35, 0.35)][:1 + paired]
+        assert configs[0] == config.train
+        assert all(replace(c, protocol=config.rates) == config.train for c in configs)
 
 
 class TestReportMerge:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib.util
 import json
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import oracles
@@ -21,8 +22,9 @@ from missdiag.config import (
     load_raw_config,
     resolve_config,
 )
+from missdiag.protocol import RateVector
 from missdiag.report import config_hash
-from missdiag.simtrainer import TASKS
+from missdiag.simtrainer import TASKS, SynthSpec, TrainConfig, default_metrics
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -106,16 +108,17 @@ class TestApplyOverrides:
 class TestResolveConfig:
     def test_minimal_document(self):
         config = resolve_config(base_raw(), env={})
-        assert config.rate_vector().rates == (0.1, 0.2, 0.6)
+        assert config.rates.rates == (0.1, 0.2, 0.6)
         assert config.seed == 7
         assert config.n_samples == 1000
         assert config.divergence_kind == "js"
-        assert config.simulation is None
+        assert config.resolved["simulation"] is None
+        assert config.spec is None and config.train is None
 
     def test_shared_rate_protocol(self):
         raw = base_raw(protocol={"shared_rate": 0.3})
         config = resolve_config(raw, env={})
-        assert config.rate_vector().rates == (0.3, 0.3, 0.3)
+        assert config.rates.rates == (0.3, 0.3, 0.3)
 
     def test_exactly_one_protocol_form(self):
         raw = base_raw(protocol={"shared_rate": 0.3, "rates": [0.1, 0.2, 0.3]})
@@ -190,8 +193,11 @@ class TestResolveConfig:
     def test_metrics_parsed(self):
         raw = base_raw(metrics=["UA", {"name": "RMSE", "orientation": "lower-better"}])
         config = resolve_config(raw, env={})
-        assert [m.name for m in config.metrics] == ["UA", "RMSE"]
-        assert not config.metrics[1].higher_is_better
+        assert config.resolved["metrics"] == [{"name": "UA", "orientation": "higher-better"},
+                                              {"name": "RMSE", "orientation": "lower-better"}]
+        train = resolve_config({**sim_raw(), "metrics": raw["metrics"]}, env={}).train
+        assert [m.name for m in train.metrics] == ["UA", "RMSE"]
+        assert not train.metrics[1].higher_is_better
 
     def test_duplicate_metric_names_rejected(self):
         with pytest.raises(ConfigError, match="unique"):
@@ -203,9 +209,9 @@ class TestResolveConfig:
 
     def test_simulation_block_filled_with_defaults(self):
         config = resolve_config(sim_raw(), env={})
-        assert config.simulation["task"] == "classification"
-        assert config.simulation["hidden"] == 16
-        spec = config.synth_spec()
+        assert config.resolved["simulation"]["task"] == "classification"
+        assert config.resolved["simulation"]["hidden"] == 16
+        spec = config.spec
         assert spec.dims == (8, 8, 8)
         assert spec.seed == 7  # data seed defaults to the run seed
 
@@ -219,7 +225,7 @@ class TestResolveConfig:
 
     def test_simulation_data_seed_override(self):
         config = resolve_config(sim_raw(data_seed=1234), env={})
-        assert config.synth_spec().seed == 1234
+        assert config.spec.seed == 1234
 
     def test_simulation_requires_core_fields(self):
         raw = sim_raw()
@@ -234,7 +240,7 @@ class TestResolveConfig:
 
     def test_train_config_derivation(self):
         config = resolve_config(sim_raw(), env={})
-        train = config.train_config()
+        train = config.train
         assert train.epochs == 2
         assert train.batch_size == 16
         assert train.seed == 7
@@ -243,13 +249,28 @@ class TestResolveConfig:
 
     def test_train_config_accepts_protocol_substitute(self):
         config = resolve_config(sim_raw(), env={})
-        swapped = config.train_config(config.rate_vector().mean_matched())
+        swapped = replace(config.train, protocol=config.rates.mean_matched())
         assert swapped.protocol.rates == (swapped.protocol.rates[0],) * 3
+        assert replace(swapped, protocol=config.rates) == config.train
 
     def test_simulation_commands_require_simulation_block(self):
+        # `simulate run` refuses such a config (TestSimulateRun in test_cli).
         config = resolve_config(base_raw(), env={})
-        with pytest.raises(ConfigError, match="simulation"):
-            config.synth_spec()
+        assert config.spec is None and config.train is None
+
+    @pytest.mark.parametrize("task", TASKS)
+    def test_built_objects_equal_hand_built(self, task):
+        config = resolve_config(sim_raw(task=task), env={})
+        assert config.spec == SynthSpec(
+            task=task, dims=(8, 8, 8), informativeness=(1.0, 1.0, 1.0), n_train=64,
+            n_valid=16, n_test=16, seed=7, n_classes=8, label_noise=0.25)
+        assert config.train == TrainConfig(
+            protocol=RateVector(("audio", "video", "text"), (0.1, 0.2, 0.6)), epochs=2,
+            batch_size=16, learning_rate=0.015, seed=7, hidden=16, mei_epoch_stride=5,
+            grad_log_stride=1, resample_masks_per_epoch=False, epsilon=1e-8,
+            metrics=default_metrics(task))
+        assert config.rates == config.train.protocol
+        assert config.paired is False
 
     def test_paired_flag(self):
         assert resolve_config(sim_raw(paired=True), env={}).paired

@@ -371,6 +371,31 @@ def test_out_that_is_a_file(tmp_path, capsys, command):
     assert afile.read_text() == "taken\n"
 
 
+# Kept out of CONFIG_CASES, whose seeded draws pick the fresh-interpreter
+# sample; each name runs under all three commands instead.
+@pytest.mark.parametrize("command", range(len(COMMANDS)))
+@pytest.mark.parametrize("name", [["x"], 5, None], ids=json.dumps)
+def test_metric_name_that_is_not_a_string(tmp_path, capsys, name, command):
+    doc = doc_with("metrics", [{"name": name}])
+    code = main(config_argv(tmp_path, doc, [], command))
+    assert_contract(code, capsys.readouterr().err, "config",
+                    f"bad metric entry {{'name': {name!r}}}")
+    assert not (tmp_path / "out").exists()
+
+
+# json.loads reads these as NaN or an infinity; JSON defines none of them.
+@pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_merge_of_a_non_finite_payload_number(tmp_path, capsys, number):
+    path = tmp_path / "nan.json"
+    path.write_text(f'{{"payload": {{"x": {number}}}, "payload_sha256": "abc"}}\n')
+    out = tmp_path / "m.json"
+    code = main(["report", "merge", str(path), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert_contract(code, captured.err, "file", f"{path}: payload holds a non-finite number")
+    assert captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("paired", [False, True])
 @pytest.mark.parametrize("where", ["file", "under a file", "output_dir"])
 def test_unusable_out_fails_before_training(tmp_path, capsys, monkeypatch, paired, where):

@@ -7,8 +7,9 @@ the `src/` of a checkout. Every command runs in a fresh interpreter whose
 PYTHONPATH is that directory alone, inside its own scratch directory and
 with the same relative paths on both sides, so console output compares
 as it is. The commands are the README paired simulation at seeds 1 and
-2, the README simulation unpaired (one arm, through `run_experiment`),
-a 5-modality paired regression with per-epoch mask resampling, the
+2, the README simulation unpaired (one unnamed arm), `simulate run` on
+the README config without its simulation block (an error and nothing
+written), a 5-modality paired regression with per-epoch mask resampling, the
 same regression with label noise that makes training diverge, an
 8-modality paired run logging every third step, a 5-modality paired
 classification whose input widths 4, 7, 4, 7, 3 make encoder groups of
@@ -53,12 +54,13 @@ README_CONFIG = {
         "mei_epoch_stride": 20, "paired": True,
     },
 }
-# The one case that runs a single arm: `run_experiment` and its `run:`
-# and `mei[...]` console lines.
+# The one case that runs a single arm: one unnamed arm, written to the
+# output directory itself, and its `run:` and `mei[...]` console lines.
 README_UNPAIRED_CONFIG = {
     **README_CONFIG,
     "simulation": {**README_CONFIG["simulation"], "paired": False},
 }
+NO_SIMULATION_CONFIG = {k: v for k, v in README_CONFIG.items() if k != "simulation"}
 RESAMPLE_CONFIG = {
     "modalities": ["m0", "m1", "m2", "m3", "m4"],
     "protocol": {"rates": [0.1, 0.3, 0.5, 0.2, 0.6]},
@@ -189,6 +191,7 @@ CASES: dict[str, tuple[dict, list[str]]] = {
     "readme-seed1": _simulate(README_CONFIG, "--seed", "1"),
     "readme-seed2": _simulate(README_CONFIG, "--seed", "2"),
     "readme-unpaired": _simulate(README_UNPAIRED_CONFIG),
+    "simulate-no-simulation": _simulate(NO_SIMULATION_CONFIG),
     "resample-m5": _simulate(RESAMPLE_CONFIG),
     "stride3-m8": _simulate(STRIDE_CONFIG),
     "mixed-width-m5": _simulate(MIXED_WIDTH_CONFIG),
