@@ -209,7 +209,9 @@ def load_raw_config(path: str | Path) -> dict:
         raise ConfigError(f"{path}: not UTF-8 text") from None
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    # A plain ValueError, not JSONDecodeError, for an integer beyond
+    # Python's digit limit (sys.get_int_max_str_digits, 4300 by default).
+    except ValueError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
@@ -229,6 +231,8 @@ def apply_overrides(raw: dict, assignments: list[str]) -> dict:
             value = json.loads(text)
         except json.JSONDecodeError:
             value = text
+        except ValueError as exc:  # an integer beyond Python's digit limit
+            raise ConfigError(f"override {dotted!r}: {exc}") from None
         node = out
         parts = dotted.split(".")
         for part in parts[:-1]:

@@ -104,7 +104,9 @@ def read_report(path: str | Path) -> DiagnosticsReport:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except UnicodeDecodeError:
         raise FileFormatError(f"{path}: not UTF-8 text") from None
-    except json.JSONDecodeError as exc:
+    # A plain ValueError, not JSONDecodeError, for an integer beyond
+    # Python's digit limit (sys.get_int_max_str_digits, 4300 by default).
+    except ValueError as exc:
         raise FileFormatError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(doc, dict) or not {"payload", "payload_sha256"} <= set(doc):
         raise FileFormatError(f"{path}: not a diagnostics report")

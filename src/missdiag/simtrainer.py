@@ -15,8 +15,9 @@ stored as one stacked array and run as one matmul. A model's parameters
 live in one flat array, and a step's gradients in one array of the same
 layout, so an update is one subtraction. The arms of a paired run
 differ only in their masks, so `run_arms` trains them in lockstep: one
-model with a leading arm axis, one step per shared batch. A run's steps
-are recorded in columns (`RunLog`), not in per-step objects.
+model with a leading arm axis, one step per shared batch, whose arrays
+live in a workspace made once per batch size. A run's steps are
+recorded in columns (`RunLog`), not in per-step objects.
 
 The trainer exists to emit gradient traces and ablation tables for the
 equity/learning diagnostics, not to reach competitive accuracy.
@@ -393,44 +394,130 @@ def _grouped(model: ToyModel, features: Sequence[np.ndarray]) -> list[np.ndarray
     return [np.array([feats[m] for m in group]) for group in model.groups]
 
 
-def _encode(model: ToyModel, xs: Sequence[np.ndarray], present: np.ndarray | None = None):
-    """Inputs x and encoder outputs h = relu(x W + b) of grouped inputs `xs`.
+class _Workspace:
+    """Every array that one training step of `model` on B samples writes, made once.
 
-    `xs` holds one (G, B, d) array per width group (see `_grouped`); h is
-    an (..., M, B, H) array in slot order (`ToyModel.slots`), rectified
-    in place, so no second array of its size is made. Evaluation passes
-    a plain model and no `present`. Training
-    passes a model with an arm axis and the (A, M, B) observed flags
-    `present`, in modality order, which zero each arm's missing inputs;
-    the features are shared, and the masked (A, G, B, d) inputs are
-    returned for the backward pass.
+    `run_arms` keeps one per batch size, so that its steps allocate
+    nothing; `train_step` and `loss_and_grads` make a fresh one per call,
+    so the arrays they return are theirs alone. `_encode`, `_fuse`,
+    `_losses`, `_backward` and `_step` write into these arrays with
+    `out=`, applying the operations they would apply to fresh arrays, in
+    the same operand order and with the same reductions, so every bit is
+    the same. The views of the model's parameters stay valid because
+    updates write into `model.flat` in place. Shapes carry the model's
+    leading arm axis, if any, as `lead`.
     """
-    if present is None and model.arms is not None:
-        raise DimensionError("evaluate a model with an arm axis one arm at a time")
-    if present is not None:
-        present = present[:, model.order, :, None]
-        xs = [x * present[:, span] for x, span in zip(xs, model.spans)]
-    h = np.empty(model.enc_bias.shape[:-1] + (xs[0].shape[-2], model.fus_W.shape[-2]))
-    for x, span, W in zip(xs, model.spans, model.group_W):
-        np.matmul(x, W, out=h[..., span, :, :])
+
+    def __init__(self, model: ToyModel, B: int):
+        self.model, self.B = model, B
+        lead, M = model.flat.shape[:-1], model.M
+        H, C = model.fus_W.shape[-2:]
+        # The forward pass: each width group's masked inputs, h in slot
+        # order with each width group's and each modality's view, then s
+        # and the output.
+        self.xs = [np.empty(lead + W.shape[-3:-2] + (B, W.shape[-2])) for W in model.group_W]
+        self.h = np.empty(lead + (M, B, H))
+        self.h_spans = [self.h[..., span, :, :] for span in model.spans]
+        self.hs = [self.h[..., slot, :, :] for slot in model.slots]
+        self.gate = np.empty(self.h.shape)
+        self.s = np.empty(lead + (B, H))
+        self.fus_W_T = model.fus_W.swapaxes(-1, -2)[..., None, :, :]
+        self.out = np.empty(lead + (B, C))
+        # The losses: each sample's loss and residual, and the L_m sums.
+        self.losses = np.empty(lead + (B,))
+        self.resid = np.empty(lead + (B, C) if model.task == CLASSIFICATION else lead + (B,))
+        if model.task == CLASSIFICATION:
+            self.out_T = np.empty(lead + (C, B))
+            self.top = np.empty(lead + (B,))
+            self.shifted = np.empty(lead + (B, C))
+            self.picked = np.empty(lead + (B,))
+            self.total = np.empty(lead + (B, 1))
+        self.products = np.empty(lead + (M, B))
+        self.modality_losses = np.empty(lead + (M,))
+        self.task_losses = np.empty(lead)
+        self.update = np.empty(model.flat.shape)
+        self._rows: dict[int, _Rows] = {}
+
+    def rows(self, R: int) -> _Rows:
+        """The backward pass's arrays for R weighted losses, made on first use."""
+        rows = self._rows.get(R)
+        if rows is None:
+            rows = self._rows[R] = _Rows(self, R)
+        return rows
+
+
+class _Rows:
+    """A workspace's arrays for a backward pass over R weighted losses (see `_backward`)."""
+
+    def __init__(self, ws: _Workspace, R: int):
+        model, B = ws.model, ws.B
+        A, M, P = model.arms, model.M, model.flat.shape[-1]
+        H, C = model.fus_W.shape[-2:]
+        self.grads = np.empty((A, R, P))
+        self.segments = model.segments(self.grads)
+        self.dout = np.empty((A, R, B, C))
+        self.ds = np.empty((A, R, B, H))
+        self.du = np.empty((A, R, M, B, H))
+        self.du_spans = [self.du[:, :, span] for span in model.spans]
+
+
+def _masked(model: ToyModel, xs: Sequence[np.ndarray], present: np.ndarray) -> list[np.ndarray]:
+    """Each arm's copy of the grouped inputs `xs` with its missing modalities zeroed.
+
+    `xs` holds one (G, n, d) array per width group (see `_grouped`) and
+    `present` the (A, M, n) observed flags in modality order; returns one
+    (A, G, n, d) array per group.
+    """
+    present = present[:, model.order, :, None]
+    # C order, so that `run_arms` gathers a step's rows from contiguous blocks.
+    return [np.multiply(x, present[:, span], out=np.empty(present.shape[:1] + x.shape))
+            for x, span in zip(xs, model.spans)]
+
+
+def _encode(model: ToyModel, xs: Sequence[np.ndarray], ws: _Workspace | None = None) -> np.ndarray:
+    """Encoder outputs h = relu(x W + b) of grouped inputs `xs`.
+
+    h is an (..., M, B, H) array in slot order (`ToyModel.slots`),
+    rectified in place, so no second array of its size is made.
+    Evaluation passes a plain model and the (G, B, d) arrays of
+    `_grouped`, and gets a fresh h. Training passes a model with an arm
+    axis, each arm's masked (A, G, B, d) inputs (`_masked`) and the
+    step's workspace `ws`, which receives h.
+    """
+    if ws is None:
+        if model.arms is not None:
+            raise DimensionError("evaluate a model with an arm axis one arm at a time")
+        h = np.empty(model.enc_bias.shape[:-1] + (xs[0].shape[-2], model.fus_W.shape[-2]))
+        h_spans = [h[..., span, :, :] for span in model.spans]
+    else:
+        h, h_spans = ws.h, ws.h_spans
+    for x, W, out in zip(xs, model.group_W, h_spans):
+        np.matmul(x, W, out=out)
     h += model.enc_bias[..., None, :]
-    return xs, np.maximum(h, 0.0, out=h)
+    return np.maximum(h, 0.0, out=h)
 
 
-def _fuse(model: ToyModel, hs: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Sum encoder outputs in modality order, then apply the head; returns (sum, output)."""
+def _fuse(
+    model: ToyModel, hs: Sequence[np.ndarray], ws: _Workspace | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sum encoder outputs in modality order, then apply the head; returns (sum, output).
+
+    Both go into the workspace `ws` when one is given, else into fresh arrays.
+    """
     s = hs[0]
     for h in hs[1:]:
-        s = s + h
-    return s, np.matmul(s, model.fus_W) + model.fus_b[..., None, :]
+        s = np.add(s, h, out=None if ws is None else ws.s)
+    out = np.matmul(s, model.fus_W, out=None if ws is None else ws.out)
+    out += model.fus_b[..., None, :]
+    return s, out
 
 
 def _forward_batch(
-    model: ToyModel, xs: Sequence[np.ndarray], present: np.ndarray
+    model: ToyModel, xs: Sequence[np.ndarray], ws: _Workspace
 ) -> tuple[np.ndarray, tuple]:
-    """Masked forward pass for training on grouped inputs; returns (output, cache for backprop)."""
-    xs, h = _encode(model, xs, present)
-    s, out = _fuse(model, [h[:, slot] for slot in model.slots])
+    """Forward pass for training on masked grouped inputs, into `ws`; returns (output, cache for backprop)."""
+    h = _encode(model, xs, ws)
+    s, out = _fuse(model, ws.hs, ws)
     return out, (xs, h, s)
 
 
@@ -451,7 +538,7 @@ def forward(model: ToyModel, features: Sequence[np.ndarray], bits: Sequence) -> 
     """
     pattern_code(bits, model.M)  # raises on a bad pattern; the code is not needed
     feats = [np.atleast_2d(np.asarray(f, dtype=np.float64)) for f in features]
-    return _predict(model, _encode(model, _grouped(model, feats))[1], bits)
+    return _predict(model, _encode(model, _grouped(model, feats)), bits)
 
 
 def _check_class_labels(labels: np.ndarray, classes: int) -> None:
@@ -475,9 +562,9 @@ def _targets(task: str, labels: np.ndarray, classes: int, pos: np.ndarray) -> li
 
 
 def _losses(
-    model: ToyModel, out: np.ndarray, targets: Sequence[np.ndarray]
+    model: ToyModel, out: np.ndarray, targets: Sequence[np.ndarray], ws: _Workspace
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample losses and their residuals d loss_i / d out_i against `_targets`.
+    """Per-sample losses and their residuals d loss_i / d out_i against `_targets`, in `ws`.
 
     Residuals have the output's shape for classification; for regression
     they drop its last axis, the single output.
@@ -487,16 +574,23 @@ def _losses(
         # The row max of a (..., C, B) copy runs across rows, not along a
         # short contiguous axis. It can differ from out.max(-1) only in the
         # sign of a zero, which moves neither the loss nor the residual.
-        top = np.ascontiguousarray(np.swapaxes(out, -1, -2)).max(axis=-2)
-        shifted = out - top[..., None]
-        resid = np.exp(shifted)
-        total = resid.sum(axis=-1, keepdims=True)
-        picked = np.take(shifted.reshape(shifted.shape[:-2] + (-1,)), picks, axis=-1)
+        np.copyto(ws.out_T, np.swapaxes(out, -1, -2))
+        top = ws.out_T.max(axis=-2, out=ws.top)
+        shifted = np.subtract(out, top[..., None], out=ws.shifted)
+        resid = np.exp(shifted, out=ws.resid)
+        total = resid.sum(axis=-1, keepdims=True, out=ws.total)
+        # `_targets` makes every pick a valid index, so "clip" changes none
+        # of them; unlike "raise", it writes into `out` without a buffer.
+        picked = np.take(shifted.reshape(shifted.shape[:-2] + (-1,)), picks, axis=-1,
+                         out=ws.picked, mode="clip")
         resid /= total
         resid -= onehot
-        return np.log(total[..., 0]) - picked, resid
-    diff = out[..., 0] - targets[0]
-    return diff**2, 2.0 * diff
+        losses = np.log(total[..., 0], out=ws.losses)
+        losses -= picked
+        return losses, resid
+    diff = np.subtract(out[..., 0], targets[0], out=ws.resid)
+    losses = np.square(diff, out=ws.losses)
+    return losses, np.multiply(diff, 2.0, out=diff)
 
 
 def _backward(
@@ -504,6 +598,7 @@ def _backward(
     cache: tuple,
     resid: np.ndarray,
     weights: np.ndarray,
+    ws: _Workspace,
 ) -> np.ndarray:
     """Gradients of R weighted losses sum_i weights[a, r, i] * loss_i, as one (A, R, P) array.
 
@@ -512,30 +607,32 @@ def _backward(
     row of the (A, R, B) `weights` scales the residuals; each width group
     of encoders, and the head, then gets the gradients of every arm and
     row from one stacked matmul. Row (a, r) is laid out as `model.flat`:
-    each module's gradient is written into its view (`ToyModel.segments`).
+    each module's gradient is written into its view (`ToyModel.segments`)
+    of the workspace's (A, R, P) array, which the next pass over R rows
+    in `ws` overwrites.
     """
     xs, h, s = cache
-    grads = np.empty(weights.shape[:2] + model.flat.shape[-1:])
-    *enc_W, enc_b, fus_W, fus_b = model.segments(grads)
+    rows = ws.rows(weights.shape[1])
+    *enc_W, enc_b, fus_W, fus_b = rows.segments
+    dout = rows.dout
     if model.task == CLASSIFICATION:
-        dout = weights[..., None] * resid[:, None]
+        np.multiply(weights[..., None], resid[:, None], out=dout)
         dout.sum(axis=2, out=fus_b)
     else:
         # fus_b sums each (A, R, B) row over its contiguous last axis, in
         # the order of the (B, 1) column sum of a single weighting.
-        scaled = resid[:, None] * weights
-        dout = scaled[..., None]
+        scaled = np.multiply(resid[:, None], weights, out=dout[..., 0])
         scaled.sum(axis=-1, out=fus_b[..., 0])
-    ds = np.matmul(dout, model.fus_W.transpose(0, 2, 1)[:, None])
+    ds = np.matmul(dout, ws.fus_W_T, out=rows.ds)
     # h > 0 exactly where the pre-activation is: relu keeps the sign, and a
     # NaN fails both. A float gate multiplies as 1.0/0.0 with no bool cast.
-    gate = np.greater(h, 0.0, out=np.empty(h.shape))
-    du = ds[:, :, None] * gate[:, None]
+    gate = np.greater(h, 0.0, out=ws.gate)
+    du = np.multiply(ds[:, :, None], gate[:, None], out=rows.du)
     np.matmul(s.transpose(0, 2, 1)[:, None], dout, out=fus_W)
-    for x, span, out in zip(xs, model.spans, enc_W):
-        np.matmul(x.swapaxes(-1, -2)[:, None], du[:, :, span], out=out)
+    for x, du_span, out in zip(xs, rows.du_spans, enc_W):
+        np.matmul(x.swapaxes(-1, -2)[:, None], du_span, out=out)
     du.sum(axis=3, out=enc_b)
-    return grads
+    return rows.grads
 
 
 def loss_and_grads(
@@ -548,11 +645,12 @@ def loss_and_grads(
     """Weighted loss sum_i w_i * loss_i and its parameter gradients (plain model)."""
     mask = _checked_mask(mask, (labels.shape[0], model.M))
     stacked = _lockstep(model)
-    present = mask.T[None]
-    out, cache = _forward_batch(stacked, _grouped(model, features), present)
+    ws = _Workspace(stacked, labels.shape[0])
+    xs = _masked(stacked, _grouped(model, features), mask.T[None])
+    out, cache = _forward_batch(stacked, xs, ws)
     targets = _targets(model.task, labels, model.fus_W.shape[-1], np.arange(labels.shape[0]))
-    losses, resid = _losses(stacked, out, targets)
-    grads = _backward(stacked, cache, resid, np.asarray(sample_weights)[None, None])
+    losses, resid = _losses(stacked, out, targets, ws)
+    grads = _backward(stacked, cache, resid, np.asarray(sample_weights)[None, None], ws)
     *enc_W, enc_b, fus_W, fus_b = model.segments(grads[0, 0])
     return float((losses[0] * sample_weights).sum()), {
         "fus_W": fus_W,
@@ -627,26 +725,32 @@ def _step(
     targets: Sequence[np.ndarray],
     learning_rate: float,
     log_grads: bool,
+    ws: _Workspace,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """One gradient-descent step of every arm of `model` on one batch, as arrays.
+    """One gradient-descent step of every arm of `model` on one batch, as arrays in `ws`.
 
-    `xs` are the batch's grouped features (`_grouped`), `present` its
-    contiguous (A, M, B) observed flags, `divisors` the (A, M) divisors
-    and `weights` the (A, M + 1, B) sample weights of `_batch_weights`,
-    and `targets` its rows of `_targets`. Returns the task losses (A,),
-    the modality losses (A, M), 0 where a modality is absent from the
-    batch, and, when `log_grads`, the (A, M, P) gradients of the M
-    modality losses, a view whose square `_squared_norms` reduces. It is
-    None otherwise.
+    `xs` are the batch's masked grouped inputs (`_masked`), `present` its
+    (A, M, B) observed flags, `divisors` the (A, M) divisors and
+    `weights` the (A, M + 1, B) sample weights of `_batch_weights`,
+    `targets` its rows of `_targets`, and `ws` a workspace for `model`
+    and B. Returns the task losses (A,), the modality losses (A, M), 0
+    where a modality is absent from the batch, and, when `log_grads`,
+    the (A, M, P) gradients of the M modality losses, a view whose
+    square `_squared_norms` reduces. It is None otherwise. All three
+    live in `ws`, so the next step on it overwrites them.
     """
     M = present.shape[1]
-    out, cache = _forward_batch(model, xs, present)
-    losses, resid = _losses(model, out, targets)
-    modality_losses = (losses[:, None] * present).sum(axis=-1) / divisors
-    grads = _backward(model, cache, resid, weights if log_grads else weights[:, M:])
-    model.flat -= learning_rate * grads[:, -1]
-    return (losses.sum(axis=-1) / losses.shape[-1], modality_losses,
-            grads[:, :M] if log_grads else None)
+    out, cache = _forward_batch(model, xs, ws)
+    losses, resid = _losses(model, out, targets, ws)
+    # The product is contiguous, so each L_m sum runs along a contiguous row.
+    np.multiply(losses[:, None], present, out=ws.products)
+    modality_losses = ws.products.sum(axis=-1, out=ws.modality_losses)
+    modality_losses /= divisors
+    grads = _backward(model, cache, resid, weights if log_grads else weights[:, M:], ws)
+    model.flat -= np.multiply(learning_rate, grads[:, -1], out=ws.update)
+    task_losses = losses.sum(axis=-1, out=ws.task_losses)
+    task_losses /= losses.shape[-1]
+    return task_losses, modality_losses, grads[:, :M] if log_grads else None
 
 
 def train_step(
@@ -683,14 +787,12 @@ def train_step(
     mask = _checked_mask(mask, (B, model.M) if plain else (model.arms, B, model.M))
     if plain:
         model, mask = _lockstep(model), mask[None]
-    # (A, M, B) with each modality's flags contiguous, so that every sum
-    # over the batch runs along a contiguous row.
-    present = np.ascontiguousarray(mask.transpose(0, 2, 1))
+    present = mask.transpose(0, 2, 1)
     counts, divisors, weights = _batch_weights(present, np.array([0]), np.array([B]))
     targets = _targets(model.task, labels, model.fus_W.shape[-1], np.arange(B))
     task_losses, modality_losses, modality_grads = _step(
-        model, _grouped(model, features), present, divisors[..., 0], weights, targets,
-        learning_rate, log_grads,
+        model, _masked(model, _grouped(model, features), present), present, divisors[..., 0],
+        weights, targets, learning_rate, log_grads, _Workspace(model, B),
     )
     grad_norms = None
     if modality_grads is not None:
@@ -789,7 +891,7 @@ def ablation_table(
     the pattern's confusion count.
     """
     funs = [_metric_function(model.task, metric) for metric in metrics]
-    h = _encode(model, _grouped(model, split.features))[1]
+    h = _encode(model, _grouped(model, split.features))
     labels = split.labels
     classes = model.fus_W.shape[-1]
     if model.task == CLASSIFICATION:
@@ -934,9 +1036,13 @@ def run_arms(spec: SynthSpec, configs: Sequence[TrainConfig]) -> tuple[RunLog, .
 
     The configs may differ in `protocol` alone, so the arms share their
     data, initialisation and shuffle order: every step takes one batch
-    through one `_step` with one mask per arm. Each epoch's batch plan
-    gathers the features, flags and labels in shuffle order once, so a
-    step takes one slice of rows from each; the steps' losses go into
+    through one `_step` with one mask per arm. Each arm's masked features
+    (`_masked`) are formed once per mask matrix, and each epoch's batch
+    plan gathers the flags and labels in shuffle order once, so a step
+    takes one slice of rows from each. A step gathers its rows of the
+    masked features into the workspace of its batch size, one for the
+    full batches and one for a short last batch, made at its first step,
+    and writes every array it makes there. The steps' losses go into
     columns, and the squared modality gradients of logged steps into a
     block whose norms are reduced into a column in one call when it fills,
     at the epoch's end, and before a divergence is named. Each arm's
@@ -1008,6 +1114,8 @@ def run_arms(spec: SynthSpec, configs: Sequence[TrainConfig]) -> tuple[RunLog, .
     block_steps = min(max(1, _NORM_BLOCK_BYTES // (8 * A * M * model.flat.shape[-1])), n_batches)
     block = np.empty((block_steps, A, M, model.flat.shape[-1]))
     pending = 0  # steps in the block
+    # One workspace per batch size: the full batches and a short last one.
+    workspaces: dict[int, _Workspace] = {}
     n_logged = 0  # logged steps so far, in the block or reduced
 
     def last_finite(a: int, step: int) -> tuple[int, float] | None:
@@ -1044,11 +1152,13 @@ def run_arms(spec: SynthSpec, configs: Sequence[TrainConfig]) -> tuple[RunLog, .
                  for arm in matrices],
                 dtype=np.float64,
             )
+            # Each arm's features with its missing modalities zeroed, in
+            # sample order; a step gathers its rows into its workspace.
+            masked = _masked(model, train_xs, present)
         # The epoch's batch plan: every array in shuffle order, so that
         # each step takes one slice of rows from each. `np.take` gathers
         # along an inner axis some 2-4x faster than fancy indexing.
         order = shuffle_rng.permutation(N)
-        xs = [np.take(x, order, axis=1) for x in train_xs]
         flags = np.take(present, order, axis=2)
         targets = _targets(spec.task, dataset.train.labels[order], classes, positions)
         counts, divisors, weights = _batch_weights(flags, starts, sizes)
@@ -1060,16 +1170,23 @@ def run_arms(spec: SynthSpec, configs: Sequence[TrainConfig]) -> tuple[RunLog, .
                 rows = slice(lo, lo + size)
                 log_grads = step % stride == 0
                 step += 1
+                ws = workspaces.get(size)
+                if ws is None:
+                    ws = workspaces[size] = _Workspace(model, size)
+                # `order` holds valid indices only, so "clip" changes none;
+                # unlike "raise", it writes into `out` without a buffer.
+                xs = [np.take(x, order[rows], axis=2, out=out, mode="clip")
+                      for x, out in zip(masked, ws.xs)]
                 task, modality, grads = _step(
                     model,
-                    [x[:, rows] for x in xs],
-                    # Contiguous, so that the L_m sums run along contiguous rows.
-                    np.ascontiguousarray(flags[:, :, rows]),
+                    xs,
+                    flags[:, :, rows],
                     divisors[:, :, b],
                     weights[:, :, rows],
                     [t[rows] for t in targets],
                     config.learning_rate,
                     log_grads,
+                    ws,
                 )
                 task_losses[step - 1] = task
                 modality_losses[step - 1] = modality
@@ -1107,7 +1224,7 @@ def run_arms(spec: SynthSpec, configs: Sequence[TrainConfig]) -> tuple[RunLog, .
 
     # The batch plan and the block are training's alone; dropped here, they
     # add nothing to the peak memory of the test-split evaluation below.
-    del xs, flags, targets, weights, block
+    del masked, xs, flags, targets, weights, block, workspaces, ws
     logged = np.arange(1, T + 1, stride)
     for column in (task_losses, modality_losses, observed, logged, grad_norms):
         column.setflags(write=False)

@@ -396,6 +396,40 @@ def test_merge_of_a_non_finite_payload_number(tmp_path, capsys, number):
     assert not out.exists()
 
 
+# json.loads raises a plain ValueError, not JSONDecodeError, for an integer
+# beyond Python's digit limit (4300 digits by default).
+HUGE = "1" * 5000
+
+
+@pytest.mark.parametrize("command", range(len(COMMANDS)))
+def test_config_integer_beyond_the_digit_limit(tmp_path, capsys, command):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(BASE).replace('"seed": 11', f'"seed": {HUGE}'), encoding="utf-8")
+    code = main([*COMMANDS[command](tmp_path / "out"), "--config", str(path)])
+    assert_contract(code, capsys.readouterr().err, "config", f"{path}: invalid JSON: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", range(len(COMMANDS)))
+@pytest.mark.parametrize("key, value", [("seed", HUGE), ("protocol.rates", f"[0.1,{HUGE}]")],
+                         ids=["seed", "rates"])
+def test_override_integer_beyond_the_digit_limit(tmp_path, capsys, command, key, value):
+    argv = config_argv(tmp_path, BASE, ["--set", f"{key}={value}"], command)
+    assert_contract(main(argv), capsys.readouterr().err, "config", f"override {key!r}: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_merge_of_an_integer_beyond_the_digit_limit(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(f'{{"payload": {{"x": {HUGE}}}, "payload_sha256": "abc"}}\n')
+    out = tmp_path / "m.json"
+    code = main(["report", "merge", str(path), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert_contract(code, captured.err, "file", f"{path}: invalid JSON (")
+    assert captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("paired", [False, True])
 @pytest.mark.parametrize("where", ["file", "under a file", "output_dir"])
 def test_unusable_out_fails_before_training(tmp_path, capsys, monkeypatch, paired, where):

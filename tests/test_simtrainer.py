@@ -600,11 +600,13 @@ class TestFlatParameters:
         _, _, weights = simtrainer._batch_weights(present, np.array([0]), np.array([B]))
         if rows == "update":
             weights = weights[:, M:]
-        out, cache = simtrainer._forward_batch(stacked, simtrainer._grouped(model, feats), present)
+        ws = simtrainer._Workspace(stacked, B)
+        xs = simtrainer._masked(stacked, simtrainer._grouped(model, feats), present)
+        out, cache = simtrainer._forward_batch(stacked, xs, ws)
         classes = stacked.fus_W.shape[-1]
         targets = simtrainer._targets(task, labels, classes, np.arange(B))
-        resid = simtrainer._losses(stacked, out, targets)[1]
-        grads = simtrainer._backward(stacked, cache, resid, weights)
+        resid = simtrainer._losses(stacked, out, targets, ws)[1]
+        grads = simtrainer._backward(stacked, cache, resid, weights, ws)
         want = per_module_backward(stacked, cache, resid, weights)
         assert grads.shape == weights.shape[:2] + stacked.flat.shape[-1:]
         *enc_W, enc_b, fus_W, fus_b = stacked.segments(grads)
@@ -1526,6 +1528,109 @@ def _oracle_error(spec, config, norm_steps=(), head_steps=()) -> str:
         return _sequential_error(spec, config, set(head_steps))
 
 
+# Shapes a training step's workspace must serve: (task, dims, hidden,
+# classes, n_train, batch_size, arms). The README shapes leave a last batch
+# of 32, every other case one of 2 (4 from 60).
+WORKSPACE_CASES = {
+    "readme": (CLASSIFICATION, (16, 16, 16), 16, 8, 2000, 48, 2),
+    "regression": (REGRESSION, (3, 4, 2), 5, 3, 50, 16, 2),
+    "h1": (CLASSIFICATION, (3, 2, 4, 3), 1, 3, 50, 16, 2),
+    "width-groups": (CLASSIFICATION, (4, 7, 4, 7, 3), 5, 4, 60, 16, 2),
+    "one-arm": (CLASSIFICATION, (2, 3, 4), 4, 3, 50, 16, 1),
+    "16-arms": (CLASSIFICATION, (2, 3, 4), 4, 3, 50, 16, 16),
+}
+
+
+def _workspace_case(case: str, stride: int):
+    task, dims, hidden, classes, n_train, batch_size, arms = WORKSPACE_CASES[case]
+    M = len(dims)
+    spec = SynthSpec(task=task, dims=dims, informativeness=(1.0,) * M, n_train=n_train,
+                     n_valid=40, n_test=60, seed=70 + M, n_classes=classes)
+    rng = np.random.default_rng(M * 100 + arms)
+    names = tuple(f"m{m}" for m in range(M))
+    protocols = [RateVector(names, tuple(rng.uniform(0.0, 0.7, M).tolist())) for _ in range(arms)]
+    return spec, [TrainConfig(protocol=p, epochs=2, batch_size=batch_size, learning_rate=0.05,
+                              seed=9, hidden=hidden, mei_epoch_stride=1,
+                              grad_log_stride=stride) for p in protocols]
+
+
+class TestWorkspace:
+    """A step writes into one workspace per batch size, and its bits stay those of fresh arrays."""
+
+    @pytest.mark.parametrize("stride", [1, 3])
+    @pytest.mark.parametrize("case", list(WORKSPACE_CASES))
+    def test_runs_equal_the_sequential_loop(self, case, stride):
+        # Stride 3 also takes the backward pass over one row (R = 1) on
+        # the steps that log no norms, from a second set of arrays.
+        spec, configs = _workspace_case(case, stride)
+        runs = run_arms(spec, configs)
+        for run, config in zip(runs, configs):
+            want = sequential_run(spec, config)
+            _assert_columns(run, want)
+            assert _scores(run.test_tables) == _scores(want.test_tables)
+            assert run == want
+
+    @pytest.mark.parametrize("n_train, sizes", [(50, [16, 2]), (48, [16])])
+    def test_one_workspace_per_batch_size(self, monkeypatch, n_train, sizes):
+        spec, configs = _lockstep_case(CLASSIFICATION, 3, stride=2)
+        spec = dataclasses.replace(spec, n_train=n_train)
+        made, seen = [], []
+
+        class Counted(simtrainer._Workspace):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        real = simtrainer._step
+
+        def recording(*args):
+            columns = real(*args)
+            seen.append((args[-1], columns))
+            return columns
+
+        monkeypatch.setattr(simtrainer, "_Workspace", Counted)
+        monkeypatch.setattr(simtrainer, "_step", recording)
+        run_arms(spec, configs)
+        assert [ws.B for ws in made] == sizes
+        assert len(seen) == 3 * -(-n_train // 16)
+        for ws, (task, modality, grads) in seen:
+            # The step returns the workspace's own arrays: the same objects,
+            # overwritten step after step.
+            assert ws is made[sizes.index(ws.B)]
+            assert task is ws.task_losses and modality is ws.modality_losses
+            if grads is not None:
+                assert grads.base is ws.rows(4).grads
+        if len(made) == 2:
+            for mine, theirs in zip(vars(made[0]).values(), vars(made[1]).values()):
+                if isinstance(mine, np.ndarray) and mine is not made[0].fus_W_T:
+                    assert not np.shares_memory(mine, theirs)
+
+    @pytest.mark.parametrize("A", [None, 2])
+    def test_train_step_arrays_outlive_the_next_call(self, A):
+        model, feats, labels, mask = _oracle_batch(CLASSIFICATION, 3, 7, seed=5)
+        if A is not None:
+            model, mask = simtrainer._lockstep(model, A), np.stack([mask] * A)
+        first = train_step(model, feats, mask, labels, 0.5)
+        kept = [column.copy() for column in first]
+        second = train_step(model, feats, mask, labels, 0.5)
+        for mine, copy, theirs in zip(first, kept, second):
+            assert np.array_equal(mine, copy)
+            assert not np.shares_memory(mine, theirs)
+        assert not np.array_equal(first[0], second[0])
+
+    def test_loss_and_grads_arrays_outlive_the_next_call(self):
+        model, feats, labels, mask = _oracle_batch(REGRESSION, 3, 7, seed=6)
+        _, first = loss_and_grads(model, feats, mask, labels, np.full(7, 1.0 / 7))
+        kept = {name: [g.copy() for g in grads] if isinstance(grads, list) else grads.copy()
+                for name, grads in first.items()}
+        _, second = loss_and_grads(model, feats, mask, labels, np.arange(7.0))
+        for name, grads in first.items():
+            pairs = zip(grads, kept[name]) if isinstance(grads, list) else [(grads, kept[name])]
+            for mine, copy in pairs:
+                assert np.array_equal(mine, copy), name
+        assert not np.array_equal(first["fus_W"], second["fus_W"])
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestNormBlocks:
     """Norms reduced once per block of logged steps equal the per-step sequential loop."""
@@ -1607,7 +1712,7 @@ class TestLosses:
     @pytest.mark.parametrize("lead", [(), (1,), (3,)])
     def test_adversarial_logits_equal_the_indexed_loss(self, C, lead):
         rng = np.random.default_rng(C * 10 + len(lead))
-        model = small_model(CLASSIFICATION, hidden=2)
+        model = small_model(CLASSIFICATION, hidden=2, n_classes=C)
         with np.errstate(over="ignore", invalid="ignore"):
             for trial in range(200):
                 B = int(rng.integers(1, 9))
@@ -1617,7 +1722,8 @@ class TestLosses:
                                    rng.standard_normal(out.shape))
                 labels = rng.integers(0, C, size=B)
                 targets = simtrainer._targets(CLASSIFICATION, labels, C, np.arange(B))
-                got = simtrainer._losses(model, out, targets)
+                arms = simtrainer._lockstep(model, lead[0]) if lead else model
+                got = simtrainer._losses(arms, out, targets, simtrainer._Workspace(arms, B))
                 for mine, theirs in zip(got, indexed_losses(out, labels)):
                     assert mine.shape == theirs.shape
                     assert np.array_equal(mine.view(np.uint64), theirs.view(np.uint64))
