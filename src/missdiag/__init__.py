@@ -80,7 +80,6 @@ from .simtrainer import (
     gen_synthetic,
     run_arms,
     run_experiment,
-    train_step,
 )
 
 __version__ = "0.1.0"

@@ -25,6 +25,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DegenerateContributionError,
     DimensionError,
     FileFormatError,
@@ -36,7 +37,7 @@ from .protocol import (
     pattern_bitstrings,
     pattern_code,
 )
-from .textformat import FLOAT, NAME, read_text
+from .textformat import FLOAT, NAME, format_rows, read_text
 
 DEFAULT_EPSILON = 1e-8
 
@@ -65,12 +66,20 @@ DEFAULT_ORIENTATIONS: dict[str, str] = {
 
 @dataclass(frozen=True)
 class PerfMetric:
-    """A named task metric with an explicit orientation."""
+    """A named task metric with an explicit orientation.
+
+    The name is an `abltable-v1` metric cell, so it is a `NAME`.
+    """
 
     name: str
     orientation: str = HIGHER_BETTER
 
     def __post_init__(self) -> None:
+        if not isinstance(self.name, str) or not re.fullmatch(NAME, self.name):
+            raise ConfigError(
+                f"metric name {self.name!r} must be nonempty, without commas, "
+                "double quotes or line breaks"
+            )
         if self.orientation not in (HIGHER_BETTER, LOWER_BETTER):
             raise DimensionError(
                 f"orientation must be {HIGHER_BETTER!r} or {LOWER_BETTER!r}, "
@@ -153,10 +162,6 @@ class ContributionProfile:
     @property
     def M(self) -> int:
         return len(self.zeta)
-
-    def dominant_modality(self) -> int:
-        """Index of the largest contribution weight (ties: lowest index)."""
-        return int(np.argmax(self.p))
 
 
 @dataclass(frozen=True)
@@ -290,11 +295,6 @@ def mei_from_table(
 # abltable-v1 file format
 
 
-def _table_rows(table: AblationTable) -> list[str]:
-    rows = zip(pattern_bitstrings(table.M), table.scores.tolist())
-    return [f"{combo},{table.metric.name},{score!r}" for combo, score in rows]
-
-
 def write_ablation_tables(tables: Sequence[AblationTable], path: str | Path) -> None:
     """Write one or more `abltable-v1` tables (all with the same M) to a CSV.
 
@@ -310,10 +310,11 @@ def write_ablation_tables(tables: Sequence[AblationTable], path: str | Path) -> 
         raise DimensionError("all tables in one file must share the modality count")
     if len({t.metric.name for t in tables}) != len(tables):
         raise DimensionError("tables in one file must have distinct metric names")
-    lines = ["combination,metric,value"]
-    for table in tables:
-        lines.extend(_table_rows(table))
-    atomic_write_text(Path(path), "\n".join(lines) + "\n")
+    # The text columns are lists: a numpy string array drops a trailing NUL.
+    combos = pattern_bitstrings(tables[0].M)
+    body = "".join(format_rows("%s,%s,%r\n", [combos, [table.metric.name] * len(combos),
+                                              table.scores]) for table in tables)
+    atomic_write_text(Path(path), "combination,metric,value\n" + body)
 
 
 def write_ablation_table(table: AblationTable, path: str | Path) -> None:
@@ -428,7 +429,3 @@ def read_ablation_tables(
         )
     return tables
 
-
-def sorted_tables(tables: Mapping[str, AblationTable]) -> list[AblationTable]:
-    """Tables in deterministic (metric-name) order, e.g. for re-serialisation."""
-    return [tables[name] for name in sorted(tables)]

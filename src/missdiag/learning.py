@@ -376,35 +376,21 @@ def mli(trace: GradTrace, stride: int = 1) -> MLIResult:
 # gradtrace-v1 / gradagg-v1 file formats
 
 
-# Rows a writer formats with one `%` operation; the chunk's argument tuple
-# and text stay small however long the trace is.
-_WRITE_CHUNK_ROWS = 4096
-
-
-def _format_rows(row_format: str, columns: Sequence[np.ndarray]) -> str:
-    """Rows of equal-length columns, each row `row_format` of its cells in column order.
-
-    Each cell is the Python int or float of its column's `tolist()`, so
-    `%d` and `%r` print what `f"{t}"` and `f"{g!r}"` print.
-    """
-    n, width = len(columns[0]), len(columns)
-    chunks = []
-    for lo in range(0, n, _WRITE_CHUNK_ROWS):
-        hi = min(lo + _WRITE_CHUNK_ROWS, n)
-        cells: list = [None] * ((hi - lo) * width)
-        for j, column in enumerate(columns):
-            cells[j::width] = column[lo:hi].tolist()
-        chunks.append(row_format * (hi - lo) % tuple(cells))
-    return "".join(chunks)
-
-
 def write_grad_samples(samples: np.ndarray, path: str | Path) -> None:
-    """Write a `GRAD_SAMPLE_DTYPE` array as a `gradtrace-v1` CSV, sorted by (step, modality, module)."""
+    """Write a `GRAD_SAMPLE_DTYPE` array as a `gradtrace-v1` CSV, sorted by (step, modality, module).
+
+    A row that `read_grad_samples` would refuse raises `InvalidTraceError`,
+    worded as `assemble_trace` words it, and no file is written.
+    """
     from .report import atomic_write_text
 
     rows = np.asarray(samples, dtype=GRAD_SAMPLE_DTYPE)
+    reason = _row_error(*(rows[name] for name in GRAD_SAMPLE_DTYPE.names))
+    if reason is not None:
+        raise InvalidTraceError(reason)
     rows = rows[np.lexsort((rows["module"], rows["modality"], rows["step"]))]
-    body = _format_rows("%d,%d,%d,%r\n", [rows[name] for name in GRAD_SAMPLE_DTYPE.names])
+    columns = [rows[name] for name in GRAD_SAMPLE_DTYPE.names]
+    body = textformat.format_rows("%d,%d,%d,%r\n", columns)
     atomic_write_text(Path(path), "step,modality,module,grad_l2\n" + body)
 
 
@@ -428,7 +414,7 @@ def write_agg_trace(trace: GradTrace, path: str | Path) -> None:
     T, M = trace.values.shape
     steps = np.repeat(np.arange(1, T + 1), M)
     modalities = np.tile(np.arange(M), T)
-    body = _format_rows("%d,%d,%r\n", [steps, modalities, trace.values.reshape(-1)])
+    body = textformat.format_rows("%d,%d,%r\n", [steps, modalities, trace.values.reshape(-1)])
     atomic_write_text(Path(path), "step,modality,G\n" + body)
 
 

@@ -16,8 +16,10 @@ live in one flat array, and a step's gradients in one array of the same
 layout, so an update is one subtraction. The arms of a paired run
 differ only in their masks, so `run_arms` trains them in lockstep: one
 model with a leading arm axis, one step per shared batch, whose arrays
-live in a workspace made once per batch size. A run's steps are
-recorded in columns (`RunLog`), not in per-step objects.
+live in a workspace made once per batch size. `run_arms` is the one
+driver of a training step; `loss_and_grads` runs the same forward and
+backward pass on one batch of a plain model, for gradient checks. A
+run's steps are recorded in columns (`RunLog`), not in per-step objects.
 
 The trainer exists to emit gradient traces and ablation tables for the
 equity/learning diagnostics, not to reach competitive accuracy.
@@ -39,7 +41,7 @@ from .equity import (
     PerfMetric,
     mei_from_table,
 )
-from .errors import ConfigError, DimensionError, EmptyDatasetError, TrainingDivergedError
+from .errors import ConfigError, DimensionError, TrainingDivergedError
 from .learning import (
     GradTrace,
     MLIResult,
@@ -232,10 +234,10 @@ class ToyModel:
     and `enc_b[m]` are views too, so an update through any form, `flat`
     included, reaches all of them.
 
-    `flat` may carry one leading arm axis of length A, and every view
-    with it. Such a model holds A models that `train_step` trains in
-    lockstep on one shared batch; `arm(a)` is arm a as a plain model of
-    views, for evaluation.
+    The constructor takes one model's plain arrays. `run_arms` gives
+    `flat` a leading arm axis of length A, and every view with it
+    (`_lockstep`): A models that it trains in lockstep on one shared
+    batch. `arm(a)` is arm a as a plain model of views, for evaluation.
     """
 
     def __init__(
@@ -254,19 +256,18 @@ class ToyModel:
             raise ConfigError(f"task must be one of {TASKS}, got {task!r}")
         if len(enc_W) != len(enc_b) or len(enc_W) < 2:
             raise DimensionError("need one (W, b) pair per modality, at least 2")
-        if fus_W.ndim not in (2, 3):
-            raise DimensionError("the fusion weight must be (H, C), or (A, H, C) with an arm axis")
-        lead, (hidden, classes) = fus_W.shape[:-2], fus_W.shape[-2:]
+        if fus_W.ndim != 2:
+            raise DimensionError(f"the fusion weight must be (H, C), got shape {fus_W.shape}")
+        hidden, classes = fus_W.shape
         for w, b in zip(enc_W, enc_b):
-            if (w.ndim != fus_W.ndim or w.shape[:-2] != lead or w.shape[-1] != hidden
-                    or b.shape != lead + (hidden,)):
+            if w.ndim != 2 or w.shape[1] != hidden or b.shape != (hidden,):
                 raise DimensionError("encoder shapes are inconsistent with the fusion head")
-        if fus_b.shape != lead + (classes,):
+        if fus_b.shape != (classes,):
             raise DimensionError("fusion bias does not match the fusion weight")
-        groups = _width_groups([w.shape[-2] for w in enc_W])
-        shapes = (*((len(group), enc_W[group[0]].shape[-2], hidden) for group in groups),
+        groups = _width_groups([w.shape[0] for w in enc_W])
+        shapes = (*((len(group), enc_W[group[0]].shape[0], hidden) for group in groups),
                   (len(enc_W), hidden), (hidden, classes), (classes,))
-        self._bind(groups, shapes, np.empty(lead + (sum(map(math.prod, shapes)),)), task)
+        self._bind(groups, shapes, np.empty(sum(map(math.prod, shapes))), task)
         for mine, given in zip(self.enc_W + self.enc_b + [self.fus_W, self.fus_b],
                                enc_W + enc_b + [fus_W, fus_b]):
             mine[...] = given
@@ -334,19 +335,6 @@ class ToyModel:
             raise DimensionError("a plain model has no arm axis to take an arm from")
         return self._map(lambda p: p[a])
 
-    def parameters(self) -> list[tuple[str, np.ndarray]]:
-        """Named parameter arrays, mutated in place by updates."""
-        named = []
-        for m in range(self.M):
-            named.append((f"enc_W[{m}]", self.enc_W[m]))
-            named.append((f"enc_b[{m}]", self.enc_b[m]))
-        named.append(("fus_W", self.fus_W))
-        named.append(("fus_b", self.fus_b))
-        return named
-
-    def clone(self) -> "ToyModel":
-        return self._map(np.copy)
-
 
 def _lockstep(model: ToyModel, arms: int | None = None) -> ToyModel:
     """A plain `model` with an arm axis: one arm of views into it, or `arms` copies."""
@@ -397,15 +385,15 @@ def _grouped(model: ToyModel, features: Sequence[np.ndarray]) -> list[np.ndarray
 class _Workspace:
     """Every array that one training step of `model` on B samples writes, made once.
 
-    `run_arms` keeps one per batch size, so that its steps allocate
-    nothing; `train_step` and `loss_and_grads` make a fresh one per call,
-    so the arrays they return are theirs alone. `_encode`, `_fuse`,
+    `run_arms`, the one driver of `_step`, keeps one per batch size, so
+    that its steps allocate nothing; `loss_and_grads` makes a fresh one
+    per call, so the arrays it returns are its alone. `_encode`, `_fuse`,
     `_losses`, `_backward` and `_step` write into these arrays with
     `out=`, applying the operations they would apply to fresh arrays, in
     the same operand order and with the same reductions, so every bit is
     the same. The views of the model's parameters stay valid because
     updates write into `model.flat` in place. Shapes carry the model's
-    leading arm axis, if any, as `lead`.
+    leading arm axis, which both callers give it, as `lead`.
     """
 
     def __init__(self, model: ToyModel, B: int):
@@ -642,8 +630,17 @@ def loss_and_grads(
     labels: np.ndarray,
     sample_weights: np.ndarray,
 ) -> tuple[float, dict]:
-    """Weighted loss sum_i w_i * loss_i and its parameter gradients (plain model)."""
-    mask = _checked_mask(mask, (labels.shape[0], model.M))
+    """Weighted loss sum_i w_i * loss_i and its parameter gradients (plain model).
+
+    The mask is (B, M), one 0/1 row per sample. The batch takes the
+    forward and backward pass of a training step, in a fresh workspace,
+    with one row of sample weights and no update.
+    """
+    mask = np.asarray(mask, dtype=np.float64)
+    if mask.shape != (labels.shape[0], model.M):
+        raise DimensionError(
+            f"mask of shape {mask.shape} does not match batch {(labels.shape[0], model.M)}"
+        )
     stacked = _lockstep(model)
     ws = _Workspace(stacked, labels.shape[0])
     xs = _masked(stacked, _grouped(model, features), mask.T[None])
@@ -658,13 +655,6 @@ def loss_and_grads(
         "enc_W": model.per_modality(enc_W),
         "enc_b": [enc_b[s] for s in model.slots],
     }
-
-
-def _checked_mask(mask: np.ndarray, batch: tuple[int, ...]) -> np.ndarray:
-    mask = np.asarray(mask, dtype=np.float64)
-    if mask.shape != batch:
-        raise DimensionError(f"mask of shape {mask.shape} does not match batch {batch}")
-    return mask
 
 
 # A logged step's modality gradient rows are squared into a block, and
@@ -751,56 +741,6 @@ def _step(
     task_losses = losses.sum(axis=-1, out=ws.task_losses)
     task_losses /= losses.shape[-1]
     return task_losses, modality_losses, grads[:, :M] if log_grads else None
-
-
-def train_step(
-    model: ToyModel,
-    features: Sequence[np.ndarray],
-    mask: np.ndarray,
-    labels: np.ndarray,
-    learning_rate: float,
-    log_grads: bool = True,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
-    """One plain gradient-descent step on the mean batch loss.
-
-    Also evaluates, at the pre-update parameters and without applying
-    them, the gradients of each modality-restricted loss L_m (mean loss
-    over samples where m is observed) and logs one gradient norm per
-    module. A modality absent from the whole batch has no L_m and a zero
-    row of weights, so its row of norms stays zero. The M restricted
-    losses and the full batch loss share one backward pass; the
-    parameter update uses only the full batch loss (the last row).
-
-    A model with an arm axis (see `ToyModel`) takes the step for all A
-    arms at once on the shared `features` and `labels`, with an (A, B, M)
-    `mask`, one mask per arm. Returns arrays: the task losses (A,), the
-    modality losses (A, M), 0 where a modality is absent from the batch,
-    the (A, M) flags of the modalities present in it, and the read-only
-    (A, M, M + 1) norms, `norms[a, m, k]` for module k's gradient of L_m,
-    or None when not `log_grads`. A plain model is the case A = 1 with a
-    (B, M) mask, and its results drop the arm axis.
-    """
-    B = labels.shape[0]
-    if B == 0:
-        raise EmptyDatasetError("training batch is empty")
-    plain = model.arms is None
-    mask = _checked_mask(mask, (B, model.M) if plain else (model.arms, B, model.M))
-    if plain:
-        model, mask = _lockstep(model), mask[None]
-    present = mask.transpose(0, 2, 1)
-    counts, divisors, weights = _batch_weights(present, np.array([0]), np.array([B]))
-    targets = _targets(model.task, labels, model.fus_W.shape[-1], np.arange(B))
-    task_losses, modality_losses, modality_grads = _step(
-        model, _masked(model, _grouped(model, features), present), present, divisors[..., 0],
-        weights, targets, learning_rate, log_grads, _Workspace(model, B),
-    )
-    grad_norms = None
-    if modality_grads is not None:
-        # A block of one step: the arms are the leading axis.
-        grad_norms = np.sqrt(_squared_norms(model, np.square(modality_grads)))
-        grad_norms.setflags(write=False)
-    columns = (task_losses, modality_losses, counts[..., 0] > 0, grad_norms)
-    return tuple(None if c is None else c[0] for c in columns) if plain else columns
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Strict line-grammar readers shared by the numeric CSV formats.
+"""Strict line-grammar readers, and the row writer, shared by the CSV formats.
 
 `maskmatrix-v1`, `gradtrace-v1` and `gradagg-v1` files are a header line
 and a body of comma-separated rows, every line ended by LF (the last
@@ -21,6 +21,9 @@ the lines in Python to name the first bad one as `path:line: reason`.
 
 `abltable-v1` (`equity.read_ablation_tables`) shares `read_text` and
 `FLOAT`; its metric column is text, so it matches its rows one by one.
+
+`format_rows`, the writer twin of `parse_rows`, formats the body of a
+`gradtrace-v1`, `gradagg-v1` or `abltable-v1` file from its columns.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import io
 import re
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -116,6 +119,30 @@ def parse_rows(body: str, fields: tuple[str, ...], dtype: np.dtype) -> np.ndarra
         return np.loadtxt(io.StringIO(body), delimiter=",", dtype=dtype, ndmin=1)
     except ValueError:  # an integer beyond int64
         return None
+
+
+# Rows `format_rows` formats with one `%` operation; the chunk's argument
+# tuple and text stay small however long the body is.
+_WRITE_CHUNK_ROWS = 4096
+
+
+def format_rows(row_format: str, columns: Sequence[np.ndarray | Sequence]) -> str:
+    """Rows of equal-length columns, each row `row_format` of its cells in column order.
+
+    A numpy column's cells are the Python ints and floats of its
+    `tolist()`, so `%d` and `%r` print what `f"{t}"` and `f"{g!r}"`
+    print. A text column is a list of `str`, printed with `%s`.
+    """
+    n, width = len(columns[0]), len(columns)
+    chunks = []
+    for lo in range(0, n, _WRITE_CHUNK_ROWS):
+        hi = min(lo + _WRITE_CHUNK_ROWS, n)
+        cells: list = [None] * ((hi - lo) * width)
+        for j, column in enumerate(columns):
+            part = column[lo:hi]
+            cells[j::width] = part.tolist() if isinstance(part, np.ndarray) else part
+        chunks.append(row_format * (hi - lo) % tuple(cells))
+    return "".join(chunks)
 
 
 def first_bad_line(

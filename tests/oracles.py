@@ -907,7 +907,7 @@ def sequential_run(spec, config, after_step=None):
                 raise diverged(step, epoch, "gradient norms are not finite", last)
             last = (step, log.task_loss)
             steps.append(log)
-        if not all(np.isfinite(p).all() for _, p in model.parameters()):
+        if not np.isfinite(model.flat).all():
             raise diverged(step, epoch, "parameters are not finite", last)
         if epoch % config.mei_epoch_stride == 0 or epoch == config.epochs:
             valid_tables.append(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from missdiag import (
     BALANCED_IS_ONE,
     DOMINANCE_IS_ONE,
     AblationTable,
+    ConfigError,
     DegenerateContributionError,
     DimensionError,
     PerfMetric,
@@ -61,6 +63,14 @@ class TestPerfMetric:
     def test_invalid_orientation_rejected(self):
         with pytest.raises(DimensionError):
             PerfMetric(name="X", orientation="sideways")
+
+    # Each would write an `abltable-v1` file that its reader refuses.
+    @pytest.mark.parametrize("name", ["a,b", "", 'say "UA"', "UA\n", "UA\r", 5, None])
+    def test_name_outside_the_table_grammar_rejected(self, name):
+        with pytest.raises(ConfigError, match=f"^metric name {re.escape(repr(name))} must be "
+                                              "nonempty, without commas, double quotes or "
+                                              "line breaks$"):
+            PerfMetric(name)
 
 
 class TestAblationTable:
@@ -242,7 +252,7 @@ class TestMEI:
     def test_profile_probabilities(self):
         result = mei((2.0, 1.0, 1.0), epsilon=1e-12)
         assert result.profile.p == pytest.approx((0.5, 0.25, 0.25), abs=1e-9)
-        assert result.profile.dominant_modality() == 0
+        assert np.argmax(result.profile.p) == 0
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(52)
@@ -296,7 +306,7 @@ class TestMEIFromTable:
         scores = {bits: 0.2 + 0.6 * bits[0] for bits in bit_tuples(3)}
         result = mei_from_table(make_table(3, scores))
         assert result.value == pytest.approx(0.0, abs=1e-6)
-        assert result.profile.dominant_modality() == 0
+        assert np.argmax(result.profile.p) == 0
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("metric", [UA, MAE], ids=["higher", "lower"])

@@ -383,6 +383,21 @@ def test_metric_name_that_is_not_a_string(tmp_path, capsys, name, command):
     assert not (tmp_path / "out").exists()
 
 
+# A metric name is a cell of the ablation-table file, so one its reader
+# would refuse is a config error before anything is written.
+@pytest.mark.parametrize("command", range(len(COMMANDS)))
+@pytest.mark.parametrize("name", ["a,b", ""], ids=json.dumps)
+@pytest.mark.parametrize("entry", [lambda name: name, lambda name: {"name": name}],
+                         ids=["string", "object"])
+def test_metric_name_outside_the_table_grammar(tmp_path, capsys, entry, name, command):
+    doc = doc_with("metrics", [entry(name)])
+    code = main(config_argv(tmp_path, doc, [], command))
+    assert_contract(code, capsys.readouterr().err, "config",
+                    f"metric name {name!r} must be nonempty, without commas, double quotes "
+                    "or line breaks")
+    assert not (tmp_path / "out").exists()
+
+
 # json.loads reads these as NaN or an infinity; JSON defines none of them.
 @pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e999"])
 def test_merge_of_a_non_finite_payload_number(tmp_path, capsys, number):

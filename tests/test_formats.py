@@ -12,6 +12,7 @@ from missdiag import (
     FileFormatError,
     GradTrace,
     IncompleteTableError,
+    InvalidTraceError,
     MaskMatrix,
     PerfMetric,
     RateVector,
@@ -19,7 +20,6 @@ from missdiag import (
 )
 from missdiag.equity import (
     read_ablation_tables,
-    sorted_tables,
     write_ablation_table,
     write_ablation_tables,
 )
@@ -31,7 +31,12 @@ from missdiag.learning import (
     write_agg_trace,
     write_grad_samples,
 )
-from missdiag.protocol import generate_mask_matrix, read_mask_matrix, write_mask_matrix
+from missdiag.protocol import (
+    generate_mask_matrix,
+    pattern_bitstrings,
+    read_mask_matrix,
+    write_mask_matrix,
+)
 from missdiag.report import (
     DiagnosticsReport,
     atomic_write_text,
@@ -217,9 +222,9 @@ class TestAblationTableFormat:
         second = tmp_path / "b.csv"
         write_ablation_tables([mae_table(), ua_table()], first)
         tables = read_ablation_tables(first)
-        write_ablation_tables(sorted_tables(tables), second)
+        write_ablation_tables([tables[name] for name in sorted(tables)], second)
         reread = read_ablation_tables(second)
-        write_ablation_tables(sorted_tables(reread), first)
+        write_ablation_tables([reread[name] for name in sorted(reread)], first)
         assert first.read_bytes() == second.read_bytes()
 
     def test_row_order_does_not_matter(self, tmp_path):
@@ -416,7 +421,7 @@ class TestColumnarTraceWriters:
     @pytest.mark.parametrize("chunk", [1, 3, 4096])
     @pytest.mark.parametrize("n", [0, 1, 9, 1000])
     def test_gradtrace_equals_per_row_fstrings(self, tmp_path, monkeypatch, chunk, n):
-        monkeypatch.setattr("missdiag.learning._WRITE_CHUNK_ROWS", chunk)
+        monkeypatch.setattr("missdiag.textformat._WRITE_CHUNK_ROWS", chunk)
         rows = self.random_samples(max(n, 9), seed=n)[:n]
         path = tmp_path / "trace.csv"
         write_grad_samples(rows, path)
@@ -425,7 +430,7 @@ class TestColumnarTraceWriters:
     @pytest.mark.parametrize("chunk", [1, 3, 4096])
     @pytest.mark.parametrize("shape", [(0, 3), (1, 2), (7, 3), (400, 5)])
     def test_gradagg_equals_per_cell_loop(self, tmp_path, monkeypatch, chunk, shape):
-        monkeypatch.setattr("missdiag.learning._WRITE_CHUNK_ROWS", chunk)
+        monkeypatch.setattr("missdiag.textformat._WRITE_CHUNK_ROWS", chunk)
         rng = np.random.default_rng(shape[0])
         values = rng.random(shape) * 10.0 ** rng.integers(-300, 300, size=shape)
         flat = values.reshape(-1)
@@ -433,6 +438,43 @@ class TestColumnarTraceWriters:
         path = tmp_path / "agg.csv"
         write_agg_trace(GradTrace(values=values), path)
         assert path.read_bytes() == loop_agg_trace_text(values).encode()
+
+    @pytest.mark.parametrize("chunk", [1, 3, 4096])
+    @pytest.mark.parametrize("M", [2, 5])
+    def test_abltable_equals_per_row_fstrings(self, tmp_path, monkeypatch, chunk, M):
+        # Metric names are a text column: a `%` in one is a cell, not a
+        # format, and a trailing NUL, which a numpy string array drops, stays.
+        monkeypatch.setattr("missdiag.textformat._WRITE_CHUNK_ROWS", chunk)
+        rng = np.random.default_rng(M)
+        tables = []
+        for name in ("UA", "50%s d", "m\x00", "\u00fc MAE"):
+            scores = rng.random((1 << M) - 1) * 10.0 ** rng.integers(-300, 300, size=(1 << M) - 1)
+            scores[: len(AWKWARD_FLOATS)] = AWKWARD_FLOATS[: scores.size]
+            tables.append(AblationTable(M=M, metric=PerfMetric.named(name), scores=-scores))
+        path = tmp_path / "table.csv"
+        write_ablation_tables(tables, path)
+        want = "combination,metric,value\n" + "".join(
+            f"{combo},{table.metric.name},{score!r}\n" for table in tables
+            for combo, score in zip(pattern_bitstrings(M), table.scores.tolist()))
+        assert path.read_bytes() == want.encode()
+        assert list(read_ablation_tables(path).values()) == tables
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("grad_l2", np.nan, "grad_l2 must be finite and >= 0, got nan"),
+        ("grad_l2", -np.inf, "grad_l2 must be finite and >= 0, got -inf"),
+        ("step", -1, r"step/modality/module must be nonnegative, got \(-1, 1, 2\)"),
+    ])
+    def test_gradtrace_writer_refuses_rows_its_reader_refuses(self, tmp_path, field, value,
+                                                              message):
+        rows = np.zeros(3, dtype=GRAD_SAMPLE_DTYPE)
+        rows["step"], rows["modality"], rows["module"], rows["grad_l2"] = 1, 1, [0, 1, 2], 0.5
+        rows[field][2] = value
+        path = tmp_path / "trace.csv"
+        with pytest.raises(InvalidTraceError, match=f"^{message}$"):
+            write_grad_samples(rows, path)
+        assert not path.exists()
+        with pytest.raises(InvalidTraceError, match=f"^{message}$"):
+            assemble_trace(rows)
 
 
 class TestReportFormat:

@@ -14,13 +14,13 @@ from missdiag import (
     REGRESSION,
     ConfigError,
     DimensionError,
-    EmptyDatasetError,
     InvalidPatternError,
     MissdiagError,
     TrainingDivergedError,
     PerfMetric,
     RateVector,
     SynthSpec,
+    ToyModel,
     TrainConfig,
     ablation_table,
     default_metrics,
@@ -31,7 +31,6 @@ from missdiag import (
     pattern_distribution,
     run_arms,
     run_experiment,
-    train_step,
 )
 from missdiag import simtrainer
 from missdiag.simtrainer import (
@@ -85,6 +84,44 @@ def small_spec(task: str = CLASSIFICATION, **overrides) -> SynthSpec:
 def small_model(task: str = CLASSIFICATION, dims=(5, 4), hidden=6,
                 n_classes=3, seed=0):
     return init_model(dims, hidden, task, n_classes, np.random.default_rng(seed))
+
+
+def copy_model(model) -> ToyModel:
+    """A plain model with its own copy of `model`'s parameters."""
+    return ToyModel(model.enc_W, model.enc_b, model.fus_W, model.fus_b, model.task)
+
+
+def step_batch(model, features, mask, labels, learning_rate, log_grads=True):
+    """One gradient-descent step on one batch through `simtrainer._step`, as `run_arms` takes it.
+
+    The batch's flags, sample weights and targets are formed as the
+    batch plan forms them, in a fresh workspace. A model with an arm
+    axis takes an (A, B, M) mask, one mask per arm; a plain model is the
+    case A = 1 with a (B, M) mask, and its results drop the arm axis.
+    Returns the task losses (A,), the modality losses (A, M), 0 where a
+    modality is absent from the batch, the (A, M) flags of the
+    modalities present in it, and the (A, M, M + 1) norms,
+    `norms[a, m, k]` for module k's gradient of L_m, or None when not
+    `log_grads`.
+    """
+    plain = model.arms is None
+    mask = np.asarray(mask, dtype=np.float64)
+    if plain:
+        model, mask = simtrainer._lockstep(model), mask[None]
+    B = labels.shape[0]
+    present = mask.transpose(0, 2, 1)
+    counts, divisors, weights = simtrainer._batch_weights(present, np.array([0]), np.array([B]))
+    targets = simtrainer._targets(model.task, labels, model.fus_W.shape[-1], np.arange(B))
+    xs = simtrainer._masked(model, simtrainer._grouped(model, features), present)
+    task, modality, grads = simtrainer._step(model, xs, present, divisors[..., 0], weights,
+                                             targets, learning_rate, log_grads,
+                                             simtrainer._Workspace(model, B))
+    norms = None
+    if grads is not None:
+        # A block of one step: the arms are the leading axis.
+        norms = np.sqrt(simtrainer._squared_norms(model, np.square(grads)))
+    columns = (task, modality, counts[..., 0] > 0, norms)
+    return tuple(None if c is None else c[0] for c in columns) if plain else columns
 
 
 class TestSynthSpec:
@@ -246,12 +283,11 @@ class TestTrainStep:
 
     def test_zero_learning_rate_leaves_parameters(self):
         model = small_model()
-        before = [(name, arr.copy()) for name, arr in model.parameters()]
+        before = model.flat.copy()
         feats, labels = self._batch()
-        task, _, observed, _ = train_step(model, feats, np.ones((8, 2)), labels,
+        task, _, observed, _ = step_batch(model, feats, np.ones((8, 2)), labels,
                                           learning_rate=0.0)
-        for (_, old), (_, new) in zip(before, model.parameters()):
-            np.testing.assert_array_equal(old, new)
+        np.testing.assert_array_equal(model.flat, before)
         assert task > 0.0
         assert observed.tolist() == [True, True]
 
@@ -259,11 +295,11 @@ class TestTrainStep:
         model = small_model()
         feats, labels = self._batch()
         mask = np.ones((8, 2))
-        reference = model.clone()
+        reference = copy_model(model)
         _, grads = loss_and_grads(
             reference, feats, mask, labels, np.full(8, 1.0 / 8.0)
         )
-        train_step(model, feats, mask, labels, learning_rate=0.1)
+        step_batch(model, feats, mask, labels, learning_rate=0.1)
         for m in range(2):
             np.testing.assert_allclose(
                 model.enc_W[m], reference.enc_W[m] - 0.1 * grads["enc_W"][m],
@@ -278,7 +314,7 @@ class TestTrainStep:
         feats, labels = self._batch()
         mask = np.ones((8, 2))
         mask[:, 1] = 0.0
-        _, modality, observed, norms = train_step(model, feats, mask, labels,
+        _, modality, observed, norms = step_batch(model, feats, mask, labels,
                                                   learning_rate=0.01)
         assert observed.tolist() == [True, False] and modality[1] == 0.0
         # one norm per module for modality 0; modality 1's row is unused
@@ -291,24 +327,17 @@ class TestTrainStep:
         feats, labels = self._batch()
         mask = np.ones((8, 2))
         mask[:4, 1] = 0.0
-        task, modality, observed, _ = train_step(model, feats, mask, labels, learning_rate=0.0)
+        task, modality, observed, _ = step_batch(model, feats, mask, labels, learning_rate=0.0)
         assert observed[1]
         assert modality[1] != pytest.approx(task)
 
     def test_log_grads_flag_suppresses_samples(self):
         model = small_model()
         feats, labels = self._batch()
-        _, _, observed, norms = train_step(model, feats, np.ones((8, 2)), labels,
+        _, _, observed, norms = step_batch(model, feats, np.ones((8, 2)), labels,
                                            learning_rate=0.01, log_grads=False)
         assert norms is None
         assert observed[0]
-
-    def test_empty_batch_rejected(self):
-        model = small_model()
-        feats, labels = self._batch()
-        with pytest.raises(EmptyDatasetError):
-            train_step(model, [f[:0] for f in feats], np.ones((0, 2)),
-                       labels[:0], learning_rate=0.1)
 
 
 class TestGradients:
@@ -401,7 +430,7 @@ def _descend(model, grads, learning_rate: float) -> None:
 
 
 def _step_log(columns, step: int, a: int | None = None) -> StepLog:
-    """`train_step`'s arrays as the oracle's `StepLog` of `step`, for arm a of a model with arms."""
+    """`step_batch`'s arrays as the oracle's `StepLog` of `step`, for arm a of a model with arms."""
     task, modality, observed, norms = (c if a is None or c is None else c[a] for c in columns)
     return StepLog(step, float(task),
                    tuple(loss if seen else None
@@ -410,8 +439,7 @@ def _step_log(columns, step: int, a: int | None = None) -> StepLog:
 
 
 def _assert_same_parameters(model, reference) -> None:
-    for (name, mine), (_, theirs) in zip(model.parameters(), reference.parameters()):
-        assert np.array_equal(mine, theirs), name
+    assert np.array_equal(model.flat, reference.flat)
 
 
 class TestOneBackward:
@@ -426,12 +454,12 @@ class TestOneBackward:
     @pytest.mark.parametrize("B", [1, 7, 48])
     def test_norms_and_update_equal_per_weighting_oracle(self, task, M, B):
         model, feats, labels, mask = _oracle_batch(task, M, B, seed=10 * M + B)
-        reference = model.clone()
+        reference = copy_model(model)
         for _ in range(3):
             expected = per_weighting_grad_norms(reference, feats, mask, labels)
             out, cache = masked_forward_cache(reference, feats, mask)
             full = backward_batch(reference, cache, out, labels, np.full(B, 1.0 / B))
-            norms = train_step(model, feats, mask, labels, self.LR)[3]
+            norms = step_batch(model, feats, mask, labels, self.LR)[3]
             assert np.isfinite(norms).all()
             assert np.array_equal(norms, expected)
             _descend(reference, full, self.LR)
@@ -443,9 +471,9 @@ class TestOneBackward:
     @pytest.mark.parametrize("log_grads", [True, False])
     def test_update_equals_loss_and_grads(self, task, M, B, log_grads):
         model, feats, labels, mask = _oracle_batch(task, M, B, seed=10 * M + B + 1)
-        reference = model.clone()
+        reference = copy_model(model)
         _, grads = loss_and_grads(reference, feats, mask, labels, np.full(B, 1.0 / B))
-        norms = train_step(model, feats, mask, labels, self.LR, log_grads=log_grads)[3]
+        norms = step_batch(model, feats, mask, labels, self.LR, log_grads=log_grads)[3]
         assert (norms is None) == (not log_grads)
         _descend(reference, grads, self.LR)
         _assert_same_parameters(model, reference)
@@ -456,7 +484,7 @@ class TestOneBackward:
         absent = 1
         model, feats, labels, mask = _oracle_batch(task, M, 7, seed=M, absent=absent)
         expected = per_weighting_grad_norms(model, feats, mask, labels)
-        _, _, observed, norms = train_step(model, feats, mask, labels, self.LR)
+        _, _, observed, norms = step_batch(model, feats, mask, labels, self.LR)
         assert observed.tolist() == [m != absent for m in range(M)]
         assert (norms[absent] == 0.0).all()
         assert np.array_equal(norms, expected)
@@ -481,15 +509,15 @@ class TestOneBackward:
             masks[1, :, M - 1] = 0.0  # the last modality is absent from arm 1's batch
             masks[1, :, 0] = 1.0
         stacked = simtrainer._lockstep(model, A)
-        plain = [model.clone() for _ in range(A)]
+        plain = [copy_model(model) for _ in range(A)]
         for step in range(1, 4):
             log_grads = step != 2
-            columns = train_step(stacked, feats, masks, labels, self.LR, log_grads=log_grads)
+            columns = step_batch(stacked, feats, masks, labels, self.LR, log_grads=log_grads)
             for a in range(A):
                 expected = per_weighting_grad_norms(plain[a], feats, masks[a], labels)
                 out, cache = masked_forward_cache(plain[a], feats, masks[a])
                 full = backward_batch(plain[a], cache, out, labels, np.full(B, 1.0 / B))
-                reference = plain[a].clone()
+                reference = copy_model(plain[a])
                 want = per_arm_train_step(plain[a], feats, masks[a], labels, self.LR, step,
                                           log_grads)
                 assert _step_log(columns, step, a) == want
@@ -514,7 +542,7 @@ class TestOneBackward:
             assert np.array_equal(b, model.enc_bias[model.slots[m]])
         model.enc_W[-1][0, 0] = 7.0
         model.enc_b[-1][0] = 8.0
-        clone, arm = model.clone(), simtrainer._lockstep(model, 2).arm(1)
+        clone, arm = copy_model(model), simtrainer._lockstep(model, 2).arm(1)
         model.enc_W[-1][0, 0] = 0.0
         assert clone.enc_W[-1][0, 0] == 7.0 and clone.enc_b[-1][0] == 8.0
         assert arm.enc_W[-1][0, 0] == 7.0 and arm.enc_b[-1][0] == 8.0
@@ -658,22 +686,22 @@ class TestFlatParameters:
             assert (flat != before).sum() == view.size
             flat[...] = before
         flat[...] = 2.0
-        for _, view in model.parameters():
+        for view in [*model.enc_W, *model.enc_b, model.fus_W, model.fus_b]:
             assert (view == 2.0).all()
 
-    def test_arm_and_clone_keep_their_aliasing(self):
+    def test_arm_keeps_its_aliasing(self):
         model = small_model(dims=(4, 7, 4))
         stacked = simtrainer._lockstep(model, 3)
-        arm, clone = stacked.arm(1), stacked.clone()
-        assert arm.arms is None and clone.arms == 3
+        arm = stacked.arm(1)
+        assert arm.arms is None and stacked.arms == 3
         assert np.shares_memory(arm.flat, stacked.flat)
-        assert not np.shares_memory(clone.flat, stacked.flat)
+        assert not np.shares_memory(stacked.flat, model.flat)
         arm.enc_W[2][0, 0] = 5.0
         arm.fus_b[0] = 6.0
         assert stacked.enc_W[2][1, 0, 0] == 5.0 and stacked.flat[1, -3] == 6.0
-        assert stacked.enc_W[2][0, 0, 0] != 5.0 and clone.enc_W[2][1, 0, 0] != 5.0
+        assert stacked.enc_W[2][0, 0, 0] != 5.0 and model.enc_W[2][0, 0] != 5.0
         stacked.flat[1] = 0.0
-        assert not arm.fus_W.any() and clone.fus_W[1].any()
+        assert not arm.fus_W.any() and stacked.fus_W[0].any()
         # One arm of views into a plain model: its updates reach the model.
         single = simtrainer._lockstep(model)
         assert np.shares_memory(single.flat, model.flat)
@@ -779,7 +807,7 @@ def trained_model(task: str, M: int):
         feats, labels = take(data.train, rng.choice(spec.n_train, 32, replace=False))
         mask = rng.integers(0, 2, size=(32, M))
         mask[mask.sum(axis=1) == 0, 0] = 1
-        train_step(model, feats, mask.astype(np.float64), labels, 0.05, log_grads=False)
+        step_batch(model, feats, mask.astype(np.float64), labels, 0.05, log_grads=False)
     return model, data
 
 
@@ -1102,7 +1130,7 @@ class TestRunExperiment:
         before = dataset_loss(model, data.train)
         for _ in range(5):
             feats, labels = take(data.train, np.arange(128))
-            train_step(model, feats, np.ones((128, 2)), labels, learning_rate=0.2)
+            step_batch(model, feats, np.ones((128, 2)), labels, learning_rate=0.2)
         assert dataset_loss(model, data.train) < before
 
 
@@ -1376,12 +1404,12 @@ class TestLockstep:
         model, feats, labels, mask = _oracle_batch(CLASSIFICATION, 3, 7, seed=5)
         masks = np.stack([mask, (rng.random(mask.shape) < 0.5).astype(np.float64), mask])
         masks[1, :, 0] = 0.0  # modality 0 absent from arm 1's batch
-        plain = [model.clone() for _ in masks]
+        plain = [copy_model(model) for _ in masks]
         stacked = simtrainer._lockstep(model, len(masks))
         assert stacked.arms == 3 and model.arms is None
-        columns = train_step(stacked, feats, masks, labels, 0.01)
+        columns = step_batch(stacked, feats, masks, labels, 0.01)
         for a, arm_mask in enumerate(masks):
-            alone = train_step(plain[a], feats, arm_mask, labels, 0.01)
+            alone = step_batch(plain[a], feats, arm_mask, labels, 0.01)
             assert _step_log(columns, 4, a) == _step_log(alone, 4)
             _assert_same_parameters(stacked.arm(a), plain[a])
         assert not columns[2][1, 0]
@@ -1389,15 +1417,20 @@ class TestLockstep:
     def test_stacked_model_shapes_checked(self):
         model = simtrainer._lockstep(small_model(), 2)
         feats, labels = [np.ones((4, 5)), np.ones((4, 4))], np.zeros(4, dtype=np.int64)
-        with pytest.raises(DimensionError, match=r"does not match batch \(2, 4, 2\)"):
-            train_step(model, feats, np.ones((4, 2)), labels, 0.1)
+        with pytest.raises(DimensionError, match=r"^mask of shape \(4, 3\) does not match "
+                                                 r"batch \(4, 2\)$"):
+            loss_and_grads(small_model(), feats, np.ones((4, 3)), labels, np.full(4, 0.25))
         with pytest.raises(DimensionError, match="one arm at a time"):
             forward(model, feats, (1, 1))
         with pytest.raises(DimensionError, match="^a plain model has no arm axis"):
             small_model().arm(0)
+        # The constructor takes one model's plain arrays; an arm axis is refused.
+        with pytest.raises(DimensionError, match=r"^the fusion weight must be \(H, C\), "
+                                                 r"got shape \(2, 6, 3\)$"):
+            ToyModel(model.enc_W, model.enc_b, model.fus_W, model.fus_b, CLASSIFICATION)
         with pytest.raises(DimensionError, match="inconsistent"):
-            simtrainer.ToyModel(model.enc_W, [b[0] for b in model.enc_b], model.fus_W,
-                                model.fus_b, CLASSIFICATION)
+            ToyModel(model.enc_W, [b[0] for b in model.enc_b], model.fus_W[0],
+                     model.fus_b[0], CLASSIFICATION)
 
     @pytest.mark.parametrize("field, value", [
         ("epochs", 4), ("learning_rate", 0.01), ("seed", 8), ("grad_log_stride", 2),
@@ -1604,19 +1637,6 @@ class TestWorkspace:
             for mine, theirs in zip(vars(made[0]).values(), vars(made[1]).values()):
                 if isinstance(mine, np.ndarray) and mine is not made[0].fus_W_T:
                     assert not np.shares_memory(mine, theirs)
-
-    @pytest.mark.parametrize("A", [None, 2])
-    def test_train_step_arrays_outlive_the_next_call(self, A):
-        model, feats, labels, mask = _oracle_batch(CLASSIFICATION, 3, 7, seed=5)
-        if A is not None:
-            model, mask = simtrainer._lockstep(model, A), np.stack([mask] * A)
-        first = train_step(model, feats, mask, labels, 0.5)
-        kept = [column.copy() for column in first]
-        second = train_step(model, feats, mask, labels, 0.5)
-        for mine, copy, theirs in zip(first, kept, second):
-            assert np.array_equal(mine, copy)
-            assert not np.shares_memory(mine, theirs)
-        assert not np.array_equal(first[0], second[0])
 
     def test_loss_and_grads_arrays_outlive_the_next_call(self):
         model, feats, labels, mask = _oracle_batch(REGRESSION, 3, 7, seed=6)
