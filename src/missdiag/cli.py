@@ -153,10 +153,12 @@ def _cmd_divergence(args: argparse.Namespace) -> int:
 
 
 def _cmd_mei(args: argparse.Namespace) -> int:
-    orientations = {}
-    for name in args.lower_better or []:
-        orientations[name] = equity.LOWER_BETTER
+    orientations = dict.fromkeys(args.lower_better or [], equity.LOWER_BETTER)
     tables = equity.read_ablation_tables(args.table, orientations)
+    unknown = [name for name in orientations if name not in tables]
+    if unknown:
+        raise ConfigError(f"--lower-better {unknown[0]!r} names no metric of the table, "
+                          f"which holds {', '.join(map(repr, sorted(tables)))}")
     # Every metric is scored before anything is printed, so a failing
     # table leaves stdout empty beside its one error line.
     lines = []

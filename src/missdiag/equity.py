@@ -20,7 +20,7 @@ import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .protocol import (
     pattern_bitstrings,
     pattern_code,
 )
-from .textformat import FLOAT, NAME, format_rows, read_text
+from .textformat import BITS, NAME, SFLOAT, first_bad_line, format_rows, read_columns, read_text
 
 DEFAULT_EPSILON = 1e-8
 
@@ -321,46 +321,80 @@ def write_ablation_table(table: AblationTable, path: str | Path) -> None:
     write_ablation_tables([table], path)
 
 
-_COMBINATION = re.compile(r"[01]+")
-_VALUE = re.compile(f"-?(?:{FLOAT})")
-_ROW = re.compile(f"([01]+),({NAME}),(-?(?:{FLOAT}))")
+_TABLE_FIELDS = (BITS, NAME, SFLOAT)
 
 
-def _combination_error(combo: str, M: int | None) -> str | None:
-    if M is not None and len(combo) != M:
-        return f"combination length {len(combo)} != {M}"
-    if not 2 <= len(combo) <= MAX_ENUMERATED_MODALITIES:
-        return (f"combination length {len(combo)}: a table covers 2 to "
-                f"{MAX_ENUMERATED_MODALITIES} modalities")
-    if "1" not in combo:
-        return "all-missing combination"
-    return None
+def _row_check(body: str) -> Callable[[int, list[str]], str | None]:
+    """`first_bad_line`'s check of the rows of `body`, called in file order; row 0 fixes M.
 
+    A repeat is named on its second row, but an unterminated last line's missing LF first.
+    """
+    M = len(body.partition(",")[0])  # row 0's combination, once the walk checks row 0
+    unterminated = -1 if body.endswith("\n") else body.count("\n")
+    seen: set[tuple[str, str]] = set()
 
-def _row_error(line: str, M: int | None) -> str:
-    """Why a line outside the row grammar does not read; the csv-era checks come first."""
-    if line.endswith("\r"):
-        return "CRLF line ending, expected LF"
-    if not line:
-        return "blank line"
-    cells = line.split(",")
-    if len(cells) != 3:
-        return f"expected 3 fields, got {len(cells)}"
-    combo, metric_name, value_text = cells
-    if not _COMBINATION.fullmatch(combo):
-        return f"bad combination {combo!r}"
-    reason = _combination_error(combo, M)
-    if reason is not None:
-        return reason
-    if not _VALUE.fullmatch(value_text):
+    def check(k: int, cells: list[str]) -> str | None:
+        combo, metric_name, value_text = cells
+        if not re.fullmatch(BITS, combo):
+            return f"bad combination {combo!r}"
+        if len(combo) != M:
+            return f"combination length {len(combo)} != {M}"
+        if not 2 <= M <= MAX_ENUMERATED_MODALITIES:
+            return (f"combination length {M}: a table covers 2 to "
+                    f"{MAX_ENUMERATED_MODALITIES} modalities")
+        if "1" not in combo:
+            return "all-missing combination"
         try:
             value = float(value_text)
         except ValueError:
             return f"bad value {value_text!r}"
+        in_form = re.fullmatch(SFLOAT, value_text) is not None
+        if in_form and not re.fullmatch(NAME, metric_name):
+            return f"bad metric name {metric_name!r}"
         if not math.isfinite(value):
             return f"non-finite value {value_text!r}"
-        return f"value {value_text!r} is not a float in repr form"
-    return f"bad metric name {metric_name!r}"
+        if not in_form:
+            return f"value {value_text!r} is not a float in repr form"
+        if (metric_name, combo) in seen and k != unterminated:
+            return f"duplicate combination {combo} for {metric_name!r}"
+        seen.add((metric_name, combo))
+        return None
+
+    return check
+
+
+def _tables(path: str | Path, orientations: Mapping[str, str] | None, combos: list[str],
+            names: list[str], values: list[str]) -> dict[str, AblationTable] | None:
+    """Each metric's table from the body's columns, or None on a row `_row_check` names.
+
+    Such a row has a bad combination length or no 1, a non-finite value, or a repeat.
+    """
+    M, n = len(combos[0]), len(combos)
+    if not 2 <= M <= MAX_ENUMERATED_MODALITIES or set(map(len, combos)) != {M}:
+        return None
+    codes = np.fromiter((int(c, 2) for c in combos), np.int64, n)
+    scores = np.fromiter(map(float, values), np.float64, n)
+    if not codes.all() or not np.isfinite(scores).all():
+        return None
+    metrics = {name: i for i, name in enumerate(dict.fromkeys(names))}
+    P = (1 << M) - 1
+    keys = np.fromiter(map(metrics.__getitem__, names), np.int64, n) * P + codes - 1
+    counts = np.bincount(keys, minlength=len(metrics) * P)
+    if counts.max() > 1:
+        return None
+    grid = np.zeros((len(metrics), P))
+    grid.flat[keys] = scores
+    tables = {}
+    for (name, row), seen in zip(metrics.items(), counts.reshape(-1, P) == 1):
+        if not seen[-1]:
+            raise IncompleteTableError(f"{path}: table for {name!r} is missing "
+                                       f"the all-ones combination {'1' * M}")
+        if not seen.all():
+            missing = ", ".join(c for c, ok in zip(pattern_bitstrings(M), seen) if not ok)
+            raise IncompleteTableError(f"ablation table for {name!r} is missing "
+                                       f"combinations: {missing}")
+        tables[name] = AblationTable(M, PerfMetric.named(name, orientations), grid[row])
+    return tables
 
 
 def read_ablation_tables(
@@ -368,64 +402,19 @@ def read_ablation_tables(
 ) -> dict[str, AblationTable]:
     """Read an `abltable-v1` CSV into one AblationTable per metric.
 
-    Every body line is `combination,metric,value`: a 0/1 bitstring, a
-    metric name without commas or double quotes, and a float as `repr`
-    writes it, with an optional minus sign. A line outside that grammar,
-    or a bad row, raises `FileFormatError` naming its line. Metric
-    orientations are looked up by name (MAE is lower-better by default,
-    unknown names higher-better) unless overridden.
+    Every body line is `combination,metric,value` in the `textformat`
+    grammars `BITS`, `NAME` and `SFLOAT`. The first bad line raises
+    `FileFormatError` naming it. Metric orientations are looked up by name
+    (MAE is lower-better by default, unknown names higher-better) unless
+    overridden.
     """
     header, body = read_text(path)
     if header != ["combination", "metric", "value"]:
         raise FileFormatError(f"{path}: expected header 'combination,metric,value'")
-    lines = body.split("\n")
-    M: int | None = None
-    # metric -> (scores, seen flags), both indexed by code - 1
-    scores: dict[str, tuple[list[float], list[bool]]] = {}
-    for k, line in enumerate(lines if lines[-1] else lines[:-1]):
-        row = _ROW.fullmatch(line)
-        if row is None:
-            reason = _row_error(line, M)
-        else:
-            combo, metric_name, value_text = row.groups()
-            value = float(value_text)
-            reason = _combination_error(combo, M)
-            if reason is None and not math.isfinite(value):
-                reason = f"non-finite value {value_text!r}"
-            elif reason is None and k == len(lines) - 1:
-                reason = "no newline at end of file"
-        if reason is not None:
-            raise FileFormatError(f"{path}:{k + 2}: {reason}")
-        if M is None:
-            M = len(combo)
-            n_patterns = len(pattern_bits(M))
-        if metric_name not in scores:
-            scores[metric_name] = ([0.0] * n_patterns, [False] * n_patterns)
-        values, seen = scores[metric_name]
-        index = int(combo, 2) - 1
-        if seen[index]:
-            raise FileFormatError(
-                f"{path}:{k + 2}: duplicate combination {combo} for {metric_name!r}"
-            )
-        values[index] = value
-        seen[index] = True
-    if M is None:
+    if not body:
         raise FileFormatError(f"{path}: no table rows")
-    tables = {}
-    combos = pattern_bitstrings(M)
-    for metric_name, (values, seen) in scores.items():
-        if not seen[-1]:
-            raise IncompleteTableError(
-                f"{path}: table for {metric_name!r} is missing the all-ones "
-                f"combination {combos[-1]}"
-            )
-        if not all(seen):
-            names = ", ".join(c for c, ok in zip(combos, seen) if not ok)
-            raise IncompleteTableError(
-                f"ablation table for {metric_name!r} is missing combinations: {names}"
-            )
-        tables[metric_name] = AblationTable(
-            M=M, metric=PerfMetric.named(metric_name, orientations), scores=values
-        )
+    columns = read_columns(body, _TABLE_FIELDS)
+    tables = None if columns is None else _tables(path, orientations, *columns)
+    if tables is None:
+        raise first_bad_line(path, body, header, _TABLE_FIELDS, _row_check(body))
     return tables
-

@@ -1,28 +1,26 @@
 """Strict line-grammar readers, and the row writer, shared by the CSV formats.
 
-`maskmatrix-v1`, `gradtrace-v1` and `gradagg-v1` files are a header line
-and a body of comma-separated rows, every line ended by LF (the last
-one too). Each body column has a grammar:
+`maskmatrix-v1`, `gradtrace-v1`, `gradagg-v1` and `abltable-v1` files are
+a header line and a body of comma-separated rows, every line ended by LF
+(the last one too). Each body column has a grammar:
 
-- `INT`: a canonical decimal integer, `0` or `[1-9][0-9]*`;
-- `BIT`: `0` or `1`;
+- `INT`: a canonical decimal integer, `0` or `[1-9][0-9]*`; `BIT`: `0` or `1`;
+- `BITS`: a nonempty 0/1 string, an ablation-table combination;
 - `FLOAT`: a nonnegative float as `repr` writes it: `0.5`, `2.0`,
-  `1e-05`, `1.5e+16`.
+  `1e-05`, `1.5e+16`; `SFLOAT`: a `FLOAT` with an optional minus sign;
+- `NAME`: text without a comma, double quote or line break, as header
+  fields (split on commas, no csv quoting), modality and metric names are.
 
-Header fields are `NAME`s, split on commas with no csv quoting; modality
-names (`RateVector`) and abltable metric names share that grammar.
+`parse_rows` (traces) and `read_columns` (ablation tables) check every body
+line against the line grammar with one regex substitution, in blocks of up
+to 64 lines; `parse_rows` converts the body with numpy's `loadtxt` in one
+step, `read_columns` splits it into text columns for the format's array
+checks. A `maskmatrix-v1` body in the grammar has one byte form, which
+`protocol.read_mask_matrix` checks without a regex. Only when a reader's
+checks fail does `first_bad_line` walk the lines in Python to name the
+first bad one as `path:line: reason`.
 
-`parse_rows` checks every body line of a trace file against the line
-grammar with one regex substitution, in blocks of up to 64 lines, and
-converts the body with numpy's `loadtxt` in one step. A `maskmatrix-v1`
-body in the grammar has one byte form, which `protocol.read_mask_matrix`
-checks without a regex. Only when that fails does `first_bad_line` walk
-the lines in Python to name the first bad one as `path:line: reason`.
-
-`abltable-v1` (`equity.read_ablation_tables`) shares `read_text` and
-`FLOAT`; its metric column is text, so it matches its rows one by one.
-
-`format_rows`, the writer twin of `parse_rows`, formats the body of a
+`format_rows`, the writer twin of the readers, formats the body of a
 `gradtrace-v1`, `gradagg-v1` or `abltable-v1` file from its columns.
 """
 
@@ -44,7 +42,9 @@ from .errors import FileFormatError
 NAME = r'[^,"\r\n]+'
 INT = r"0|[1-9][0-9]*"
 BIT = r"[01]"
+BITS = r"[01]+"
 FLOAT = r"(?:0|[1-9][0-9]*)\.[0-9]+|[1-9](?:\.[0-9]+)?e[+-](?:0[1-9]|[1-9][0-9]{1,2})"
+SFLOAT = f"-?(?:{FLOAT})"
 
 _DESCRIPTIONS = {
     INT: "a canonical decimal integer",
@@ -121,6 +121,17 @@ def parse_rows(body: str, fields: tuple[str, ...], dtype: np.dtype) -> np.ndarra
         return None
 
 
+def read_columns(body: str, fields: tuple[str, ...]) -> list[list[str]] | None:
+    """The body's cells as one list of `str` per field, or None when a line breaks the grammar.
+
+    Not numpy string arrays: those drop a trailing NUL, which `NAME` allows.
+    """
+    if _line_re(fields).sub("", body):
+        return None
+    cells = body.replace("\n", ",").split(",")  # no grammar holds a comma; LF ends the body
+    return [cells[j : -1 : len(fields)] for j in range(len(fields))]
+
+
 # Rows `format_rows` formats with one `%` operation; the chunk's argument
 # tuple and text stay small however long the body is.
 _WRITE_CHUNK_ROWS = 4096
@@ -178,7 +189,7 @@ def _line_error(k, line, names, fields, check) -> str | None:
         return "blank line"
     cells = line.split(",")
     if len(cells) != len(fields):
-        return f"expected {len(fields)} fields"
+        return f"expected {len(fields)} fields, got {len(cells)}"
     reason = check(k, cells)
     if reason is not None:
         return reason

@@ -331,6 +331,109 @@ def regex_read_mask_matrix(path) -> tuple[tuple[str, ...], np.ndarray]:
     return tuple(names), masks
 
 
+def loop_read_ablation_tables(path, orientations=None) -> dict:
+    """An `abltable-v1` file read as the package read it before its columnar reader.
+
+    One regex match per body line, in file order: a line outside the row
+    grammar is named with the first reason it breaks, a matched row with
+    a bad combination, a non-finite value, a missing final LF or a
+    repeat, in that order. After every line, each metric's table must
+    hold the all-ones row, then every other row. Raises what that reader
+    raised, in the same order.
+    """
+    import re
+
+    from missdiag.equity import AblationTable, PerfMetric
+    from missdiag.errors import FileFormatError, IncompleteTableError
+    from missdiag.protocol import MAX_ENUMERATED_MODALITIES, pattern_bitstrings
+    from missdiag.textformat import FLOAT, NAME, read_text
+
+    value_re = re.compile(f"-?(?:{FLOAT})")
+    row_re = re.compile(f"([01]+),({NAME}),(-?(?:{FLOAT}))")
+
+    def combination_error(combo, M):
+        if M is not None and len(combo) != M:
+            return f"combination length {len(combo)} != {M}"
+        if not 2 <= len(combo) <= MAX_ENUMERATED_MODALITIES:
+            return (f"combination length {len(combo)}: a table covers 2 to "
+                    f"{MAX_ENUMERATED_MODALITIES} modalities")
+        if "1" not in combo:
+            return "all-missing combination"
+        return None
+
+    def row_error(line, M):
+        if line.endswith("\r"):
+            return "CRLF line ending, expected LF"
+        if not line:
+            return "blank line"
+        cells = line.split(",")
+        if len(cells) != 3:
+            return f"expected 3 fields, got {len(cells)}"
+        combo, metric_name, value_text = cells
+        if not re.fullmatch(r"[01]+", combo):
+            return f"bad combination {combo!r}"
+        reason = combination_error(combo, M)
+        if reason is not None:
+            return reason
+        if not value_re.fullmatch(value_text):
+            try:
+                value = float(value_text)
+            except ValueError:
+                return f"bad value {value_text!r}"
+            if not math.isfinite(value):
+                return f"non-finite value {value_text!r}"
+            return f"value {value_text!r} is not a float in repr form"
+        return f"bad metric name {metric_name!r}"
+
+    header, body = read_text(path)
+    if header != ["combination", "metric", "value"]:
+        raise FileFormatError(f"{path}: expected header 'combination,metric,value'")
+    lines = body.split("\n")
+    M = None
+    scores = {}  # metric -> (scores, seen flags), both indexed by code - 1
+    for k, line in enumerate(lines if lines[-1] else lines[:-1]):
+        row = row_re.fullmatch(line)
+        if row is None:
+            reason = row_error(line, M)
+        else:
+            combo, metric_name, value_text = row.groups()
+            value = float(value_text)
+            reason = combination_error(combo, M)
+            if reason is None and not math.isfinite(value):
+                reason = f"non-finite value {value_text!r}"
+            elif reason is None and k == len(lines) - 1:
+                reason = "no newline at end of file"
+        if reason is not None:
+            raise FileFormatError(f"{path}:{k + 2}: {reason}")
+        if M is None:
+            M = len(combo)
+        if metric_name not in scores:
+            scores[metric_name] = ([0.0] * (2**M - 1), [False] * (2**M - 1))
+        values, seen = scores[metric_name]
+        index = int(combo, 2) - 1
+        if seen[index]:
+            raise FileFormatError(
+                f"{path}:{k + 2}: duplicate combination {combo} for {metric_name!r}")
+        values[index] = value
+        seen[index] = True
+    if M is None:
+        raise FileFormatError(f"{path}: no table rows")
+    tables = {}
+    combos = pattern_bitstrings(M)
+    for metric_name, (values, seen) in scores.items():
+        if not seen[-1]:
+            raise IncompleteTableError(
+                f"{path}: table for {metric_name!r} is missing the all-ones "
+                f"combination {combos[-1]}")
+        if not all(seen):
+            names = ", ".join(c for c, ok in zip(combos, seen) if not ok)
+            raise IncompleteTableError(
+                f"ablation table for {metric_name!r} is missing combinations: {names}")
+        tables[metric_name] = AblationTable(
+            M=M, metric=PerfMetric.named(metric_name, orientations), scores=values)
+    return tables
+
+
 # The csv readers the package used before its strict-grammar readers:
 # `csv` splits each row, `int()`/`float()` convert each cell, blank rows
 # are skipped, and CRLF reads like LF. On every file the package writes,

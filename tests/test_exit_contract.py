@@ -283,6 +283,11 @@ def file_cases() -> list[tuple[str, list[str], str, str, str]]:
          "all contribution weights p_m underflow to zero"),
         ("abltable-v1 infinite epsilon", [*abl_argv[:-1], "--epsilon", "inf", abl_argv[-1]],
          lines(abl_header, *abl_rows), "domain", "epsilon must be finite and positive, got inf"),
+        # A --lower-better metric the table lacks once went unused, and the
+        # metric was scored as higher-better.
+        ("abltable-v1 unknown lower-better metric",
+         [*abl_argv[:-1], "--lower-better", "UAX", abl_argv[-1]], lines(abl_header, *abl_rows),
+         "config", "--lower-better 'UAX' names no metric of the table, which holds 'UA'\n"),
     ]
     return cases
 

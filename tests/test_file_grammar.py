@@ -16,7 +16,7 @@ import pytest
 from missdiag import assemble_trace
 from missdiag.cli import main
 from missdiag.equity import read_ablation_tables
-from missdiag.errors import FileFormatError
+from missdiag.errors import FileFormatError, MissdiagError
 from missdiag.learning import (
     _TRACE_FIELDS,
     GRAD_SAMPLE_DTYPE,
@@ -326,6 +326,110 @@ class TestMaskReaderOracle:
             assert got == _read_outcome(oracles.regex_read_mask_matrix, path), label
 
 
+# Bytes a substitution or an insertion puts into a table file.
+TABLE_MUTANT_BYTES = b'01,\n\r-e.5 +_a"\xff\x00'
+
+
+def _table_mutants(M: int, metrics: tuple[str, ...]) -> list[tuple[str, bytes]]:
+    """A valid `abltable-v1` file of M modalities and seeded mutants of it, each (label, bytes)."""
+    rng = np.random.default_rng([M, len(metrics)])
+    P = 2**M - 1
+    values = rng.normal(0.5, 0.5, size=len(metrics) * P).tolist()
+    values[0] = -0.0
+    rows = [f"{code:0{M}b},{name},{value!r}"
+            for i, name in enumerate(metrics)
+            for code, value in zip(range(1, P + 1), values[i * P : (i + 1) * P])]
+
+    def text(body: list[str], end: str = "\n") -> bytes:
+        return (TABLE_HEADER + "\n".join(body) + end).encode("utf-8")
+
+    def cells(k: int) -> list[str]:
+        return rows[k].split(",")
+
+    def with_cell(k: int, j: int, cell: str) -> list[str]:
+        row = cells(k)
+        row[j] = cell
+        return rows[:k] + [",".join(row)] + rows[k + 1 :]
+
+    data = text(rows)
+    mutants = [
+        ("valid", data),
+        ("shuffled", text([rows[i] for i in rng.permutation(len(rows))])),
+        ("unterminated", data[:-1]),
+        ("unterminated-duplicate", text(rows + [rows[int(rng.integers(len(rows)))]], "")),
+        ("missing-all-ones", text(rows[: P - 1] + rows[P:])),
+        ("crlf", data.replace(b"\n", b"\r\n")),
+        ("first-row-m1", text(with_cell(0, 0, "1"))),
+        ("first-row-m21", text(with_cell(0, 0, "1" * 21))),
+        ("header-only", TABLE_HEADER.encode()),
+    ]
+    # An M = 12 file has 4095 rows per metric, and a bad one is walked line by
+    # line up to its first bad line: fewer mutants keep the sweep fast.
+    for k in rng.integers(len(rows), size=3 if M < 12 else 1).tolist():
+        later = int(rng.integers(k, len(rows))) + 1
+        combo = cells(k)[0]
+        with_dup = rows[:later] + [rows[k]] + rows[later:]
+        mutants += [
+            (f"duplicate-{k}", text(with_dup)),
+            (f"missing-{k}", text(rows[:k] + rows[k + 1 :])),
+            (f"crlf-{k}", text(rows[:k] + [rows[k] + "\r"] + rows[k + 1 :])),
+            (f"blank-{k}", text(rows[:k] + [""] + rows[k:])),
+            (f"all-missing-{k}", text(with_cell(k, 0, "0" * M))),
+            (f"longer-{k}", text(with_cell(k, 0, combo + "1"))),
+            (f"shorter-{k}", text(with_cell(k, 0, combo[1:]))),
+            (f"nan-{k}", text(with_cell(k, 2, "nan"))),
+            (f"overflow-{k}", text(with_cell(k, 2, "1e+999"))),
+            (f"short-exponent-{k}", text(with_cell(k, 2, "5e-1"))),
+            (f"quoted-metric-{k}", text(with_cell(k, 1, f'"{cells(k)[1]}"'))),
+            (f"empty-metric-{k}", text(with_cell(k, 1, ""))),
+            (f"fourth-field-{k}", text(rows[:k] + [rows[k] + ",x"] + rows[k + 1 :])),
+            (f"empty-metric-overflow-{k}", text(rows[:k] + [combo + ",,1e+999"] + rows[k + 1 :])),
+            # Two faults, the repeat first and then a grammar fault, and the other way round.
+            (f"duplicate-then-grammar-{k}",
+             text(with_dup[: later + 1] + [rows[-1].rsplit(",", 1)[0] + ",5e-1"])),
+            (f"grammar-then-duplicate-{k}",
+             text(rows[:k] + [combo + ",,0.5"] + rows[k + 1 : later] + [rows[later - 1]])),
+        ]
+    for at in rng.integers(len(data), size=12 if M < 12 else 4).tolist():
+        i = int(rng.integers(len(TABLE_MUTANT_BYTES)))
+        byte = TABLE_MUTANT_BYTES[i : i + 1]
+        mutants += [(f"sub-{at}-{byte!r}", data[:at] + byte + data[at + 1 :]),
+                    (f"ins-{at}-{byte!r}", data[:at] + byte + data[at:]),
+                    (f"del-{at}", data[:at] + data[at + 1 :])]
+    return mutants
+
+
+def _table_outcome(reader, path):
+    """What a table reader makes of a file: each table's M, metric and score bits, or its error."""
+    try:
+        tables = reader(path)
+    except MissdiagError as exc:
+        return type(exc).__name__, str(exc)
+    return [(name, t.M, t.metric, t.scores.tobytes()) for name, t in tables.items()]
+
+
+class TestTableReaderOracle:
+    """The columnar table reader against the line-by-line reader it replaced.
+
+    On every file of a seeded mutation sweep, both must return the same
+    tables in the same order, score bits included, or raise the same
+    error class with the same text.
+    """
+
+    @pytest.mark.parametrize("metrics", [("UA", "MAE"), ("F1\x00", "%s", "\u00e9")],
+                             ids=["plain", "nul-percent-accent"])
+    @pytest.mark.parametrize("M", [2, 3, 5, 12])
+    def test_mutants_read_like_the_oracle(self, tmp_path, M, metrics):
+        path = tmp_path / "table.csv"
+        read = 0
+        for label, data in _table_mutants(M, metrics):
+            path.write_bytes(data)
+            got = _table_outcome(read_ablation_tables, path)
+            assert got == _table_outcome(oracles.loop_read_ablation_tables, path), label
+            read += isinstance(got, list)
+        assert read >= 2  # the valid and the shuffled file read
+
+
 def _write_case(tmp_path, text: str | bytes):
     path = tmp_path / "case.csv"
     path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
@@ -381,7 +485,7 @@ class TestMessages:
         assert str(info.value) == f"{path}:3: {reason}"
 
     @pytest.mark.parametrize("row, reason", [
-        ("1,0", "expected 3 fields"),
+        ("1,0", "expected 3 fields, got 2"),
         ("1,0,x", "non-integer field"),
         ("2,0,1", "sample_id 2, expected 1"),
         ("1,2,0", "mask values must be 0 or 1"),
@@ -393,6 +497,28 @@ class TestMessages:
         with pytest.raises(FileFormatError) as info:
             read_mask_matrix(path)
         assert str(info.value) == f"{path}:3: {reason}"
+
+    # Each format: (reader, a file with one good row, its field count, a short
+    # row and a long row). Every format names the count it found.
+    FIELD_COUNTS = {
+        "maskmatrix-v1": (read_mask_matrix, MASK_HEADER + "0,1,0\n", 3, "1,0", "1,0,1,1"),
+        "gradtrace-v1": (read_grad_samples, TRACE_HEADER + "1,0,0,0.5\n", 4, "1,1,0",
+                         "1,1,0,0.5,0.5"),
+        "gradagg-v1": (read_agg_trace, AGG_HEADER + "1,0,0.5\n", 3, "1,1", "1,1,0.5,0.5"),
+        "abltable-v1": (read_ablation_tables, TABLE_HEADER + "01,UA,0.25\n", 3, "10,UA",
+                        "10,UA,0.5,x"),
+    }
+
+    @pytest.mark.parametrize("length", ["short", "long"])
+    @pytest.mark.parametrize("fmt", FIELD_COUNTS)
+    def test_field_count(self, tmp_path, fmt, length):
+        reader, text, fields, short, long = self.FIELD_COUNTS[fmt]
+        row = short if length == "short" else long
+        path = _write_case(tmp_path, text + row + "\n")
+        with pytest.raises(FileFormatError) as info:
+            reader(path)
+        assert str(info.value) == (
+            f"{path}:3: expected {fields} fields, got {row.count(',') + 1}")
 
     def test_duplicate_modality_name(self, tmp_path):
         path = _write_case(tmp_path, "sample_id,a,b,a\n0,1,0,1\n")

@@ -18,7 +18,9 @@ every second step logged, a short last batch and resampled masks,
 `mask generate` at M = 3, 5 and 12 with 20,000 rows
 (seed 2^64 - 1 among the seeds) and at M = 3 with 100,001 rows, whose
 sample ids take every width from 1 to 6 digits, `metrics mei` on an
-M = 10 table, `metrics mli` on a seeded `gradtrace-v1` file (gapped
+M = 10 table and on four malformed M = 5 tables (a repeated row, the same
+repeat as an unterminated last line, a missing combination and a
+non-finite value), `metrics mli` on a seeded `gradtrace-v1` file (gapped
 steps, absent modalities), the same kind of file with its rows shuffled
 and five repeated exactly, and a seeded `gradagg-v1` file, `metrics mli`
 on a trace row with a negative index and on one with a negative norm,
@@ -143,6 +145,20 @@ def _ablation_table(M: int) -> str:
     return "\n".join(rows) + "\n"
 
 
+def _malformed_table(fault: str) -> str:
+    """The M = 5 table with one fault, which `metrics mei` names with its line."""
+    lines = _ablation_table(5).splitlines()
+    if fault == "duplicate":
+        lines.insert(40, lines[7])
+    elif fault == "unterminated-duplicate":  # the missing LF is named, not the repeat
+        return "\n".join(lines + [lines[7]])
+    elif fault == "missing":
+        del lines[20]
+    else:
+        lines[12] = lines[12].rsplit(",", 1)[0] + ",1e+999"
+    return "\n".join(lines) + "\n"
+
+
 def _grad_trace(seed: int) -> str:
     """A `gradtrace-v1` file: 3 modalities, 4 modules, every third step, some cells absent."""
     rng = random.Random(seed)
@@ -169,6 +185,10 @@ def _grad_agg(seed: int) -> str:
     rows = ["step,modality,G"]
     rows += [f"{t},{m},{10 * rng.random()!r}" for t in range(1, 61) for m in range(4)]
     return "\n".join(rows) + "\n"
+
+
+def _mei(text: str) -> tuple[dict, list[str]]:
+    return {"table.csv": text}, ["metrics", "mei", "--table", "table.csv"]
 
 
 def _mli(text: str) -> tuple[dict, list[str]]:
@@ -202,8 +222,11 @@ CASES: dict[str, tuple[dict, list[str]]] = {
     "mask-m5-seed1": _mask(5, "1"),
     "mask-m12-seedmax": _mask(12, U64_MAX),
     "mask-m3-n100001": _mask(3, "7", 100_001),
-    "mei-m10": ({"table.csv": _ablation_table(10)},
-                ["metrics", "mei", "--table", "table.csv"]),
+    "mei-m10": _mei(_ablation_table(10)),
+    "mei-duplicate-row": _mei(_malformed_table("duplicate")),
+    "mei-unterminated-duplicate": _mei(_malformed_table("unterminated-duplicate")),
+    "mei-missing-combination": _mei(_malformed_table("missing")),
+    "mei-non-finite": _mei(_malformed_table("non-finite")),
     "mli-gradtrace": _mli(_grad_trace(3)),
     "mli-gradagg": _mli(_grad_agg(4)),
     "mli-shuffled": _mli(_shuffled_grad_trace(5)),
