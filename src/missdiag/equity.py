@@ -332,10 +332,11 @@ def _row_check(body: str) -> Callable[[int, list[str]], str | None]:
     M = len(body.partition(",")[0])  # row 0's combination, once the walk checks row 0
     unterminated = -1 if body.endswith("\n") else body.count("\n")
     seen: set[tuple[str, str]] = set()
+    is_bits, is_sfloat, is_name = (re.compile(field).fullmatch for field in (BITS, SFLOAT, NAME))
 
     def check(k: int, cells: list[str]) -> str | None:
         combo, metric_name, value_text = cells
-        if not re.fullmatch(BITS, combo):
+        if not is_bits(combo):
             return f"bad combination {combo!r}"
         if len(combo) != M:
             return f"combination length {len(combo)} != {M}"
@@ -348,8 +349,8 @@ def _row_check(body: str) -> Callable[[int, list[str]], str | None]:
             value = float(value_text)
         except ValueError:
             return f"bad value {value_text!r}"
-        in_form = re.fullmatch(SFLOAT, value_text) is not None
-        if in_form and not re.fullmatch(NAME, metric_name):
+        in_form = is_sfloat(value_text) is not None
+        if in_form and not is_name(metric_name):
             return f"bad metric name {metric_name!r}"
         if not math.isfinite(value):
             return f"non-finite value {value_text!r}"

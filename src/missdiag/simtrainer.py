@@ -389,9 +389,9 @@ class _Workspace:
     that its steps allocate nothing; `loss_and_grads` makes a fresh one
     per call, so the arrays it returns are its alone. `_encode`, `_fuse`,
     `_losses`, `_backward` and `_step` write into these arrays with
-    `out=`, applying the operations they would apply to fresh arrays, in
-    the same operand order and with the same reductions, so every bit is
-    the same. The views of the model's parameters stay valid because
+    `out=`, applying the operations they would apply to fresh arrays,
+    with the same reductions in the same order, so every bit is the
+    same. The views of the model's parameters stay valid because
     updates write into `model.flat` in place. Shapes carry the model's
     leading arm axis, which both callers give it, as `lead`.
     """
@@ -581,6 +581,20 @@ def _losses(
     return losses, np.multiply(diff, 2.0, out=diff)
 
 
+def _batch_sum(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Sum the (..., B, X) array `a` over its batch axis B into `out`, (..., X).
+
+    With X >= 2, `sum` and `einsum` both start from +0.0 and add the B
+    rows one at a time in order, so their bits are the same, signed
+    zeros included; `einsum` runs longer inner loops. With X = 1, `sum`
+    adds the then contiguous batch axis pairwise and `einsum` does not,
+    so that case keeps `sum`.
+    """
+    if a.shape[-1] == 1:
+        return a.sum(axis=-2, out=out)
+    return np.einsum("...bx->...x", a, out=out)
+
+
 def _backward(
     model: ToyModel,
     cache: tuple,
@@ -603,9 +617,13 @@ def _backward(
     rows = ws.rows(weights.shape[1])
     *enc_W, enc_b, fus_W, fus_b = rows.segments
     dout = rows.dout
+    # `dout` and `du` are each a copy of one broadcast operand, scaled in
+    # place by the other: a ufunc call given two broadcast operands buffers
+    # both, and an IEEE product has the same bits in either order.
     if model.task == CLASSIFICATION:
-        np.multiply(weights[..., None], resid[:, None], out=dout)
-        dout.sum(axis=2, out=fus_b)
+        np.copyto(dout, resid[:, None])
+        dout *= weights[..., None]
+        _batch_sum(dout, fus_b)
     else:
         # fus_b sums each (A, R, B) row over its contiguous last axis, in
         # the order of the (B, 1) column sum of a single weighting.
@@ -615,11 +633,13 @@ def _backward(
     # h > 0 exactly where the pre-activation is: relu keeps the sign, and a
     # NaN fails both. A float gate multiplies as 1.0/0.0 with no bool cast.
     gate = np.greater(h, 0.0, out=ws.gate)
-    du = np.multiply(ds[:, :, None], gate[:, None], out=rows.du)
+    du = rows.du
+    np.copyto(du, gate[:, None])
+    du *= ds[:, :, None]
     np.matmul(s.transpose(0, 2, 1)[:, None], dout, out=fus_W)
     for x, du_span, out in zip(xs, rows.du_spans, enc_W):
         np.matmul(x.swapaxes(-1, -2)[:, None], du_span, out=out)
-    du.sum(axis=3, out=enc_b)
+    _batch_sum(du, enc_b)
     return rows.grads
 
 

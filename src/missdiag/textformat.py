@@ -94,13 +94,15 @@ def read_header(path: str | Path, line: bytes) -> list[str]:
 
 def read_text(path: str | Path) -> tuple[list[str], str]:
     """(header fields, body text) of a file; the body starts at line 2."""
-    data = Path(path).read_bytes()
-    end = data.find(b"\n") + 1
-    header = read_header(path, data[:end] if end else data)
+    # The body's bytes are read apart from the header line, so that the
+    # file is held at most twice while they are decoded.
+    with open(path, "rb") as f:
+        header = read_header(path, f.readline())
+        data = f.read()
     try:
-        return header, data[end:].decode("utf-8")
+        return header, data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = 2 + data.count(b"\n", end, end + exc.start)
+        line = 2 + data.count(b"\n", 0, exc.start)
         raise FileFormatError(f"{path}:{line}: not UTF-8 text") from None
 
 
@@ -170,11 +172,12 @@ def first_bad_line(
     cell's grammar and the int64 range.
     """
     lines = body.split("\n")
+    cells_match = [re.compile(field).fullmatch for field in fields]
     for k, line in enumerate(lines):
         last = k == len(lines) - 1
         if last and not line:
             break
-        reason = _line_error(k, line, names, fields, check)
+        reason = _line_error(k, line, names, fields, cells_match, check)
         if reason is None and last:
             reason = "no newline at end of file"
         if reason is not None:
@@ -182,7 +185,7 @@ def first_bad_line(
     return FileFormatError(f"{path}: unreadable rows")
 
 
-def _line_error(k, line, names, fields, check) -> str | None:
+def _line_error(k, line, names, fields, cells_match, check) -> str | None:
     if line.endswith("\r"):
         return "CRLF line ending, expected LF"
     if not line:
@@ -193,8 +196,8 @@ def _line_error(k, line, names, fields, check) -> str | None:
     reason = check(k, cells)
     if reason is not None:
         return reason
-    for name, field, cell in zip(names, fields, cells):
-        if not re.fullmatch(field, cell):
+    for name, field, match, cell in zip(names, fields, cells_match, cells):
+        if not match(cell):
             return f"{name} {cell!r} is not {_DESCRIPTIONS[field]}"
         if field == INT and int(cell) > _INT64_MAX:
             return f"{name} {cell} does not fit in a signed 64-bit integer"

@@ -743,6 +743,22 @@ def per_module_backward(model, cache, resid, weights) -> dict:
     }
 
 
+def two_operand_products(weights, resid, ds, gate) -> tuple[np.ndarray, np.ndarray]:
+    """`_backward`'s (A, R, B, C) `dout` and (A, R, M, B, H) `du` as it formed them before.
+
+    Each is one `np.multiply` of two broadcast operands: the (A, R, B)
+    weights by the (A, B, C) residuals, and the (A, R, B, H) `ds` by the
+    (A, M, B, H) float rectifier gate.
+    """
+    return (np.multiply(weights[..., None], resid[:, None]),
+            np.multiply(ds[:, :, None], gate[:, None]))
+
+
+def axis_batch_sum(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """An (..., B, X) array summed over its batch axis into `out` by `sum`, as `_backward` did."""
+    return a.sum(axis=a.ndim - 2, out=out)
+
+
 def module_grad_norms(grads: dict) -> list[float]:
     """L2 norm of each module's stacked gradient (M encoders, then fusion)."""
     norms = []

@@ -9,6 +9,7 @@ traceback.
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from missdiag.learning import (
     write_grad_samples,
 )
 from missdiag.protocol import read_mask_matrix
-from missdiag.textformat import parse_rows
+from missdiag.textformat import parse_rows, read_text
 
 import oracles
 
@@ -628,3 +629,23 @@ class TestBlocksOfLines:
         with pytest.raises(FileFormatError) as info:
             read_grad_samples(path)
         assert str(info.value) == f"{path}:{row + 2}: {reason}"
+
+
+class TestReadText:
+    def test_file_is_held_at_most_twice(self, tmp_path):
+        # The body's bytes and the text decoded from them are live at once;
+        # the whole file's bytes beside them would hold it a third time.
+        rng = np.random.default_rng(10)
+        rows = [f"{code:010b},{metric},{value!r}\n" for metric in ("UA", "WA", "F1")
+                for code, value in zip(range(1, 1024), rng.random(1023).tolist())]
+        path = _write_case(tmp_path, TABLE_HEADER + "".join(rows))
+        size = path.stat().st_size
+        assert size > 100_000
+        tracemalloc.start()
+        try:
+            header, body = read_text(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert header == TABLE_HEADER[:-1].split(",") and body == "".join(rows)
+        assert peak < 2 * size + 64 * 1024

@@ -398,20 +398,21 @@ class TestGradients:
 
 
 def _oracle_batch(task: str, M: int, B: int, seed: int, absent: int | None = None,
-                  dims: tuple[int, ...] | None = None, hidden: int = 6):
+                  dims: tuple[int, ...] | None = None, hidden: int = 6, classes: int = 4):
     """A model whose biases take both signs, one batch, and a mask with no empty row.
 
-    The input widths are `dims`, or M random widths from 1 to 8.
+    The input widths are `dims`, or M random widths from 1 to 8; a
+    classifier has `classes` outputs.
     """
     rng = np.random.default_rng(seed)
     if dims is None:
         dims = tuple(int(d) for d in rng.integers(1, 9, size=M))
-    model = init_model(dims, hidden, task, 4, rng)
+    model = init_model(dims, hidden, task, classes, rng)
     for b in model.enc_b:
         b[:] = rng.normal(0.0, 0.3, size=b.shape)
     feats = [rng.standard_normal((B, d)) for d in dims]
     if task == CLASSIFICATION:
-        labels = rng.integers(0, 4, size=B)
+        labels = rng.integers(0, classes, size=B)
     else:
         labels = rng.standard_normal(B)
     mask = (rng.random((B, M)) < 0.6).astype(np.float64)
@@ -448,12 +449,16 @@ class TestOneBackward:
     LR = 0.005
     # Mixed group sizes, one group of two, all singletons, the README shape.
     WIDTHS = [(4, 7, 4, 7, 3), (5, 5), (3, 9), (16, 16, 16)]
+    # Classifiers of 4 and of 2 classes, and regression's single output.
+    TASKS = [pytest.param(CLASSIFICATION, 4, id=CLASSIFICATION),
+             pytest.param(CLASSIFICATION, 2, id=f"{CLASSIFICATION}-2"),
+             pytest.param(REGRESSION, 1, id=REGRESSION)]
 
-    @pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
+    @pytest.mark.parametrize("task, C", TASKS)
     @pytest.mark.parametrize("M", [2, 3, 8])
     @pytest.mark.parametrize("B", [1, 7, 48])
-    def test_norms_and_update_equal_per_weighting_oracle(self, task, M, B):
-        model, feats, labels, mask = _oracle_batch(task, M, B, seed=10 * M + B)
+    def test_norms_and_update_equal_per_weighting_oracle(self, task, C, M, B):
+        model, feats, labels, mask = _oracle_batch(task, M, B, seed=10 * M + B, classes=C)
         reference = copy_model(model)
         for _ in range(3):
             expected = per_weighting_grad_norms(reference, feats, mask, labels)
@@ -465,12 +470,12 @@ class TestOneBackward:
             _descend(reference, full, self.LR)
             _assert_same_parameters(model, reference)
 
-    @pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
+    @pytest.mark.parametrize("task, C", TASKS)
     @pytest.mark.parametrize("M", [2, 3, 8])
     @pytest.mark.parametrize("B", [1, 7, 48])
     @pytest.mark.parametrize("log_grads", [True, False])
-    def test_update_equals_loss_and_grads(self, task, M, B, log_grads):
-        model, feats, labels, mask = _oracle_batch(task, M, B, seed=10 * M + B + 1)
+    def test_update_equals_loss_and_grads(self, task, C, M, B, log_grads):
+        model, feats, labels, mask = _oracle_batch(task, M, B, seed=10 * M + B + 1, classes=C)
         reference = copy_model(model)
         _, grads = loss_and_grads(reference, feats, mask, labels, np.full(B, 1.0 / B))
         norms = step_batch(model, feats, mask, labels, self.LR, log_grads=log_grads)[3]
@@ -492,14 +497,21 @@ class TestOneBackward:
     @pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
     @pytest.mark.parametrize("dims", WIDTHS, ids=lambda dims: "x".join(map(str, dims)))
     @pytest.mark.parametrize("A", [1, 2, 4])
-    @pytest.mark.parametrize("hidden", [1, 6])
-    def test_width_groups_equal_per_arm_oracle(self, task, dims, A, hidden):
+    @pytest.mark.parametrize("hidden, B, C", [
+        pytest.param(1, 19, 4, id="1"), pytest.param(6, 19, 4, id="6"),
+        pytest.param(2, 19, 2, id="2-C2"), pytest.param(1, 1, 2, id="1-B1-C2"),
+        pytest.param(2, 1, 2, id="2-B1-C2"),
+    ])
+    def test_width_groups_equal_per_arm_oracle(self, task, dims, A, hidden, B, C):
         # Encoders of equal width share one stacked array and one matmul
         # per group; every arm must still equal one plain model stepped by
-        # the per-weighting oracle, norms and parameters bit for bit.
-        M, B = len(dims), 19
+        # the per-weighting oracle, norms and parameters bit for bit. Two
+        # classes (or regression's one output), one sample and H = 2 give
+        # the smallest batch sums that `einsum` takes; H = 1 keeps `sum`.
+        M = len(dims)
         seed = 1000 * A + 10 * M + hidden
-        model, feats, labels, mask = _oracle_batch(task, M, B, seed, dims=dims, hidden=hidden)
+        model, feats, labels, mask = _oracle_batch(task, M, B, seed, dims=dims, hidden=hidden,
+                                                   classes=C)
         assert model.dims == dims
         rng = np.random.default_rng(seed)
         masks = np.stack([mask] + [(rng.random(mask.shape) < 0.5).astype(np.float64)
@@ -707,6 +719,112 @@ class TestFlatParameters:
         assert np.shares_memory(single.flat, model.flat)
         single.flat -= 1.0
         assert np.array_equal(single.flat[0], model.flat)
+
+
+# Signed zeros, subnormals, the smallest normal, infinities and values
+# near the float64 range's ends; the rest of a pool are normal draws
+# scaled by 10^k, |k| <= 300.
+_SPECIAL = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
+                     np.inf, -np.inf, 1.5e300, -1.5e300, 1e-300, -1e-300])
+
+
+def _adversarial(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    pool = rng.standard_normal(4096) * 10.0 ** rng.integers(-300, 301, size=4096)
+    spots = rng.random(4096) < 0.3
+    pool[spots] = rng.choice(_SPECIAL, size=int(spots.sum()))
+    pool[:len(_SPECIAL)] = _SPECIAL
+    return rng.choice(pool, size=shape)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestBatchSumsAndProducts:
+    """`_backward`'s copy-then-scale products and `einsum` batch sums keep every bit.
+
+    The oracles are the two-operand `np.multiply` and the `sum` they
+    replaced. Bytes are compared, since `==` hides the sign of a zero.
+    Each case runs H in {1, 2, 16} and C in {2, 8} on three encoders
+    whose widths make groups of two and one.
+    """
+
+    DIMS = (4, 7, 4)
+    SHAPES = [(H, C) for H in (1, 2, 16) for C in (2, 8)]
+
+    def _model(self, rng, A: int, H: int, C: int) -> ToyModel:
+        return simtrainer._lockstep(init_model(self.DIMS, H, CLASSIFICATION, C, rng), A)
+
+    @pytest.mark.parametrize("A", [1, 2, 16])
+    @pytest.mark.parametrize("rows", ["update", "all"])
+    @pytest.mark.parametrize("B", [1, 2, 47, 48, 1100])  # 1100 rows pass numpy's 8192-element buffer
+    def test_batch_sums_equal_axis_sum(self, A, rows, B):
+        # Into the strided views of one (A, R, P) array that
+        # `ToyModel.segments` cuts, writing nothing else.
+        rng = np.random.default_rng(1000 * A + B)
+        M = len(self.DIMS)
+        R = 1 if rows == "update" else M + 1
+        for H, C in self.SHAPES:
+            model = self._model(rng, A, H, C)
+            dout, du = _adversarial(rng, (A, R, B, C)), _adversarial(rng, (A, R, M, B, H))
+            mine = _adversarial(rng, (A, R, model.flat.shape[-1]))
+            theirs = mine.copy()
+            *_, enc_b, _, fus_b = model.segments(mine)
+            assert simtrainer._batch_sum(dout, fus_b) is fus_b
+            assert simtrainer._batch_sum(du, enc_b) is enc_b
+            *_, enc_b, _, fus_b = model.segments(theirs)
+            oracles.axis_batch_sum(dout, fus_b)
+            oracles.axis_batch_sum(du, enc_b)
+            assert mine.tobytes() == theirs.tobytes(), (H, C)
+
+    @pytest.mark.parametrize("A", [1, 2, 16])
+    @pytest.mark.parametrize("rows", ["update", "all"])
+    @pytest.mark.parametrize("B", [1, 2, 47, 48, 1100])
+    def test_backward_equals_two_operand_oracle(self, A, rows, B):
+        # The products `_backward` leaves in its workspace, and the bias
+        # gradients summed from them.
+        rng = np.random.default_rng(2000 * A + B)
+        M = len(self.DIMS)
+        R = 1 if rows == "update" else M + 1
+        for H, C in self.SHAPES:
+            model = self._model(rng, A, H, C)
+            ws = simtrainer._Workspace(model, B)
+            xs = [_adversarial(rng, x.shape) for x in ws.xs]
+            h, s = _adversarial(rng, ws.h.shape), _adversarial(rng, ws.s.shape)
+            resid, weights = _adversarial(rng, (A, B, C)), _adversarial(rng, (A, R, B))
+            grads = simtrainer._backward(model, (xs, h, s), resid, weights, ws)
+            arrays = ws.rows(R)
+            gate = np.greater(h, 0.0).astype(np.float64)
+            dout, du = oracles.two_operand_products(weights, resid, arrays.ds, gate)
+            assert arrays.dout.tobytes() == dout.tobytes(), (H, C)
+            assert arrays.du.tobytes() == du.tobytes(), (H, C)
+            *_, enc_b, _, fus_b = model.segments(grads)
+            assert fus_b.tobytes() == oracles.axis_batch_sum(dout, np.empty(fus_b.shape)).tobytes()
+            assert enc_b.tobytes() == oracles.axis_batch_sum(du, np.empty(enc_b.shape)).tobytes()
+
+    def test_readme_step_buffers_no_broadcast_operand_pair(self):
+        # numpy buffers each broadcast operand of a ufunc call, `out=` or
+        # not. At README shapes (A = 2, M = 3, d = H = 16, C = 8, B = 48)
+        # a steady-state logged step whose calls take at most one such
+        # operand each peaks at ~57 KB; two-operand products in
+        # `_backward` put it at ~112 KB.
+        rng = np.random.default_rng(24)
+        A, M, B = 2, 3, 48
+        model = simtrainer._lockstep(init_model((16,) * M, 16, CLASSIFICATION, 8, rng), A)
+        feats = [rng.standard_normal((B, 16)) for _ in range(M)]
+        labels = rng.integers(0, 8, size=B)
+        present = (rng.random((A, M, B)) < 0.6).astype(np.float64)
+        _, divisors, weights = simtrainer._batch_weights(present, np.array([0]), np.array([B]))
+        targets = simtrainer._targets(CLASSIFICATION, labels, 8, np.arange(B))
+        xs = simtrainer._masked(model, simtrainer._grouped(model, feats), present)
+        ws = simtrainer._Workspace(model, B)
+        args = (model, xs, present, divisors[..., 0], weights, targets, 1e-3, True, ws)
+        for _ in range(3):
+            simtrainer._step(*args)
+        tracemalloc.start()
+        try:
+            simtrainer._step(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
 
 class TestMetrics:
@@ -1571,6 +1689,8 @@ WORKSPACE_CASES = {
     "width-groups": (CLASSIFICATION, (4, 7, 4, 7, 3), 5, 4, 60, 16, 2),
     "one-arm": (CLASSIFICATION, (2, 3, 4), 4, 3, 50, 16, 1),
     "16-arms": (CLASSIFICATION, (2, 3, 4), 4, 3, 50, 16, 16),
+    # Two classes, H = 2 and a last batch of one row (49 = 3 x 16 + 1).
+    "two-classes": (CLASSIFICATION, (2, 3, 4), 2, 2, 49, 16, 2),
 }
 
 

@@ -14,8 +14,9 @@ same regression with label noise that makes training diverge, an
 8-modality paired run logging every third step, a 5-modality paired
 classification whose input widths 4, 7, 4, 7, 3 make encoder groups of
 two, two and one, a 4-modality paired classification with hidden width 1,
-every second step logged, a short last batch and resampled masks,
-`mask generate` at M = 3, 5 and 12 with 20,000 rows
+every second step logged, a short last batch and resampled masks, a
+3-modality paired classification with two classes, hidden width 2 and a
+last batch of one row, `mask generate` at M = 3, 5 and 12 with 20,000 rows
 (seed 2^64 - 1 among the seeds) and at M = 3 with 100,001 rows, whose
 sample ids take every width from 1 to 6 digits, `metrics mei` on an
 M = 10 table and on four malformed M = 5 tables (a repeated row, the same
@@ -110,6 +111,19 @@ H1_CONFIG = {
         "n_train": 250, "n_valid": 100, "n_test": 300, "n_classes": 3, "epochs": 4,
         "batch_size": 32, "mei_epoch_stride": 2, "grad_log_stride": 2,
         "resample_masks_per_epoch": True, "paired": True,
+    },
+}
+# Two classes, hidden width 2 and a 1-row last batch (97 = 2 x 48 + 1):
+# the smallest class, hidden and batch sizes of the bias-gradient batch
+# sums that `einsum` takes.
+C2_H2_CONFIG = {
+    "modalities": ["m0", "m1", "m2"],
+    "protocol": {"rates": [0.3, 0.1, 0.5]},
+    "seed": 5,
+    "simulation": {
+        "dims": [5, 3, 5], "informativeness": [1.0, 0.5, 1.0], "hidden": 2,
+        "n_train": 97, "n_valid": 60, "n_test": 200, "n_classes": 2, "epochs": 6,
+        "batch_size": 48, "mei_epoch_stride": 3, "grad_log_stride": 1, "paired": True,
     },
 }
 # A paired regression whose labels overflow the squared loss: both sides
@@ -216,6 +230,7 @@ CASES: dict[str, tuple[dict, list[str]]] = {
     "stride3-m8": _simulate(STRIDE_CONFIG),
     "mixed-width-m5": _simulate(MIXED_WIDTH_CONFIG),
     "h1-stride2-m4": _simulate(H1_CONFIG),
+    "c2-h2-lastrow1-m3": _simulate(C2_H2_CONFIG),
     "diverge-paired": _simulate(DIVERGE_CONFIG),
     "mask-m3-seed0": _mask(3, "0"),
     "mask-m3-seedmax": _mask(3, U64_MAX),
