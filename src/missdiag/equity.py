@@ -37,6 +37,7 @@ from .protocol import (
     pattern_bitstrings,
     pattern_code,
 )
+from .report import atomic_write_text
 from .textformat import BITS, NAME, SFLOAT, first_bad_line, format_rows, read_columns, read_text
 
 DEFAULT_EPSILON = 1e-8
@@ -302,8 +303,6 @@ def write_ablation_tables(tables: Sequence[AblationTable], path: str | Path) -> 
     combinations appear in canonical order with the all-ones row last.
     Scores are written in full `repr` precision so they round-trip.
     """
-    from .report import atomic_write_text
-
     if not tables:
         raise DimensionError("at least one ablation table is required")
     if len({t.M for t in tables}) != 1:

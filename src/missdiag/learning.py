@@ -39,6 +39,7 @@ from .errors import (
     InsufficientTraceError,
     InvalidTraceError,
 )
+from .report import atomic_write_text
 
 
 # The columnar form of gradient-norm rows: step t, modality m, module k, ||g||_2.
@@ -382,8 +383,6 @@ def write_grad_samples(samples: np.ndarray, path: str | Path) -> None:
     A row that `read_grad_samples` would refuse raises `InvalidTraceError`,
     worded as `assemble_trace` words it, and no file is written.
     """
-    from .report import atomic_write_text
-
     rows = np.asarray(samples, dtype=GRAD_SAMPLE_DTYPE)
     reason = _row_error(*(rows[name] for name in GRAD_SAMPLE_DTYPE.names))
     if reason is not None:
@@ -409,8 +408,6 @@ def read_grad_samples(path: str | Path) -> np.ndarray:
 
 def write_agg_trace(trace: GradTrace, path: str | Path) -> None:
     """Write a `gradagg-v1` CSV of the already-aggregated G_m(t) grid."""
-    from .report import atomic_write_text
-
     T, M = trace.values.shape
     steps = np.repeat(np.arange(1, T + 1), M)
     modalities = np.tile(np.arange(M), T)

@@ -31,6 +31,7 @@ from .errors import (
     FileFormatError,
     InvalidPatternError,
 )
+from .report import atomic_write_bytes
 
 # Divergences and normalisation checks enumerate the full 2^M - 1 support;
 # beyond this the enumeration is refused rather than approximated.
@@ -558,8 +559,6 @@ def _mask_bits(body: bytes, M: int) -> np.ndarray | None:
 
 def write_mask_matrix(matrix: MaskMatrix, path: str | Path) -> None:
     """Write a `maskmatrix-v1` CSV: sample_id column then one 0/1 column per modality."""
-    from .report import atomic_write_bytes
-
     header = "sample_id," + ",".join(matrix.rates.modality_names) + "\n"
     atomic_write_bytes(Path(path), header.encode("utf-8") + _mask_body(matrix.masks))
 

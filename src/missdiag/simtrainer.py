@@ -10,16 +10,19 @@ a missingness protocol. A zero input gives encoder m the pre-activation
 0 W_m + b_m = b_m exactly, so a missing modality adds exactly relu(b_m)
 to the fused sum; evaluation runs each encoder once per batch and
 re-fuses its outputs for every observed-modality pattern, and scores
-every metric from that one prediction. Encoders of equal input width are
-stored as one stacked array and run as one matmul. A model's parameters
-live in one flat array, and a step's gradients in one array of the same
-layout, so an update is one subtraction. The arms of a paired run
-differ only in their masks, so `run_arms` trains them in lockstep: one
-model with a leading arm axis, one step per shared batch, whose arrays
-live in a workspace made once per batch size. `run_arms` is the one
-driver of a training step; `loss_and_grads` runs the same forward and
-backward pass on one batch of a plain model, for gradient checks. A
-run's steps are recorded in columns (`RunLog`), not in per-step objects.
+every metric from that one prediction. The forward pass writes into
+arrays its caller owns: a training step's workspace, or arrays that an
+evaluation call makes once for all its patterns. Encoders of equal input
+width are stored as one stacked array and run as one matmul. A model's
+parameters live in one flat array, and a step's gradients in one array
+of the same layout, so an update is one subtraction. The arms of a
+paired run differ only in their masks, so `run_arms` trains them in
+lockstep: one model with a leading arm axis, one step per shared batch,
+whose arrays live in a workspace made once per batch size. `run_arms` is
+the one driver of a training step; `loss_and_grads` runs the same
+forward and backward pass on one batch of a plain model, for gradient
+checks. A run's steps are recorded in columns (`RunLog`), not in
+per-step objects.
 
 The trainer exists to emit gradient traces and ablation tables for the
 equity/learning diagnostics, not to reach competitive accuracy.
@@ -387,13 +390,14 @@ class _Workspace:
 
     `run_arms`, the one driver of `_step`, keeps one per batch size, so
     that its steps allocate nothing; `loss_and_grads` makes a fresh one
-    per call, so the arrays it returns are its alone. `_encode`, `_fuse`,
-    `_losses`, `_backward` and `_step` write into these arrays with
-    `out=`, applying the operations they would apply to fresh arrays,
-    with the same reductions in the same order, so every bit is the
-    same. The views of the model's parameters stay valid because
-    updates write into `model.flat` in place. Shapes carry the model's
-    leading arm axis, which both callers give it, as `lead`.
+    per call, so the arrays it returns are its alone. `_encode` and
+    `_fuse` write the forward pass into `h`, `s` and `out`, and `_losses`,
+    `_backward` and `_step` the rest with `out=`, with the same
+    reductions in the same order as on fresh arrays, so every bit is the
+    same. `_backward` reads the step's `h` and `s` from here. The views
+    of the model's parameters stay valid because updates write into
+    `model.flat` in place. Shapes carry the model's leading arm axis,
+    which both callers give it, as `lead`.
     """
 
     def __init__(self, model: ToyModel, B: int):
@@ -401,11 +405,9 @@ class _Workspace:
         lead, M = model.flat.shape[:-1], model.M
         H, C = model.fus_W.shape[-2:]
         # The forward pass: each width group's masked inputs, h in slot
-        # order with each width group's and each modality's view, then s
-        # and the output.
+        # order with each modality's view, then s and the output.
         self.xs = [np.empty(lead + W.shape[-3:-2] + (B, W.shape[-2])) for W in model.group_W]
         self.h = np.empty(lead + (M, B, H))
-        self.h_spans = [self.h[..., span, :, :] for span in model.spans]
         self.hs = [self.h[..., slot, :, :] for slot in model.slots]
         self.gate = np.empty(self.h.shape)
         self.s = np.empty(lead + (B, H))
@@ -428,10 +430,9 @@ class _Workspace:
 
     def rows(self, R: int) -> _Rows:
         """The backward pass's arrays for R weighted losses, made on first use."""
-        rows = self._rows.get(R)
-        if rows is None:
-            rows = self._rows[R] = _Rows(self, R)
-        return rows
+        if R not in self._rows:
+            self._rows[R] = _Rows(self, R)
+        return self._rows[R]
 
 
 class _Rows:
@@ -462,58 +463,52 @@ def _masked(model: ToyModel, xs: Sequence[np.ndarray], present: np.ndarray) -> l
             for x, span in zip(xs, model.spans)]
 
 
-def _encode(model: ToyModel, xs: Sequence[np.ndarray], ws: _Workspace | None = None) -> np.ndarray:
-    """Encoder outputs h = relu(x W + b) of grouped inputs `xs`.
+def _encode(model: ToyModel, xs: Sequence[np.ndarray], h: np.ndarray) -> np.ndarray:
+    """Encoder outputs relu(x W + b) of grouped inputs `xs`, written into `h` and returned.
 
     h is an (..., M, B, H) array in slot order (`ToyModel.slots`),
-    rectified in place, so no second array of its size is made.
-    Evaluation passes a plain model and the (G, B, d) arrays of
-    `_grouped`, and gets a fresh h. Training passes a model with an arm
-    axis, each arm's masked (A, G, B, d) inputs (`_masked`) and the
-    step's workspace `ws`, which receives h.
+    rectified in place; each width group's matmul writes its `spans`
+    slice. Evaluation passes a plain model and the (G, B, d) arrays of
+    `_grouped`, training a model with an arm axis, each arm's masked
+    (A, G, B, d) inputs (`_masked`) and its workspace's h.
     """
-    if ws is None:
-        if model.arms is not None:
-            raise DimensionError("evaluate a model with an arm axis one arm at a time")
-        h = np.empty(model.enc_bias.shape[:-1] + (xs[0].shape[-2], model.fus_W.shape[-2]))
-        h_spans = [h[..., span, :, :] for span in model.spans]
-    else:
-        h, h_spans = ws.h, ws.h_spans
-    for x, W, out in zip(xs, model.group_W, h_spans):
-        np.matmul(x, W, out=out)
+    for x, W, span in zip(xs, model.group_W, model.spans):
+        np.matmul(x, W, out=h[..., span, :, :])
     h += model.enc_bias[..., None, :]
     return np.maximum(h, 0.0, out=h)
 
 
-def _fuse(
-    model: ToyModel, hs: Sequence[np.ndarray], ws: _Workspace | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sum encoder outputs in modality order, then apply the head; returns (sum, output).
+def _fuse(model: ToyModel, hs: Sequence[np.ndarray], s: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The head's output, in `out`, on the sum of encoder outputs `hs`, in `s`.
 
-    Both go into the workspace `ws` when one is given, else into fresh arrays.
+    The sum adds the first two terms, then the rest in place, left to right.
     """
-    s = hs[0]
-    for h in hs[1:]:
-        s = np.add(s, h, out=None if ws is None else ws.s)
-    out = np.matmul(s, model.fus_W, out=None if ws is None else ws.out)
+    np.add(hs[0], hs[1], out=s)
+    for h in hs[2:]:
+        s += h
+    np.matmul(s, model.fus_W, out=out)
     out += model.fus_b[..., None, :]
-    return s, out
+    return out
 
 
-def _forward_batch(
-    model: ToyModel, xs: Sequence[np.ndarray], ws: _Workspace
-) -> tuple[np.ndarray, tuple]:
-    """Forward pass for training on masked grouped inputs, into `ws`; returns (output, cache for backprop)."""
-    h = _encode(model, xs, ws)
-    s, out = _fuse(model, ws.hs, ws)
-    return out, (xs, h, s)
+def _encoded(model: ToyModel, features: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
+    """A plain model's encoder outputs h on `features`, and the s and out its patterns reuse."""
+    xs = _grouped(model, features)
+    if model.arms is not None:
+        raise DimensionError("evaluate a model with an arm axis one arm at a time")
+    H, C = model.fus_W.shape
+    h = _encode(model, xs, np.empty((model.M, xs[0].shape[-2], H)))
+    del xs  # freed before s and out are made, so the peak stays the inputs and h
+    return h, np.empty(h.shape[1:]), np.empty((h.shape[1], C))
 
 
-def _predict(model: ToyModel, h: np.ndarray, bits: Sequence) -> np.ndarray:
-    """Output under one bit row from slot-order encoder outputs `h`; a missing modality adds relu(b_m)."""
+def _predict(
+    model: ToyModel, bits: Sequence, h: np.ndarray, s: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """Output in `out` under one bit row of encoder outputs h; a missing one adds relu(b_m)."""
     hs = [h[slot] if bit else np.maximum(b, 0.0)
           for slot, b, bit in zip(model.slots, model.enc_b, bits)]
-    _, out = _fuse(model, hs)
+    out = _fuse(model, hs, s, out)
     return out if model.task == CLASSIFICATION else out[:, 0]
 
 
@@ -526,7 +521,7 @@ def forward(model: ToyModel, features: Sequence[np.ndarray], bits: Sequence) -> 
     """
     pattern_code(bits, model.M)  # raises on a bad pattern; the code is not needed
     feats = [np.atleast_2d(np.asarray(f, dtype=np.float64)) for f in features]
-    return _predict(model, _encode(model, _grouped(model, feats)), bits)
+    return _predict(model, bits, *_encoded(model, feats))
 
 
 def _check_class_labels(labels: np.ndarray, classes: int) -> None:
@@ -597,7 +592,7 @@ def _batch_sum(a: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 def _backward(
     model: ToyModel,
-    cache: tuple,
+    xs: Sequence[np.ndarray],
     resid: np.ndarray,
     weights: np.ndarray,
     ws: _Workspace,
@@ -608,12 +603,13 @@ def _backward(
     from `_losses`. Gradients are linear in the sample weights, so each
     row of the (A, R, B) `weights` scales the residuals; each width group
     of encoders, and the head, then gets the gradients of every arm and
-    row from one stacked matmul. Row (a, r) is laid out as `model.flat`:
-    each module's gradient is written into its view (`ToyModel.segments`)
-    of the workspace's (A, R, P) array, which the next pass over R rows
-    in `ws` overwrites.
+    row from one stacked matmul. `xs` are the pass's masked grouped
+    inputs, and its h and s are read from `ws`. Row (a, r) is laid out
+    as `model.flat`: each module's gradient is written into its view
+    (`ToyModel.segments`) of the workspace's (A, R, P) array, which the
+    next pass over R rows in `ws` overwrites.
     """
-    xs, h, s = cache
+    h, s = ws.h, ws.s
     rows = ws.rows(weights.shape[1])
     *enc_W, enc_b, fus_W, fus_b = rows.segments
     dout = rows.dout
@@ -664,10 +660,11 @@ def loss_and_grads(
     stacked = _lockstep(model)
     ws = _Workspace(stacked, labels.shape[0])
     xs = _masked(stacked, _grouped(model, features), mask.T[None])
-    out, cache = _forward_batch(stacked, xs, ws)
+    _encode(stacked, xs, ws.h)
+    out = _fuse(stacked, ws.hs, ws.s, ws.out)
     targets = _targets(model.task, labels, model.fus_W.shape[-1], np.arange(labels.shape[0]))
     losses, resid = _losses(stacked, out, targets, ws)
-    grads = _backward(stacked, cache, resid, np.asarray(sample_weights)[None, None], ws)
+    grads = _backward(stacked, xs, resid, np.asarray(sample_weights)[None, None], ws)
     *enc_W, enc_b, fus_W, fus_b = model.segments(grads[0, 0])
     return float((losses[0] * sample_weights).sum()), {
         "fus_W": fus_W,
@@ -750,13 +747,14 @@ def _step(
     live in `ws`, so the next step on it overwrites them.
     """
     M = present.shape[1]
-    out, cache = _forward_batch(model, xs, ws)
+    _encode(model, xs, ws.h)
+    out = _fuse(model, ws.hs, ws.s, ws.out)
     losses, resid = _losses(model, out, targets, ws)
     # The product is contiguous, so each L_m sum runs along a contiguous row.
     np.multiply(losses[:, None], present, out=ws.products)
     modality_losses = ws.products.sum(axis=-1, out=ws.modality_losses)
     modality_losses /= divisors
-    grads = _backward(model, cache, resid, weights if log_grads else weights[:, M:], ws)
+    grads = _backward(model, xs, resid, weights if log_grads else weights[:, M:], ws)
     model.flat -= np.multiply(learning_rate, grads[:, -1], out=ws.update)
     task_losses = losses.sum(axis=-1, out=ws.task_losses)
     task_losses /= losses.shape[-1]
@@ -846,24 +844,24 @@ def ablation_table(
 ) -> tuple[AblationTable, ...]:
     """One table per metric over every nonempty modality combination on a clean split.
 
-    The split is encoded once and each pattern predicted once; every
-    metric scores that one prediction, a classification metric through
-    the pattern's confusion count.
+    The split is encoded once and each pattern predicted once, into the
+    same s and out arrays; every metric scores that one prediction, a
+    classification metric through the pattern's confusion count.
     """
     funs = [_metric_function(model.task, metric) for metric in metrics]
-    h = _encode(model, _grouped(model, split.features))
+    h, s, out = _encoded(model, split.features)
     labels = split.labels
     classes = model.fus_W.shape[-1]
     if model.task == CLASSIFICATION:
         _check_class_labels(labels, classes)
     scores = np.empty((len(funs), (1 << model.M) - 1))
     for p, bits in enumerate(pattern_bits(model.M)):
-        out = _predict(model, h, bits)
+        predicted = _predict(model, bits, h, s, out)
         if model.task == CLASSIFICATION:
-            confusion = _confusion(labels, out.argmax(axis=1), classes)
+            confusion = _confusion(labels, predicted.argmax(axis=1), classes)
             scores[:, p] = [fun(confusion) for fun in funs]
         else:
-            scores[:, p] = [fun(labels, out) for fun in funs]
+            scores[:, p] = [fun(labels, predicted) for fun in funs]
     return tuple(
         AblationTable(M=model.M, metric=metric, scores=row) for metric, row in zip(metrics, scores)
     )
@@ -1130,9 +1128,9 @@ def run_arms(spec: SynthSpec, configs: Sequence[TrainConfig]) -> tuple[RunLog, .
                 rows = slice(lo, lo + size)
                 log_grads = step % stride == 0
                 step += 1
-                ws = workspaces.get(size)
-                if ws is None:
-                    ws = workspaces[size] = _Workspace(model, size)
+                if size not in workspaces:
+                    workspaces[size] = _Workspace(model, size)
+                ws = workspaces[size]
                 # `order` holds valid indices only, so "clip" changes none;
                 # unlike "raise", it writes into `out` without a buffer.
                 xs = [np.take(x, order[rows], axis=2, out=out, mode="clip")

@@ -642,12 +642,13 @@ class TestFlatParameters:
             weights = weights[:, M:]
         ws = simtrainer._Workspace(stacked, B)
         xs = simtrainer._masked(stacked, simtrainer._grouped(model, feats), present)
-        out, cache = simtrainer._forward_batch(stacked, xs, ws)
+        simtrainer._encode(stacked, xs, ws.h)
+        out = simtrainer._fuse(stacked, ws.hs, ws.s, ws.out)
         classes = stacked.fus_W.shape[-1]
         targets = simtrainer._targets(task, labels, classes, np.arange(B))
         resid = simtrainer._losses(stacked, out, targets, ws)[1]
-        grads = simtrainer._backward(stacked, cache, resid, weights, ws)
-        want = per_module_backward(stacked, cache, resid, weights)
+        grads = simtrainer._backward(stacked, xs, resid, weights, ws)
+        want = per_module_backward(stacked, (xs, ws.h, ws.s), resid, weights)
         assert grads.shape == weights.shape[:2] + stacked.flat.shape[-1:]
         *enc_W, enc_b, fus_W, fus_b = stacked.segments(grads)
         assert len(enc_W) == len(want["enc_W"]) == len(model.groups)
@@ -787,11 +788,12 @@ class TestBatchSumsAndProducts:
             model = self._model(rng, A, H, C)
             ws = simtrainer._Workspace(model, B)
             xs = [_adversarial(rng, x.shape) for x in ws.xs]
-            h, s = _adversarial(rng, ws.h.shape), _adversarial(rng, ws.s.shape)
+            # `_backward` reads the forward pass's h and s from the workspace.
+            ws.h[...], ws.s[...] = _adversarial(rng, ws.h.shape), _adversarial(rng, ws.s.shape)
             resid, weights = _adversarial(rng, (A, B, C)), _adversarial(rng, (A, R, B))
-            grads = simtrainer._backward(model, (xs, h, s), resid, weights, ws)
+            grads = simtrainer._backward(model, xs, resid, weights, ws)
             arrays = ws.rows(R)
-            gate = np.greater(h, 0.0).astype(np.float64)
+            gate = np.greater(ws.h, 0.0).astype(np.float64)
             dout, du = oracles.two_operand_products(weights, resid, arrays.ds, gate)
             assert arrays.dout.tobytes() == dout.tobytes(), (H, C)
             assert arrays.du.tobytes() == du.tobytes(), (H, C)
@@ -913,14 +915,14 @@ class TestEvaluation:
         assert ablation_table(model, data.test, []) == ()
 
 
-def trained_model(task: str, M: int):
+def trained_model(task: str, M: int, hidden: int = 6):
     """A model after a few masked training steps, so its biases are nonzero."""
     dims = (5, 4, 3, 6, 2, 4, 3, 5)[:M]
     spec = small_spec(task=task, dims=dims, informativeness=(1.0,) * M,
                       n_train=96, n_test=64)
     data = gen_synthetic(spec)
     rng = np.random.default_rng(5)
-    model = init_model(dims, 6, task, spec.n_classes, rng)
+    model = init_model(dims, hidden, task, spec.n_classes, rng)
     for _ in range(30):
         feats, labels = take(data.train, rng.choice(spec.n_train, 32, replace=False))
         mask = rng.integers(0, 2, size=(32, M))
@@ -932,15 +934,21 @@ def trained_model(task: str, M: int):
 @pytest.mark.parametrize("M", [2, 3, 5])
 @pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
 class TestZeroImputationOracle:
-    """The relu(b_m) shortcut against actually zero-filling the inputs."""
+    """The relu(b_m) shortcut against actually zero-filling the inputs.
+
+    Evaluation also runs at hidden width 1, where s and out are (n, 1)
+    arrays and a regression prediction is the view out[:, 0]; there the
+    trained biases are all negative, so a missing modality adds zeros.
+    """
 
     def test_biases_are_nonzero_and_mixed_in_sign(self, task, M):
         model, _ = trained_model(task, M)
         biases = np.concatenate(model.enc_b)
         assert (biases > 0).any() and (biases < 0).any()
 
-    def test_forward_equals_oracle_for_every_pattern(self, task, M):
-        model, data = trained_model(task, M)
+    @pytest.mark.parametrize("hidden", [1, 6])
+    def test_forward_equals_oracle_for_every_pattern(self, task, M, hidden):
+        model, data = trained_model(task, M, hidden)
         for bits in pattern_bits(M):
             expected = zero_imputed_forward(model, data.test.features, bits)
             if task == REGRESSION:
@@ -949,8 +957,9 @@ class TestZeroImputationOracle:
             assert got.shape == expected.shape
             assert (got == expected).all(), bits.tolist()
 
-    def test_ablation_scores_equal_forward(self, task, M):
-        model, data = trained_model(task, M)
+    @pytest.mark.parametrize("hidden", [1, 6])
+    def test_ablation_scores_equal_forward(self, task, M, hidden):
+        model, data = trained_model(task, M, hidden)
         for table in ablation_table(model, data.test, default_metrics(task)):
             for bits in pattern_bits(M):
                 out = forward(model, data.test.features, bits)
@@ -958,8 +967,9 @@ class TestZeroImputationOracle:
                 expected = LABEL_METRICS[table.metric.name](data.test.labels, predictions)
                 assert table.score(bits) == expected, (table.metric.name, bits.tolist())
 
-    def test_ablation_scores_equal_oracle(self, task, M):
-        model, data = trained_model(task, M)
+    @pytest.mark.parametrize("hidden", [1, 6])
+    def test_ablation_scores_equal_oracle(self, task, M, hidden):
+        model, data = trained_model(task, M, hidden)
         for table in ablation_table(model, data.test, default_metrics(task)):
             for bits in pattern_bits(M):
                 out = zero_imputed_forward(model, data.test.features, bits)
@@ -973,8 +983,9 @@ class TestOneEvaluationPass:
 
     @pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
     @pytest.mark.parametrize("M", [2, 3, 8])
-    def test_tables_equal_per_metric_oracle(self, task, M):
-        model, data = trained_model(task, M)
+    @pytest.mark.parametrize("hidden", [1, 6])
+    def test_tables_equal_per_metric_oracle(self, task, M, hidden):
+        model, data = trained_model(task, M, hidden)
         for split in (data.valid, data.test):
             tables = ablation_table(model, split, default_metrics(task))
             assert [table.metric for table in tables] == list(default_metrics(task))
@@ -1540,6 +1551,15 @@ class TestLockstep:
             loss_and_grads(small_model(), feats, np.ones((4, 3)), labels, np.full(4, 0.25))
         with pytest.raises(DimensionError, match="one arm at a time"):
             forward(model, feats, (1, 1))
+        # Both evaluation entries refuse an arm axis, after the feature
+        # checks and before the class labels are read.
+        metrics = default_metrics(CLASSIFICATION)
+        with pytest.raises(DimensionError, match="one arm at a time"):
+            ablation_table(model, simtrainer.Split(features=feats, labels=labels), metrics)
+        with pytest.raises(DimensionError, match="one arm at a time"):
+            ablation_table(model, simtrainer.Split(features=feats, labels=labels + 7), metrics)
+        with pytest.raises(DimensionError, match="^modality 0: features of shape"):
+            ablation_table(model, simtrainer.Split(features=feats[::-1], labels=labels), metrics)
         with pytest.raises(DimensionError, match="^a plain model has no arm axis"):
             small_model().arm(0)
         # The constructor takes one model's plain arrays; an arm axis is refused.

@@ -16,7 +16,8 @@ classification whose input widths 4, 7, 4, 7, 3 make encoder groups of
 two, two and one, a 4-modality paired classification with hidden width 1,
 every second step logged, a short last batch and resampled masks, a
 3-modality paired classification with two classes, hidden width 2 and a
-last batch of one row, `mask generate` at M = 3, 5 and 12 with 20,000 rows
+last batch of one row, a 6-modality paired regression with hidden width 1
+and a short last batch, `mask generate` at M = 3, 5 and 12 with 20,000 rows
 (seed 2^64 - 1 among the seeds) and at M = 3 with 100,001 rows, whose
 sample ids take every width from 1 to 6 digits, `metrics mei` on an
 M = 10 table and on four malformed M = 5 tables (a repeated row, the same
@@ -126,6 +127,22 @@ C2_H2_CONFIG = {
         "batch_size": 48, "mei_epoch_stride": 3, "grad_log_stride": 1, "paired": True,
     },
 }
+# A paired regression at hidden width 1 with a short last batch
+# (300 = 9 x 32 + 12): evaluation predicts through the `out[:, 0]` view
+# of one reused (n, 1) output array, and 15 of the 63 patterns start with
+# both of the first two modalities missing, so their fused sum starts
+# from two broadcast relu(b_m) rows.
+REGRESSION_H1_CONFIG = {
+    "modalities": [f"m{m}" for m in range(6)],
+    "protocol": {"rates": [0.6, 0.5, 0.2, 0.3, 0.1, 0.4]},
+    "seed": 6,
+    "simulation": {
+        "task": "regression", "dims": [3, 5, 3, 4, 6, 2],
+        "informativeness": [1.0, 0.5, 1.0, 0.75, 0.25, 1.0], "hidden": 1,
+        "n_train": 300, "n_valid": 80, "n_test": 250, "epochs": 4,
+        "batch_size": 32, "learning_rate": 0.01, "mei_epoch_stride": 2, "paired": True,
+    },
+}
 # A paired regression whose labels overflow the squared loss: both sides
 # must exit 2 with the same single `error:` line and write nothing.
 DIVERGE_CONFIG = {
@@ -231,6 +248,7 @@ CASES: dict[str, tuple[dict, list[str]]] = {
     "mixed-width-m5": _simulate(MIXED_WIDTH_CONFIG),
     "h1-stride2-m4": _simulate(H1_CONFIG),
     "c2-h2-lastrow1-m3": _simulate(C2_H2_CONFIG),
+    "regression-h1-m6": _simulate(REGRESSION_H1_CONFIG),
     "diverge-paired": _simulate(DIVERGE_CONFIG),
     "mask-m3-seed0": _mask(3, "0"),
     "mask-m3-seedmax": _mask(3, U64_MAX),
