@@ -79,7 +79,6 @@ from .simtrainer import (
     forward,
     gen_synthetic,
     run_arms,
-    run_experiment,
 )
 
 __version__ = "0.1.0"

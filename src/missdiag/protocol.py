@@ -205,16 +205,16 @@ def pattern_distribution(rates: RateVector) -> PatternDistribution:
     return PatternDistribution(rates=rates, probabilities=num / (1.0 - all_missing))
 
 
-def _every_row_observed(masks: np.ndarray) -> bool:
-    """Whether each row of an (N, M) 0/1 int array has a 1.
+def _any_column(masks: np.ndarray) -> np.ndarray:
+    """Whether each row of a 0/1 int or bool array has a 1 along its last axis.
 
-    The columns are ORed one at a time: `masks.any(axis=1)` walks the
+    The columns are ORed one at a time: `masks.any(axis=-1)` walks the
     short rows one by one and is some 50x slower at M = 3.
     """
-    observed = masks[:, 0].copy()
-    for column in masks.T[1:]:
-        observed |= column
-    return bool(observed.all())
+    observed = masks[..., 0].copy()
+    for m in range(1, masks.shape[-1]):
+        observed |= masks[..., m]
+    return observed
 
 
 @dataclass(frozen=True)
@@ -241,7 +241,7 @@ class MaskMatrix:
         if not ((masks == 0) | (masks == 1)).all():
             raise InvalidPatternError("mask entries must be 0 or 1")
         masks = masks.astype(np.int8, copy=False)
-        if not _every_row_observed(masks):
+        if not _any_column(masks).all():
             raise InvalidPatternError("mask matrix contains an all-missing row")
         masks.setflags(write=False)
         object.__setattr__(self, "masks", masks)
@@ -364,10 +364,7 @@ def _sample_rows(r: np.ndarray, rows: np.ndarray, seed: int) -> np.ndarray:
         skip = word - 4 * block
         draws = (words[:, skip : skip + attempts * M] >> 11).reshape(-1, attempts, M)
         draws = draws >= thresholds
-        # Columns ORed one at a time, as in `_every_row_observed`.
-        accepted = draws[..., 0].copy()
-        for m in range(1, M):
-            accepted |= draws[..., m]
+        accepted = _any_column(draws)
         if attempts == 1:  # plain indexing: no gather over the many rows of a first attempt
             done = accepted[:, 0]
             bits[pending] = draws[:, 0]  # a rejected row's draw is overwritten later
@@ -583,7 +580,7 @@ def read_mask_matrix(path: str | Path) -> tuple[tuple[str, ...], np.ndarray]:
         raise textformat.first_bad_line(path, body, header, fields, _mask_row_error)
     if not masks.shape[0]:
         raise FileFormatError(f"{path}: no mask rows")
-    if not _every_row_observed(masks):
+    if not _any_column(masks).all():
         raise FileFormatError(f"{path}: contains an all-missing row")
     return tuple(names), masks
 

@@ -15,10 +15,11 @@ arrays its caller owns: a training step's workspace, or arrays that an
 evaluation call makes once for all its patterns. Encoders of equal input
 width are stored as one stacked array and run as one matmul. A model's
 parameters live in one flat array, and a step's gradients in one array
-of the same layout, so an update is one subtraction. The arms of a
-paired run differ only in their masks, so `run_arms` trains them in
-lockstep: one model with a leading arm axis, one step per shared batch,
-whose arrays live in a workspace made once per batch size. `run_arms` is
+of the same layout, so an update is one subtraction. `run_arms` trains
+any list of configs; those that differ only in their protocol, such as
+the arms of a paired run, differ only in their masks, so it trains them
+in lockstep: one model with a leading arm axis, one step per shared
+batch, whose arrays live in a workspace made once per batch size. It is
 the one driver of a training step; `loss_and_grads` runs the same
 forward and backward pass on one batch of a plain model, for gradient
 checks. A run's steps are recorded in columns (`RunLog`), not in
@@ -237,7 +238,7 @@ class ToyModel:
     and `enc_b[m]` are views too, so an update through any form, `flat`
     included, reaches all of them.
 
-    The constructor takes one model's plain arrays. `run_arms` gives
+    The constructor takes one model's plain arrays. `_run_group` gives
     `flat` a leading arm axis of length A, and every view with it
     (`_lockstep`): A models that it trains in lockstep on one shared
     batch. `arm(a)` is arm a as a plain model of views, for evaluation.
@@ -388,7 +389,7 @@ def _grouped(model: ToyModel, features: Sequence[np.ndarray]) -> list[np.ndarray
 class _Workspace:
     """Every array that one training step of `model` on B samples writes, made once.
 
-    `run_arms`, the one driver of `_step`, keeps one per batch size, so
+    `_run_group`, the one driver of `_step`, keeps one per batch size, so
     that its steps allocate nothing; `loss_and_grads` makes a fresh one
     per call, so the arrays it returns are its alone. `_encode` and
     `_fuse` write the forward pass into `h`, `s` and `out`, and `_losses`,
@@ -458,7 +459,7 @@ def _masked(model: ToyModel, xs: Sequence[np.ndarray], present: np.ndarray) -> l
     (A, G, n, d) array per group.
     """
     present = present[:, model.order, :, None]
-    # C order, so that `run_arms` gathers a step's rows from contiguous blocks.
+    # C order, so that `_run_group` gathers a step's rows from contiguous blocks.
     return [np.multiply(x, present[:, span], out=np.empty(present.shape[:1] + x.shape))
             for x, span in zip(xs, model.spans)]
 
@@ -976,74 +977,75 @@ def _diverged(
     )
 
 
-def run_experiment(spec: SynthSpec, config: TrainConfig) -> RunLog:
-    """Train, log gradients, evaluate ablations, compute both diagnostics.
-
-    All randomness flows from spec.seed (data) and config.seed
-    (initialisation, shuffling, masks); identical inputs give an
-    identical RunLog. A step whose loss or logged gradient norms are not
-    finite, or parameters that are not finite at the end of an epoch,
-    raise `TrainingDivergedError` before anything is evaluated. This is
-    the one-arm case of `run_arms`.
-    """
-    return run_arms(spec, [config])[0]
-
-
 def run_arms(spec: SynthSpec, configs: Sequence[TrainConfig]) -> tuple[RunLog, ...]:
-    """Train one arm per config in lockstep; arm a's RunLog is `run_experiment(spec, configs[a])`.
+    """Train, log gradients, evaluate ablations and compute both diagnostics per config.
 
-    The configs may differ in `protocol` alone, so the arms share their
-    data, initialisation and shuffle order: every step takes one batch
-    through one `_step` with one mask per arm. Each arm's masked features
-    (`_masked`) are formed once per mask matrix, and each epoch's batch
-    plan gathers the flags and labels in shuffle order once, so a step
-    takes one slice of rows from each. A step gathers its rows of the
-    masked features into the workspace of its batch size, one for the
-    full batches and one for a short last batch, made at its first step,
-    and writes every array it makes there. The steps' losses go into
-    columns, and the squared modality gradients of logged steps into a
-    block whose norms are reduced into a column in one call when it fills,
-    at the epoch's end, and before a divergence is named. Each arm's
-    RunLog keeps read-only views of its columns. Errors are those of running
-    the configs one after another: arm 0's divergence is raised at once
-    (a non-finite norm when its block is reduced); any other arm's only
-    after every arm before it has trained and been evaluated. A diverged
-    arm's slice keeps stepping, apart from the others, and is never
-    evaluated.
+    All randomness flows from spec.seed (data, generated once) and each
+    config's seed (initialisation, shuffling, masks); identical inputs
+    give identical RunLogs, returned in config order, and
+    `run_arms(spec, [config])[0]` is one config's run. Configs equal in
+    every field but `protocol` form a group, in order of first appearance,
+    trained in lockstep (`_run_group`). Errors are those of running the
+    configs one after another: a bad protocol width or metric fails
+    before the first step. A non-finite loss or logged gradient norm, or
+    non-finite parameters at an epoch's end, raise `TrainingDivergedError`:
+    config 0's at once, any other's only after every config before it has
+    trained and been evaluated, so no group starts while an earlier
+    config's error waits.
     """
     configs = tuple(configs)
     if not configs:
         raise ConfigError("at least one training config is required")
-    config = configs[0]
-    for a, other in enumerate(configs[1:], 1):
-        differing = [
-            f.name for f in fields(TrainConfig)
-            if f.name != "protocol" and getattr(other, f.name) != getattr(config, f.name)
-        ]
-        if differing:
-            raise ConfigError(
-                f"arm {a} differs from arm 0 in {', '.join(differing)}; "
-                "lockstep arms may differ in their protocol only"
-            )
-    for other in configs:
-        if other.protocol.M != spec.M:
-            raise DimensionError(
-                f"protocol has {other.protocol.M} modalities, data has {spec.M}"
-            )
-    # What would only fail at evaluation fails here, before the first step.
-    pattern_bits(spec.M)
-    metrics = config.metrics or default_metrics(spec.task)
-    for metric in metrics:
-        _metric_function(spec.task, metric)
+    groups: dict[tuple, list[int]] = {}
+    for i, config in enumerate(configs):
+        if config.protocol.M != spec.M:
+            raise DimensionError(f"protocol has {config.protocol.M} modalities, data has {spec.M}")
+        # What would only fail at evaluation fails here, before the first step.
+        pattern_bits(spec.M)
+        for metric in config.metrics or default_metrics(spec.task):
+            _metric_function(spec.task, metric)
+        key = tuple(getattr(config, f.name) for f in fields(TrainConfig) if f.name != "protocol")
+        groups.setdefault(key, []).append(i)
     dataset = gen_synthetic(spec)
+    outcomes: list[RunLog | TrainingDivergedError | None] = [None] * len(configs)
+    for group in groups.values():
+        if any(isinstance(o, TrainingDivergedError) for o in outcomes[: group[0]]):
+            break
+        for i, outcome in zip(group, _run_group(spec, dataset, [configs[i] for i in group])):
+            outcomes[i] = outcome
+    for outcome in outcomes:
+        if isinstance(outcome, TrainingDivergedError):
+            raise outcome
+    return tuple(outcomes)
 
+
+def _run_group(
+    spec: SynthSpec, dataset: SynthDataset, configs: Sequence[TrainConfig]
+) -> list[RunLog | TrainingDivergedError]:
+    """Train one arm per config in lockstep: each arm's RunLog, up to the first arm's error.
+
+    The configs differ in `protocol` alone, so the arms share their
+    initialisation and shuffle order: every step takes one batch through
+    one `_step` with one mask per arm. Each arm's masked features
+    (`_masked`) are formed once per mask matrix, and each epoch's batch
+    plan gathers the flags and labels in shuffle order once, so a step
+    takes one slice of rows from each into the workspace of its batch
+    size (one for full batches, one for a short last batch), where it
+    writes every array it makes. The steps' losses go into columns, and
+    the squared modality gradients of logged steps into a block whose
+    norms are reduced into a column in one call when it fills, at the
+    epoch's end, and before a divergence is named. Each RunLog keeps
+    read-only views of its columns. Arm 0's divergence is raised at once
+    (a non-finite norm when its block is reduced); another arm's ends the
+    list once every arm before it has been evaluated. A diverged arm's
+    slice keeps stepping, apart from the others.
+    """
+    config = configs[0]
+    metrics = config.metrics or default_metrics(spec.task)
     init_ss, shuffle_ss, mask_ss = np.random.SeedSequence(config.seed).spawn(3)
-    model = _lockstep(
-        init_model(
-            spec.dims, config.hidden, spec.task, spec.n_classes, np.random.default_rng(init_ss)
-        ),
-        len(configs),
-    )
+    init = init_model(spec.dims, config.hidden, spec.task, spec.n_classes,
+                      np.random.default_rng(init_ss))
+    model = _lockstep(init, len(configs))
     n_matrices = config.epochs if config.resample_masks_per_epoch else 1
     mask_seeds = mask_ss.generate_state(n_matrices, np.uint64)
     matrices = [
@@ -1186,10 +1188,10 @@ def run_arms(spec: SynthSpec, configs: Sequence[TrainConfig]) -> tuple[RunLog, .
     logged = np.arange(1, T + 1, stride)
     for column in (task_losses, modality_losses, observed, logged, grad_norms):
         column.setflags(write=False)
-    runs = []
+    runs: list[RunLog | TrainingDivergedError] = []
     for a, arm_config in enumerate(configs):
         if errors[a] is not None:
-            raise errors[a]
+            return runs + [errors[a]]
         arm = model.arm(a)
         test_tables = ablation_table(arm, dataset.test, metrics)
         trace = trace_from_norms(logged, grad_norms[:, a], observed[::stride, a])
@@ -1214,4 +1216,4 @@ def run_arms(spec: SynthSpec, configs: Sequence[TrainConfig]) -> tuple[RunLog, .
             mli_result=mli(trace),
             mei_results=mei_results,
         ))
-    return tuple(runs)
+    return runs

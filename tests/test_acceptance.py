@@ -36,7 +36,7 @@ from missdiag import (
     mei_from_table,
     mli,
     pattern_distribution,
-    run_experiment,
+    run_arms,
 )
 from missdiag.cli import main as cli_main
 from missdiag.equity import write_ablation_table
@@ -340,8 +340,8 @@ def test_criterion_7_imbalanced_protocol_is_detected():
                     mei_epoch_stride=20,
                 )
 
-            run_imr = run_experiment(spec, config_for(imr))
-            run_smr = run_experiment(spec, config_for(smr))
+            run_imr = run_arms(spec, [config_for(imr)])[0]
+            run_smr = run_arms(spec, [config_for(smr)])[0]
             if run_imr.mli_result.value > run_smr.mli_result.value:
                 mli_wins += 1
             profile = run_imr.mei("UA", BALANCED_IS_ONE).profile
@@ -443,7 +443,7 @@ def test_criterion_9_formats_round_trip_through_the_cli(tmp_path, capsys):
             seed=91,
             hidden=6,
         )
-        run = run_experiment(spec, config)
+        run = run_arms(spec, [config])[0]
 
         # Ablation table -> metrics mei at full precision.
         table = run.test_tables[0]

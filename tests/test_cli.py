@@ -711,11 +711,7 @@ class TestSimulateRun:
             calls.append((spec, list(configs)))
             return run_arms(spec, configs)
 
-        def refused(*args, **kwargs):
-            raise AssertionError("run_experiment was called")
-
         monkeypatch.setattr(simtrainer, "run_arms", recorded)
-        monkeypatch.setattr(simtrainer, "run_experiment", refused)
         config_path = sim_config(tmp_path, paired=paired)
         assert main(["simulate", "run", "--config", config_path]) == 0
         config = resolve_config(json.loads(Path(config_path).read_text()), env={})

@@ -30,7 +30,6 @@ from missdiag import (
     pattern_bits,
     pattern_distribution,
     run_arms,
-    run_experiment,
 )
 from missdiag import simtrainer
 from missdiag.simtrainer import (
@@ -928,6 +927,10 @@ def trained_model(task: str, M: int, hidden: int = 6):
         mask = rng.integers(0, 2, size=(32, M))
         mask[mask.sum(axis=1) == 0, 0] = 1
         step_batch(model, feats, mask.astype(np.float64), labels, 0.05, log_grads=False)
+    if hidden == 1:
+        # Training leaves every bias negative at H = 1; every other slot's
+        # turned positive makes relu(b_m) > 0 for some missing modality.
+        np.abs(model.enc_bias[::2], out=model.enc_bias[::2])
     return model, data
 
 
@@ -937,12 +940,12 @@ class TestZeroImputationOracle:
     """The relu(b_m) shortcut against actually zero-filling the inputs.
 
     Evaluation also runs at hidden width 1, where s and out are (n, 1)
-    arrays and a regression prediction is the view out[:, 0]; there the
-    trained biases are all negative, so a missing modality adds zeros.
+    arrays and a regression prediction is the view out[:, 0].
     """
 
-    def test_biases_are_nonzero_and_mixed_in_sign(self, task, M):
-        model, _ = trained_model(task, M)
+    @pytest.mark.parametrize("hidden", [1, 6])
+    def test_biases_are_nonzero_and_mixed_in_sign(self, task, M, hidden):
+        model, _ = trained_model(task, M, hidden)
         biases = np.concatenate(model.enc_b)
         assert (biases > 0).any() and (biases < 0).any()
 
@@ -1010,9 +1013,11 @@ class TestOneEvaluationPass:
 
     def test_at_most_two_split_sized_arrays_live(self):
         # README shapes: the 6000-row test split, three width-16 encoders,
-        # H = 16. The stacked inputs and the rectified outputs are the two
-        # (M, n, H) arrays an evaluation needs; a third, such as the
-        # pre-activations kept beside their rectified copy, fails this.
+        # H = 16, C = 8. The stacked inputs and the rectified outputs are
+        # the two (M, n, H) arrays an evaluation needs, with one (n, C)
+        # array beside them. A third (M, n, H) array, such as the
+        # pre-activations kept beside their rectified copy, fails this, and
+        # so does an (n, H) and an (n, C) array made while the inputs live.
         spec = SynthSpec(task=CLASSIFICATION, dims=(16, 16, 16), informativeness=(1.0,) * 3,
                          n_train=48, n_valid=8, n_test=6000, seed=1, n_classes=8)
         data = gen_synthetic(spec)
@@ -1025,7 +1030,7 @@ class TestOneEvaluationPass:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert 2 * array_bytes <= peak - before < 3 * array_bytes
+        assert 2 * array_bytes <= peak - before < 2 * array_bytes + 6000 * 8 * 8
 
     @pytest.mark.parametrize("bad", [-1, 3])
     def test_labels_outside_the_classes_rejected(self, bad):
@@ -1071,7 +1076,7 @@ class TestRunExperiment:
         spec = small_spec()
         config = quick_config(protocol=RateVector(("a", "b", "c"), (0.1, 0.1, 0.1)))
         with pytest.raises(DimensionError):
-            run_experiment(spec, config)
+            run_arms(spec, [config])[0]
 
     @pytest.mark.parametrize("spec, config, message", [
         (small_spec(), quick_config(metrics=(PerfMetric.named("MAE"),)),
@@ -1086,7 +1091,7 @@ class TestRunExperiment:
         monkeypatch.setattr(simtrainer, "_step", no_step)
         monkeypatch.setattr(simtrainer, "gen_synthetic", no_step)
         with pytest.raises(MissdiagError, match=message):
-            run_experiment(spec, config)
+            run_arms(spec, [config])[0]
 
     def test_sizes_have_an_upper_bound(self):
         for name in ("n_train", "n_valid", "n_test"):
@@ -1104,8 +1109,8 @@ class TestRunExperiment:
     def test_deterministic_replay(self):
         spec = small_spec()
         config = quick_config(rates=(0.2, 0.4))
-        a = run_experiment(spec, config)
-        b = run_experiment(spec, config)
+        a = run_arms(spec, [config])[0]
+        b = run_arms(spec, [config])[0]
         np.testing.assert_array_equal(a.trace.values, b.trace.values)
         np.testing.assert_array_equal(
             a.mask_matrices[0].masks, b.mask_matrices[0].masks
@@ -1119,7 +1124,7 @@ class TestRunExperiment:
     def test_step_and_table_bookkeeping(self):
         spec = small_spec(n_train=64)
         config = quick_config(epochs=4, batch_size=16, mei_epoch_stride=2)
-        run = run_experiment(spec, config)
+        run = run_arms(spec, [config])[0]
         assert run.task_losses.shape == (4 * 4,)
         assert run.modality_losses.shape == run.observed.shape == (16, 2)
         assert run.logged_steps.tolist() == list(range(1, 17))
@@ -1133,7 +1138,7 @@ class TestRunExperiment:
     def test_module_accounting(self):
         spec = small_spec()
         config = quick_config(rates=(0.3, 0.6), batch_size=4)
-        run = run_experiment(spec, config)
+        run = run_arms(spec, [config])[0]
         samples = run.grad_samples()
         assert run.grad_norms.shape == (64, 2, 3)
         assert not run.grad_norms.flags.writeable
@@ -1146,11 +1151,11 @@ class TestRunExperiment:
 
     def test_value_equality(self):
         spec, config = small_spec(), quick_config(rates=(0.3, 0.6), batch_size=4)
-        run = run_experiment(spec, config)
-        again = run_experiment(spec, config)
+        run = run_arms(spec, [config])[0]
+        again = run_arms(spec, [config])[0]
         assert run == again
         assert np.array_equal(run.task_losses, again.task_losses) and run.trace == again.trace
-        other = run_experiment(spec, quick_config(rates=(0.3, 0.6), batch_size=4, seed=10))
+        other = run_arms(spec, [quick_config(rates=(0.3, 0.6), batch_size=4, seed=10)])[0]
         assert run != other
         assert not np.array_equal(run.task_losses, other.task_losses)
         assert run.trace != other.trace
@@ -1159,7 +1164,7 @@ class TestRunExperiment:
     def test_run_log_equality_compares_the_columns(self):
         # The columns are arrays: equality compares them by value, and any
         # one differing column, or another field, makes two runs unequal.
-        run = run_experiment(small_spec(), quick_config(rates=(0.3, 0.6), batch_size=4))
+        run = run_arms(small_spec(), [quick_config(rates=(0.3, 0.6), batch_size=4)])[0]
         copies = {name: getattr(run, name).copy() for name in COLUMNS}
         assert run == dataclasses.replace(run, **copies)
         for name, column in copies.items():
@@ -1180,19 +1185,19 @@ class TestRunExperiment:
         assert log != StepLog(1, 0.5, (0.5, 0.5), norms)
 
     def test_mask_matrix_fixed_across_epochs_by_default(self):
-        run = run_experiment(small_spec(), quick_config(rates=(0.3, 0.3)))
+        run = run_arms(small_spec(), [quick_config(rates=(0.3, 0.3))])[0]
         assert len(run.mask_matrices) == 1
 
     def test_mask_resampling_per_epoch(self):
         config = quick_config(rates=(0.3, 0.3), resample_masks_per_epoch=True)
-        run = run_experiment(small_spec(), config)
+        run = run_arms(small_spec(), [config])[0]
         assert len(run.mask_matrices) == 4
         assert (run.mask_matrices[0].masks != run.mask_matrices[1].masks).any()
 
     def test_loss_decreases_without_masking(self):
         spec = small_spec(n_train=128)
         config = quick_config(epochs=6, batch_size=16, learning_rate=0.05)
-        run = run_experiment(spec, config)
+        run = run_arms(spec, [config])[0]
         first_epoch = run.task_losses[:8]
         last_epoch = run.task_losses[-8:]
         assert np.mean(last_epoch) < np.mean(first_epoch)
@@ -1200,7 +1205,7 @@ class TestRunExperiment:
     def test_grad_log_stride_thins_trace(self):
         spec = small_spec(n_train=64)
         config = quick_config(grad_log_stride=2)
-        run = run_experiment(spec, config)
+        run = run_arms(spec, [config])[0]
         assert run.logged_steps.tolist() == list(range(1, 17, 2))
         assert run.grad_norms.shape == (8, 2, 3)
 
@@ -1217,7 +1222,7 @@ class TestRunExperiment:
             seed=5,
         )
         config = quick_config(epochs=6, batch_size=32, learning_rate=0.1)
-        run = run_experiment(spec, config)
+        run = run_arms(spec, [config])[0]
         ua = next(t for t in run.test_tables if t.metric.name == "UA")
         only_informative = ua.score((1, 0))
         only_noise = ua.score((0, 1))
@@ -1234,7 +1239,7 @@ class TestRunExperiment:
         )
         config = quick_config(protocol=rates, epochs=1, batch_size=4,
                               learning_rate=0.01)
-        run = run_experiment(spec, config)
+        run = run_arms(spec, [config])[0]
         from missdiag import marginal_missing_rate
 
         n_steps = run.task_losses.size
@@ -1273,7 +1278,7 @@ class TestGradTraceOracle:
         rates = tuple(np.linspace(0.5, 0.9, M).tolist())
         config = quick_config(rates=rates, batch_size=2, epochs=2,
                               grad_log_stride=stride)
-        run = run_experiment(spec, config)
+        run = run_arms(spec, [config])[0]
         assert not run.trace.defined.all()  # some modality absent from a batch
         samples = run.grad_samples()
         assert run.trace.values.tolist() == brute_trace_grid(samples.tolist(), M, M + 1)
@@ -1284,7 +1289,7 @@ class TestGradTraceOracle:
         assert any("not contiguous" in w for w in run.trace.warnings) == (stride > 1)
 
     def test_samples_come_in_file_order(self):
-        run = run_experiment(small_spec(), quick_config(rates=(0.3, 0.6), batch_size=4))
+        run = run_arms(small_spec(), [quick_config(rates=(0.3, 0.6), batch_size=4)])[0]
         keys = [row[:3] for row in run.grad_samples().tolist()]
         assert keys == sorted(keys)
 
@@ -1296,7 +1301,7 @@ class TestDivergenceGuard:
         with pytest.raises(TrainingDivergedError,
                            match=r"at step 1 \(epoch 1\): task loss is inf; "
                                  r"last finite loss: none"):
-            run_experiment(spec, quick_config())
+            run_arms(spec, [quick_config()])[0]
 
     def test_non_finite_grad_norms(self, monkeypatch):
         backward = simtrainer._backward
@@ -1308,7 +1313,7 @@ class TestDivergenceGuard:
             return grads
         monkeypatch.setattr("missdiag.simtrainer._backward", poisoned)
         with pytest.raises(TrainingDivergedError, match="gradient norms"):
-            run_experiment(small_spec(), quick_config(grad_log_stride=3))
+            run_arms(small_spec(), [quick_config(grad_log_stride=3)])[0]
 
     def test_non_finite_parameters_after_last_step(self):
         # One step whose loss is finite but whose update overflows.
@@ -1317,7 +1322,7 @@ class TestDivergenceGuard:
         with pytest.raises(TrainingDivergedError,
                            match=r"at step 1 \(epoch 1\): parameters are not finite; "
                                  r"last finite loss: \S+ at step 1"):
-            run_experiment(spec, config)
+            run_arms(spec, [config])[0]
 
 
 class TestTrainConfig:
@@ -1342,7 +1347,7 @@ class TestTrainConfig:
         monkeypatch.setattr(simtrainer, "gen_synthetic", no_work)
         with pytest.raises(ConfigError,
                            match=rf"^epsilon must be finite and positive, got {shown}$"):
-            run_experiment(small_spec(), quick_config(epsilon=epsilon))
+            run_arms(small_spec(), [quick_config(epsilon=epsilon)])[0]
 
 
 def _lockstep_case(task: str, M: int, stride: int = 1, resample: bool = False,
@@ -1386,6 +1391,43 @@ def _poison_steps(monkeypatch, poison: dict[int, set[int]]) -> list[int]:
 
     monkeypatch.setattr(simtrainer, "_step", poisoned)
     return seen
+
+
+def _poison_groups(monkeypatch, poison: dict[tuple[int, int], set[int]]) -> list[int]:
+    """Make `_step` set arm a of group g's head to 1e300 after each of its steps in poison[g, a].
+
+    Each group trains a model of its own; returns the steps each group ran.
+    """
+    real = simtrainer._step
+    models: list = []
+    steps: list[int] = []
+
+    def poisoned(model, *args, **kwargs):
+        columns = real(model, *args, **kwargs)
+        if not models or models[-1] is not model:
+            models.append(model)
+            steps.append(0)
+        steps[-1] += 1
+        for a in range(model.arms):
+            if steps[-1] in poison.get((len(models) - 1, a), ()):
+                model.fus_W[a] = 1e300
+        return columns
+
+    monkeypatch.setattr(simtrainer, "_step", poisoned)
+    return steps
+
+
+def _count_calls(monkeypatch, *names: str) -> dict[str, int]:
+    """Count the calls of each named `simtrainer` function; returns the live counts."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(simtrainer, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(simtrainer, name, counted)
+    return calls
 
 
 def _sequential_error(spec, config, steps: set[int]) -> str:
@@ -1446,7 +1488,7 @@ class TestLockstep:
     def test_three_arms_and_one_arm(self):
         spec, configs = _lockstep_case(REGRESSION, 3, arms=3)
         runs = run_arms(spec, configs)
-        assert runs == tuple(run_experiment(spec, config) for config in configs)
+        assert runs == tuple(run_arms(spec, [config])[0] for config in configs)
         assert run_arms(spec, configs[2:]) == runs[2:]
 
     @pytest.mark.parametrize("task, n_train, batch_size, resample", [
@@ -1515,14 +1557,7 @@ class TestLockstep:
 
     def test_one_data_draw_one_init_one_step_per_batch(self, monkeypatch):
         spec, configs = _lockstep_case(CLASSIFICATION, 3)
-        calls = {"gen_synthetic": 0, "init_model": 0}
-        for name in calls:
-            real = getattr(simtrainer, name)
-
-            def counted(*args, _real=real, _name=name, **kwargs):
-                calls[_name] += 1
-                return _real(*args, **kwargs)
-            monkeypatch.setattr(simtrainer, name, counted)
+        calls = _count_calls(monkeypatch, "gen_synthetic", "init_model")
         steps = _poison_steps(monkeypatch, {})
         run_arms(spec, configs)
         assert calls == {"gen_synthetic": 1, "init_model": 1}
@@ -1574,18 +1609,58 @@ class TestLockstep:
         ("epochs", 4), ("learning_rate", 0.01), ("seed", 8), ("grad_log_stride", 2),
         ("resample_masks_per_epoch", True), ("metrics", (PerfMetric.named("UA"),)),
     ])
-    def test_configs_differing_beyond_protocol_rejected(self, monkeypatch, field, value):
-        def no_work(*args, **kwargs):
-            raise AssertionError("work started")
-
-        monkeypatch.setattr(simtrainer, "_step", no_work)
-        monkeypatch.setattr(simtrainer, "gen_synthetic", no_work)
+    def test_configs_differing_beyond_protocol_run_in_groups(self, monkeypatch, field, value):
         spec, configs = _lockstep_case(CLASSIFICATION, 2)
         configs[1] = dataclasses.replace(configs[1], **{field: value})
-        with pytest.raises(ConfigError, match=rf"^arm 1 differs from arm 0 in {field}; "):
-            run_arms(spec, configs)
+        calls = _count_calls(monkeypatch, "gen_synthetic", "init_model")
+        runs = run_arms(spec, configs)
+        assert calls == {"gen_synthetic": 1, "init_model": 2}
+        for run, config in zip(runs, configs):
+            assert run == sequential_run(spec, config)
         with pytest.raises(ConfigError, match="at least one"):
             run_arms(spec, [])
+
+    def test_interleaved_groups_equal_the_sequential_loop(self, monkeypatch):
+        # Seeds 7, 8, 7 with different protocols, then a batch size and a
+        # stride of their own: four groups, the first of two arms.
+        spec, configs = _lockstep_case(REGRESSION, 3, arms=3)
+        configs[1] = dataclasses.replace(configs[1], seed=8)
+        configs += [dataclasses.replace(configs[0], batch_size=8),
+                    dataclasses.replace(configs[1], grad_log_stride=3)]
+        real, arms = simtrainer._step, []
+
+        def recorded(model, *args):
+            arms.append(model.arms)
+            return real(model, *args)
+
+        monkeypatch.setattr(simtrainer, "_step", recorded)
+        runs = run_arms(spec, configs)
+        assert arms == [2] * 12 + [1] * 12 + [1] * 21 + [1] * 12
+        assert len(runs) == len(configs)
+        for run, config in zip(runs, configs):
+            assert run.config == config
+            assert run == sequential_run(spec, config)
+            assert run == run_arms(spec, [config])[0]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("seeds, poison, raised, group_steps", [
+        # Config 1 diverges as group 0's second arm, so group 0 trains to
+        # the end, and config 2's group 1 never starts.
+        ((7, 7, 8), {(0, 1): {2}, (1, 0): {2}}, (0, 1), [12]),
+        # Config 1 diverges as group 1's first arm, raised at once, before
+        # config 2's error as group 0's second arm.
+        ((7, 8, 7), {(0, 1): {2}, (1, 0): {3}}, (1, 0), [12, 4]),
+    ], ids=["group-0-error-waits", "group-1-raises-at-once"])
+    def test_errors_across_groups_in_config_order(self, monkeypatch, capfd, seeds, poison,
+                                                  raised, group_steps):
+        spec, configs = _lockstep_case(REGRESSION, 3, arms=3)
+        configs = [dataclasses.replace(c, seed=seed) for c, seed in zip(configs, seeds)]
+        steps = _poison_groups(monkeypatch, poison)
+        with pytest.raises(TrainingDivergedError) as info:
+            run_arms(spec, configs)
+        assert str(info.value) == _sequential_error(spec, configs[1], poison[raised])
+        assert steps == group_steps
+        assert capfd.readouterr().err == ""
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_arm_0_diverging_later_is_raised_first(self, monkeypatch, capfd):
