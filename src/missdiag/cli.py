@@ -186,14 +186,10 @@ def _cmd_mei(args: argparse.Namespace) -> int:
 
 def _cmd_mli(args: argparse.Namespace) -> int:
     learning.check_stride(args.stride)  # before the file is read or any warning printed
-    fmt = learning.sniff_trace_format(args.trace)
-    if fmt == "gradtrace-v1":
-        samples = learning.read_grad_samples(args.trace)
-        if not samples.size:
-            raise FileFormatError(f"{args.trace}: no trace rows")
-        trace = learning.assemble_trace(samples)
-    else:
-        trace = learning.read_agg_trace(args.trace)
+    samples = learning.read_grad_samples(args.trace)
+    if not samples.size:
+        raise FileFormatError(f"{args.trace}: no trace rows")
+    trace = learning.assemble_trace(samples)
     for warning in trace.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     result = learning.mli(trace, stride=args.stride)

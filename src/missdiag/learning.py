@@ -8,10 +8,11 @@ reduces it to G_m(t), the mean over modules, summed in module order so
 that the same norms always give the same bits. Logged norms travel as
 rows too, in one columnar form: a structured array of `GRAD_SAMPLE_DTYPE`
 (fields step, modality, module, grad_l2), whose indices are nonnegative
-and whose norms are finite and >= 0. The `gradtrace-v1` reader and
-writer, `RunLog.grad_samples()` and `assemble_trace`, which scatters the
-rows back into the (T, M, K) array, all use it, and one row check names
-the first row that breaks those rules. The step-to-step variation
+and whose norms are finite and >= 0. The trace reader (a `gradagg-v1`
+file of G_m(t) reads as a one-module `gradtrace-v1` trace), the writer,
+`RunLog.grad_samples()` and `assemble_trace`, which scatters the rows
+back into the (T, M, K) array, all use it, and one row check names the
+first row that breaks those rules. The step-to-step variation
 delta_m(t) = |G_m(t) - G_m(t-1)| is compared across modalities:
 
     raw_inner = sum_t sum_m |mean_delta(t) - delta_m(t)|
@@ -393,17 +394,36 @@ def write_grad_samples(samples: np.ndarray, path: str | Path) -> None:
     atomic_write_text(Path(path), "step,modality,module,grad_l2\n" + body)
 
 
+# Each trace format's header, as the field names of its body's dtype, and
+# its cell grammar. A `gradagg-v1` file holds G_m(t) as one module's norm.
 _TRACE_FIELDS = (textformat.INT, textformat.INT, textformat.INT, textformat.FLOAT)
-_AGG_FIELDS = (textformat.INT, textformat.INT, textformat.FLOAT)
 _AGG_DTYPE = np.dtype([("step", np.int64), ("modality", np.int64), ("G", np.float64)])
+_TRACE_FORMATS = {
+    GRAD_SAMPLE_DTYPE.names: (GRAD_SAMPLE_DTYPE, _TRACE_FIELDS),
+    _AGG_DTYPE.names: (_AGG_DTYPE, (textformat.INT, textformat.INT, textformat.FLOAT)),
+}
 
 
 def read_grad_samples(path: str | Path) -> np.ndarray:
-    """Read a `gradtrace-v1` CSV into a `GRAD_SAMPLE_DTYPE` array.
+    """Read a `gradtrace-v1` or `gradagg-v1` CSV into a `GRAD_SAMPLE_DTYPE` array.
 
-    The first malformed row raises `FileFormatError` with its line number.
+    The header tells the formats apart. A `gradagg-v1` row (step,
+    modality, G) reads as module 0's norm, (step, modality, 0, G). The
+    first malformed row raises `FileFormatError` with its line number.
     """
-    return _read_trace_rows(path, _TRACE_FIELDS, GRAD_SAMPLE_DTYPE)
+    header, body = textformat.read_text(path)
+    if tuple(header) not in _TRACE_FORMATS:
+        raise FileFormatError(f"{path}: unrecognised trace header {','.join(header)!r}")
+    dtype, fields = _TRACE_FORMATS[tuple(header)]
+    rows = textformat.parse_rows(body, fields, dtype)
+    if rows is None or not np.isfinite(rows[dtype.names[-1]]).all():
+        raise textformat.first_bad_line(path, body, dtype.names, fields, _trace_row_error)
+    if dtype is GRAD_SAMPLE_DTYPE:
+        return rows
+    samples = np.zeros(rows.size, dtype=GRAD_SAMPLE_DTYPE)
+    samples["step"], samples["modality"] = rows["step"], rows["modality"]
+    samples["grad_l2"] = rows["G"]
+    return samples
 
 
 def write_agg_trace(trace: GradTrace, path: str | Path) -> None:
@@ -413,40 +433,6 @@ def write_agg_trace(trace: GradTrace, path: str | Path) -> None:
     modalities = np.tile(np.arange(M), T)
     body = textformat.format_rows("%d,%d,%r\n", [steps, modalities, trace.values.reshape(-1)])
     atomic_write_text(Path(path), "step,modality,G\n" + body)
-
-
-def read_agg_trace(path: str | Path) -> GradTrace:
-    """Read a `gradagg-v1` CSV into a trace (one module per cell implied)."""
-    cells = _read_trace_rows(path, _AGG_FIELDS, _AGG_DTYPE)
-    rows = np.zeros(cells.size, dtype=GRAD_SAMPLE_DTYPE)
-    rows["step"], rows["modality"], rows["grad_l2"] = cells["step"], cells["modality"], cells["G"]
-    try:
-        return assemble_trace(rows, module_count=1)
-    except InsufficientTraceError:
-        raise FileFormatError(f"{path}: no trace rows") from None
-
-
-def sniff_trace_format(path: str | Path) -> str:
-    """Return 'gradtrace-v1' or 'gradagg-v1' from a file's header line."""
-    path = Path(path)
-    with path.open("rb") as f:
-        header = ",".join(textformat.read_header(path, f.readline()))
-    if header == "step,modality,module,grad_l2":
-        return "gradtrace-v1"
-    if header == "step,modality,G":
-        return "gradagg-v1"
-    raise FileFormatError(f"{path}: unrecognised trace header {header!r}")
-
-
-def _read_trace_rows(path: str | Path, fields: tuple[str, ...], dtype: np.dtype) -> np.ndarray:
-    """Rows of a trace file whose header is `dtype`'s field names."""
-    header, body = textformat.read_text(path)
-    if tuple(header) != dtype.names:
-        raise FileFormatError(f"{path}: expected header {','.join(dtype.names)!r}")
-    rows = textformat.parse_rows(body, fields, dtype)
-    if rows is None or not np.isfinite(rows[dtype.names[-1]]).all():
-        raise textformat.first_bad_line(path, body, dtype.names, fields, _trace_row_error)
-    return rows
 
 
 def _trace_row_error(k: int, cells: list[str]) -> str | None:

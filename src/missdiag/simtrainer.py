@@ -416,7 +416,7 @@ class _Workspace:
         self.out = np.empty(lead + (B, C))
         # The losses: each sample's loss and residual, and the L_m sums.
         self.losses = np.empty(lead + (B,))
-        self.resid = np.empty(lead + (B, C) if model.task == CLASSIFICATION else lead + (B,))
+        self.resid = np.empty(lead + (B, C))
         if model.task == CLASSIFICATION:
             self.out_T = np.empty(lead + (C, B))
             self.top = np.empty(lead + (B,))
@@ -550,8 +550,7 @@ def _losses(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample losses and their residuals d loss_i / d out_i against `_targets`, in `ws`.
 
-    Residuals have the output's shape for classification; for regression
-    they drop its last axis, the single output.
+    Residuals have the output's shape, regression's single output included.
     """
     if model.task == CLASSIFICATION:
         picks, onehot = targets
@@ -572,8 +571,8 @@ def _losses(
         losses = np.log(total[..., 0], out=ws.losses)
         losses -= picked
         return losses, resid
-    diff = np.subtract(out[..., 0], targets[0], out=ws.resid)
-    losses = np.square(diff, out=ws.losses)
+    diff = np.subtract(out, targets[0][:, None], out=ws.resid)
+    losses = np.square(diff[..., 0], out=ws.losses)
     return losses, np.multiply(diff, 2.0, out=diff)
 
 
@@ -592,7 +591,6 @@ def _batch_sum(a: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def _backward(
-    model: ToyModel,
     xs: Sequence[np.ndarray],
     resid: np.ndarray,
     weights: np.ndarray,
@@ -600,13 +598,13 @@ def _backward(
 ) -> np.ndarray:
     """Gradients of R weighted losses sum_i weights[a, r, i] * loss_i, as one (A, R, P) array.
 
-    `model` carries an arm axis, and `resid` holds each arm's residuals
-    from `_losses`. Gradients are linear in the sample weights, so each
+    `ws` is the workspace of a model with an arm axis, and `resid` holds
+    each arm's residuals from `_losses`. Gradients are linear in the sample weights, so each
     row of the (A, R, B) `weights` scales the residuals; each width group
     of encoders, and the head, then gets the gradients of every arm and
     row from one stacked matmul. `xs` are the pass's masked grouped
     inputs, and its h and s are read from `ws`. Row (a, r) is laid out
-    as `model.flat`: each module's gradient is written into its view
+    as the model's `flat`: each module's gradient is written into its view
     (`ToyModel.segments`) of the workspace's (A, R, P) array, which the
     next pass over R rows in `ws` overwrites.
     """
@@ -617,15 +615,9 @@ def _backward(
     # `dout` and `du` are each a copy of one broadcast operand, scaled in
     # place by the other: a ufunc call given two broadcast operands buffers
     # both, and an IEEE product has the same bits in either order.
-    if model.task == CLASSIFICATION:
-        np.copyto(dout, resid[:, None])
-        dout *= weights[..., None]
-        _batch_sum(dout, fus_b)
-    else:
-        # fus_b sums each (A, R, B) row over its contiguous last axis, in
-        # the order of the (B, 1) column sum of a single weighting.
-        scaled = np.multiply(resid[:, None], weights, out=dout[..., 0])
-        scaled.sum(axis=-1, out=fus_b[..., 0])
+    np.copyto(dout, resid[:, None])
+    dout *= weights[..., None]
+    _batch_sum(dout, fus_b)
     ds = np.matmul(dout, ws.fus_W_T, out=rows.ds)
     # h > 0 exactly where the pre-activation is: relu keeps the sign, and a
     # NaN fails both. A float gate multiplies as 1.0/0.0 with no bool cast.
@@ -665,7 +657,7 @@ def loss_and_grads(
     out = _fuse(stacked, ws.hs, ws.s, ws.out)
     targets = _targets(model.task, labels, model.fus_W.shape[-1], np.arange(labels.shape[0]))
     losses, resid = _losses(stacked, out, targets, ws)
-    grads = _backward(stacked, xs, resid, np.asarray(sample_weights)[None, None], ws)
+    grads = _backward(xs, resid, np.asarray(sample_weights)[None, None], ws)
     *enc_W, enc_b, fus_W, fus_b = model.segments(grads[0, 0])
     return float((losses[0] * sample_weights).sum()), {
         "fus_W": fus_W,
@@ -755,7 +747,7 @@ def _step(
     np.multiply(losses[:, None], present, out=ws.products)
     modality_losses = ws.products.sum(axis=-1, out=ws.modality_losses)
     modality_losses /= divisors
-    grads = _backward(model, xs, resid, weights if log_grads else weights[:, M:], ws)
+    grads = _backward(xs, resid, weights if log_grads else weights[:, M:], ws)
     model.flat -= np.multiply(learning_rate, grads[:, -1], out=ws.update)
     task_losses = losses.sum(axis=-1, out=ws.task_losses)
     task_losses /= losses.shape[-1]
@@ -878,7 +870,9 @@ class TrainConfig:
 
     Evaluation (ablation tables) always runs on clean data; the
     protocol corrupts training batches only. Masks are drawn once per
-    sample and fixed across epochs unless `resample_masks_per_epoch`.
+    sample and fixed across epochs unless `resample_masks_per_epoch`;
+    then each epoch draws its own matrix, and `masks.csv` and the
+    report's `empirical_rates` hold the first epoch's.
     """
 
     protocol: RateVector

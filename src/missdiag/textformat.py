@@ -47,9 +47,12 @@ FLOAT = r"(?:0|[1-9][0-9]*)\.[0-9]+|[1-9](?:\.[0-9]+)?e[+-](?:0[1-9]|[1-9][0-9]{
 SFLOAT = f"-?(?:{FLOAT})"
 
 _DESCRIPTIONS = {
+    NAME: "a name (nonempty, without double quotes or line breaks)",
     INT: "a canonical decimal integer",
     BIT: "0 or 1",
+    BITS: "a nonempty 0/1 string",
     FLOAT: "a nonnegative float in repr form",
+    SFLOAT: "a float in repr form",
 }
 _INT64_MAX = np.iinfo(np.int64).max
 

@@ -728,7 +728,7 @@ def per_module_backward(model, cache, resid, weights) -> dict:
         dout = weights[..., None] * resid[:, None]
         fus_b = dout.sum(axis=2)
     else:
-        scaled = resid[:, None] * weights
+        scaled = resid[:, None, :, 0] * weights
         dout = scaled[..., None]
         fus_b = scaled.sum(axis=-1)[..., None]
     ds = np.matmul(dout, model.fus_W.transpose(0, 2, 1)[:, None])

@@ -14,14 +14,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from missdiag import assemble_trace
+from missdiag import assemble_trace, textformat
 from missdiag.cli import main
 from missdiag.equity import read_ablation_tables
 from missdiag.errors import FileFormatError, MissdiagError
 from missdiag.learning import (
     _TRACE_FIELDS,
     GRAD_SAMPLE_DTYPE,
-    read_agg_trace,
     read_grad_samples,
     write_agg_trace,
     write_grad_samples,
@@ -43,6 +42,10 @@ def _mask_config(tmp_path, M: int) -> str:
         "n_samples": 3000,
     }))
     return str(path)
+
+
+def _read_trace(path):
+    return assemble_trace(read_grad_samples(path))
 
 
 def _sim_config(tmp_path, M: int, stride: int, **simulation) -> str:
@@ -102,7 +105,7 @@ class TestWrittenFilesReadLikeCsv:
         assembled = assemble_trace(rows)
         assert assembled.values.tolist() == oracles.brute_trace_grid(want, M, M + 1)
         assert not assembled.defined.all()  # the trace has absent cells
-        agg = read_agg_trace(out / "gradagg.csv")
+        agg = _read_trace(out / "gradagg.csv")
         assert agg.values.tolist() == oracles.csv_read_agg_grid(out / "gradagg.csv")
         assert agg.values.tolist() == assembled.values.tolist()
 
@@ -124,7 +127,7 @@ class TestWrittenFilesReadLikeCsv:
         assert trace.values.tolist() == oracles.brute_trace_grid(want, M, K)
         agg_path = tmp_path / "gradagg.csv"
         write_agg_trace(trace, agg_path)
-        assert read_agg_trace(agg_path).values.tolist() == oracles.csv_read_agg_grid(agg_path)
+        assert _read_trace(agg_path).values.tolist() == oracles.csv_read_agg_grid(agg_path)
 
     def test_every_repr_float_form_reads_back(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -505,7 +508,7 @@ class TestMessages:
         "maskmatrix-v1": (read_mask_matrix, MASK_HEADER + "0,1,0\n", 3, "1,0", "1,0,1,1"),
         "gradtrace-v1": (read_grad_samples, TRACE_HEADER + "1,0,0,0.5\n", 4, "1,1,0",
                          "1,1,0,0.5,0.5"),
-        "gradagg-v1": (read_agg_trace, AGG_HEADER + "1,0,0.5\n", 3, "1,1", "1,1,0.5,0.5"),
+        "gradagg-v1": (_read_trace, AGG_HEADER + "1,0,0.5\n", 3, "1,1", "1,1,0.5,0.5"),
         "abltable-v1": (read_ablation_tables, TABLE_HEADER + "01,UA,0.25\n", 3, "10,UA",
                         "10,UA,0.5,x"),
     }
@@ -573,6 +576,24 @@ class TestMessages:
         assert read_grad_samples(path)["step"].tolist() == [2**63 - 1]
 
 
+class TestLineWalk:
+    """`first_bad_line` names a bad cell of every grammar when the format's check passes it."""
+
+    @pytest.mark.parametrize("field, cell, description", [
+        (textformat.NAME, 'U"A', "a name (nonempty, without double quotes or line breaks)"),
+        (textformat.INT, "+1", "a canonical decimal integer"),
+        (textformat.BIT, "2", "0 or 1"),
+        (textformat.BITS, "0x1", "a nonempty 0/1 string"),
+        (textformat.FLOAT, "-0.5", "a nonnegative float in repr form"),
+        (textformat.SFLOAT, "+0.5", "a float in repr form"),
+    ], ids=["NAME", "INT", "BIT", "BITS", "FLOAT", "SFLOAT"])
+    def test_cell_is_named(self, tmp_path, field, cell, description):
+        path = tmp_path / "case.csv"
+        error = textformat.first_bad_line(path, f"{cell}\n", ("x",), (field,),
+                                          lambda k, cells: None)
+        assert str(error) == f"{path}:2: x {cell!r} is not {description}"
+
+
 class TestFinalNewline:
     """Every line ends with LF, the last one included; a file cut short is rejected."""
 
@@ -585,7 +606,7 @@ class TestFinalNewline:
     def test_header_without_newline_rejected(self, tmp_path):
         path = _write_case(tmp_path, "step,modality,G")
         with pytest.raises(FileFormatError, match=":1: no newline at end of file"):
-            read_agg_trace(path)
+            _read_trace(path)
 
     def test_header_only_file_has_no_rows(self, tmp_path):
         path = _write_case(tmp_path, MASK_HEADER)

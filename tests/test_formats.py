@@ -25,9 +25,7 @@ from missdiag.equity import (
 )
 from missdiag.learning import (
     GRAD_SAMPLE_DTYPE,
-    read_agg_trace,
     read_grad_samples,
-    sniff_trace_format,
     write_agg_trace,
     write_grad_samples,
 )
@@ -338,17 +336,17 @@ class TestGradTraceFormat:
         assert rows.tolist() == grad_samples().tolist()
 
     def test_sniffer(self, tmp_path):
+        # The header names the format: a gradtrace-v1 file keeps its module column.
         path = tmp_path / "trace.csv"
         write_grad_samples(grad_samples(), path)
-        assert sniff_trace_format(path) == "gradtrace-v1"
+        assert read_grad_samples(path)["module"].tolist() == grad_samples()["module"].tolist()
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "trace.csv"
         path.write_text("step,mod,grad\n1,0,0.5\n")
-        with pytest.raises(FileFormatError):
+        with pytest.raises(FileFormatError) as info:
             read_grad_samples(path)
-        with pytest.raises(FileFormatError, match="header"):
-            sniff_trace_format(path)
+        assert str(info.value) == f"{path}: unrecognised trace header 'step,mod,grad'"
 
     def test_non_numeric_field_names_line(self, tmp_path):
         path = tmp_path / "trace.csv"
@@ -382,9 +380,27 @@ class TestAggTraceFormat:
         values = np.array([[1.0, 3.0], [AWKWARD, 2.0], [0.25, 1e-17]])
         path = tmp_path / "agg.csv"
         write_agg_trace(GradTrace(values=values), path)
-        trace = read_agg_trace(path)
+        rows = read_grad_samples(path)
+        assert rows["module"].tolist() == [0] * values.size  # G_m(t) is module 0's norm
+        trace = assemble_trace(rows)
         np.testing.assert_array_equal(trace.values, values)
-        assert sniff_trace_format(path) == "gradagg-v1"
+
+    def test_reads_as_one_module_trace(self, tmp_path):
+        # Gapped steps and an absent cell: rows, grids and warnings all agree.
+        cells = [(1, 0, 1.0), (1, 1, 3.0), (4, 1, AWKWARD), (6, 0, 0.25), (6, 1, 1e-17)]
+        agg_path, trace_path = tmp_path / "agg.csv", tmp_path / "trace.csv"
+        agg_path.write_text("step,modality,G\n" + "".join(f"{t},{m},{g!r}\n" for t, m, g in cells))
+        one_module = np.array([(t, m, 0, g) for t, m, g in cells], dtype=GRAD_SAMPLE_DTYPE)
+        write_grad_samples(one_module, trace_path)
+        rows = read_grad_samples(agg_path)
+        assert rows.dtype == GRAD_SAMPLE_DTYPE
+        assert rows.tolist() == read_grad_samples(trace_path).tolist() == one_module.tolist()
+        trace = assemble_trace(rows)
+        assert trace == assemble_trace(read_grad_samples(trace_path))
+        assert trace.warnings == (
+            "steps are not contiguous (3 distinct steps spanning 1..6); re-indexed to 1..3",
+            "modality 0: imputed 1 undefined step(s)",
+        )
 
     def test_aggregated_samples_round_trip_through_raw_format(self, tmp_path):
         # Writing per-module rows and re-assembling reproduces the

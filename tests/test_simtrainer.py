@@ -646,7 +646,7 @@ class TestFlatParameters:
         classes = stacked.fus_W.shape[-1]
         targets = simtrainer._targets(task, labels, classes, np.arange(B))
         resid = simtrainer._losses(stacked, out, targets, ws)[1]
-        grads = simtrainer._backward(stacked, xs, resid, weights, ws)
+        grads = simtrainer._backward(xs, resid, weights, ws)
         want = per_module_backward(stacked, (xs, ws.h, ws.s), resid, weights)
         assert grads.shape == weights.shape[:2] + stacked.flat.shape[-1:]
         *enc_W, enc_b, fus_W, fus_b = stacked.segments(grads)
@@ -790,7 +790,7 @@ class TestBatchSumsAndProducts:
             # `_backward` reads the forward pass's h and s from the workspace.
             ws.h[...], ws.s[...] = _adversarial(rng, ws.h.shape), _adversarial(rng, ws.s.shape)
             resid, weights = _adversarial(rng, (A, B, C)), _adversarial(rng, (A, R, B))
-            grads = simtrainer._backward(model, xs, resid, weights, ws)
+            grads = simtrainer._backward(xs, resid, weights, ws)
             arrays = ws.rows(R)
             gate = np.greater(ws.h, 0.0).astype(np.float64)
             dout, du = oracles.two_operand_products(weights, resid, arrays.ds, gate)
@@ -799,6 +799,27 @@ class TestBatchSumsAndProducts:
             *_, enc_b, _, fus_b = model.segments(grads)
             assert fus_b.tobytes() == oracles.axis_batch_sum(dout, np.empty(fus_b.shape)).tobytes()
             assert enc_b.tobytes() == oracles.axis_batch_sum(du, np.empty(enc_b.shape)).tobytes()
+
+    @pytest.mark.parametrize("A", [1, 2, 16])
+    @pytest.mark.parametrize("rows", ["update", "all"])
+    @pytest.mark.parametrize("B", [1, 2, 47, 48, 1100])
+    def test_single_output_sums_as_a_row(self, A, rows, B):
+        # Regression's (A, B, 1) residuals take the classification path and
+        # keep the bits of the row product and row sum it had of its own.
+        rng = np.random.default_rng(3000 * A + B)
+        M = len(self.DIMS)
+        R = 1 if rows == "update" else M + 1
+        for H in (1, 2, 16):
+            model = simtrainer._lockstep(init_model(self.DIMS, H, REGRESSION, 1, rng), A)
+            ws = simtrainer._Workspace(model, B)
+            xs = [_adversarial(rng, x.shape) for x in ws.xs]
+            ws.h[...], ws.s[...] = _adversarial(rng, ws.h.shape), _adversarial(rng, ws.s.shape)
+            resid, weights = _adversarial(rng, (A, B, 1)), _adversarial(rng, (A, R, B))
+            grads = simtrainer._backward(xs, resid, weights, ws)
+            scaled = resid[:, None, :, 0] * weights
+            assert ws.rows(R).dout.tobytes() == scaled.tobytes(), H
+            *_, fus_b = model.segments(grads)
+            assert fus_b.tobytes() == scaled.sum(axis=-1)[..., None].tobytes(), H
 
     def test_readme_step_buffers_no_broadcast_operand_pair(self):
         # numpy buffers each broadcast operand of a ufunc call, `out=` or
@@ -1306,10 +1327,10 @@ class TestDivergenceGuard:
     def test_non_finite_grad_norms(self, monkeypatch):
         backward = simtrainer._backward
 
-        def poisoned(model, *args):
-            grads = backward(model, *args)
+        def poisoned(*args):
+            grads = backward(*args)
             # The fus_b segment of the L_m rows; the update row stays finite.
-            model.segments(grads)[-1][:, :-1] = math.inf
+            args[-1].model.segments(grads)[-1][:, :-1] = math.inf
             return grads
         monkeypatch.setattr("missdiag.simtrainer._backward", poisoned)
         with pytest.raises(TrainingDivergedError, match="gradient norms"):
@@ -1746,8 +1767,9 @@ def _poison_norms(monkeypatch, poison: dict[int, set[int]]) -> None:
     real = simtrainer._backward
     calls: list[int] = []
 
-    def poisoned(model, *args):
-        grads = real(model, *args)
+    def poisoned(*args):
+        grads = real(*args)
+        model = args[-1].model  # the workspace's
         calls.append(len(calls) + 1)
         for a in range(model.arms):
             if calls[-1] in poison.get(a, ()):

@@ -25,7 +25,10 @@ repeat as an unterminated last line, a missing combination and a
 non-finite value), `metrics mli` on a seeded `gradtrace-v1` file (gapped
 steps, absent modalities), the same kind of file with its rows shuffled
 and five repeated exactly, and a seeded `gradagg-v1` file, `metrics mli`
-on a trace row with a negative index and on one with a negative norm,
+on a trace row with a negative index and on one with a negative norm, on
+header-only `gradtrace-v1` and `gradagg-v1` files, on an unknown header,
+and on `gradagg-v1` files with a conflicting repeated cell and with a
+negative G,
 `protocol mean-match` at M = 14 with JS and with KL, and KL at M = 6
 with one zero rate.
 
@@ -265,6 +268,11 @@ CASES: dict[str, tuple[dict, list[str]]] = {
     "mli-shuffled": _mli(_shuffled_grad_trace(5)),
     "mli-negative-index": _mli("step,modality,module,grad_l2\n1,0,0,0.5\n-1,0,0,0.5\n"),
     "mli-negative-norm": _mli("step,modality,module,grad_l2\n1,0,0,0.5\n1,0,0,-0.5\n"),
+    "mli-gradtrace-header-only": _mli("step,modality,module,grad_l2\n"),
+    "mli-gradagg-header-only": _mli("step,modality,G\n"),
+    "mli-unknown-header": _mli("step,mod,grad\n1,0,0.5\n"),
+    "mli-gradagg-conflict": _mli("step,modality,G\n1,0,0.5\n1,1,0.5\n1,0,0.75\n"),
+    "mli-gradagg-negative": _mli("step,modality,G\n1,0,0.5\n1,1,-0.5\n"),
     "js-m14": ({}, ["protocol", "mean-match", "--rates", MEAN_MATCH_RATES, "--kind", "js"]),
     "kl-m14": ({}, ["protocol", "mean-match", "--rates", MEAN_MATCH_RATES, "--kind", "kl"]),
     # A zero rate leaves every pattern that misses modality 2 without mass.
