@@ -124,17 +124,13 @@ def _cmd_mask_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _rates_from_args(args: argparse.Namespace, attr: str = "rates") -> protocol.RateVector:
-    text = getattr(args, attr, None)
-    if text:
-        return _generic_rate_vector(_parse_rate_list(text))
-    if args.config:
-        return _load_config(args).rates
-    raise ConfigError(f"provide --{attr.replace('_', '-')} or --config")
-
-
 def _cmd_mean_match(args: argparse.Namespace) -> int:
-    rates = _rates_from_args(args)
+    if args.rates:
+        rates = _generic_rate_vector(_parse_rate_list(args.rates))
+    elif args.config:
+        rates = _load_config(args).rates
+    else:
+        raise ConfigError("provide --rates or --config")
     shared = protocol.mean_match_shared(rates)
     matched = rates.mean_matched()
     value = protocol.divergence(rates, matched, args.kind)

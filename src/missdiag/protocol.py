@@ -574,7 +574,7 @@ def read_mask_matrix(path: str | Path) -> tuple[tuple[str, ...], np.ndarray]:
     repeated = next((name for i, name in enumerate(names) if name in names[:i]), None)
     if repeated is not None:
         raise FileFormatError(f"{path}:1: duplicate modality name {repeated!r}")
-    masks = _mask_bits(body.encode("utf-8"), len(names))
+    masks = _mask_bits(body.encode("utf-8", "surrogateescape"), len(names))
     if masks is None:
         fields = (textformat.INT,) + (textformat.BIT,) * len(names)
         raise textformat.first_bad_line(path, body, header, fields, _mask_row_error)

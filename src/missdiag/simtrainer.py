@@ -387,13 +387,13 @@ def _grouped(model: ToyModel, features: Sequence[np.ndarray]) -> list[np.ndarray
 
 
 class _Workspace:
-    """Every array that one training step of `model` on B samples writes, made once.
+    """Every array that one training step of `model` on B samples and R weighted losses writes.
 
-    `_run_group`, the one driver of `_step`, keeps one per batch size, so
-    that its steps allocate nothing; `loss_and_grads` makes a fresh one
-    per call, so the arrays it returns are its alone. `_encode` and
-    `_fuse` write the forward pass into `h`, `s` and `out`, and `_losses`,
-    `_backward` and `_step` the rest with `out=`, with the same
+    `_run_group`, the one driver of `_step`, keeps one per step shape
+    (B, R), so that its steps allocate nothing; `loss_and_grads` makes a
+    fresh one per call, so the arrays it returns are its alone. `_encode`
+    and `_fuse` write the forward pass into `h`, `s` and `out`, and
+    `_losses`, `_backward` and `_step` the rest with `out=`, with the same
     reductions in the same order as on fresh arrays, so every bit is the
     same. `_backward` reads the step's `h` and `s` from here. The views
     of the model's parameters stay valid because updates write into
@@ -401,8 +401,8 @@ class _Workspace:
     which both callers give it, as `lead`.
     """
 
-    def __init__(self, model: ToyModel, B: int):
-        self.model, self.B = model, B
+    def __init__(self, model: ToyModel, B: int, R: int):
+        self.model, self.B, self.R = model, B, R
         lead, M = model.flat.shape[:-1], model.M
         H, C = model.fus_W.shape[-2:]
         # The forward pass: each width group's masked inputs, h in slot
@@ -426,29 +426,14 @@ class _Workspace:
         self.products = np.empty(lead + (M, B))
         self.modality_losses = np.empty(lead + (M,))
         self.task_losses = np.empty(lead)
-        self.update = np.empty(model.flat.shape)
-        self._rows: dict[int, _Rows] = {}
-
-    def rows(self, R: int) -> _Rows:
-        """The backward pass's arrays for R weighted losses, made on first use."""
-        if R not in self._rows:
-            self._rows[R] = _Rows(self, R)
-        return self._rows[R]
-
-
-class _Rows:
-    """A workspace's arrays for a backward pass over R weighted losses (see `_backward`)."""
-
-    def __init__(self, ws: _Workspace, R: int):
-        model, B = ws.model, ws.B
-        A, M, P = model.arms, model.M, model.flat.shape[-1]
-        H, C = model.fus_W.shape[-2:]
-        self.grads = np.empty((A, R, P))
+        # The backward pass over R rows, each module's gradient in its view.
+        self.grads = np.empty(lead + (R, model.flat.shape[-1]))
         self.segments = model.segments(self.grads)
-        self.dout = np.empty((A, R, B, C))
-        self.ds = np.empty((A, R, B, H))
-        self.du = np.empty((A, R, M, B, H))
-        self.du_spans = [self.du[:, :, span] for span in model.spans]
+        self.dout = np.empty(lead + (R, B, C))
+        self.ds = np.empty(lead + (R, B, H))
+        self.du = np.empty(lead + (R, M, B, H))
+        self.du_spans = [self.du[..., span, :, :] for span in model.spans]
+        self.update = np.empty(model.flat.shape)
 
 
 def _masked(model: ToyModel, xs: Sequence[np.ndarray], present: np.ndarray) -> list[np.ndarray]:
@@ -599,37 +584,37 @@ def _backward(
     """Gradients of R weighted losses sum_i weights[a, r, i] * loss_i, as one (A, R, P) array.
 
     `ws` is the workspace of a model with an arm axis, and `resid` holds
-    each arm's residuals from `_losses`. Gradients are linear in the sample weights, so each
-    row of the (A, R, B) `weights` scales the residuals; each width group
-    of encoders, and the head, then gets the gradients of every arm and
-    row from one stacked matmul. `xs` are the pass's masked grouped
+    each arm's residuals from `_losses`. Gradients are linear in the
+    sample weights, so each row of the (A, R, B) `weights`, with the R of
+    `ws`, scales the residuals; each width group of encoders, and the
+    head, then gets the gradients of every arm and row from one stacked
+    matmul. `xs` are the pass's masked grouped
     inputs, and its h and s are read from `ws`. Row (a, r) is laid out
     as the model's `flat`: each module's gradient is written into its view
     (`ToyModel.segments`) of the workspace's (A, R, P) array, which the
-    next pass over R rows in `ws` overwrites.
+    next pass in `ws` overwrites.
     """
     h, s = ws.h, ws.s
-    rows = ws.rows(weights.shape[1])
-    *enc_W, enc_b, fus_W, fus_b = rows.segments
-    dout = rows.dout
+    *enc_W, enc_b, fus_W, fus_b = ws.segments
+    dout = ws.dout
     # `dout` and `du` are each a copy of one broadcast operand, scaled in
     # place by the other: a ufunc call given two broadcast operands buffers
     # both, and an IEEE product has the same bits in either order.
     np.copyto(dout, resid[:, None])
     dout *= weights[..., None]
     _batch_sum(dout, fus_b)
-    ds = np.matmul(dout, ws.fus_W_T, out=rows.ds)
+    ds = np.matmul(dout, ws.fus_W_T, out=ws.ds)
     # h > 0 exactly where the pre-activation is: relu keeps the sign, and a
     # NaN fails both. A float gate multiplies as 1.0/0.0 with no bool cast.
     gate = np.greater(h, 0.0, out=ws.gate)
-    du = rows.du
+    du = ws.du
     np.copyto(du, gate[:, None])
     du *= ds[:, :, None]
     np.matmul(s.transpose(0, 2, 1)[:, None], dout, out=fus_W)
-    for x, du_span, out in zip(xs, rows.du_spans, enc_W):
+    for x, du_span, out in zip(xs, ws.du_spans, enc_W):
         np.matmul(x.swapaxes(-1, -2)[:, None], du_span, out=out)
     _batch_sum(du, enc_b)
-    return rows.grads
+    return ws.grads
 
 
 def loss_and_grads(
@@ -651,7 +636,7 @@ def loss_and_grads(
             f"mask of shape {mask.shape} does not match batch {(labels.shape[0], model.M)}"
         )
     stacked = _lockstep(model)
-    ws = _Workspace(stacked, labels.shape[0])
+    ws = _Workspace(stacked, labels.shape[0], 1)
     xs = _masked(stacked, _grouped(model, features), mask.T[None])
     _encode(stacked, xs, ws.h)
     out = _fuse(stacked, ws.hs, ws.s, ws.out)
@@ -724,20 +709,20 @@ def _step(
     weights: np.ndarray,
     targets: Sequence[np.ndarray],
     learning_rate: float,
-    log_grads: bool,
     ws: _Workspace,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """One gradient-descent step of every arm of `model` on one batch, as arrays in `ws`.
 
     `xs` are the batch's masked grouped inputs (`_masked`), `present` its
-    (A, M, B) observed flags, `divisors` the (A, M) divisors and
-    `weights` the (A, M + 1, B) sample weights of `_batch_weights`,
-    `targets` its rows of `_targets`, and `ws` a workspace for `model`
-    and B. Returns the task losses (A,), the modality losses (A, M), 0
-    where a modality is absent from the batch, and, when `log_grads`,
-    the (A, M, P) gradients of the M modality losses, a view whose
-    square `_squared_norms` reduces. It is None otherwise. All three
-    live in `ws`, so the next step on it overwrites them.
+    (A, M, B) observed flags, `divisors` the (A, M) divisors, `targets`
+    its rows of `_targets`, and `ws` a workspace for `model`, B and R.
+    `weights` holds the last R rows of the (A, M + 1, B) sample weights
+    of `_batch_weights`: all M + 1 on a logged step, the full loss's
+    alone otherwise. Returns the task losses (A,), the modality losses
+    (A, M), 0 where a modality is absent from the batch, and, when
+    R > M, the (A, M, P) gradients of the M modality losses, a view
+    whose square `_squared_norms` reduces. It is None otherwise. All
+    three live in `ws`, so the next step on it overwrites them.
     """
     M = present.shape[1]
     _encode(model, xs, ws.h)
@@ -747,11 +732,11 @@ def _step(
     np.multiply(losses[:, None], present, out=ws.products)
     modality_losses = ws.products.sum(axis=-1, out=ws.modality_losses)
     modality_losses /= divisors
-    grads = _backward(xs, resid, weights if log_grads else weights[:, M:], ws)
+    grads = _backward(xs, resid, weights, ws)
     model.flat -= np.multiply(learning_rate, grads[:, -1], out=ws.update)
     task_losses = losses.sum(axis=-1, out=ws.task_losses)
     task_losses /= losses.shape[-1]
-    return task_losses, modality_losses, grads[:, :M] if log_grads else None
+    return task_losses, modality_losses, grads[:, :M] if ws.R > M else None
 
 
 # ---------------------------------------------------------------------------
@@ -1023,12 +1008,12 @@ def _run_group(
     one `_step` with one mask per arm. Each arm's masked features
     (`_masked`) are formed once per mask matrix, and each epoch's batch
     plan gathers the flags and labels in shuffle order once, so a step
-    takes one slice of rows from each into the workspace of its batch
-    size (one for full batches, one for a short last batch), where it
-    writes every array it makes. The steps' losses go into columns, and
-    the squared modality gradients of logged steps into a block whose
-    norms are reduced into a column in one call when it fills, at the
-    epoch's end, and before a divergence is named. Each RunLog keeps
+    takes one slice of rows from each into the workspace of its step
+    shape (its batch size, and M + 1 losses on a logged step or the full
+    loss alone), where it writes every array it makes. The steps' losses
+    go into columns, and the squared modality gradients of logged steps
+    into a block whose norms are reduced into a column in one call when it
+    fills, at the epoch's end, and before a divergence is named. Each RunLog keeps
     read-only views of its columns. Arm 0's divergence is raised at once
     (a non-finite norm when its block is reduced); another arm's ends the
     list once every arm before it has been evaluated. A diverged arm's
@@ -1068,8 +1053,8 @@ def _run_group(
     block_steps = min(max(1, _NORM_BLOCK_BYTES // (8 * A * M * model.flat.shape[-1])), n_batches)
     block = np.empty((block_steps, A, M, model.flat.shape[-1]))
     pending = 0  # steps in the block
-    # One workspace per batch size: the full batches and a short last one.
-    workspaces: dict[int, _Workspace] = {}
+    # One workspace per step shape: (batch size, weighted losses).
+    workspaces: dict[tuple[int, int], _Workspace] = {}
     n_logged = 0  # logged steps so far, in the block or reduced
 
     def last_finite(a: int, step: int) -> tuple[int, float] | None:
@@ -1122,11 +1107,11 @@ def _run_group(
         with np.errstate(over="ignore", invalid="ignore"):
             for b, (lo, size) in enumerate(zip(starts.tolist(), sizes.tolist())):
                 rows = slice(lo, lo + size)
-                log_grads = step % stride == 0
+                R = M + 1 if step % stride == 0 else 1
                 step += 1
-                if size not in workspaces:
-                    workspaces[size] = _Workspace(model, size)
-                ws = workspaces[size]
+                if (size, R) not in workspaces:
+                    workspaces[size, R] = _Workspace(model, size, R)
+                ws = workspaces[size, R]
                 # `order` holds valid indices only, so "clip" changes none;
                 # unlike "raise", it writes into `out` without a buffer.
                 xs = [np.take(x, order[rows], axis=2, out=out, mode="clip")
@@ -1136,10 +1121,9 @@ def _run_group(
                     xs,
                     flags[:, :, rows],
                     divisors[:, :, b],
-                    weights[:, :, rows],
+                    weights[:, -R:, rows],
                     [t[rows] for t in targets],
                     config.learning_rate,
-                    log_grads,
                     ws,
                 )
                 task_losses[step - 1] = task

@@ -8,8 +8,9 @@ a header line and a body of comma-separated rows, every line ended by LF
 - `BITS`: a nonempty 0/1 string, an ablation-table combination;
 - `FLOAT`: a nonnegative float as `repr` writes it: `0.5`, `2.0`,
   `1e-05`, `1.5e+16`; `SFLOAT`: a `FLOAT` with an optional minus sign;
-- `NAME`: text without a comma, double quote or line break, as header
-  fields (split on commas, no csv quoting), modality and metric names are.
+- `NAME`: text without a comma, double quote, line break or lone
+  surrogate, as header fields (split on commas, no csv quoting),
+  modality and metric names are.
 
 `parse_rows` (traces) and `read_columns` (ablation tables) check every body
 line against the line grammar with one regex substitution, in blocks of up
@@ -38,8 +39,9 @@ import numpy as np
 from .errors import FileFormatError
 
 # A header field, modality name or metric name: nonempty, and free of the
-# comma, double quote and line breaks that would change how a line splits.
-NAME = r'[^,"\r\n]+'
+# comma, double quote and line breaks that would change how a line splits,
+# and of the lone surrogates `read_text` makes of undecodable bytes.
+NAME = r'[^,"\r\n\ud800-\udfff]+'
 INT = r"0|[1-9][0-9]*"
 BIT = r"[01]"
 BITS = r"[01]+"
@@ -96,17 +98,18 @@ def read_header(path: str | Path, line: bytes) -> list[str]:
 
 
 def read_text(path: str | Path) -> tuple[list[str], str]:
-    """(header fields, body text) of a file; the body starts at line 2."""
+    """(header fields, body text) of a file; the body starts at line 2.
+
+    Each undecodable body byte becomes a lone surrogate (`surrogateescape`),
+    which no grammar matches, so the reader checks the header first and
+    `first_bad_line` names such a line in file order.
+    """
     # The body's bytes are read apart from the header line, so that the
     # file is held at most twice while they are decoded.
     with open(path, "rb") as f:
         header = read_header(path, f.readline())
         data = f.read()
-    try:
-        return header, data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = 2 + data.count(b"\n", 0, exc.start)
-        raise FileFormatError(f"{path}:{line}: not UTF-8 text") from None
+    return header, data.decode("utf-8", "surrogateescape")
 
 
 def parse_rows(body: str, fields: tuple[str, ...], dtype: np.dtype) -> np.ndarray | None:
@@ -170,7 +173,7 @@ def first_bad_line(
 ) -> FileFormatError:
     """The error for the first line, in file order, that does not read.
 
-    Per line: the LF ending, the field count, then `check(k, cells)` (the
+    Per line: UTF-8, the LF ending, the field count, then `check(k, cells)` (the
     format's own value checks on data row k, counted from 0), then each
     cell's grammar and the int64 range.
     """
@@ -188,7 +191,12 @@ def first_bad_line(
     return FileFormatError(f"{path}: unreadable rows")
 
 
+_ESCAPED_BYTE = re.compile(r"[\udc80-\udcff]").search
+
+
 def _line_error(k, line, names, fields, cells_match, check) -> str | None:
+    if _ESCAPED_BYTE(line):
+        return "not UTF-8 text"
     if line.endswith("\r"):
         return "CRLF line ending, expected LF"
     if not line:

@@ -289,6 +289,25 @@ def alloc_philox_words(seed: int, rows: np.ndarray, first: int, count: int) -> n
     return np.stack((c0, c1, c2, c3), axis=-1).reshape(rows.size, 4 * count)
 
 
+def strict_read_text(path) -> tuple[list[str], str]:
+    """(header fields, body text) of a file as the package read it with a strict body decode.
+
+    The first undecodable body byte raises `path:line: not UTF-8 text`
+    before any reader checks the header or a line.
+    """
+    from missdiag.errors import FileFormatError
+    from missdiag.textformat import read_header
+
+    with open(path, "rb") as f:
+        header = read_header(path, f.readline())
+        data = f.read()
+    try:
+        return header, data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = 2 + data.count(b"\n", 0, exc.start)
+        raise FileFormatError(f"{path}:{line}: not UTF-8 text") from None
+
+
 def regex_read_mask_matrix(path) -> tuple[tuple[str, ...], np.ndarray]:
     """A `maskmatrix-v1` file read as the package read it before its canonical-bytes check.
 
@@ -305,7 +324,7 @@ def regex_read_mask_matrix(path) -> tuple[tuple[str, ...], np.ndarray]:
     from missdiag.errors import FileFormatError
     from missdiag.protocol import _mask_row_error
 
-    header, body = textformat.read_text(path)
+    header, body = strict_read_text(path)
     if len(header) < 3 or header[0] != "sample_id":
         raise FileFormatError(f"{path}: expected header 'sample_id,<modalities...>'")
     names = header[1:]
@@ -346,7 +365,7 @@ def loop_read_ablation_tables(path, orientations=None) -> dict:
     from missdiag.equity import AblationTable, PerfMetric
     from missdiag.errors import FileFormatError, IncompleteTableError
     from missdiag.protocol import MAX_ENUMERATED_MODALITIES, pattern_bitstrings
-    from missdiag.textformat import FLOAT, NAME, read_text
+    from missdiag.textformat import FLOAT, NAME
 
     value_re = re.compile(f"-?(?:{FLOAT})")
     row_re = re.compile(f"([01]+),({NAME}),(-?(?:{FLOAT}))")
@@ -385,7 +404,7 @@ def loop_read_ablation_tables(path, orientations=None) -> dict:
             return f"value {value_text!r} is not a float in repr form"
         return f"bad metric name {metric_name!r}"
 
-    header, body = read_text(path)
+    header, body = strict_read_text(path)
     if header != ["combination", "metric", "value"]:
         raise FileFormatError(f"{path}: expected header 'combination,metric,value'")
     lines = body.split("\n")

@@ -449,6 +449,27 @@ class TestNonUtf8Input:
         self._assert_one_error(proc.stderr, path)
 
 
+class TestLoneSurrogateName:
+    """A JSON escape can spell a lone surrogate, which no file may hold: exit 2 before any work."""
+
+    ERROR = ("error: modality name '\\udcff' must be nonempty, without commas, "
+             "double quotes or line breaks\n")
+
+    def test_mask_generate(self, tmp_path, capsys):
+        config = mask_config(tmp_path, modalities=["audio", "\udcff", "text"])
+        assert main(["mask", "generate", "--config", config]) == 2
+        assert capsys.readouterr().err == self.ERROR
+        assert not (tmp_path / "out").exists()
+
+    def test_simulate_run_in_fresh_interpreter(self, tmp_path):
+        raw = json.loads(Path(sim_config(tmp_path)).read_text())
+        config = write_config(tmp_path, {**raw, "modalities": ["audio", "\udcff"]})
+        proc = run_cli_process(["simulate", "run", "--config", config])
+        assert proc.returncode == 2
+        assert proc.stderr == self.ERROR
+        assert not (tmp_path / "out").exists()
+
+
 class TestProtocolCommands:
     def test_mean_match_from_rates(self, capsys):
         assert main(["protocol", "mean-match", "--rates", "0.4,0.5,0.6"]) == 0

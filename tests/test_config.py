@@ -332,8 +332,10 @@ def _known_configs(tmp_path) -> list[dict]:
     ]
     configs += [{"modalities": list(names), "protocol": {"rates": list(rates)}, "seed": 0,
                  "n_samples": rows} for _, names, rates, rows, _ in workloads.MASK_PROTOCOLS]
+    # Every `mask generate` config but the lone-surrogate name, which must not resolve.
     configs += [json.loads(inputs["config.json"])
-                for inputs, argv in artifact_diff.CASES.values() if argv[0] == "mask"]
+                for case, (inputs, argv) in artifact_diff.CASES.items()
+                if argv[:2] == ["mask", "generate"] and case != "mask-generate-surrogate-name"]
     configs += [
         base_raw(), base_raw(protocol={"shared_rate": 0.3}), base_raw(n_samples=500),
         base_raw(metrics=["UA", {"name": "RMSE", "orientation": "lower-better"}]),

@@ -9,6 +9,7 @@ traceback.
 from __future__ import annotations
 
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -670,3 +671,59 @@ class TestReadText:
             tracemalloc.stop()
         assert header == TABLE_HEADER[:-1].split(",") and body == "".join(rows)
         assert peak < 2 * size + 64 * 1024
+
+
+class TestUndecodableBytesInFileOrder:
+    """A non-UTF-8 body line is one more bad line: the header, then earlier lines, come first."""
+
+    COMMANDS = {
+        "mask": ["mask", "stats", "--file"],
+        "trace": ["metrics", "mli", "--trace"],
+        "table": ["metrics", "mei", "--table"],
+    }
+
+    def _error(self, tmp_path, capsys, kind, data: bytes) -> tuple[str, str]:
+        path = _write_case(tmp_path, data)
+        assert main([*self.COMMANDS[kind], str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        return str(path), err
+
+    @pytest.mark.parametrize("kind, header, reason", [
+        ("mask", b"id,a,b", "expected header 'sample_id,<modalities...>'"),
+        ("trace", b"step,mod,grad", "unrecognised trace header 'step,mod,grad'"),
+        ("table", b"comb,metric,value", "expected header 'combination,metric,value'"),
+    ], ids=["mask", "trace", "table"])
+    def test_wrong_header_over_a_non_utf8_body_names_the_header(
+        self, tmp_path, capsys, kind, header, reason
+    ):
+        path, err = self._error(tmp_path, capsys, kind, header + b"\n\xff\n")
+        assert err == f"error: {path}: {reason}\n"
+
+    @pytest.mark.parametrize("kind, text, reason", [
+        ("mask", MASK_HEADER + "0,1,2\n", "mask values must be 0 or 1"),
+        ("trace", TRACE_HEADER + "1,0,0,x\n", "non-numeric field"),
+        ("table", TABLE_HEADER + "01,UA,x\n", "bad value 'x'"),
+    ], ids=["mask", "trace", "table"])
+    def test_bad_line_before_a_non_utf8_line_is_named(
+        self, tmp_path, capsys, kind, text, reason
+    ):
+        path, err = self._error(tmp_path, capsys, kind, text.encode() + b"\xff\n")
+        assert err == f"error: {path}:2: {reason}\n"
+
+    @pytest.mark.parametrize("kind, text", [
+        ("mask", MASK_HEADER + "0,1,0\n"),
+        ("trace", TRACE_HEADER + "1,0,0,0.5\n"),
+        ("table", TABLE_HEADER + "01,UA,0.25\n"),
+    ], ids=["mask", "trace", "table"])
+    @pytest.mark.parametrize("bad", [b"\xff", b"\xc3(", b"\xed\xa0\x80", b"\xff\r"],
+                             ids=["ff", "c3-paren", "surrogate", "ff-crlf"])
+    def test_non_utf8_line_keeps_its_text(self, tmp_path, capsys, kind, text, bad):
+        # A CRLF ending or a cell fault on the same line does not change its reason.
+        path, err = self._error(tmp_path, capsys, kind, text.encode() + b"1," + bad + b"\n")
+        assert err == f"error: {path}:3: not UTF-8 text\n"
+
+    def test_escaped_bytes_are_no_name(self):
+        assert re.fullmatch(textformat.NAME, "MA") is not None
+        for name in ("MA\udcff", "\udc80", "\ud800"):
+            assert re.fullmatch(textformat.NAME, name) is None

@@ -112,9 +112,10 @@ def step_batch(model, features, mask, labels, learning_rate, log_grads=True):
     counts, divisors, weights = simtrainer._batch_weights(present, np.array([0]), np.array([B]))
     targets = simtrainer._targets(model.task, labels, model.fus_W.shape[-1], np.arange(B))
     xs = simtrainer._masked(model, simtrainer._grouped(model, features), present)
+    weights = weights if log_grads else weights[:, -1:]
     task, modality, grads = simtrainer._step(model, xs, present, divisors[..., 0], weights,
-                                             targets, learning_rate, log_grads,
-                                             simtrainer._Workspace(model, B))
+                                             targets, learning_rate,
+                                             simtrainer._Workspace(model, B, weights.shape[1]))
     norms = None
     if grads is not None:
         # A block of one step: the arms are the leading axis.
@@ -639,7 +640,7 @@ class TestFlatParameters:
         _, _, weights = simtrainer._batch_weights(present, np.array([0]), np.array([B]))
         if rows == "update":
             weights = weights[:, M:]
-        ws = simtrainer._Workspace(stacked, B)
+        ws = simtrainer._Workspace(stacked, B, weights.shape[1])
         xs = simtrainer._masked(stacked, simtrainer._grouped(model, feats), present)
         simtrainer._encode(stacked, xs, ws.h)
         out = simtrainer._fuse(stacked, ws.hs, ws.s, ws.out)
@@ -785,17 +786,16 @@ class TestBatchSumsAndProducts:
         R = 1 if rows == "update" else M + 1
         for H, C in self.SHAPES:
             model = self._model(rng, A, H, C)
-            ws = simtrainer._Workspace(model, B)
+            ws = simtrainer._Workspace(model, B, R)
             xs = [_adversarial(rng, x.shape) for x in ws.xs]
             # `_backward` reads the forward pass's h and s from the workspace.
             ws.h[...], ws.s[...] = _adversarial(rng, ws.h.shape), _adversarial(rng, ws.s.shape)
             resid, weights = _adversarial(rng, (A, B, C)), _adversarial(rng, (A, R, B))
             grads = simtrainer._backward(xs, resid, weights, ws)
-            arrays = ws.rows(R)
             gate = np.greater(ws.h, 0.0).astype(np.float64)
-            dout, du = oracles.two_operand_products(weights, resid, arrays.ds, gate)
-            assert arrays.dout.tobytes() == dout.tobytes(), (H, C)
-            assert arrays.du.tobytes() == du.tobytes(), (H, C)
+            dout, du = oracles.two_operand_products(weights, resid, ws.ds, gate)
+            assert ws.dout.tobytes() == dout.tobytes(), (H, C)
+            assert ws.du.tobytes() == du.tobytes(), (H, C)
             *_, enc_b, _, fus_b = model.segments(grads)
             assert fus_b.tobytes() == oracles.axis_batch_sum(dout, np.empty(fus_b.shape)).tobytes()
             assert enc_b.tobytes() == oracles.axis_batch_sum(du, np.empty(enc_b.shape)).tobytes()
@@ -811,13 +811,13 @@ class TestBatchSumsAndProducts:
         R = 1 if rows == "update" else M + 1
         for H in (1, 2, 16):
             model = simtrainer._lockstep(init_model(self.DIMS, H, REGRESSION, 1, rng), A)
-            ws = simtrainer._Workspace(model, B)
+            ws = simtrainer._Workspace(model, B, R)
             xs = [_adversarial(rng, x.shape) for x in ws.xs]
             ws.h[...], ws.s[...] = _adversarial(rng, ws.h.shape), _adversarial(rng, ws.s.shape)
             resid, weights = _adversarial(rng, (A, B, 1)), _adversarial(rng, (A, R, B))
             grads = simtrainer._backward(xs, resid, weights, ws)
             scaled = resid[:, None, :, 0] * weights
-            assert ws.rows(R).dout.tobytes() == scaled.tobytes(), H
+            assert ws.dout.tobytes() == scaled.tobytes(), H
             *_, fus_b = model.segments(grads)
             assert fus_b.tobytes() == scaled.sum(axis=-1)[..., None].tobytes(), H
 
@@ -836,8 +836,8 @@ class TestBatchSumsAndProducts:
         _, divisors, weights = simtrainer._batch_weights(present, np.array([0]), np.array([B]))
         targets = simtrainer._targets(CLASSIFICATION, labels, 8, np.arange(B))
         xs = simtrainer._masked(model, simtrainer._grouped(model, feats), present)
-        ws = simtrainer._Workspace(model, B)
-        args = (model, xs, present, divisors[..., 0], weights, targets, 1e-3, True, ws)
+        ws = simtrainer._Workspace(model, B, M + 1)
+        args = (model, xs, present, divisors[..., 0], weights, targets, 1e-3, ws)
         for _ in range(3):
             simtrainer._step(*args)
         tracemalloc.start()
@@ -1840,8 +1840,11 @@ class TestWorkspace:
             assert _scores(run.test_tables) == _scores(want.test_tables)
             assert run == want
 
-    @pytest.mark.parametrize("n_train, sizes", [(50, [16, 2]), (48, [16])])
-    def test_one_workspace_per_batch_size(self, monkeypatch, n_train, sizes):
+    @pytest.mark.parametrize("n_train, shapes", [(50, [(16, 4), (16, 1), (2, 1)]),
+                                                 (48, [(16, 4), (16, 1)])])
+    def test_one_workspace_per_step_shape(self, monkeypatch, n_train, shapes):
+        # At stride 2 a logged step backpropagates M + 1 = 4 losses and an
+        # unlogged one the full loss alone.
         spec, configs = _lockstep_case(CLASSIFICATION, 3, stride=2)
         spec = dataclasses.replace(spec, n_train=n_train)
         made, seen = [], []
@@ -1861,19 +1864,21 @@ class TestWorkspace:
         monkeypatch.setattr(simtrainer, "_Workspace", Counted)
         monkeypatch.setattr(simtrainer, "_step", recording)
         run_arms(spec, configs)
-        assert [ws.B for ws in made] == sizes
+        assert [(ws.B, ws.R) for ws in made] == shapes
         assert len(seen) == 3 * -(-n_train // 16)
         for ws, (task, modality, grads) in seen:
             # The step returns the workspace's own arrays: the same objects,
             # overwritten step after step.
-            assert ws is made[sizes.index(ws.B)]
+            assert ws is made[shapes.index((ws.B, ws.R))]
             assert task is ws.task_losses and modality is ws.modality_losses
+            assert (grads is None) == (ws.R == 1)
             if grads is not None:
-                assert grads.base is ws.rows(4).grads
-        if len(made) == 2:
-            for mine, theirs in zip(vars(made[0]).values(), vars(made[1]).values()):
-                if isinstance(mine, np.ndarray) and mine is not made[0].fus_W_T:
-                    assert not np.shares_memory(mine, theirs)
+                assert grads.base is ws.grads
+        for i, first in enumerate(made):
+            for second in made[i + 1:]:
+                for mine, theirs in zip(vars(first).values(), vars(second).values()):
+                    if isinstance(mine, np.ndarray) and mine is not first.fus_W_T:
+                        assert not np.shares_memory(mine, theirs)
 
     def test_loss_and_grads_arrays_outlive_the_next_call(self):
         model, feats, labels, mask = _oracle_batch(REGRESSION, 3, 7, seed=6)
@@ -1980,7 +1985,7 @@ class TestLosses:
                 labels = rng.integers(0, C, size=B)
                 targets = simtrainer._targets(CLASSIFICATION, labels, C, np.arange(B))
                 arms = simtrainer._lockstep(model, lead[0]) if lead else model
-                got = simtrainer._losses(arms, out, targets, simtrainer._Workspace(arms, B))
+                got = simtrainer._losses(arms, out, targets, simtrainer._Workspace(arms, B, 1))
                 for mine, theirs in zip(got, indexed_losses(out, labels)):
                     assert mine.shape == theirs.shape
                     assert np.array_equal(mine.view(np.uint64), theirs.view(np.uint64))

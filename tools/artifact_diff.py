@@ -30,7 +30,10 @@ header-only `gradtrace-v1` and `gradagg-v1` files, on an unknown header,
 and on `gradagg-v1` files with a conflicting repeated cell and with a
 negative G,
 `protocol mean-match` at M = 14 with JS and with KL, and KL at M = 6
-with one zero rate.
+with one zero rate. Five cases meet undecodable bytes: `metrics mli`,
+`metrics mei` and `mask stats` on a wrong header over a non-UTF-8 body,
+`metrics mli` on a bad line before a non-UTF-8 line, and `mask generate`
+on a config whose modality name is a lone surrogate (a JSON escape).
 
 One line per artifact: `same`, or `differs` with the first line where the
 two sides part. The artifacts are every file a command writes and its
@@ -221,11 +224,11 @@ def _grad_agg(seed: int) -> str:
     return "\n".join(rows) + "\n"
 
 
-def _mei(text: str) -> tuple[dict, list[str]]:
+def _mei(text: str | bytes) -> tuple[dict, list[str]]:
     return {"table.csv": text}, ["metrics", "mei", "--table", "table.csv"]
 
 
-def _mli(text: str) -> tuple[dict, list[str]]:
+def _mli(text: str | bytes) -> tuple[dict, list[str]]:
     return {"trace.csv": text}, ["metrics", "mli", "--trace", "trace.csv"]
 
 
@@ -240,7 +243,8 @@ def _mask(M: int, seed: str, n: int = 20_000) -> tuple[dict, list[str]]:
              "--out", "out/masks.csv"])
 
 
-# Case name -> (input files by name, missdiag argv run in the case directory).
+# Case name -> (input files by name, as text or bytes, missdiag argv run in the
+# case directory).
 CASES: dict[str, tuple[dict, list[str]]] = {
     "readme-seed1": _simulate(README_CONFIG, "--seed", "1"),
     "readme-seed2": _simulate(README_CONFIG, "--seed", "2"),
@@ -273,6 +277,16 @@ CASES: dict[str, tuple[dict, list[str]]] = {
     "mli-unknown-header": _mli("step,mod,grad\n1,0,0.5\n"),
     "mli-gradagg-conflict": _mli("step,modality,G\n1,0,0.5\n1,1,0.5\n1,0,0.75\n"),
     "mli-gradagg-negative": _mli("step,modality,G\n1,0,0.5\n1,1,-0.5\n"),
+    "mli-bad-header-non-utf8": _mli(b"step,mod,grad\n\xff\n"),
+    "mei-bad-header-non-utf8": _mei(b"comb,metric,value\n\xff\n"),
+    "mask-stats-bad-header-non-utf8": ({"masks.csv": b"id,a,b\n\xff\n"},
+                                       ["mask", "stats", "--file", "masks.csv"]),
+    "mli-bad-line-then-non-utf8": _mli(b"step,modality,module,grad_l2\n1,0,0,x\n\xff\n"),
+    "mask-generate-surrogate-name": (
+        {"config.json": _json({"modalities": ["m0", "\udcff", "m2"],
+                               "protocol": {"rates": MASK_RATES[3]}, "seed": 0,
+                               "n_samples": 100})},
+        ["mask", "generate", "--config", "config.json", "--out", "out/masks.csv"]),
     "js-m14": ({}, ["protocol", "mean-match", "--rates", MEAN_MATCH_RATES, "--kind", "js"]),
     "kl-m14": ({}, ["protocol", "mean-match", "--rates", MEAN_MATCH_RATES, "--kind", "kl"]),
     # A zero rate leaves every pattern that misses modality 2 without mass.
@@ -283,8 +297,8 @@ CASES: dict[str, tuple[dict, list[str]]] = {
 
 def _start(src: Path, workdir: Path, inputs: dict, argv: list[str]) -> subprocess.Popen:
     workdir.mkdir(parents=True)
-    for name, text in inputs.items():
-        (workdir / name).write_text(text, encoding="utf-8")
+    for name, data in inputs.items():
+        (workdir / name).write_bytes(data if isinstance(data, bytes) else data.encode("utf-8"))
     env = {k: v for k, v in os.environ.items() if k != "MISSDIAG_SEED"}
     env.update(PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     return subprocess.Popen([sys.executable, "-m", "missdiag.cli", *argv], cwd=workdir,
