@@ -125,7 +125,7 @@ def _cmd_mask_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_mean_match(args: argparse.Namespace) -> int:
-    if args.rates:
+    if args.rates is not None:
         rates = _generic_rate_vector(_parse_rate_list(args.rates))
     elif args.config:
         rates = _load_config(args).rates

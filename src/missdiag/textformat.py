@@ -12,10 +12,10 @@ a header line and a body of comma-separated rows, every line ended by LF
   surrogate, as header fields (split on commas, no csv quoting),
   modality and metric names are.
 
-`parse_rows` (traces) and `read_columns` (ablation tables) check every body
-line against the line grammar with one regex substitution, in blocks of up
-to 64 lines; `parse_rows` converts the body with numpy's `loadtxt` in one
-step, `read_columns` splits it into text columns for the format's array
+`parse_rows` (traces) and `read_columns` (ablation tables) check a whole
+body against the line grammar with one possessive regex match;
+`parse_rows` converts the body with numpy's `loadtxt` in one step,
+`read_columns` splits it into text columns for the format's array
 checks. A `maskmatrix-v1` body in the grammar has one byte form, which
 `protocol.read_mask_matrix` checks without a regex. Only when a reader's
 checks fail does `first_bad_line` walk the lines in Python to name the
@@ -41,12 +41,14 @@ from .errors import FileFormatError
 # A header field, modality name or metric name: nonempty, and free of the
 # comma, double quote and line breaks that would change how a line splits,
 # and of the lone surrogates `read_text` makes of undecodable bytes.
-NAME = r'[^,"\r\n\ud800-\udfff]+'
-INT = r"0|[1-9][0-9]*"
+# Every repeat is possessive: a cell ends at a comma or LF, which no repeat
+# consumes, so none ever has to give a character back.
+NAME = r'[^,"\r\n\ud800-\udfff]++'
+INT = r"0|[1-9][0-9]*+"
 BIT = r"[01]"
-BITS = r"[01]+"
-FLOAT = r"(?:0|[1-9][0-9]*)\.[0-9]+|[1-9](?:\.[0-9]+)?e[+-](?:0[1-9]|[1-9][0-9]{1,2})"
-SFLOAT = f"-?(?:{FLOAT})"
+BITS = r"[01]++"
+FLOAT = r"(?:0|[1-9][0-9]*+)\.[0-9]++|[1-9](?:\.[0-9]++)?+e[+-](?:0[1-9]|[1-9][0-9]{1,2}+)"
+SFLOAT = f"-?+(?:{FLOAT})"
 
 _DESCRIPTIONS = {
     NAME: "a name (nonempty, without double quotes or line breaks)",
@@ -59,18 +61,14 @@ _DESCRIPTIONS = {
 _INT64_MAX = np.iinfo(np.int64).max
 
 
-# Body lines one regex step matches. A `(?:line)*` over the whole body would
-# keep a backtracking frame per line (possessive repeats need Python 3.11);
-# a block keeps at most this many. Blocks of 16, 64 and 256 lines match
-# alike, all faster than one line per step.
-_BLOCK_LINES = 64
-
-
 @lru_cache(maxsize=32)
-def _line_re(fields: tuple[str, ...]) -> re.Pattern:
-    """One to `_BLOCK_LINES` body lines in the grammar of `fields`."""
+def _body_re(fields: tuple[str, ...]) -> re.Pattern:
+    """Any number of body lines in the grammar of `fields`.
+
+    The repeat is possessive, so a match keeps no backtracking frame per line.
+    """
     line = ",".join(f"(?:{f})" for f in fields) + "\n"
-    return re.compile(f"(?:{line}){{1,{_BLOCK_LINES}}}")
+    return re.compile(f"(?:{line})*+")
 
 
 def read_header(path: str | Path, line: bytes) -> list[str]:
@@ -117,9 +115,7 @@ def parse_rows(body: str, fields: tuple[str, ...], dtype: np.dtype) -> np.ndarra
 
     None when a line breaks the grammar or a number overflows.
     """
-    # Every match is whole grammar lines, so nothing remains exactly when
-    # every line is in the grammar.
-    if _line_re(fields).sub("", body):
+    if not _body_re(fields).fullmatch(body):
         return None
     if not body:
         return np.empty(0, dtype=dtype)
@@ -134,7 +130,7 @@ def read_columns(body: str, fields: tuple[str, ...]) -> list[list[str]] | None:
 
     Not numpy string arrays: those drop a trailing NUL, which `NAME` allows.
     """
-    if _line_re(fields).sub("", body):
+    if not _body_re(fields).fullmatch(body):
         return None
     cells = body.replace("\n", ",").split(",")  # no grammar holds a comma; LF ends the body
     return [cells[j : -1 : len(fields)] for j in range(len(fields))]

@@ -15,6 +15,19 @@ from pathlib import Path
 
 import numpy as np
 
+# The cell grammars of `textformat` as they were while its repeats
+# backtracked, kept verbatim: the regex oracles below check a body with
+# these, not with the package's possessive constants.
+NAME = r'[^,"\r\n\ud800-\udfff]+'
+INT = r"0|[1-9][0-9]*"
+BIT = r"[01]"
+BITS = r"[01]+"
+FLOAT = r"(?:0|[1-9][0-9]*)\.[0-9]+|[1-9](?:\.[0-9]+)?e[+-](?:0[1-9]|[1-9][0-9]{1,2})"
+SFLOAT = f"-?(?:{FLOAT})"
+TRACE_FIELDS = (INT, INT, INT, FLOAT)
+AGG_FIELDS = (INT, INT, FLOAT)
+TABLE_FIELDS = (BITS, NAME, SFLOAT)
+
 
 def bit_tuples(M: int) -> list[tuple[int, ...]]:
     """All non-all-zero binary tuples, ascending as binary integers."""
@@ -332,7 +345,7 @@ def regex_read_mask_matrix(path) -> tuple[tuple[str, ...], np.ndarray]:
     if repeated is not None:
         raise FileFormatError(f"{path}:1: duplicate modality name {repeated!r}")
     fields = (textformat.INT,) + (textformat.BIT,) * len(names)
-    line = re.compile(",".join(f"(?:{f})" for f in fields) + "\n")
+    line = re.compile(",".join(f"(?:{f})" for f in (INT,) + (BIT,) * len(names)) + "\n")
     rows = None
     if not line.sub("", body):
         try:
@@ -365,7 +378,6 @@ def loop_read_ablation_tables(path, orientations=None) -> dict:
     from missdiag.equity import AblationTable, PerfMetric
     from missdiag.errors import FileFormatError, IncompleteTableError
     from missdiag.protocol import MAX_ENUMERATED_MODALITIES, pattern_bitstrings
-    from missdiag.textformat import FLOAT, NAME
 
     value_re = re.compile(f"-?(?:{FLOAT})")
     row_re = re.compile(f"([01]+),({NAME}),(-?(?:{FLOAT}))")
@@ -676,7 +688,10 @@ def loop_kl(p: np.ndarray, q: np.ndarray) -> float:
 
 
 def line_by_line_parse_rows(body: str, fields: tuple[str, ...], dtype: np.dtype):
-    """`textformat.parse_rows` as it was when its regex matched one line per step."""
+    """`textformat.parse_rows` as it was when its regex matched one line per step.
+
+    `fields` are this module's grammars (`TRACE_FIELDS`, `AGG_FIELDS`).
+    """
     import io
     import re
 
@@ -689,6 +704,23 @@ def line_by_line_parse_rows(body: str, fields: tuple[str, ...], dtype: np.dtype)
         return np.loadtxt(io.StringIO(body), delimiter=",", dtype=dtype, ndmin=1)
     except ValueError:
         return None
+
+
+def line_by_line_read_columns(body: str, fields: tuple[str, ...]) -> list[list[str]] | None:
+    """`textformat.read_columns` as one regex match and one split per line; `fields` as above."""
+    import re
+
+    line_re = re.compile(",".join(f"(?:{f})" for f in fields))
+    columns = [[] for _ in fields]
+    lines = body.split("\n")
+    if lines.pop():  # the body does not end with LF
+        return None
+    for line in lines:
+        if line_re.fullmatch(line) is None:
+            return None
+        for column, cell in zip(columns, line.split(",")):
+            column.append(cell)
+    return columns
 
 
 def masked_forward_cache(model, features, mask):

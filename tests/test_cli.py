@@ -488,6 +488,18 @@ class TestProtocolCommands:
     def test_mean_match_rejects_bad_rates(self, capsys):
         assert main(["protocol", "mean-match", "--rates", "0.4,high"]) == 2
 
+    def test_mean_match_empty_rates_are_a_bad_rate_list(self, capsys):
+        assert main(["protocol", "mean-match", "--rates", ""]) == 2
+        assert capsys.readouterr().err == (
+            "error: bad rate list ''; expected e.g. 0.4,0.5,0.6\n")
+
+    def test_mean_match_empty_rates_beside_a_config_are_refused(self, tmp_path, capsys):
+        config = mask_config(tmp_path)
+        assert main(["protocol", "mean-match", "--rates", "", "--config", config]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: bad rate list ''; expected e.g. 0.4,0.5,0.6\n"
+
     def test_divergence_js(self, capsys):
         code = main(["protocol", "divergence",
                      "--rates-a", "0.4,0.5,0.6", "--rates-b", "0.5,0.5,0.5"])

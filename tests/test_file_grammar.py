@@ -17,21 +17,23 @@ import pytest
 
 from missdiag import assemble_trace, textformat
 from missdiag.cli import main
-from missdiag.equity import read_ablation_tables
+from missdiag.equity import _TABLE_FIELDS, read_ablation_tables
 from missdiag.errors import FileFormatError, MissdiagError
 from missdiag.learning import (
     _TRACE_FIELDS,
+    _TRACE_FORMATS,
     GRAD_SAMPLE_DTYPE,
     read_grad_samples,
     write_agg_trace,
     write_grad_samples,
 )
 from missdiag.protocol import read_mask_matrix
-from missdiag.textformat import parse_rows, read_text
+from missdiag.textformat import _body_re, parse_rows, read_columns, read_text
 
 import oracles
 
 U64_MAX = 2**64 - 1
+_AGG_DTYPE, _AGG_FIELDS = _TRACE_FORMATS[("step", "modality", "G")]
 
 
 def _mask_config(tmp_path, M: int) -> str:
@@ -623,14 +625,18 @@ def _trace_body(n: int) -> list[str]:
             for t in range(n) for m in range(2) for k in range(2)][:n]
 
 
-class TestBlocksOfLines:
-    """The grammar matches blocks of up to 64 lines and reads as one line per step did."""
+class TestWholeBodyMatch:
+    """One possessive match checks the whole body, which reads as one line per step did.
+
+    The row counts and bad-row positions straddle the 64-line blocks the
+    check once matched, and test that each line number is still named.
+    """
 
     @pytest.mark.parametrize("n", [63, 64, 65, 128, 129])
     def test_body_reads_as_line_by_line(self, n):
         body = "".join(_trace_body(n))
         got = parse_rows(body, _TRACE_FIELDS, GRAD_SAMPLE_DTYPE)
-        want = oracles.line_by_line_parse_rows(body, _TRACE_FIELDS, GRAD_SAMPLE_DTYPE)
+        want = oracles.line_by_line_parse_rows(body, oracles.TRACE_FIELDS, GRAD_SAMPLE_DTYPE)
         assert got.shape == want.shape == (n,)
         assert got.tobytes() == want.tobytes()
 
@@ -646,11 +652,95 @@ class TestBlocksOfLines:
                       "crlf": lines[row][:-1] + "\r\n", "blank": "\n"}[fault]
         body = "".join(lines)
         assert parse_rows(body, _TRACE_FIELDS, GRAD_SAMPLE_DTYPE) is None
-        assert oracles.line_by_line_parse_rows(body, _TRACE_FIELDS, GRAD_SAMPLE_DTYPE) is None
+        assert oracles.line_by_line_parse_rows(body, oracles.TRACE_FIELDS, GRAD_SAMPLE_DTYPE) is None
         path = _write_case(tmp_path, TRACE_HEADER + body)
         with pytest.raises(FileFormatError) as info:
             read_grad_samples(path)
         assert str(info.value) == f"{path}:{row + 2}: {reason}"
+
+    def test_match_keeps_no_frame_per_line(self):
+        rng = np.random.default_rng(30)
+        body = "".join(f"{t},{t % 3},{t % 2},{g!r}\n"
+                       for t, g in enumerate(rng.uniform(0, 3, 100_000).tolist()))
+        match = _body_re(_TRACE_FIELDS).fullmatch
+        tracemalloc.start()
+        try:
+            matched = match(body)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert matched is not None
+        assert peak < 64 * 1024
+
+
+# Cells on each side of the `FLOAT` and `INT` grammars' edges, and the bytes
+# the mutants below substitute and insert.
+FLOAT_EDGE_CELLS = ["0.50", "00.5", ".5", "5", "1.", "1.e+05", "1e-05", "1e-005",
+                    "1e+00", "1e+100", "1e+010", "15e+16", "0e+05"]
+INT_EDGE_CELLS = ["0", "00", "01", "10"]
+GRAMMAR_MUTANT_CHARS = "0123456789.,e+-\n E"
+
+# Per body format: its row, its package reader and the oracle's with today's grammar.
+GRAMMAR_FORMATS = {
+    "gradtrace": ("{i},1,{i},{g}\n",
+                  lambda body: parse_rows(body, _TRACE_FIELDS, GRAD_SAMPLE_DTYPE),
+                  lambda body: oracles.line_by_line_parse_rows(
+                      body, oracles.TRACE_FIELDS, GRAD_SAMPLE_DTYPE)),
+    "gradagg": ("{i},1,{g}\n",
+                lambda body: parse_rows(body, _AGG_FIELDS, _AGG_DTYPE),
+                lambda body: oracles.line_by_line_parse_rows(
+                    body, oracles.AGG_FIELDS, _AGG_DTYPE)),
+    "abltable": ("1{i},UA,-{g}\n",
+                 lambda body: read_columns(body, _TABLE_FIELDS),
+                 lambda body: oracles.line_by_line_read_columns(body, oracles.TABLE_FIELDS)),
+}
+
+
+def _grammar_mutants(row: str, seed: int) -> list[str]:
+    """Every single-byte edit of a body per edge cell, then seeded double edits."""
+    bodies = [row.format(i=10, g="2.5") + row.format(i=i, g=g)
+              for i, g in [(10, g) for g in FLOAT_EDGE_CELLS] + [(i, "0.5") for i in INT_EDGE_CELLS]]
+    mutants = list(bodies)
+    for body in bodies:
+        for at in range(len(body) + 1):
+            mutants += [body[:at] + c + body[at:] for c in GRAMMAR_MUTANT_CHARS]
+            if at < len(body):
+                mutants += [body[:at] + body[at + 1 :]]
+                mutants += [body[:at] + c + body[at + 1 :] for c in GRAMMAR_MUTANT_CHARS]
+    rng = np.random.default_rng(seed)
+    for body in bodies:
+        for _ in range(100):
+            mutant = body
+            for _ in range(2):
+                at = int(rng.integers(len(mutant)))
+                c = GRAMMAR_MUTANT_CHARS[int(rng.integers(len(GRAMMAR_MUTANT_CHARS)))]
+                mutant = [mutant[:at] + c + mutant[at + 1 :], mutant[:at] + c + mutant[at:],
+                          mutant[:at] + mutant[at + 1 :]][int(rng.integers(3))]
+            mutants.append(mutant)
+    return mutants
+
+
+class TestPossessiveGrammar:
+    """The possessive cell grammars accept exactly the text the backtracking ones did.
+
+    On seeded mutants of bodies holding every `FLOAT` and `INT` edge cell,
+    each reader returns None exactly when the oracle with the former
+    grammar does, and the same rows or columns otherwise.
+    """
+
+    @pytest.mark.parametrize("kind", list(GRAMMAR_FORMATS))
+    def test_mutants_read_like_the_oracle(self, kind):
+        row, read, oracle = GRAMMAR_FORMATS[kind]
+        outcomes = set()
+        for body in _grammar_mutants(row, seed=len(kind)):
+            got, want = read(body), oracle(body)
+            assert (got is None) == (want is None), repr(body)
+            if got is not None:
+                same = (got == want if isinstance(got, list)
+                        else got.tobytes() == want.tobytes() and got.shape == want.shape)
+                assert same, repr(body)
+            outcomes.add(got is None)
+        assert outcomes == {True, False}
 
 
 class TestReadText:

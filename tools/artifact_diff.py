@@ -34,6 +34,10 @@ with one zero rate. Five cases meet undecodable bytes: `metrics mli`,
 `metrics mei` and `mask stats` on a wrong header over a non-UTF-8 body,
 `metrics mli` on a bad line before a non-UTF-8 line, and `mask generate`
 on a config whose modality name is a lone surrogate (a JSON escape).
+Two pin the float cells the readers accept: `metrics mli` on a
+two-modality `gradtrace-v1` file whose norms are written `0.5`, `2.0`,
+`0.50`, `10.25`, `1e-05`, `1.5e+16` and `1e+100`, and on the same file
+with one `1e-005` cell.
 
 One line per artifact: `same`, or `differs` with the first line where the
 two sides part. The artifacts are every file a command writes and its
@@ -243,6 +247,14 @@ def _mask(M: int, seed: str, n: int = 20_000) -> tuple[dict, list[str]]:
              "--out", "out/masks.csv"])
 
 
+# A two-modality trace whose norms take the float forms the readers accept.
+FLOAT_FORMS_TRACE = "step,modality,module,grad_l2\n" + "".join(
+    f"{t},{m},0,{g}\n" for t, m, g in [
+        (1, 0, "0.5"), (1, 1, "2.0"), (2, 0, "0.50"), (2, 1, "10.25"),
+        (3, 0, "1e-05"), (3, 1, "1.5e+16"), (4, 0, "1e+100"), (4, 1, "0.5"),
+    ])
+
+
 # Case name -> (input files by name, as text or bytes, missdiag argv run in the
 # case directory).
 CASES: dict[str, tuple[dict, list[str]]] = {
@@ -282,6 +294,8 @@ CASES: dict[str, tuple[dict, list[str]]] = {
     "mask-stats-bad-header-non-utf8": ({"masks.csv": b"id,a,b\n\xff\n"},
                                        ["mask", "stats", "--file", "masks.csv"]),
     "mli-bad-line-then-non-utf8": _mli(b"step,modality,module,grad_l2\n1,0,0,x\n\xff\n"),
+    "mli-float-forms": _mli(FLOAT_FORMS_TRACE),
+    "mli-bad-exponent": _mli(FLOAT_FORMS_TRACE.replace(",1e-05\n", ",1e-005\n")),
     "mask-generate-surrogate-name": (
         {"config.json": _json({"modalities": ["m0", "\udcff", "m2"],
                                "protocol": {"rates": MASK_RATES[3]}, "seed": 0,
