@@ -24,7 +24,7 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
@@ -106,9 +106,9 @@ def _cmd_mask_generate(args: argparse.Namespace) -> int:
     print(f"wrote maskmatrix-v1: {out} (N={matrix.N}, M={matrix.M}, seed={config.seed})")
     empirical = protocol.empirical_rates(matrix)
     print("modality,rate,exact_marginal,empirical_rate")
+    marginals = protocol.marginal_missing_rates(rates)
     for m, name in enumerate(rates.modality_names):
-        marginal = protocol.marginal_missing_rate(rates, m)
-        print(f"{name},{rates.rates[m]},{marginal:.6f},{empirical[m]:.6f}")
+        print(f"{name},{rates.rates[m]},{marginals[m]:.6f},{empirical[m]:.6f}")
     _print_pattern_table(matrix.masks, rates)
     return 0
 
@@ -260,9 +260,7 @@ def _run_payload(run: simtrainer.RunLog, divergence_kind: str, artifacts: dict) 
             "value": _json_float(protocol.divergence(rates, matched, divergence_kind)),
         },
         "empirical_rates": [float(r) for r in empirical],
-        "exact_marginals": [
-            protocol.marginal_missing_rate(rates, m) for m in range(rates.M)
-        ],
+        "exact_marginals": protocol.marginal_missing_rates(rates).tolist(),
         "task_scores_full": {
             table.metric.name: table.perf_full for table in run.test_tables
         },
@@ -293,20 +291,27 @@ def _check_out_dir(path: Path) -> None:
             return
 
 
-def _simulate(config: cfg.ExperimentConfig, out_dir: Path) -> None:
-    """Train the paired IMR and SMR arms, or one unnamed arm, and write every artifact.
+def _pair_deltas(a: dict, b: dict) -> dict:
+    """Arm payload `a` minus arm payload `b`: MLI, and MEI per metric and mode."""
+    return {
+        "mli": a["mli"]["value"] - b["mli"]["value"],
+        "mei": {name: {mode: entry["value"] - b["mei"][name][mode]["value"]
+                       for mode, entry in modes.items()}
+                for name, modes in a["mei"].items()},
+    }
 
-    A named arm writes into its own subdirectory, and its manifest keys and
-    paths carry the `name/` prefix.
+
+def _simulate(config: cfg.ExperimentConfig, out_dir: Path) -> None:
+    """Train `config.arms`, write every artifact, and report them with `config.pairs`' deltas.
+
+    A named arm writes into its own subdirectory, its manifest keys and
+    paths carry the `name/` prefix, and its payload nests under its name;
+    the unnamed arm's payload is the report's top level.
     """
-    if config.train is None:
+    if not config.arms:
         raise ConfigError("this command requires a 'simulation' block in the config")
-    if config.paired:
-        smr = replace(config.train, protocol=config.rates.mean_matched())
-        arms = {"imr": config.train, "smr": smr}
-    else:
-        arms = {"": config.train}
-    runs = dict(zip(arms, simtrainer.run_arms(config.spec, list(arms.values()))))
+    names, trains = zip(*config.arms)
+    runs = dict(zip(names, simtrainer.run_arms(config.spec, list(trains))))
     payloads = {}
     artifact_index = {}
     for arm, run in runs.items():
@@ -319,27 +324,18 @@ def _simulate(config: cfg.ExperimentConfig, out_dir: Path) -> None:
             }
         payloads[arm] = _run_payload(run, config.divergence_kind, artifacts)
 
-    if config.paired:
-        deltas = {
-            "mli": runs["imr"].mli_result.value - runs["smr"].mli_result.value,
-            "mei": {
-                name: {
-                    mode: payloads["imr"]["mei"][name][mode]["value"]
-                    - payloads["smr"]["mei"][name][mode]["value"]
-                    for mode in payloads["imr"]["mei"][name]
-                }
-                for name in payloads["imr"]["mei"]
-            },
-        }
-        payload = {"paired": True, **payloads, "deltas": deltas}
-        print(f"paired run: mli[imr]={runs['imr'].mli_result.value!r} "
-              f"mli[smr]={runs['smr'].mli_result.value!r} delta={deltas['mli']!r}")
-    else:
-        payload = {**payloads[""], "paired": False}
+    if "" in runs:
         print(f"run: mli={runs[''].mli_result.value!r}")
         for metric_name, result in runs[""].mei_results:
             if result.mode == config.mei_mode:
                 print(f"mei[{metric_name}][{config.mei_mode}]: {result.value!r}")
+    payload = {**payloads.pop("", {}), **payloads, "paired": bool(config.pairs)}
+    # A config has at most one pair today, so the report has one `deltas`
+    # key; the layout for more pairs is left open.
+    for a, b in config.pairs:
+        payload["deltas"] = _pair_deltas(payloads[a], payloads[b])
+        print(f"paired run: mli[{a}]={runs[a].mli_result.value!r} "
+              f"mli[{b}]={runs[b].mli_result.value!r} delta={payload['deltas']['mli']!r}")
 
     doc = report.DiagnosticsReport.build(payload)
     report_path = out_dir / "report.json"
@@ -461,6 +457,9 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
+        for dest in ("config", "out"):  # an empty path is no path: refused before any work
+            if getattr(args, dest, None) == "":
+                raise ConfigError(f"--{dest} must not be empty")
         return args.func(args)
     except MissdiagError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -34,7 +34,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Mapping, NamedTuple
 
@@ -186,7 +186,11 @@ def _walk(prefix: str, obj: dict) -> dict:
 class ExperimentConfig:
     """The library objects `resolve_config` built, and the resolved document for hashing.
 
-    `spec` and `train` are None when the document has no simulation block.
+    `spec` and `train` are None, and `arms` empty, when the document has no
+    simulation block. `arms` holds the (name, TrainConfig) runs `simulate
+    run` trains, `train` first: `imr`, then `smr` at the mean-matched shared
+    rate, when `simulation.paired` is true, else one unnamed arm. `pairs`
+    holds the (a, b) arm names it compares as a - b.
     """
 
     rates: RateVector
@@ -197,7 +201,8 @@ class ExperimentConfig:
     output_dir: str
     spec: SynthSpec | None
     train: TrainConfig | None
-    paired: bool
+    arms: tuple[tuple[str, TrainConfig], ...]
+    pairs: tuple[tuple[str, str], ...]
     resolved: dict
 
 
@@ -326,6 +331,7 @@ def resolve_config(
     else:
         rates = RateVector.shared(modalities, protocol["shared_rate"])
     spec = train = None
+    arms = pairs = ()
     if simulation is not None:
         spec = SynthSpec(
             task=simulation["task"],
@@ -351,6 +357,10 @@ def resolve_config(
             epsilon=doc["epsilon"],
             metrics=metrics or default_metrics(simulation["task"]),
         )
+        arms = (("", train),)
+        if simulation["paired"]:
+            arms = (("imr", train), ("smr", replace(train, protocol=rates.mean_matched())))
+            pairs = (("imr", "smr"),)
     return ExperimentConfig(
         rates=rates,
         seed=doc["seed"],
@@ -360,6 +370,7 @@ def resolve_config(
         output_dir=doc["output_dir"],
         spec=spec,
         train=train,
-        paired=simulation is not None and simulation["paired"],
+        arms=arms,
+        pairs=pairs,
         resolved=doc,
     )

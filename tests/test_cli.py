@@ -18,7 +18,7 @@ import missdiag
 from missdiag import GRAD_SAMPLE_DTYPE, GradTrace, PerfMetric, AblationTable, simtrainer
 from missdiag.cli import main
 from missdiag.config import SEED_ENV_VAR, resolve_config
-from missdiag.equity import write_ablation_table
+from missdiag.equity import MEI_MODES, write_ablation_table
 from missdiag.learning import write_agg_trace, write_grad_samples
 from missdiag.report import file_sha256, read_report
 
@@ -724,9 +724,14 @@ class TestSimulateRun:
         payload = read_report(out / "report.json").payload
         assert payload["paired"] is True
         assert payload["smr"]["protocol"]["rates"] == [0.35, 0.35]
-        assert "mli" in payload["deltas"]
-        delta = payload["imr"]["mli"]["value"] - payload["smr"]["mli"]["value"]
-        assert payload["deltas"]["mli"] == pytest.approx(delta, abs=1e-15)
+        imr, smr, deltas = payload["imr"], payload["smr"], payload["deltas"]
+        assert deltas["mli"] == imr["mli"]["value"] - smr["mli"]["value"]
+        assert deltas["mei"].keys() == imr["mei"].keys() == {"UA", "WA", "F1"}
+        for metric, modes in deltas["mei"].items():
+            assert modes.keys() == imr["mei"][metric].keys() == set(MEI_MODES)
+            for mode, value in modes.items():
+                imr_value, smr_value = (arm["mei"][metric][mode]["value"] for arm in (imr, smr))
+                assert value == imr_value - smr_value
 
     def test_simulation_block_required(self, tmp_path, capsys):
         config = mask_config(tmp_path)

@@ -270,12 +270,20 @@ class TestResolveConfig:
             grad_log_stride=1, resample_masks_per_epoch=False, epsilon=1e-8,
             metrics=default_metrics(task))
         assert config.rates == config.train.protocol
-        assert config.paired is False
+        assert config.arms == (("", config.train),) and config.pairs == ()
 
-    def test_paired_flag(self):
-        assert resolve_config(sim_raw(paired=True), env={}).paired
-        assert not resolve_config(sim_raw(), env={}).paired
-        assert not resolve_config(base_raw(), env={}).paired
+    def test_arms_and_pairs(self):
+        paired = resolve_config(sim_raw(paired=True), env={})
+        smr = replace(paired.train, protocol=paired.rates.mean_matched())
+        assert paired.arms == (("imr", paired.train), ("smr", smr))
+        assert paired.arms[0][1] is paired.train
+        assert paired.pairs == (("imr", "smr"),)
+        unpaired = resolve_config(sim_raw(), env={})
+        assert unpaired.arms == (("", unpaired.train),)
+        assert unpaired.arms[0][1] is unpaired.train
+        assert unpaired.pairs == ()
+        no_simulation = resolve_config(base_raw(), env={})
+        assert no_simulation.arms == () and no_simulation.pairs == ()
 
     def test_resolved_document_is_hashable_json(self):
         config = resolve_config(sim_raw(), env={})

@@ -14,7 +14,8 @@ are derived, in the spirit of QuickCheck (Claessen and Hughes, ICFP
   file, header only, a byte-order mark, a truncated last row, a
   duplicate row, a non-canonical number and a `"`-quoted header field;
   and trace rows whose modality or module index is far beyond the data;
-- an `--out` that is a file, refused before any training step.
+- an `--out` that is a file, refused before any training step;
+- an empty `--config` or `--out`, at every subcommand that takes one.
 
 Each case runs in-process through `cli.main`; a seeded sample also runs
 in a fresh interpreter. A config case runs under one of the three
@@ -24,6 +25,7 @@ leave no output behind.
 
 from __future__ import annotations
 
+import argparse
 import copy
 import json
 import math
@@ -31,8 +33,8 @@ import random
 
 import pytest
 
-from missdiag import protocol, simtrainer
-from missdiag.cli import main
+from missdiag import protocol, report, simtrainer
+from missdiag.cli import build_parser, main
 from missdiag.config import REQUIRED, SCHEMA, SEED_ENV_VAR, Interval
 from missdiag.simtrainer import MAX_SIZE
 from test_cli import run_cli_process
@@ -374,6 +376,45 @@ def test_out_that_is_a_file(tmp_path, capsys, command):
     capsys.readouterr()
     assert_contract(main(argv), capsys.readouterr().err, "file", f"--out {out}: ")
     assert afile.read_text() == "taken\n"
+
+
+def subcommand_parsers(parser, words=()):
+    """(command words, parser) of every subcommand below `parser`."""
+    groups = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not groups:
+        return [(list(words), parser)]
+    return [leaf for name, sub in groups[0].choices.items()
+            for leaf in subcommand_parsers(sub, (*words, name))]
+
+
+# A path flag's dest -> a valid value; every subcommand flag with one of
+# these dests is swept, so a new command's is too.
+PATH_FLAGS = {"config": "config.json", "out": "out"}
+EMPTY_FLAG_SITES = [(words, action.option_strings[0], parser)
+                    for words, parser in subcommand_parsers(build_parser())
+                    for action in parser._actions if action.dest in PATH_FLAGS]
+
+
+# An empty path was once taken for an absent flag: `--out ""` wrote into
+# output_dir with exit 0, and `--config ""` asked for --config.
+@pytest.mark.parametrize("words, flag, parser", EMPTY_FLAG_SITES,
+                         ids=[f"{' '.join(words)} {flag}" for words, flag, _ in EMPTY_FLAG_SITES])
+def test_empty_path_flag(tmp_path, capsys, monkeypatch, words, flag, parser):
+    monkeypatch.chdir(tmp_path)  # where BASE's relative output_dir would land
+    (tmp_path / "config.json").write_text(json.dumps(BASE), encoding="utf-8")
+    report.write_report(report.DiagnosticsReport.build({"x": 1}), tmp_path / "report.json")
+    argv = list(words)
+    for action in parser._actions:
+        if action.dest in PATH_FLAGS:
+            value = "" if flag in action.option_strings else PATH_FLAGS[action.dest]
+            argv += [action.option_strings[0], value]
+        elif not action.option_strings:
+            argv.append("report.json")  # `report merge`'s inputs
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert_contract(code, err, "config", f"{flag} must not be empty\n")
+    assert out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "report.json"]
 
 
 # Kept out of CONFIG_CASES, whose seeded draws pick the fresh-interpreter
